@@ -398,8 +398,7 @@ def _spectrum_tasks(config, args):
         _attach(bundle, config, args.seed)
         report = spectral.solve_near_zero(bundle, solver["k_eigs"],
                                           tol=solver["tol"],
-                                          kernel_tol=solver["kernel_tol"],
-                                          seed=args.seed)
+                                          kernel_tol=solver["kernel_tol"])
         spectral.attach_diagnostics(bundle, report)
         entry = {"lambda": lam,
                  "xi": None if xi is None else {"r": xi.r, "theta": xi.theta},

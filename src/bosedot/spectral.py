@@ -8,13 +8,12 @@ resolvent-sandwich estimate of that matrix from the full generator, and the
 resonant-coupling effectiveness check for the dot gaps.
 """
 
-import warnings
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy import sparse
 import scipy.linalg as sla
-from scipy.sparse.linalg import eigsh, ArpackNoConvergence
+from scipy.sparse.linalg import splu
 
 from . import dot as dotmod
 from .fock import SolverConvergenceError
@@ -30,6 +29,7 @@ class SpectralReport:
     kernel_dim: int
     kernel_basis: np.ndarray     # columns, orthonormalized
     norm_L: float
+    solver: dict = dfield(default_factory=dict)   # path and iteration count
     messages: tuple = ()
     diagnostics: list = dfield(default_factory=list)
 
@@ -40,6 +40,7 @@ class SpectralReport:
             "kernel_tol": self.kernel_tol,
             "kernel_dim": self.kernel_dim,
             "norm_L": self.norm_L,
+            "solver": self.solver,
             "messages": list(self.messages),
         }
         if self.diagnostics:
@@ -101,35 +102,156 @@ class SandwichReport:
 # ---------------------------------------------------------------------------
 # eigensolves
 
-def _dense_near_zero(mat, k):
-    evals, evecs = np.linalg.eigh(mat.toarray())
-    order = np.argsort(np.abs(evals), kind="stable")[:k]
+# shift of the block factorisation, relative to ||L||: small enough that the
+# pairs nearest the shift are the pairs nearest zero, large enough to keep
+# L - shift away from the exact kernel
+SHIFT = -3.7e-6
+# start columns beyond the wanted pairs (indicator guards; one dense probe
+# column comes on top)
+BLOCK_GUARDS = 6
+# applications of (L - shift)^-1 per block iteration
+KRYLOV_DEPTH = 5
+MAX_BLOCK_ITERATIONS = 100
+# the block solve stops once every reported residual is below this * ||L||
+RESIDUAL_BOUND = 1e-12
+
+
+def _dense_near_zero(bundle, k, kernel_tol):
+    """max(k, kernel_dim) pairs nearest zero from the cached eigensystem."""
+    evals, evecs = bundle.eigensystem()
+    kdim = int(np.sum(np.abs(evals) < kernel_tol))
+    order = np.argsort(np.abs(evals), kind="stable")[:max(k, kdim)]
     return evals[order], evecs[:, order]
 
 
-def _sparse_near_zero(mat, k, tol, norm_l, seed=11):
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(mat.shape[0])
-    # a small real shift keeps the factorization away from the exact kernel
-    sigma = -3.7e-6 * max(norm_l, 1.0)
+def _project_out(w, basis):
+    for _ in range(2):
+        w = w - basis @ (basis.conj().T @ w)
+    return w
+
+
+def _orthonormalize(w, basis, drop=1e-13):
+    """Orthonormal columns spanning w with its part in span(basis) removed.
+
+    Two projection passes before and after a pivoted QR.  Only a column whose
+    remainder is below drop times its own norm is dropped: the small but real
+    remainders of nearly converged vectors are their corrections.  The second
+    projection repairs the orthogonality the QR of small remainders loses; the
+    columns are then orthonormal to a few parts in 1e3 at worst, and a
+    Cholesky QR restores them.
+    """
+    norms = np.linalg.norm(w, axis=0)
+    q, r, piv = sla.qr(_project_out(w, basis), mode="economic", pivoting=True)
+    keep = np.abs(np.diag(r)) > drop * norms[piv]
+    q = _project_out(q[:, :int(np.cumprod(keep).sum())], basis)
+    r = sla.cholesky(q.conj().T @ q)
+    return sla.solve_triangular(r, q.T, trans="T").T
+
+
+def _start_block(l0_diag, width, dtype):
+    """Indicator columns of the states with smallest |L0|, plus a dense probe.
+
+    The indicators of the L0 kernel come first.  Without a condensate L
+    conserves the charge, so indicator columns only reach the charge sectors
+    of their own states; the probe column has weight in every sector, and an
+    eigenvalue near zero in a sector the indicators miss grows out of it.
+    """
+    n = len(l0_diag)
+    states = np.argsort(np.abs(l0_diag), kind="stable")[:width]
+    block = np.zeros((n, len(states) + 1), dtype=dtype)
+    block[states, np.arange(len(states))] = 1.0
+    # equidistributed, fixed and free of the basis-order symmetries of ones
+    block[:, -1] = (np.arange(n) * 0.6180339887498949) % 1.0 - 0.5
+    return block
+
+
+def block_shift_invert(mat, k, l0_diag, norm_l):
+    """The max(k, #zeros of l0_diag) eigenpairs of Hermitian mat nearest zero.
+
+    One sparse LU of mat - shift (MMD ordering on A + A^T, in real arithmetic
+    when mat has no imaginary part) serves every iteration.  Each iteration
+    applies the inverse KRYLOV_DEPTH times to the active block, takes the
+    Ritz pairs of the inverse with the largest |mu| (e = shift + 1/mu), and
+    locks the leading pairs whose residual is below a tenth of the bound; the
+    wanted span is then Rayleigh-Ritz refined with mat itself, which removes
+    the error the locked vectors pass on to the rest.  Stops once every
+    reported residual is below RESIDUAL_BOUND * ||L||.  The start block is
+    fixed by l0_diag, so the result depends on no seed.  Returns
+    (eigenvalues by increasing |e|, eigenvectors, iterations).
+    """
+    n = mat.shape[0]
+    if not np.any(mat.data.imag):
+        mat = mat.real
+    scale = max(norm_l, 1.0)
+    shift = SHIFT * scale
+    bound = RESIDUAL_BOUND * scale
+    shifted = mat - shift * sparse.identity(n, dtype=mat.dtype, format="csr")
     try:
-        evals, evecs = eigsh(mat, k=k, sigma=sigma, which="LM",
-                             tol=tol, v0=v0)
-    except ArpackNoConvergence as exc:
-        got = len(exc.eigenvalues)
+        lu = splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
         raise SolverConvergenceError(
-            f"shift-invert converged {got}/{k} pairs") from exc
-    order = np.argsort(np.abs(evals), kind="stable")
-    return evals[order], evecs[:, order]
+            f"shift-invert factorisation: {exc}") from exc
+
+    want = min(max(k, int(np.sum(l0_diag == 0))), n)
+    width = min(want + BLOCK_GUARDS, n - 1)
+    block = _start_block(l0_diag, width, mat.dtype)
+    locked = np.zeros((n, 0), dtype=mat.dtype)
+    for iteration in range(1, MAX_BLOCK_ITERATIONS + 1):
+        basis, images = [], []
+        v = _orthonormalize(block, locked)
+        for depth in range(KRYLOV_DEPTH):
+            basis.append(v)
+            images.append(lu.solve(v))
+            if depth + 1 < KRYLOV_DEPTH:
+                v = _orthonormalize(images[-1], np.hstack([locked] + basis))
+        b = np.hstack(basis)
+        h = b.conj().T @ np.hstack(images)
+        mu, w = np.linalg.eigh(0.5 * (h + h.conj().T))
+        active = want - locked.shape[1]
+        order = np.argsort(-np.abs(mu), kind="stable")
+        ritz = b @ w[:, order[:width + 1 - locked.shape[1]]]
+        if ritz.shape[1] < active:
+            raise SolverConvergenceError(
+                f"start block reaches {locked.shape[1] + ritz.shape[1]} of "
+                f"{want} pairs")
+
+        wanted = ritz[:, :active]
+        span = np.hstack([locked, wanted])
+        image = mat @ span
+        g = span.conj().T @ image
+        evals, c = np.linalg.eigh(0.5 * (g + g.conj().T))
+        residuals = np.linalg.norm(image @ c - (span @ c) * evals, axis=0)
+        if np.all(residuals <= bound):
+            order = np.argsort(np.abs(evals), kind="stable")
+            return evals[order], (span @ c)[:, order], iteration
+
+        # lock the leading pairs that are well inside the bound
+        fresh = image[:, locked.shape[1]:]
+        rq = np.real(np.einsum("ij,ij->j", wanted.conj(), fresh))
+        done = np.linalg.norm(fresh - wanted * rq, axis=0) <= 0.1 * bound
+        nlock = int(np.cumprod(done).sum())
+        locked = np.hstack([locked, ritz[:, :nlock]])
+        block = ritz[:, nlock:]
+    raise SolverConvergenceError(
+        f"block shift-invert: residuals above {bound:.3g} after "
+        f"{MAX_BLOCK_ITERATIONS} iterations")
 
 
-def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None, seed=11):
-    """k eigenpairs of L nearest zero, with verified residuals.
+def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
+    """Eigenpairs of L nearest zero, with verified residuals and whole kernel.
 
-    Dense below dimension 2000, shift-invert above.  The kernel is the set of
-    eigenvalues below kernel_tol (default 1e-9 * ||L||); its basis is
-    re-orthonormalized with a pivoted QR and the reported dimension is the
-    numerical rank.
+    At least k pairs are reported, more when the kernel is larger.  Up to
+    dimension DENSE_CUTOFF they come from the bundle's cached eigensystem and
+    the kernel is counted over the whole spectrum: max(k, kernel_dim) pairs.
+    Above it block_shift_invert reports max(k, #zeros of L0) pairs; it starts
+    from fixed vectors, so the result does not depend on any seed.
+
+    The kernel is the set of eigenvalues below kernel_tol (default
+    1e-9 * ||L||); its basis is re-orthonormalized with a pivoted QR and the
+    reported dimension is the numerical rank.  tol sets the verification
+    bound max(tol, 1e-12) * ||L|| * 100 on the residuals and the
+    near-degeneracy flag; a message also marks a kernel that fills every
+    reported pair.
     """
     mat = bundle.L.matrix
     if k > mat.shape[0]:
@@ -139,13 +261,14 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None, seed=11):
         kernel_tol = 1e-9 * max(norm_l, 1.0)
 
     if mat.shape[0] <= DENSE_CUTOFF:
-        evals, evecs = _dense_near_zero(mat, k)
+        evals, evecs = _dense_near_zero(bundle, k, kernel_tol)
+        solver = {"path": "dense"}
     else:
-        evals, evecs = _sparse_near_zero(mat, k, tol, norm_l, seed=seed)
+        evals, evecs, iterations = block_shift_invert(mat, k, bundle.l0_diag,
+                                                      norm_l)
+        solver = {"path": "block-shift-invert", "iterations": iterations}
 
-    residuals = np.array([
-        np.linalg.norm(mat @ evecs[:, i] - evals[i] * evecs[:, i])
-        for i in range(len(evals))])
+    residuals = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
 
     messages = []
     bad = residuals > max(tol, 1e-12) * max(norm_l, 1.0) * 100
@@ -158,6 +281,8 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None, seed=11):
 
     in_kernel = np.abs(evals) < kernel_tol
     kdim = int(np.sum(in_kernel))
+    if kdim == len(evals):
+        messages.append(f"kernel fills all {kdim} reported pairs (k = {k})")
     if kdim:
         raw = evecs[:, in_kernel]
         q, r, _ = sla.qr(raw, mode="economic", pivoting=True)
@@ -171,7 +296,7 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None, seed=11):
     return SpectralReport(
         eigenvalues=evals, vectors=evecs, residuals=residuals,
         kernel_tol=kernel_tol, kernel_dim=kdim, kernel_basis=basis,
-        norm_L=norm_l, messages=tuple(messages))
+        norm_L=norm_l, solver=solver, messages=tuple(messages))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +449,7 @@ def orthogonal_kernel_panel(bundle, report, psi, panel=None):
 
 def attach_diagnostics(bundle, report, panel=None):
     """Fill the per-vector diagnostics table of a SpectralReport."""
+    panel = _default_panel(bundle) if panel is None else panel
     rows = []
     for i in range(len(report.eigenvalues)):
         psi = report.vectors[:, i]

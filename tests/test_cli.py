@@ -195,6 +195,31 @@ def test_seed_flag_lands_in_manifest(tmp_path, capsys):
     assert manifest["seed"] == 99
 
 
+def test_spectrum_above_dense_cutoff_ignores_seed(tmp_path, capsys):
+    # 2720-dimensional composite on a log grid (seed-free conjugate): the
+    # block shift-invert path, whose start block comes from L0 alone
+    cfg = base_config()
+    cfg["grid"] = {"n_modes": 7, "omega_min": 0.35, "omega_max": 2.8,
+                   "spacing": "log"}
+    cfg["trunc"] = {"n_max": 3}
+    cfg["physics"] = {"lambda": [0.05]}
+    cfg["solver"] = {"k_eigs": 20}
+    texts = []
+    for seed in ("11", "109"):
+        sub = tmp_path / seed
+        sub.mkdir()
+        code, outdir, _ = run_cli(sub, "spectrum", cfg, capsys,
+                                  extra=["--seed", seed])
+        assert code == cli.EXIT_OK
+        texts.append((outdir / "spectrum.json").read_bytes())
+    assert texts[0] == texts[1]
+    run = json.loads(texts[0])["runs"][0]
+    assert run["report"]["solver"]["path"] == "block-shift-invert"
+    # diagonal dot pairs times the vacuum and the 7 matched one-quantum pairs
+    assert run["kernel_dim"] == 2 * (1 + 7)
+    assert len(run["report"]["eigenvalues"]) == 20
+
+
 def test_jobs_flag_parallel_spectrum(tmp_path, capsys):
     cfg = base_config()
     cfg["physics"] = {"lambda": [0.05, 0.1, 0.2]}

@@ -73,6 +73,69 @@ def test_solve_near_zero_sparse_path_self_consistent(gauss_ff):
     assert rep.kernel_dim >= 2
 
 
+def _log_bundle(gauss_ff, d, n_modes, n_max, lam, xi=None):
+    dspec = bd.DotSpec(d=d)
+    grid = bd.discretize(gauss_ff, 1.0,
+                         bd.GridSpec(n_modes=n_modes, omega_max=2.3,
+                                     spacing="log", omega_min=0.35),
+                         bd.RELATIVISTIC,
+                         bohr_frequencies=dspec.bohr_frequencies())
+    rho_crit = None
+    if xi is not None:
+        rho_crit = bd.critical_density(1.0, bd.RELATIVISTIC)
+        xi = bd.CondensatePoint(r=rho_crit + 0.2, theta=xi)
+    return build_bundle(dspec, grid, bd.TruncationSpec(n_modes, n_max),
+                        lam=lam, xi=xi, rho_crit=rho_crit)
+
+
+def test_dense_kernel_dimension_not_capped_by_k(gauss_ff):
+    # vacuum and 4 matched one-quantum pairs per diagonal dot pair: the kernel
+    # is 10-dimensional, and k = 6 must not cut it
+    b = _log_bundle(gauss_ff, 2, 4, 2, 0.1)
+    assert b.dim == 180
+    rep = spectral.solve_near_zero(b, k=6)
+    assert rep.kernel_dim == 10
+    assert len(rep.eigenvalues) == 10
+    assert rep.solver == {"path": "dense"}
+    assert any("kernel fills" in m for m in rep.messages)
+    # k above the kernel still means "pairs reported", with no message
+    rep = spectral.solve_near_zero(b, k=14)
+    assert rep.kernel_dim == 10 and len(rep.eigenvalues) == 14
+    assert not any("kernel fills" in m for m in rep.messages)
+
+
+@pytest.mark.parametrize("n_modes, n_max, lam, xi", [
+    (4, 3, 0.1, None),      # real L, dim 660
+    (4, 3, 1.0, None),      # strong coupling: pairs in charge sectors +-2
+    (4, 2, 0.3, 0.7),       # condensate: complex L that breaks the charge
+])
+def test_block_shift_invert_matches_dense(gauss_ff, n_modes, n_max, lam, xi):
+    b = _log_bundle(gauss_ff, 2, n_modes, n_max, lam, xi)
+    k = 12
+    norm_l = b.norm_L()
+    evals, evecs, iterations = spectral.block_shift_invert(
+        b.L.matrix, k, b.l0_diag, norm_l)
+    assert iterations <= spectral.MAX_BLOCK_ITERATIONS
+    assert len(evals) == max(k, int(np.sum(b.l0_diag == 0)))
+    residuals = np.linalg.norm(b.L.matrix @ evecs - evecs * evals, axis=0)
+    assert np.all(residuals <= spectral.RESIDUAL_BOUND * norm_l)
+
+    ref, _ = b.eigensystem()
+    shift = spectral.SHIFT * norm_l
+    nearest = np.sort(ref[np.argsort(np.abs(ref - shift))[:len(evals)]])
+    np.testing.assert_allclose(np.sort(evals), nearest,
+                               rtol=0, atol=1e-10 * norm_l)
+
+    dense = spectral.solve_near_zero(b, k=k)
+    in_kernel = np.abs(evals) < dense.kernel_tol
+    assert int(in_kernel.sum()) == dense.kernel_dim
+    block_kernel = evecs[:, in_kernel]
+    dense_kernel = dense.kernel_basis
+    np.testing.assert_allclose(block_kernel @ block_kernel.conj().T,
+                               dense_kernel @ dense_kernel.conj().T,
+                               rtol=0, atol=1e-9)
+
+
 def test_virial_value_real_and_small_for_eigenvectors(gauss_ff):
     dspec = bd.DotSpec(d=2)
     grid = bd.discretize(gauss_ff, 1.0,
@@ -120,7 +183,8 @@ def test_orthogonal_kernel_panel_bounded(bundle2):
 def test_attach_diagnostics_rows(bundle2):
     rep = spectral.solve_near_zero(bundle2, k=4)
     spectral.attach_diagnostics(bundle2, rep)
-    assert len(rep.diagnostics) == 4
+    # one row per reported pair; the 6-dimensional kernel raises k = 4 to 6
+    assert len(rep.diagnostics) == len(rep.eigenvalues) == 6
     assert "eigenvalue" in rep.diagnostics[0]
 
 
