@@ -13,7 +13,7 @@ from .reservoir import (Dispersion, RELATIVISTIC, NONRELATIVISTIC, FormFactor,
                         resonance_weights, QuadratureError)
 from .fock import (TruncationSpec, FockBasis, SparseOperator, StateVector,
                    DimensionCapError, SolverConvergenceError)
-from .krylov import expm_action, HermitianExp
+from .krylov import expm_action
 from .liouville import (OperatorBundle, build_bundle, assemble_free,
                         assemble_interaction, assemble_conjugate, kms_vector,
                         dilation_one_body, antisymmetric_one_body)

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +287,6 @@ def build_manifest(config, seed):
         "config": config,
         "derived": derived,
         "seed": seed,
-        "generated": datetime.now(timezone.utc).isoformat(),
     }
 
 
@@ -484,8 +482,9 @@ def cmd_rte(config, args):
         bundle = build_bundle(dspec, grid, trunc, lam, xi=xi,
                               rho_crit=rc if xi is not None else None)
         a_full = dynamics.dot_observable(bundle, x)
-        out = dynamics.rte_deviation(bundle, a_full, a_full, a_norm=x_norm)
         omega, _, _ = dynamics.equilibrium_vector(bundle)
+        out = dynamics.rte_deviation(bundle, a_full, a_full, omega=omega,
+                                     a_norm=x_norm)
         out["finite_T"] = [
             dynamics.ergodic_mean(bundle, a_full, a_full, omega, T).to_dict()
             for T in t_list]

@@ -9,7 +9,6 @@ figure of merit; it is evaluated through one shared spectral decomposition so
 that the identity observable cancels exactly in floating point.
 """
 
-import warnings
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -17,8 +16,8 @@ from scipy import sparse
 from scipy.sparse.linalg import svds
 
 from .fock import StateVector
-from .krylov import expm_action, DENSE_CUTOFF
-from .liouville import kms_vector
+from .krylov import expm_action
+from .liouville import DENSE_CUTOFF, kms_vector
 
 
 @dataclass
@@ -134,14 +133,14 @@ def _phi(x):
     return np.where(small, 1.0 + 0.5j * x, out)
 
 
-def ergodic_mean(bundle, a_obs, b_obs, omega, T, n_steps=None,
-                 cluster_tol=None):
+def ergodic_mean(bundle, a_obs, b_obs, omega, T, cluster_tol=None):
     """Time-averaged Heisenberg expectation in the eigenphase representation.
 
     Returns the finite-T mean of <B omega, e^{itL} A e^{-itL} B omega>, its
     Richardson extrapolation from T and 2T, and the exact T -> infinity
-    spectral sum over clusters of equal eigenvalues.  n_steps is accepted but
-    unused: the time integral is evaluated analytically per eigenvalue pair.
+    spectral sum over clusters of equal eigenvalues; the time integral is
+    evaluated analytically per eigenvalue pair.  A window too short for the
+    smallest cluster gap is flagged in the report's messages.
     """
     a_mat = _as_matrix(a_obs)
     b_mat = _as_matrix(b_obs)
@@ -174,7 +173,6 @@ def ergodic_mean(bundle, a_obs, b_obs, omega, T, n_steps=None,
         messages.append(
             f"min nonzero gap * T = {gap * T:.3g} < 10: finite-T mean "
             "unreliable")
-        warnings.warn(messages[-1])
 
     return ErgodicReport(
         finite_mean=m_T.real, T=float(T), extrapolated=extrapolated.real,

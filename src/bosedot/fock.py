@@ -112,31 +112,9 @@ class FockBasis:
         """Single-mode ladder operator; creation annihilates the top shell."""
         if not 0 <= j < self.trunc.n_modes:
             raise ValueError("mode index out of range")
-        g = j + self._mode_offset(side)
-        rows, cols, vals = [], [], []
-        cap = self.trunc.n_max
-        for i, st in enumerate(self.states):
-            occ = dict(st)
-            n = occ.get(g, 0)
-            if create:
-                if self.totals[i] >= cap:
-                    continue
-                occ[g] = n + 1
-                amp = sqrt(n + 1)
-            else:
-                if n == 0:
-                    continue
-                if n == 1:
-                    del occ[g]
-                else:
-                    occ[g] = n - 1
-                amp = sqrt(n)
-            tgt = tuple(sorted(occ.items()))
-            rows.append(self.index[tgt])
-            cols.append(i)
-            vals.append(amp)
-        return sparse.csr_matrix((vals, (rows, cols)),
-                                 shape=(self.dim, self.dim), dtype=complex)
+        unit = np.zeros(self.trunc.n_modes)
+        unit[j] = 1.0
+        return self.smeared(unit, side, create)
 
     def smeared(self, coeffs, side="left", create=True):
         """Smeared field: sum_j f_j a*_j (create) or sum_j conj(f_j) a_j.
@@ -240,12 +218,7 @@ class FockBasis:
         """Total quantum number diagonal, per copy or for both copies."""
         if side is None:
             return self.totals.astype(float)
-        off = self._mode_offset(side)
-        out = np.zeros(self.dim)
-        for i, st in enumerate(self.states):
-            out[i] = sum(c for g, c in st
-                         if 0 <= g - off < self.trunc.n_modes)
-        return out
+        return self.dgamma_diag(np.ones(self.trunc.n_modes), side)
 
     def energy_diag(self, omegas, side=None):
         """dGamma(omega) diagonal for one copy, or the sum over both copies."""

@@ -1,9 +1,8 @@
 """Action of exp(scale * H) on a vector for Hermitian H.
 
-Below a dimension cutoff the action goes through a full eigendecomposition
-(exact up to rounding, and reusable).  Above it a segmented Lanczos iteration
-is used: the scale is split into segments, each segment is approximated in a
-small Krylov space with full reorthogonalization, and the whole computation
+One algorithm at every dimension, dense or sparse H: a segmented Lanczos
+iteration.  The scale is split into segments, each segment is approximated in
+a small Krylov space with full reorthogonalization, and the whole computation
 is verified by halving the segment length until two successive refinements
 agree to the requested tolerance.  The scale may be complex, so the same
 routine serves thermal weights (negative real scale) and unitary evolution
@@ -12,23 +11,9 @@ routine serves thermal weights (negative real scale) and unitary evolution
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .fock import SolverConvergenceError
-
-DENSE_CUTOFF = 2000
-
-
-class HermitianExp:
-    """Cached eigendecomposition of a Hermitian operator for repeated use."""
-
-    def __init__(self, matrix):
-        m = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
-        self.evals, self.evecs = eigh(m)
-
-    def apply(self, v, scale):
-        c = self.evecs.conj().T @ v
-        return self.evecs @ (np.exp(scale * self.evals) * c)
 
 
 def _lanczos_segment(matvec, v, scale, tol, m_max):
@@ -71,19 +56,13 @@ def _segmented(matvec, v, scale, tol, m_max, nseg):
     return u
 
 
-def expm_action(matrix, v, scale, tol=1e-10, dense_cutoff=DENSE_CUTOFF,
-                m_max=80, max_refine=12):
+def expm_action(matrix, v, scale, tol=1e-10, m_max=80, max_refine=12):
     """exp(scale * matrix) v for Hermitian matrix, scale real or complex.
 
-    The Lanczos path verifies itself by segment halving: the result is
-    accepted once two successive segment counts agree within tol relative to
-    the larger norm.
+    The result verifies itself by segment halving: it is accepted once two
+    successive segment counts agree within tol relative to the larger norm.
     """
     v = np.asarray(v, dtype=complex)
-    n = matrix.shape[0]
-    if n <= dense_cutoff:
-        return HermitianExp(matrix).apply(v, scale)
-
     matvec = (matrix.dot if sparse.issparse(matrix) else
               np.asarray(matrix).dot)
     nseg = 1

@@ -21,17 +21,24 @@ operator is applied at matrix level.
 The equilibrium (KMS) vector of the interacting system is produced by the
 perturbation formula: the thermal weight exp(-beta (L0 + lambda I_left)/2)
 applied to the free equilibrium vector, where I_left keeps only the
-left-acting halves of the interaction and condensate terms.
+left-acting halves of the interaction and condensate terms.  That weight is a
+Lanczos action at every dimension; the only dense eigendecomposition is the
+bundle's own cached one of L, allowed up to DENSE_CUTOFF.
 """
 
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh
 
 from . import dot as dotmod
 from .fock import FockBasis, SparseOperator, StateVector
-from .krylov import expm_action, HermitianExp, DENSE_CUTOFF
+from .krylov import expm_action
+
+# largest composite dimension at which a bundle forms the dense
+# eigendecomposition of L; above it every consumer takes a sparse path
+DENSE_CUTOFF = 2000
 
 
 def _csr(mat):
@@ -50,12 +57,9 @@ class OperatorBundle:
     xi: object = None
     rho_crit: float = None
 
-    L0: SparseOperator = None
     I_op: SparseOperator = None
     K: SparseOperator = None
     L: SparseOperator = None
-    Q: SparseOperator = None
-    Lambda: SparseOperator = None
 
     l0_diag: np.ndarray = None
     lambda_diag: np.ndarray = None
@@ -71,7 +75,7 @@ class OperatorBundle:
     I1: sparse.csr_matrix = None
     conjugate_scheme: str = None
 
-    _exp_cache: object = dfield(default=None, repr=False)
+    _eigensystem: tuple = dfield(default=None, repr=False)
 
     @property
     def beta(self):
@@ -89,17 +93,30 @@ class OperatorBundle:
     def dim(self):
         return self.dot_dim ** 2 * self.field_dim
 
+    @property
+    def L0(self):
+        return _diagonal_operator(self.l0_diag, "L0")
+
+    @property
+    def Q(self):
+        return _diagonal_operator(self.q_diag, "Q")
+
+    @property
+    def Lambda(self):
+        return _diagonal_operator(self.lambda_diag, "Lambda")
+
     def eigensystem(self):
-        """Cached dense eigendecomposition of L (dimension permitting)."""
-        if self._exp_cache is None:
+        """Cached dense eigendecomposition (evals, evecs) of L, up to
+        DENSE_CUTOFF."""
+        if self._eigensystem is None:
             if self.dim > DENSE_CUTOFF:
                 raise ValueError("dense eigendecomposition refused above "
                                  f"dimension {DENSE_CUTOFF}")
-            self._exp_cache = HermitianExp(self.L.matrix)
-        return self._exp_cache.evals, self._exp_cache.evecs
+            self._eigensystem = eigh(self.L.matrix.toarray())
+        return self._eigensystem
 
     def norm_L(self):
-        if self._exp_cache is not None or self.dim <= DENSE_CUTOFF:
+        if self._eigensystem is not None or self.dim <= DENSE_CUTOFF:
             evals, _ = self.eigensystem()
             return float(np.max(np.abs(evals)))
         return self.L.norm_bound()
@@ -131,6 +148,11 @@ class OperatorBundle:
             out["xi"] = {"r": float(self.xi.r), "theta": float(self.xi.theta)}
             out["rho_crit"] = float(self.rho_crit)
         return out
+
+
+def _diagonal_operator(diag, label):
+    return SparseOperator(sparse.diags(diag.astype(complex), format="csr"),
+                          hermitian=True, label=label)
 
 
 def _dot_blocks(spec):
@@ -182,7 +204,6 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None,
     dim = d2 * fd
 
     l0_diag, l1, _ = assemble_free(dot_spec, basis, grid)
-    L0 = sparse.diags(l0_diag.astype(complex), format="csr")
 
     first, second = assemble_interaction(dot_spec, basis, grid)
     I_mat = (first - second).tocsr()
@@ -199,7 +220,8 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None,
         K_mat = sparse.csr_matrix((dim, dim), dtype=complex)
         K_left = sparse.csr_matrix((dim, dim), dtype=complex)
 
-    L_mat = (L0 + lam * (I_mat + K_mat)).tocsr()
+    L_mat = (sparse.diags(l0_diag.astype(complex), format="csr")
+             + lam * (I_mat + K_mat)).tocsr()
 
     lam_field = basis.energy_diag(grid.omegas)
     lambda_diag = np.tile(lam_field, d2)
@@ -211,15 +233,9 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None,
     bundle = OperatorBundle(
         dot_spec=dot_spec, grid=grid, trunc=trunc, basis=basis, lam=float(lam),
         xi=xi, rho_crit=rho_crit,
-        L0=SparseOperator(L0, hermitian=True, label="L0"),
         I_op=SparseOperator(I_mat, hermitian=True, label="I"),
         K=SparseOperator(K_mat, hermitian=True, label="K"),
         L=SparseOperator(L_mat, hermitian=True, label="L"),
-        Q=SparseOperator(sparse.diags(q_diag.astype(complex), format="csr"),
-                         hermitian=True, label="Q"),
-        Lambda=SparseOperator(sparse.diags(lambda_diag.astype(complex),
-                                           format="csr"),
-                              hermitian=True, label="Lambda"),
         l0_diag=l0_diag, lambda_diag=lambda_diag, q_diag=q_diag,
         l1_diag=np.repeat(l1, fd),
         I_first=first, I_second=second, K_left=K_left,
@@ -294,8 +310,7 @@ def assemble_conjugate(bundle, scheme="log_dilation", seed=7):
     bundle.A = SparseOperator(a_full, hermitian=True, label=f"A[{scheme}]")
     bundle.C1 = SparseOperator(c1, hermitian=True, label="C1")
     if bundle.lam != 0:
-        lam_op = sparse.diags(bundle.lambda_diag.astype(complex), format="csr")
-        bundle.I1 = ((c1 - lam_op) / bundle.lam).tocsr()
+        bundle.I1 = ((c1 - bundle.Lambda.matrix) / bundle.lam).tocsr()
     else:
         bundle.I1 = None
     bundle.conjugate_scheme = scheme
@@ -309,10 +324,12 @@ def kms_vector(bundle, tol=1e-10):
     """Equilibrium vector of the interacting generator, with its residual.
 
     exp(-beta (L0 + lambda I_left)/2) applied to the free equilibrium vector
-    and normalized; I_left keeps the left-acting interaction block and the
-    left condensate half.  At lambda = 0 the free equilibrium vector is
-    returned unchanged (it is annihilated by the diagonal free generator
-    exactly).  Returns (state, residual) with residual = || L psi ||.
+    by the self-verifying Lanczos action of krylov.expm_action (tol), at every
+    dimension, and normalized; I_left keeps the left-acting interaction block
+    and the left condensate half.  No dense eigendecomposition enters.  At
+    lambda = 0 the free equilibrium vector is returned unchanged (it is
+    annihilated by the diagonal free generator exactly).  Returns
+    (state, residual) with residual = || L psi ||.
     """
     omega0 = bundle.free_equilibrium()
     if bundle.lam == 0:
@@ -320,7 +337,7 @@ def kms_vector(bundle, tol=1e-10):
         residual = float(np.linalg.norm(bundle.L.matrix @ omega0))
         return state, residual
 
-    gen = (bundle.L0.matrix
+    gen = (sparse.diags(bundle.l0_diag, format="csr")
            + bundle.lam * (bundle.I_first + bundle.K_left)).tocsr()
     raw = expm_action(gen, omega0, scale=-0.5 * bundle.beta, tol=tol)
     raw = raw / np.linalg.norm(raw)

@@ -16,8 +16,8 @@ import scipy.linalg as sla
 from scipy.sparse.linalg import splu
 
 from . import dot as dotmod
-from .fock import SolverConvergenceError
-from .krylov import DENSE_CUTOFF
+from .fock import SolverConvergenceError, StateVector
+from .liouville import DENSE_CUTOFF, kms_vector
 
 
 @dataclass
@@ -250,8 +250,8 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     1e-9 * ||L||); its basis is re-orthonormalized with a pivoted QR and the
     reported dimension is the numerical rank.  tol sets the verification
     bound max(tol, 1e-12) * ||L|| * 100 on the residuals and the
-    near-degeneracy flag; a message also marks a kernel that fills every
-    reported pair.
+    near-degeneracy flag, which looks only at the pairs outside the kernel; a
+    message also marks a kernel that fills every reported pair.
     """
     mat = bundle.L.matrix
     if k > mat.shape[0]:
@@ -275,7 +275,7 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     if np.any(bad):
         messages.append(f"{int(bad.sum())} residuals above verification bound")
 
-    spacings = np.diff(np.sort(evals))
+    spacings = np.diff(np.sort(evals[np.abs(evals) >= kernel_tol]))
     if len(spacings) and np.any((spacings > 0) & (spacings < 10 * tol)):
         messages.append("near-degenerate pairs: spacing < 10*tol")
 
@@ -412,15 +412,13 @@ def kms_kernel_vector(bundle, report):
     perturbative thermal vector onto that kernel; returns (state, captured)
     with captured the norm fraction the kernel holds.
     """
-    from .liouville import kms_vector as _kms
     if report.kernel_dim == 0:
         raise ValueError("empty kernel")
-    ref, _ = _kms(bundle)
+    ref, _ = kms_vector(bundle)
     basis = report.kernel_basis
     coeff = basis.conj().T @ ref.amplitudes
     proj = basis @ coeff
     captured = float(np.linalg.norm(proj))
-    from .fock import StateVector
     return StateVector(amplitudes=proj / captured, label="kms-kernel"), captured
 
 

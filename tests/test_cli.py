@@ -2,9 +2,7 @@ import json
 
 import pytest
 
-from bosedot import cli
-
-pytestmark = pytest.mark.filterwarnings("ignore:min nonzero gap")
+from bosedot import cli, dynamics, liouville
 
 
 def base_config():
@@ -160,13 +158,27 @@ def test_levelshift_sweep(tmp_path, capsys):
         assert row["gibbs_overlap"] > 0.99
 
 
-def test_rte_with_measure_aggregate(tmp_path, capsys):
+def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
+    # each task forms one dense eigh (the bundle's) and one KMS vector
+    counts = {"eigh": 0, "kms_vector": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(liouville, "eigh", counted("eigh", liouville.eigh))
+    kms = counted("kms_vector", liouville.kms_vector)
+    monkeypatch.setattr(liouville, "kms_vector", kms)
+    monkeypatch.setattr(dynamics, "kms_vector", kms)
     cfg = base_config()
     cfg["physics"] = {"lambda": [0.1],
                       "mu": {"kind": "uniform_theta", "excess": 0.2,
                              "n_theta": 2}}
     code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
     assert code == cli.EXIT_OK
+    assert counts == {"eigh": 2, "kms_vector": 2}
     payload = json.loads((outdir / "rte.json").read_text())
     assert len(payload["runs"]) == 2
     for run in payload["runs"]:
@@ -175,6 +187,17 @@ def test_rte_with_measure_aggregate(tmp_path, capsys):
     agg = payload["aggregate"]
     assert agg["aggregate_deviation"] >= 0.0
     assert len(agg["per_xi"]) == 2
+
+
+def test_manifest_is_deterministic(tmp_path, capsys):
+    texts = []
+    for sub in ("a", "b"):
+        d = tmp_path / sub
+        d.mkdir()
+        code, outdir, _ = run_cli(d, "manifest", base_config(), capsys)
+        assert code == cli.EXIT_OK
+        texts.append((outdir / "manifest.json").read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_manifest_command_writes_only_manifest(tmp_path, capsys):

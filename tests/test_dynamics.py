@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -8,8 +10,6 @@ from bosedot import dynamics
 from bosedot.dot import lower_raise
 from bosedot.liouville import build_bundle
 from bosedot.reservoir import CondensatePoint, XiMeasure
-
-pytestmark = pytest.mark.filterwarnings("ignore:min nonzero gap")
 
 
 def hop_matrix(d):
@@ -108,11 +108,12 @@ def test_ergodic_report_to_dict(bundle2):
         assert key in d
 
 
-def test_ergodic_mean_short_window_warns(bundle2):
+def test_ergodic_mean_short_window_flagged_in_messages(bundle2):
     a = dynamics.dot_observable(bundle2, np.diag([0.0, 1.0]))
     eye = sparse.identity(bundle2.dim, format="csr", dtype=complex)
     omega, _, _ = dynamics.equilibrium_vector(bundle2)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rep = dynamics.ergodic_mean(bundle2, a, eye, omega, 1e-3)
     assert rep.messages
 

@@ -104,6 +104,15 @@ def test_dense_kernel_dimension_not_capped_by_k(gauss_ff):
     assert not any("kernel fills" in m for m in rep.messages)
 
 
+def test_degenerate_kernel_is_not_flagged_near_degenerate(gauss_ff):
+    # a 10-fold kernel whose eigenvalues sit ~1e-17 apart; the pairs outside
+    # it are at least 1.8e-2 apart, so nothing is near-degenerate
+    b = _log_bundle(gauss_ff, 2, 4, 2, 0.1)
+    rep = spectral.solve_near_zero(b, k=12)
+    assert rep.kernel_dim == 10
+    assert not any("near-degenerate" in m for m in rep.messages)
+
+
 @pytest.mark.parametrize("n_modes, n_max, lam, xi", [
     (4, 3, 0.1, None),      # real L, dim 660
     (4, 3, 1.0, None),      # strong coupling: pairs in charge sectors +-2
