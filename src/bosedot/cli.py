@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -482,13 +483,8 @@ def cmd_rte(config, args):
         bundle = build_bundle(dspec, grid, trunc, lam, xi=xi,
                               rho_crit=rc if xi is not None else None)
         a_full = dynamics.dot_observable(bundle, x)
-        omega, _, _ = dynamics.equilibrium_vector(bundle)
-        out = dynamics.rte_deviation(bundle, a_full, a_full, omega=omega,
-                                     a_norm=x_norm)
-        out["finite_T"] = [
-            dynamics.ergodic_mean(bundle, a_full, a_full, omega, T).to_dict()
-            for T in t_list]
-        return out
+        return dynamics.rte_deviation(bundle, a_full, a_full, T=t_list,
+                                      a_norm=x_norm)
 
     tasks = [(lam, xi) for lam in lams for xi in xis]
     with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
@@ -513,46 +509,31 @@ COMMANDS = {
     "manifest": cmd_manifest,
 }
 
+def _diagnostic_rows(payload):
+    for entry in payload["runs"]:
+        for diag in entry["report"]["diagnostics"]:
+            yield {**diag, "lambda": entry["lambda"]}
+
+
+def _rte_rows(payload):
+    for run in payload["runs"]:
+        yield {**run, **(run["manifest"].get("xi") or {})}
+
+
+# command -> (CSV header, the payload's rows as dicts keyed by header names)
 CSV_TABLES = {
-    "thermo": ("rows", ["name", "value", "reference", "residual"]),
-    "virial": ("rows", ["lambda", "eigenvalue", "virial_value",
-                        "lambda_weight", "residual"]),
+    "thermo": (["name", "value", "reference", "residual"],
+               itemgetter("rows")),
+    "virial": (["lambda", "eigenvalue", "virial_value", "lambda_weight",
+                "residual"], itemgetter("rows")),
+    "levelshift": (["epsilon", "n_modes", "misfit", "fit_constant",
+                    "oracle_constant", "gibbs_overlap"],
+                   itemgetter("sandwich_sweep")),
+    "spectrum": (["lambda", "eigenvalue", "residual", "virial_value",
+                  "lambda_weight", "structure_overlap"], _diagnostic_rows),
+    "rte": (["lambda", "r", "theta", "deviation", "deviation_normalized",
+             "ergodic_limit"], _rte_rows),
 }
-
-
-def _csv_rows(command, payload):
-    if command in CSV_TABLES:
-        key, header = CSV_TABLES[command]
-        rows = [[_csv_cell(r.get(h)) for h in header] for r in payload[key]]
-        return header, rows
-    if command == "levelshift":
-        header = ["epsilon", "n_modes", "misfit", "fit_constant",
-                  "oracle_constant", "gibbs_overlap"]
-        rows = [[_csv_cell(r.get(h)) for h in header]
-                for r in payload["sandwich_sweep"]]
-        return header, rows
-    if command == "spectrum":
-        header = ["lambda", "eigenvalue", "residual", "virial_value",
-                  "lambda_weight", "structure_overlap"]
-        rows = []
-        for entry in payload["runs"]:
-            for diag in entry["report"]["diagnostics"]:
-                rows.append([_csv_cell(entry["lambda"])]
-                            + [_csv_cell(diag.get(h)) for h in header[1:]])
-        return header, rows
-    if command == "rte":
-        header = ["lambda", "r", "theta", "deviation",
-                  "deviation_normalized", "ergodic_limit"]
-        rows = []
-        for run in payload["runs"]:
-            xi = run["manifest"].get("xi") or {}
-            rows.append([_csv_cell(run["lambda"]), _csv_cell(xi.get("r")),
-                         _csv_cell(xi.get("theta")),
-                         _csv_cell(run["deviation"]),
-                         _csv_cell(run["deviation_normalized"]),
-                         _csv_cell(run["ergodic_limit"])])
-        return header, rows
-    return None
 
 
 def _csv_cell(val):
@@ -614,12 +595,12 @@ def main(argv=None):
         if "json" in formats:
             written.append(_write_json(outdir, f"{args.command}.json",
                                        payload))
-        if "csv" in formats:
-            table = _csv_rows(args.command, payload)
-            if table is not None:
-                header, rows = table
-                written.append(_write_csv(outdir, f"{args.command}.csv",
-                                          header, rows, manifest["hash"]))
+        if "csv" in formats and args.command in CSV_TABLES:
+            header, rows_of = CSV_TABLES[args.command]
+            rows = [[_csv_cell(r.get(h)) for h in header]
+                    for r in rows_of(payload)]
+            written.append(_write_csv(outdir, f"{args.command}.csv",
+                                      header, rows, manifest["hash"]))
 
     print(json.dumps({"manifest": manifest["hash"], "written": written}))
     return EXIT_OK

@@ -5,8 +5,10 @@ average of e^{it(e-e')} over [0, T] has the closed form (e^{iTx}-1)/(iTx), so
 no time stepping enters and the T -> infinity limit is an exact spectral sum
 over clusters of equal eigenvalues.  The deviation of that limit from the
 product of equilibrium expectations is the weak-coupling return-to-equilibrium
-figure of merit; it is evaluated through one shared spectral decomposition so
-that the identity observable cancels exactly in floating point.
+figure of merit.  One spectral pass per (bundle, A, B omega) clusters the
+bundle's eigensystem once and changes the basis of A once; the limit, the
+deviation and every finite-T window come from it, and the identity observable
+cancels exactly in floating point.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -97,7 +99,7 @@ def evolve(bundle, state, t, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# spectral decompositions shared by the ergodic formulas
+# one spectral pass shared by the ergodic formulas
 
 def _clusters(evals, ctol):
     order = np.argsort(evals)
@@ -120,10 +122,6 @@ def _cluster_gap(evals, groups):
     return float(min(b - a for a, b in zip(reps, reps[1:])))
 
 
-def _projections(evecs, coeffs, groups):
-    return [evecs[:, g] @ coeffs[g] for g in groups]
-
-
 def _phi(x):
     """Time average of e^{is} over s in [0, x] extended evenly: (e^{ix}-1)/(ix)."""
     x = np.asarray(x, dtype=float)
@@ -133,68 +131,81 @@ def _phi(x):
     return np.where(small, 1.0 + 0.5j * x, out)
 
 
-def ergodic_mean(bundle, a_obs, b_obs, omega, T, cluster_tol=None):
+def _clustered_spectrum(bundle):
+    """The bundle's eigensystem and its clusters of equal eigenvalues, with
+    the one cluster tolerance 1e-9 * max(||L||, 1)."""
+    evals, evecs = bundle.eigensystem()
+    return evals, evecs, _clusters(evals, 1e-9 * max(bundle.norm_L(), 1.0))
+
+
+def _ergodic_pass(spectrum, a_mat, v, t_list):
+    """Ergodic limit and finite-T means of <v, e^{itL} A e^{-itL} v>.
+
+    The limit is sum_g <P_g v, A P_g v> over the cluster projections P_g v;
+    it is returned with sum_g |P_g v|^2 and one ErgodicReport per window T.
+    Every window uses the weight W_jk = conj(c_j) (V^H A V)_jk c_k, c = V^H v,
+    formed once: the mean over [0, T] is sum_jk W_jk phi(T (e_j - e_k)).  A
+    window is flagged when more than 1e-2 of sum |W_jk| sits on pairs in
+    different clusters with |e_j - e_k| T < 10, whose phases have not yet
+    averaged out.
+    """
+    evals, evecs, groups = spectrum
+    c = evecs.conj().T @ v
+    limit = omega_bb = 0.0
+    labels = np.empty(len(evals), dtype=int)
+    for i, g in enumerate(groups):
+        p = evecs[:, g] @ c[g]
+        limit += np.vdot(p, a_mat @ p).real
+        omega_bb += np.vdot(p, p).real
+        labels[g] = i
+    limit, omega_bb = float(limit), float(omega_bb)
+
+    weight = evecs.conj().T @ (a_mat @ evecs)
+    weight *= np.outer(np.conj(c), c)
+    total = np.abs(weight).sum()
+    across = labels[:, None] != labels[None, :]
+    gap = _cluster_gap(evals, groups)
+
+    reports = []
+    for T in t_list:
+        x = T * (evals[:, None] - evals[None, :])
+        m_T = complex(np.sum(weight * _phi(x)))
+        m_2T = complex(np.sum(weight * _phi(2 * x)))
+        short = np.abs(weight[across & (np.abs(x) < 10)]).sum()
+        share = float(short / total) if total else 0.0
+        messages = ()
+        if share > 1e-2:
+            messages = (f"weight share {share:.3g} on cluster pairs with "
+                        "gap * T < 10: finite-T mean unreliable",)
+        reports.append(ErgodicReport(
+            finite_mean=m_T.real, T=float(T),
+            extrapolated=(2.0 * m_2T - m_T).real, closed_form=limit,
+            min_cluster_gap=gap, n_clusters=len(groups), messages=messages))
+    return limit, omega_bb, reports
+
+
+def ergodic_mean(bundle, a_obs, b_obs, omega, T):
     """Time-averaged Heisenberg expectation in the eigenphase representation.
 
     Returns the finite-T mean of <B omega, e^{itL} A e^{-itL} B omega>, its
     Richardson extrapolation from T and 2T, and the exact T -> infinity
-    spectral sum over clusters of equal eigenvalues; the time integral is
-    evaluated analytically per eigenvalue pair.  A window too short for the
-    smallest cluster gap is flagged in the report's messages.
+    spectral sum over clusters of equal eigenvalues (the ergodic limit of
+    rte_deviation); the time integral is evaluated analytically per
+    eigenvalue pair.  A window too short for the weight it carries on close
+    cluster pairs is flagged in the report's messages.
     """
-    a_mat = _as_matrix(a_obs)
-    b_mat = _as_matrix(b_obs)
-    omega = _as_array(omega)
-    evals, evecs = bundle.eigensystem()
-    if cluster_tol is None:
-        cluster_tol = 1e-9 * max(bundle.norm_L(), 1.0)
-
-    v = b_mat @ omega
-    c = evecs.conj().T @ v
-    a_tilde = evecs.conj().T @ (a_mat @ evecs)
-
-    weight = np.outer(np.conj(c), c) * a_tilde
-
-    def mean_at(tval):
-        phases = _phi(tval * (evals[:, None] - evals[None, :]))
-        return complex(np.sum(weight * phases))
-
-    m_T = mean_at(T)
-    m_2T = mean_at(2 * T)
-    extrapolated = 2.0 * m_2T - m_T
-
-    groups = _clusters(evals, cluster_tol)
-    parts = _projections(evecs, c, groups)
-    closed = complex(sum(np.vdot(p, a_mat @ p) for p in parts))
-
-    gap = _cluster_gap(evals, groups)
-    messages = []
-    if np.isfinite(gap) and gap * T < 10:
-        messages.append(
-            f"min nonzero gap * T = {gap * T:.3g} < 10: finite-T mean "
-            "unreliable")
-
-    return ErgodicReport(
-        finite_mean=m_T.real, T=float(T), extrapolated=extrapolated.real,
-        closed_form=closed.real, min_cluster_gap=gap,
-        n_clusters=len(groups), messages=tuple(messages))
+    v = _as_matrix(b_obs) @ _as_array(omega)
+    _, _, (report,) = _ergodic_pass(_clustered_spectrum(bundle),
+                                    _as_matrix(a_obs), v, [T])
+    return report
 
 
 # ---------------------------------------------------------------------------
 # equilibrium stand-in and deviation
 
-def equilibrium_vector(bundle, cluster_tol=None):
-    """Best equilibrium stand-in among near-stationary spectral clusters.
-
-    Projects the perturbative thermal vector onto each eigenvalue cluster and
-    returns the dominant projection (normalized), the cluster's mean
-    eigenvalue, and the captured norm fraction.
-    """
+def _equilibrium(bundle, spectrum):
     ref, _ = kms_vector(bundle)
-    evals, evecs = bundle.eigensystem()
-    if cluster_tol is None:
-        cluster_tol = 1e-9 * max(bundle.norm_L(), 1.0)
-    groups = _clusters(evals, cluster_tol)
+    evals, evecs, groups = spectrum
     c = evecs.conj().T @ ref.amplitudes
     best, best_norm, best_e = None, -1.0, 0.0
     for g in groups:
@@ -206,41 +217,40 @@ def equilibrium_vector(bundle, cluster_tol=None):
     return state, best_e, float(best_norm)
 
 
-def rte_deviation(bundle, a_obs, b_obs, T=None, omega=None, cluster_tol=None,
-                  a_norm=None):
+def equilibrium_vector(bundle):
+    """Best equilibrium stand-in among near-stationary spectral clusters.
+
+    Projects the perturbative thermal vector onto each eigenvalue cluster and
+    returns the dominant projection (normalized), the cluster's mean
+    eigenvalue, and the captured norm fraction.
+    """
+    return _equilibrium(bundle, _clustered_spectrum(bundle))
+
+
+def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None):
     """Deviation of the ergodic limit from the equilibrium product.
 
     deviation = | lim_T (1/T) int <B omega, sigma_t(A) B omega> dt
                  - omega(B*B) omega(A) |
 
-    evaluated in real parts through one spectral decomposition, so that the
-    identity observable gives zero exactly.  omega defaults to the dominant
-    near-stationary projection of the perturbative thermal vector.  The
-    normalized field divides by the spectral norm of A.
+    evaluated in real parts through one spectral pass, so that the identity
+    observable gives zero exactly.  omega is the dominant near-stationary
+    projection of the perturbative thermal vector, and finite_T holds one
+    ergodic_mean report per window in T.  The normalized field divides by
+    the spectral norm of A.
     """
     a_mat = _as_matrix(a_obs)
     b_mat = _as_matrix(b_obs)
-    if omega is None:
-        omega, _, _ = equilibrium_vector(bundle, cluster_tol)
-    w = _as_array(omega)
-    evals, evecs = bundle.eigensystem()
-    if cluster_tol is None:
-        cluster_tol = 1e-9 * max(bundle.norm_L(), 1.0)
-    groups = _clusters(evals, cluster_tol)
-
-    v = b_mat @ w
-    c = evecs.conj().T @ v
-    parts = _projections(evecs, c, groups)
-
-    limit = float(sum(np.vdot(p, a_mat @ p).real for p in parts))
-    omega_bb = float(sum(np.vdot(p, p).real for p in parts))
+    spectrum = _clustered_spectrum(bundle)
+    w = _equilibrium(bundle, spectrum)[0].amplitudes
+    limit, omega_bb, reports = _ergodic_pass(spectrum, a_mat, b_mat @ w, T)
     omega_a = float(np.vdot(w, a_mat @ w).real / np.vdot(w, w).real)
 
     deviation = abs(limit - omega_bb * omega_a)
     if a_norm is None:
         a_norm = operator_norm(a_mat)
 
-    out = {
+    return {
         "deviation": deviation,
         "deviation_normalized": deviation / a_norm if a_norm > 0 else 0.0,
         "ergodic_limit": limit,
@@ -249,11 +259,8 @@ def rte_deviation(bundle, a_obs, b_obs, T=None, omega=None, cluster_tol=None,
         "a_norm": a_norm,
         "lambda": bundle.lam,
         "manifest": bundle.manifest(),
+        "finite_T": [r.to_dict() for r in reports],
     }
-    if T is not None:
-        out["finite_T"] = ergodic_mean(bundle, a_mat, b_mat, w, T,
-                                       cluster_tol=cluster_tol).to_dict()
-    return out
 
 
 def superpose_xi(measure, results):

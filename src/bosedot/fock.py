@@ -258,14 +258,6 @@ class SparseOperator:
         m = abs(self.matrix)
         return float(np.max(np.asarray(m.sum(axis=1)).ravel())) if self.nnz else 0.0
 
-    def dump_coo(self, path, manifest_hash=""):
-        """Text dump: row, col, Re, Im per line."""
-        coo = self.matrix.tocoo()
-        data = np.column_stack([coo.row, coo.col, coo.data.real, coo.data.imag])
-        header = f"label={self.label} dim={self.dim} nnz={self.nnz}"
-        if manifest_hash:
-            header += f" manifest={manifest_hash}"
-        np.savetxt(path, data, fmt=["%d", "%d", "%.17g", "%.17g"], header=header)
 
 
 @dataclass

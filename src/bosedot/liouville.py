@@ -64,7 +64,6 @@ class OperatorBundle:
     l0_diag: np.ndarray = None
     lambda_diag: np.ndarray = None
     q_diag: np.ndarray = None
-    l1_diag: np.ndarray = None
 
     I_first: sparse.csr_matrix = None
     I_second: sparse.csr_matrix = None
@@ -125,12 +124,6 @@ class OperatorBundle:
         """Product vector: dot Gibbs purification times field vacuum."""
         g = dotmod.gibbs_vector(self.dot_spec, self.beta)
         return np.kron(g, self.basis.vacuum()).astype(complex)
-
-    def gibbs_projector_diag_factors(self):
-        """Dot Gibbs vector and the kernel-sector dot indicator diagonal."""
-        g = dotmod.gibbs_vector(self.dot_spec, self.beta)
-        ind = (np.abs(self.l1_diag) == 0.0).astype(float)
-        return g, ind
 
     def manifest(self):
         out = {
@@ -203,7 +196,7 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None,
     fd = basis.dim
     dim = d2 * fd
 
-    l0_diag, l1, _ = assemble_free(dot_spec, basis, grid)
+    l0_diag, _, _ = assemble_free(dot_spec, basis, grid)
 
     first, second = assemble_interaction(dot_spec, basis, grid)
     I_mat = (first - second).tocsr()
@@ -237,7 +230,6 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None,
         K=SparseOperator(K_mat, hermitian=True, label="K"),
         L=SparseOperator(L_mat, hermitian=True, label="L"),
         l0_diag=l0_diag, lambda_diag=lambda_diag, q_diag=q_diag,
-        l1_diag=np.repeat(l1, fd),
         I_first=first, I_second=second, K_left=K_left,
     )
     return bundle

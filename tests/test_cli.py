@@ -115,6 +115,49 @@ def test_spectrum_smoke_and_csv(tmp_path, capsys):
     assert len(lines) == 2 + 6
 
 
+def _csv_case(command):
+    cfg = base_config()
+    cfg["outputs"] = {"formats": ["json", "csv"]}
+    if command == "virial":
+        cfg["solver"]["k_eigs"] = 4
+    elif command == "levelshift":
+        cfg["grid"] = {"n_modes": 2, "omega_max": 3.0, "omega_min": 0.5,
+                       "spacing": "log"}
+        cfg["solver"] = {"epsilons": [0.4, 0.2], "h_over_eps": 0.05}
+    elif command == "rte":
+        cfg["physics"]["mu"] = {"kind": "uniform_theta", "excess": 0.2,
+                                "n_theta": 2}
+    return cfg
+
+
+@pytest.mark.parametrize("command, key, header", [
+    ("thermo", "rows", "name,value,reference,residual"),
+    ("virial", "rows",
+     "lambda,eigenvalue,virial_value,lambda_weight,residual"),
+    ("levelshift", "sandwich_sweep",
+     "epsilon,n_modes,misfit,fit_constant,oracle_constant,gibbs_overlap"),
+    ("rte", "runs",
+     "lambda,r,theta,deviation,deviation_normalized,ergodic_limit"),
+], ids=["thermo", "virial", "levelshift", "rte"])
+def test_csv_table_matches_json_rows(tmp_path, capsys, command, key, header):
+    code, outdir, out = run_cli(tmp_path, command, _csv_case(command), capsys)
+    assert code == cli.EXIT_OK
+    payload = json.loads((outdir / f"{command}.json").read_text())
+    lines = (outdir / f"{command}.csv").read_text().splitlines()
+    assert lines[0] == f"# manifest={json.loads(out.out)['manifest']}"
+    assert lines[1] == header
+    first, rows = header.split(",")[0], lines[2:]
+    assert len(rows) == len(payload[key]) > 0
+    for line, row in zip(rows, payload[key]):
+        cell = row[first]
+        assert line.split(",")[0] == (repr(cell) if isinstance(cell, float)
+                                      else str(cell))
+    if command == "rte":
+        thetas = [float(line.split(",")[2]) for line in rows]
+        assert thetas == [r["manifest"]["xi"]["theta"]
+                          for r in payload["runs"]]
+
+
 def test_spectrum_kernel_dimension(tmp_path, capsys):
     cfg = base_config()
     cfg["solver"]["k_eigs"] = 6

@@ -109,13 +109,38 @@ def test_ergodic_report_to_dict(bundle2):
 
 
 def test_ergodic_mean_short_window_flagged_in_messages(bundle2):
+    # B = hop puts about half of the weight on cluster pairs with gap * T < 10
     a = dynamics.dot_observable(bundle2, np.diag([0.0, 1.0]))
-    eye = sparse.identity(bundle2.dim, format="csr", dtype=complex)
+    b = dynamics.dot_observable(bundle2, hop_matrix(2))
     omega, _, _ = dynamics.equilibrium_vector(bundle2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = dynamics.ergodic_mean(bundle2, a, eye, omega, 1e-3)
+        rep = dynamics.ergodic_mean(bundle2, a, b, omega, 1e-3)
     assert rep.messages
+    assert "weight share" in rep.messages[0]
+
+
+def test_ergodic_mean_stationary_state_short_window_not_flagged(bundle2):
+    # omega is stationary, so with B = 1 every window gives the limit and
+    # no weight sits on pairs in different clusters
+    a = dynamics.dot_observable(bundle2, np.diag([0.0, 1.0]))
+    eye = sparse.identity(bundle2.dim, format="csr", dtype=complex)
+    omega, _, _ = dynamics.equilibrium_vector(bundle2)
+    rep = dynamics.ergodic_mean(bundle2, a, eye, omega, 1e-3)
+    assert rep.messages == ()
+    assert rep.finite_mean == pytest.approx(rep.closed_form, abs=1e-12)
+
+
+def test_rte_deviation_windows_match_ergodic_mean(bundle2):
+    a = dynamics.dot_observable(bundle2, np.diag([0.0, 1.0]))
+    b = dynamics.dot_observable(bundle2, hop_matrix(2))
+    out = dynamics.rte_deviation(bundle2, a, b, T=[40.0, 300.0])
+    omega, _, _ = dynamics.equilibrium_vector(bundle2)
+    assert [f["T"] for f in out["finite_T"]] == [40.0, 300.0]
+    for entry, T in zip(out["finite_T"], (40.0, 300.0)):
+        assert entry == dynamics.ergodic_mean(bundle2, a, b, omega,
+                                              T).to_dict()
+        assert entry["closed_form"] == out["ergodic_limit"]
 
 
 def test_equilibrium_vector_near_stationary(bundle2):
@@ -138,7 +163,7 @@ def test_rte_deviation_identity_is_exactly_zero(bundle2):
 def test_rte_deviation_fields(bundle2):
     a = dynamics.dot_observable(bundle2, np.diag([0.0, 1.0]))
     b = dynamics.dot_observable(bundle2, hop_matrix(2))
-    out = dynamics.rte_deviation(bundle2, a, b, T=300.0)
+    out = dynamics.rte_deviation(bundle2, a, b, T=[300.0])
     for key in ("deviation", "deviation_normalized", "ergodic_limit",
                 "omega_bb", "omega_a", "a_norm", "lambda", "manifest",
                 "finite_T"):
@@ -146,7 +171,7 @@ def test_rte_deviation_fields(bundle2):
     assert out["lambda"] == bundle2.lam
     assert out["deviation"] >= 0.0
     assert out["a_norm"] == pytest.approx(1.0, rel=1e-8)
-    assert out["finite_T"]["T"] == 300.0
+    assert [f["T"] for f in out["finite_T"]] == [300.0]
 
 
 def small_xi_bundle(gauss_ff, theta, rho_bar=0.3):
