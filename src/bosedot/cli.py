@@ -261,12 +261,10 @@ def _observable_matrix(config, dot_spec):
 
 def _build_grid(config):
     dspec = _dot_spec(config)
-    disp = _dispersion(config)
-    ff = _form_factor(config)
-    beta = config["reservoir"]["beta"]
-    grid = res.discretize(ff, beta, _grid_spec(config), disp,
+    grid = res.discretize(_form_factor(config), config["reservoir"]["beta"],
+                          _grid_spec(config), _dispersion(config),
                           bohr_frequencies=dspec.bohr_frequencies())
-    return dspec, disp, ff, beta, grid
+    return dspec, grid
 
 
 def build_manifest(config, seed):
@@ -381,32 +379,44 @@ def _attach(bundle, config, seed):
     return bundle
 
 
-def _spectrum_tasks(config, args):
-    dspec, disp, ff, beta, grid = _build_grid(config)
+def _rho_crit(config):
+    return res.critical_density(config["reservoir"]["beta"],
+                                _dispersion(config))
+
+
+def _map_bundles(config, args, xis, rho_crit, per_bundle):
+    """per_bundle(lam, xi, bundle) for the bundle of every (lambda, xi) task,
+    lambda outer, on args.jobs threads; results in task order."""
+    dspec, grid = _build_grid(config)
     trunc = _trunc(config)
-    solver = _solver(config)
-    rc = res.critical_density(beta, disp)
-    lams = _lambdas(config)
-    xis = _xis(config, rc)
-    tasks = [(lam, xi) for lam in lams for xi in xis]
 
     def run(task):
         lam, xi = task
         bundle = build_bundle(dspec, grid, trunc, lam, xi=xi,
-                              rho_crit=rc if xi is not None else None)
+                              rho_crit=rho_crit if xi is not None else None)
+        return per_bundle(lam, xi, bundle)
+
+    tasks = [(lam, xi) for lam in _lambdas(config) for xi in xis]
+    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
+        return list(pool.map(run, tasks))
+
+
+def _spectrum_tasks(config, args):
+    solver = _solver(config)
+    rc = _rho_crit(config)
+
+    def run(lam, xi, bundle):
         _attach(bundle, config, args.seed)
         report = spectral.solve_near_zero(bundle, solver["k_eigs"],
                                           tol=solver["tol"],
                                           kernel_tol=solver["kernel_tol"])
         spectral.attach_diagnostics(bundle, report)
-        entry = {"lambda": lam,
-                 "xi": None if xi is None else {"r": xi.r, "theta": xi.theta},
-                 "kernel_dim": report.kernel_dim,
-                 "report": report.to_dict()}
-        return entry
+        return {"lambda": lam,
+                "xi": None if xi is None else {"r": xi.r, "theta": xi.theta},
+                "kernel_dim": report.kernel_dim,
+                "report": report.to_dict()}
 
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-        return list(pool.map(run, tasks))
+    return _map_bundles(config, args, _xis(config, rc), rc, run)
 
 
 def cmd_spectrum(config, args):
@@ -466,32 +476,23 @@ def cmd_levelshift(config, args):
 
 
 def cmd_rte(config, args):
-    dspec, disp, ff, beta, grid = _build_grid(config)
-    trunc = _trunc(config)
-    solver = _solver(config)
-    rc = res.critical_density(beta, disp)
-    x = _observable_matrix(config, dspec)
+    beta = config["reservoir"]["beta"]
+    rc = _rho_crit(config)
+    x = _observable_matrix(config, _dot_spec(config))
     x_norm = float(np.linalg.norm(x, 2))
-    lams = _lambdas(config)
-    measure = _measure(config, beta, disp, rc)
+    measure = _measure(config, beta, _dispersion(config), rc)
     xis = ([p for p, _ in measure.points] if measure is not None
            else _xis(config, rc))
-    t_list = solver["T"]
+    t_list = _solver(config)["T"]
 
-    def run(task):
-        lam, xi = task
-        bundle = build_bundle(dspec, grid, trunc, lam, xi=xi,
-                              rho_crit=rc if xi is not None else None)
+    def run(lam, xi, bundle):
         a_full = dynamics.dot_observable(bundle, x)
         return dynamics.rte_deviation(bundle, a_full, a_full, T=t_list,
                                       a_norm=x_norm)
 
-    tasks = [(lam, xi) for lam in lams for xi in xis]
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-        results = list(pool.map(run, tasks))
-
+    results = _map_bundles(config, args, xis, rc, run)
     payload = {"runs": results}
-    if measure is not None and len(lams) == 1:
+    if measure is not None and len(_lambdas(config)) == 1:
         payload["aggregate"] = dynamics.superpose_xi(measure, results)
     return payload
 

@@ -115,13 +115,6 @@ def _clusters(evals, ctol):
     return groups
 
 
-def _cluster_gap(evals, groups):
-    reps = sorted(float(np.mean(evals[g])) for g in groups)
-    if len(reps) < 2:
-        return np.inf
-    return float(min(b - a for a, b in zip(reps, reps[1:])))
-
-
 def _phi(x):
     """Time average of e^{is} over s in [0, x] extended evenly: (e^{ix}-1)/(ix)."""
     x = np.asarray(x, dtype=float)
@@ -145,9 +138,11 @@ def _ergodic_pass(spectrum, a_mat, v, t_list):
     it is returned with sum_g |P_g v|^2 and one ErgodicReport per window T.
     Every window uses the weight W_jk = conj(c_j) (V^H A V)_jk c_k, c = V^H v,
     formed once: the mean over [0, T] is sum_jk W_jk phi(T (e_j - e_k)).  A
-    window is flagged when more than 1e-2 of sum |W_jk| sits on pairs in
-    different clusters with |e_j - e_k| T < 10, whose phases have not yet
-    averaged out.
+    window is flagged when more than 1e-2 of sum |S_gh| sits on distinct
+    clusters g, h with gap * T < 10, whose phases have not yet averaged out;
+    S_gh = <P_g v, A P_h v> is the block sum of W over the two clusters and,
+    unlike the entries of W, does not depend on the basis eigh picks inside
+    a cluster.
     """
     evals, evecs, groups = spectrum
     c = evecs.conj().T @ v
@@ -162,17 +157,30 @@ def _ergodic_pass(spectrum, a_mat, v, t_list):
 
     weight = evecs.conj().T @ (a_mat @ evecs)
     weight *= np.outer(np.conj(c), c)
-    total = np.abs(weight).sum()
-    across = labels[:, None] != labels[None, :]
-    gap = _cluster_gap(evals, groups)
+
+    n_g = len(groups)
+    reps = np.array([np.mean(evals[g]) for g in groups])
+    gap = float(np.diff(np.sort(reps)).min()) if n_g > 1 else np.inf
+    # |S_gh| from one bincount per part of W over the cluster-label pairs;
+    # every window's share is taken here, so the n_g x n_g arrays are freed
+    # before the n x n phase arrays are formed
+    pair = (labels[:, None] * n_g + labels).ravel()
+    block = np.hypot(np.bincount(pair, weight.real.ravel(), n_g * n_g),
+                     np.bincount(pair, weight.imag.ravel(),
+                                 n_g * n_g)).reshape(n_g, n_g)
+    del pair
+    dist = np.abs(reps[:, None] - reps)
+    np.fill_diagonal(dist, np.inf)
+    total = block.sum()
+    shares = [float(block[T * dist < 10].sum() / total) if total else 0.0
+              for T in t_list]
+    del block, dist
 
     reports = []
-    for T in t_list:
+    for T, share in zip(t_list, shares):
         x = T * (evals[:, None] - evals[None, :])
         m_T = complex(np.sum(weight * _phi(x)))
         m_2T = complex(np.sum(weight * _phi(2 * x)))
-        short = np.abs(weight[across & (np.abs(x) < 10)]).sum()
-        share = float(short / total) if total else 0.0
         messages = ()
         if share > 1e-2:
             messages = (f"weight share {share:.3g} on cluster pairs with "
@@ -180,7 +188,7 @@ def _ergodic_pass(spectrum, a_mat, v, t_list):
         reports.append(ErgodicReport(
             finite_mean=m_T.real, T=float(T),
             extrapolated=(2.0 * m_2T - m_T).real, closed_form=limit,
-            min_cluster_gap=gap, n_clusters=len(groups), messages=messages))
+            min_cluster_gap=gap, n_clusters=n_g, messages=messages))
     return limit, omega_bb, reports
 
 

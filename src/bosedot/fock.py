@@ -5,10 +5,13 @@ The doubled one-particle space has 2 M modes: indices 0..M-1 are the left
 occupation configurations whose total quantum number over both copies is at
 most n_max, enumerated in graded order: shells of fixed total first, and
 inside a shell lexicographically by the sparse signature ((mode, count), ...).
-Configurations are stored sparsely, so very wide single-quantum grids stay
-cheap.
+Configurations are stored sparsely.  One entry table, a row per (state,
+occupied mode) holding the state, the mode, its count and the state with one
+quantum fewer in that mode, gives every annihilator and occupation diagonal
+as one vectorised build, so very wide single-quantum grids stay cheap.
 
-Truncation is hard: creation out of the top shell maps to zero.  Below the
+Truncation is hard: a creator is the adjoint of an annihilator, so creation
+out of the top shell maps to zero.  Below the
 top shell the canonical commutation relations hold exactly; this is checked
 in the tests entry by entry.
 """
@@ -62,7 +65,8 @@ def _compositions(total_modes, k, start=0):
 
 
 class FockBasis:
-    """Enumerated truncated basis with index maps in both directions."""
+    """Enumerated truncated basis with index maps in both directions, and
+    the entry table (rows ordered by state, then by mode) built once."""
 
     def __init__(self, trunc):
         self.trunc = trunc
@@ -75,9 +79,16 @@ class FockBasis:
             shell = sorted(_compositions(trunc.total_modes, k))
             states.extend(shell)
         self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
-        self.totals = np.array([sum(c for _, c in s) for s in states], dtype=np.int64)
+        self.index = index = {s: i for i, s in enumerate(states)}
         assert len(states) == dim
+        # (state, mode, count, state with one quantum fewer in that mode)
+        table = np.fromiter(
+            ((i, g, c, index[st[:p] + ((g, c - 1),) * (c > 1) + st[p + 1:]])
+             for i, st in enumerate(states) for p, (g, c) in enumerate(st)),
+            dtype=(np.intp, 4))
+        self._state, self._mode, self._count, self._lower = table.T
+        self.totals = np.bincount(self._state, weights=self._count,
+                                  minlength=dim).astype(np.int64)
 
     @property
     def dim(self):
@@ -106,6 +117,15 @@ class FockBasis:
             return self.trunc.n_modes
         raise ValueError("side must be left or right")
 
+    def _per_entry(self, values, side):
+        """One value per mode of one copy, read off at every table row; rows
+        of the other copy read zero."""
+        values = np.asarray(values)
+        off = self._mode_offset(side)
+        full = np.zeros(self.trunc.total_modes, dtype=values.dtype)
+        full[off:off + self.trunc.n_modes] = values
+        return full[self._mode]
+
     # -- operator builders -------------------------------------------------
 
     def ladder(self, j, side="left", create=True):
@@ -120,60 +140,28 @@ class FockBasis:
         """Smeared field: sum_j f_j a*_j (create) or sum_j conj(f_j) a_j.
 
         coeffs are the discrete smearing amplitudes (quadrature weights
-        already absorbed).  One pass over (state, mode) pairs with nonzero
-        work, so wide single-quantum spaces assemble in O(modes).
+        already absorbed).  The annihilator has one entry per table row on
+        the given copy with a nonzero coefficient, conj(f_j) sqrt(n) from the
+        state to its lowered state; the creator is its adjoint, which maps the
+        top shell to zero, so the truncation stays hard.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
         if len(coeffs) != self.trunc.n_modes:
             raise ValueError("need one coefficient per mode")
-        off = self._mode_offset(side)
-        cap = self.trunc.n_max
-        nz = np.nonzero(coeffs)[0]
-        rows, cols, vals = [], [], []
-        if create:
-            for i, st in enumerate(self.states):
-                if self.totals[i] >= cap:
-                    continue
-                occ = dict(st)
-                for j in nz:
-                    g = j + off
-                    n = occ.get(g, 0)
-                    occ2 = dict(occ)
-                    occ2[g] = n + 1
-                    tgt = tuple(sorted(occ2.items()))
-                    rows.append(self.index[tgt])
-                    cols.append(i)
-                    vals.append(coeffs[j] * sqrt(n + 1))
-        else:
-            for i, st in enumerate(self.states):
-                for g, n in st:
-                    j = g - off
-                    if 0 <= j < self.trunc.n_modes and coeffs[j] != 0:
-                        occ = dict(st)
-                        if n == 1:
-                            del occ[g]
-                        else:
-                            occ[g] = n - 1
-                        tgt = tuple(sorted(occ.items()))
-                        rows.append(self.index[tgt])
-                        cols.append(i)
-                        vals.append(np.conj(coeffs[j]) * sqrt(n))
-        return sparse.csr_matrix((vals, (rows, cols)),
-                                 shape=(self.dim, self.dim), dtype=complex)
+        f = self._per_entry(coeffs, side)
+        on = np.flatnonzero(f)
+        ann = sparse.csr_matrix(
+            (np.conj(f[on]) * np.sqrt(self._count[on]),
+             (self._lower[on], self._state[on])),
+            shape=(self.dim, self.dim), dtype=complex)
+        return ann.getH().tocsr() if create else ann
 
     def dgamma_diag(self, values, side="left"):
         """Diagonal of the second quantization of a multiplication operator."""
-        values = np.asarray(values, dtype=float)
-        off = self._mode_offset(side)
-        out = np.zeros(self.dim)
-        for i, st in enumerate(self.states):
-            acc = 0.0
-            for g, c in st:
-                j = g - off
-                if 0 <= j < self.trunc.n_modes:
-                    acc += values[j] * c
-            out[i] = acc
-        return out
+        weights = self._per_entry(np.asarray(values, dtype=float), side)
+        # astype: bincount of the empty table at n_max = 0 gives integers
+        return np.bincount(self._state, weights=weights * self._count,
+                           minlength=self.dim).astype(float, copy=False)
 
     def dgamma(self, one_body, side="left"):
         """Second quantization sum_{jm} X_{jm} a*_j a_m of a one-body matrix.

@@ -156,12 +156,11 @@ def _dot_blocks(spec):
     return left, right
 
 
-def assemble_free(dot_spec, basis, grid):
-    """Diagonal free generator and its pieces."""
+def assemble_free(dot_spec, field_left, field_right):
+    """Diagonal of the free generator: dot level differences plus the left
+    minus the right field-energy diagonal."""
     l1 = dotmod.doubled_free_part(dot_spec)
-    l2 = basis.energy_diag(grid.omegas, "left") - basis.energy_diag(grid.omegas, "right")
-    diag = np.add.outer(l1, l2).ravel()
-    return diag, l1, l2
+    return np.add.outer(l1, field_left - field_right).ravel()
 
 
 def assemble_interaction(dot_spec, basis, grid):
@@ -181,8 +180,7 @@ def assemble_interaction(dot_spec, basis, grid):
     return first, second
 
 
-def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None,
-                 basis=None):
+def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
     """Assemble every operator of a run into one bundle.
 
     xi = None runs without a condensate term.  When xi is given, rho_crit must
@@ -191,12 +189,14 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None,
     """
     if trunc.n_modes != grid.n_modes:
         raise ValueError("truncation and grid disagree on the mode count")
-    basis = FockBasis(trunc) if basis is None else basis
+    basis = FockBasis(trunc)
     d2 = dot_spec.d ** 2
     fd = basis.dim
     dim = d2 * fd
 
-    l0_diag, _, _ = assemble_free(dot_spec, basis, grid)
+    e_left = basis.energy_diag(grid.omegas, "left")
+    e_right = basis.energy_diag(grid.omegas, "right")
+    l0_diag = assemble_free(dot_spec, e_left, e_right)
 
     first, second = assemble_interaction(dot_spec, basis, grid)
     I_mat = (first - second).tocsr()
@@ -216,8 +216,7 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None,
     L_mat = (sparse.diags(l0_diag.astype(complex), format="csr")
              + lam * (I_mat + K_mat)).tocsr()
 
-    lam_field = basis.energy_diag(grid.omegas)
-    lambda_diag = np.tile(lam_field, d2)
+    lambda_diag = np.tile(e_left + e_right, d2)
     levels = np.arange(dot_spec.d, dtype=float)
     q_dot = (levels[:, None] - levels[None, :]).ravel()
     q_field = basis.number_diag("left") - basis.number_diag("right")

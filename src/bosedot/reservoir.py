@@ -687,27 +687,26 @@ def discretize(form_factor, beta, grid_spec, dispersion=RELATIVISTIC,
         step = float(u[1] - u[0])
         weights = nodes * step
 
-    shifted = []
-    if bohr_frequencies:
-        bohr = np.asarray(bohr_frequencies, dtype=float)
-        for j, w in enumerate(nodes):
-            if np.any(np.abs(w - bohr) <= collision_tol * max(1.0, w)):
-                if resonance == "reject":
-                    raise ValueError(
-                        f"grid node {w} collides with a Bohr frequency")
-                if resonance == "shift":
-                    if gs.spacing == "linear":
-                        nodes[j] = w + 0.5 * step
-                    else:
-                        nodes[j] = w * math.exp(0.5 * step)
-                    shifted.append(j)
+    bohr = np.asarray(bohr_frequencies, dtype=float)
+    hit = np.any(np.abs(nodes[:, None] - bohr)
+                 <= collision_tol * np.maximum(1.0, nodes)[:, None], axis=1)
+    if resonance == "reject" and hit.any():
+        raise ValueError(
+            f"grid node {nodes[hit][0]} collides with a Bohr frequency")
+    shifted = ()
+    if resonance == "shift":
+        if gs.spacing == "linear":
+            nodes[hit] += 0.5 * step
+        else:
+            nodes[hit] *= math.exp(0.5 * step)
+        shifted = tuple(np.flatnonzero(hit).tolist())
 
     k_nodes = dispersion.k_of_omega(nodes)
     jac = dispersion.dk_domega(nodes)
     couplings = form_factor.at(k_nodes) * k_nodes * np.sqrt(4.0 * np.pi * jac)
     return ModeGrid(omegas=nodes, weights=weights, couplings=couplings,
                     beta=float(beta), dispersion=dispersion, spacing=gs.spacing,
-                    step=step, g0=complex(form_factor.g0), shifted=tuple(shifted))
+                    step=step, g0=complex(form_factor.g0), shifted=shifted)
 
 
 def resonance_weights(grid, gaps, half_width=None):

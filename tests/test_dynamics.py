@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -129,6 +130,26 @@ def test_ergodic_mean_stationary_state_short_window_not_flagged(bundle2):
     rep = dynamics.ergodic_mean(bundle2, a, eye, omega, 1e-3)
     assert rep.messages == ()
     assert rep.finite_mean == pytest.approx(rep.closed_form, abs=1e-12)
+
+
+def test_short_window_share_ignores_basis_inside_a_cluster(bundle2, rng):
+    # a unitary mix of the 6-dimensional kernel cluster changes the entries
+    # of W but neither its cluster-pair block sums nor the finite-T mean
+    a = dynamics.dot_observable(bundle2, np.diag([0.0, 1.0]))
+    evals, evecs = bundle2.eigensystem()
+    kernel = np.flatnonzero(np.abs(evals) < 1e-9 * max(bundle2.norm_L(), 1.0))
+    assert len(kernel) == 6
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6))
+                        + 1j * rng.standard_normal((6, 6)))
+    mixed = evecs.copy()
+    mixed[:, kernel] = evecs[:, kernel] @ u
+    other = dataclasses.replace(bundle2, _eigensystem=(evals, mixed))
+    omega, _, _ = dynamics.equilibrium_vector(bundle2)
+    rep = dynamics.ergodic_mean(bundle2, a, a, omega, 1e-3)
+    rep_mixed = dynamics.ergodic_mean(other, a, a, omega, 1e-3)
+    assert rep.messages
+    assert rep_mixed.messages == rep.messages
+    assert rep_mixed.finite_mean == pytest.approx(rep.finite_mean, abs=1e-12)
 
 
 def test_rte_deviation_windows_match_ergodic_mean(bundle2):

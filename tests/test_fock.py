@@ -70,6 +70,39 @@ def test_smeared_creation_norm(rng):
     np.testing.assert_allclose((astar2 - 2.0 * astar).toarray(), 0.0, atol=1e-15)
 
 
+def _dense_smeared(basis, coeffs, side, create):
+    # entry by entry from the occupation vectors, no use of the entry table
+    m = basis.n_modes
+    off = 0 if side == "left" else m
+    occs = [basis.occupation_vector(i) for i in range(basis.dim)]
+    where = {tuple(o): i for i, o in enumerate(occs)}
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for i, occ in enumerate(occs):
+        for j, f in enumerate(coeffs):
+            n = occ[off + j]
+            tgt = occ.copy()
+            if create and occ.sum() < basis.trunc.n_max:
+                tgt[off + j] += 1
+                out[where[tuple(tgt)], i] += f * math.sqrt(n + 1)
+            elif not create and n > 0:
+                tgt[off + j] -= 1
+                out[where[tuple(tgt)], i] += np.conj(f) * math.sqrt(n)
+    return out
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("create", [False, True])
+def test_smeared_matches_dense_reference(rng, side, create):
+    basis = FockBasis(TruncationSpec(3, 3))
+    f = rng.normal(size=3) + 1j * rng.normal(size=3)
+    f[1] = 0.0
+    op = basis.smeared(f, side=side, create=create)
+    np.testing.assert_array_equal(op.toarray(),
+                                  _dense_smeared(basis, f, side, create))
+    # no stored entry for the zero coefficient
+    assert op.nnz == np.count_nonzero(op.toarray())
+
+
 def test_ccr_below_shell():
     """[a_i, a*_j] = delta_ij on states that stay below the truncation."""
     trunc = TruncationSpec(2, 3)
@@ -125,6 +158,19 @@ def test_number_and_energy_diagonals():
         occ = basis.occupation_vector(i)
         assert n_all[i] == occ.sum()
         assert e_left[i] == pytest.approx(occ[:2] @ omegas)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_dgamma_and_number_diag_match_occupations(rng, side):
+    basis = FockBasis(TruncationSpec(3, 3))
+    vals = rng.normal(size=3)
+    occs = np.array([basis.occupation_vector(i) for i in range(basis.dim)])
+    copy = occs[:, :3] if side == "left" else occs[:, 3:]
+    np.testing.assert_allclose(basis.dgamma_diag(vals, side), copy @ vals,
+                               rtol=1e-14, atol=1e-14)
+    np.testing.assert_array_equal(basis.number_diag(side), copy.sum(axis=1))
+    np.testing.assert_array_equal(basis.number_diag(), occs.sum(axis=1))
+    np.testing.assert_array_equal(basis.totals, occs.sum(axis=1))
 
 
 def test_sparse_operator_hermiticity_guard():

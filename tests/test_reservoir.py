@@ -219,6 +219,22 @@ def test_discretize_resonance_shift(gauss_ff):
                       resonance="reject")
 
 
+def test_discretize_resonance_log_grid(gauss_ff):
+    # 3 log cells on [0.25, 4] put the middle node on the unit Bohr gap
+    gs = bd.GridSpec(n_modes=3, omega_max=4.0, omega_min=0.25, spacing="log")
+    kept = bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=(1.0,),
+                         resonance="keep")
+    assert kept.omegas[1] == pytest.approx(1.0, rel=1e-14)
+    assert kept.shifted == ()
+    moved = bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=(1.0,))
+    assert moved.shifted == (1,)
+    assert moved.omegas[1] == kept.omegas[1] * math.exp(0.5 * kept.step)
+    np.testing.assert_array_equal(moved.omegas[[0, 2]], kept.omegas[[0, 2]])
+    with pytest.raises(ValueError, match="collides"):
+        bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=(1.0,),
+                      resonance="reject")
+
+
 def test_smearing_channels_unit_difference(grid2):
     # (1 + rho) - rho = 1 per mode: the channel split preserves the shell mass
     left = np.abs(grid2.left_smearing) ** 2
