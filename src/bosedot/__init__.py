@@ -10,7 +10,7 @@ from .reservoir import (Dispersion, RELATIVISTIC, NONRELATIVISTIC, FormFactor,
                         fugacity, ReservoirThermo, kac_density, XiMeasure,
                         phase, uniform_phase_average, generating_functional,
                         kac_superposition_residual, two_point_cluster,
-                        resonance_weights, QuadratureError)
+                        QuadratureError)
 from .fock import (TruncationSpec, FockBasis, SparseOperator, StateVector,
                    DimensionCapError, SolverConvergenceError)
 from .krylov import expm_action

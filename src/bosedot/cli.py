@@ -12,6 +12,7 @@ non-convergence, 4 dimension cap exceeded.
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -149,15 +150,17 @@ def _json_default(obj):
 
 
 def _dispersion(config):
-    name = config["reservoir"].get("dispersion", "relativistic")
-    return res.RELATIVISTIC if name == "relativistic" else res.NONRELATIVISTIC
+    return res.Dispersion(config["reservoir"].get("dispersion", "relativistic"))
 
 
 def _form_factor(config):
     ff = config["reservoir"].get("form_factor",
                                  {"preset": "gaussian"})
     if "table" in ff:
-        return res.FormFactor.from_csv(ff["table"])
+        try:
+            return res.FormFactor.from_csv(ff["table"])
+        except OSError as exc:
+            raise ValueError(f"form factor table: {exc}") from exc
     preset = ff.get("preset", "gaussian")
     if preset == "gaussian":
         return res.FormFactor.gaussian(ff.get("amplitude", 1.0),
@@ -205,21 +208,22 @@ def _lambdas(config):
     return list(config.get("physics", {}).get("lambda", [0.0]))
 
 
+def _radius(entry, rho_crit):
+    """Radial density of an xi entry or measure: r, or rho_crit + excess."""
+    if "r" in entry:
+        return float(entry["r"])
+    if "excess" in entry:
+        return rho_crit + float(entry["excess"])
+    raise ValueError("condensate point needs r or excess")
+
+
 def _xis(config, rho_crit):
     entries = config.get("physics", {}).get("xi")
     if not entries:
         return [None]
-    out = []
-    for e in entries:
-        theta = float(e.get("theta", 0.0))
-        if "r" in e:
-            out.append(dotmod.CondensatePoint(r=float(e["r"]), theta=theta))
-        elif "excess" in e:
-            out.append(dotmod.CondensatePoint(r=rho_crit + float(e["excess"]),
-                                              theta=theta))
-        else:
-            raise ValueError("xi entry needs r or excess")
-    return out
+    return [dotmod.CondensatePoint(r=_radius(e, rho_crit),
+                                   theta=float(e.get("theta", 0.0)))
+            for e in entries]
 
 
 def _measure(config, beta, dispersion, rho_crit):
@@ -227,18 +231,21 @@ def _measure(config, beta, dispersion, rho_crit):
     if mu is None:
         return None
     kind = mu.get("kind")
-    if kind == "uniform_theta":
-        r = float(mu["r"]) if "r" in mu else rho_crit + float(mu["excess"])
-        return res.XiMeasure.uniform_theta(r, int(mu.get("n_theta", 8)))
-    if kind == "kac":
-        return res.XiMeasure.kac_theta(beta, float(mu["rho_bar"]), dispersion,
-                                       n_r=int(mu.get("n_r", 8)),
-                                       n_theta=int(mu.get("n_theta", 4)))
-    if kind == "atoms":
-        pts = tuple((dotmod.CondensatePoint(r=float(a["r"]),
-                                            theta=float(a.get("theta", 0.0))),
-                     float(a["weight"])) for a in mu["atoms"])
-        return res.XiMeasure(points=pts)
+    try:
+        if kind == "uniform_theta":
+            return res.XiMeasure.uniform_theta(_radius(mu, rho_crit),
+                                               int(mu.get("n_theta", 8)))
+        if kind == "kac":
+            return res.XiMeasure.kac_theta(
+                beta, float(mu["rho_bar"]), dispersion, n_r=int(mu.get("n_r", 8)),
+                n_theta=int(mu.get("n_theta", 4)))
+        if kind == "atoms":
+            pts = tuple((dotmod.CondensatePoint(
+                r=float(a["r"]), theta=float(a.get("theta", 0.0))),
+                float(a["weight"])) for a in mu["atoms"])
+            return res.XiMeasure(points=pts)
+    except KeyError as exc:
+        raise ValueError(f"{kind} measure needs key {exc}") from None
     raise ValueError(f"unknown measure kind {kind!r}")
 
 
@@ -460,10 +467,10 @@ def cmd_levelshift(config, args):
                              omega_min=omega_min, spacing="log")
         grid = res.discretize(ff, beta, gspec, disp,
                               bohr_frequencies=dspec.bohr_frequencies())
-        trunc = TruncationSpec(n_modes=n, n_max=1,
-                               dim_cap=config["trunc"].get("dim_cap", 200_000))
-        bundle = build_bundle(dspec, grid, trunc, lam)
-        rep = spectral.resolvent_sandwich(bundle, eps)
+        trunc = dataclasses.replace(_trunc(config), n_modes=n, n_max=1)
+        # the bundle is built in the call, so no two bundles are alive at once
+        rep = spectral.resolvent_sandwich(
+            build_bundle(dspec, grid, trunc, lam), eps)
         sweep.append({"epsilon": eps, "n_modes": n,
                       "misfit": rep.misfit,
                       "fit_constant": rep.fit_constant,

@@ -70,21 +70,21 @@ def dot_observable(bundle, x):
                        format="csr")
 
 
-def operator_norm(obs, tol=1e-8):
-    """Spectral norm, dense below the eigensolver cutoff, else largest
-    singular value by iteration."""
+def operator_norm(obs):
+    """Spectral norm, dense up to dimension 600, else the largest singular
+    value by iteration (to 1e-8)."""
     mat = _as_matrix(obs)
     n = mat.shape[0]
     if n <= 600:
         return float(np.linalg.norm(mat.toarray(), 2))
-    s = svds(mat.astype(complex), k=1, return_singular_vectors=False, tol=tol)
+    s = svds(mat.astype(complex), k=1, return_singular_vectors=False, tol=1e-8)
     return float(s[0])
 
 
 # ---------------------------------------------------------------------------
 # propagation
 
-def evolve(bundle, state, t, tol=1e-10):
+def evolve(bundle, state, t):
     """e^{-i t L} applied to a state; eigenbasis when dense, Krylov above."""
     v = _as_array(state)
     if t == 0:
@@ -94,7 +94,7 @@ def evolve(bundle, state, t, tol=1e-10):
         c = evecs.conj().T @ v
         out = evecs @ (np.exp(-1j * t * evals) * c)
     else:
-        out = expm_action(bundle.L.matrix, v, scale=-1j * t, tol=tol)
+        out = expm_action(bundle.L.matrix, v, scale=-1j * t)
     return StateVector(amplitudes=out, label=f"evolved[{t}]")
 
 
@@ -102,17 +102,9 @@ def evolve(bundle, state, t, tol=1e-10):
 # one spectral pass shared by the ergodic formulas
 
 def _clusters(evals, ctol):
+    """Index groups of the sorted spectrum, split at gaps of at least ctol."""
     order = np.argsort(evals)
-    groups = []
-    cur = [order[0]]
-    for idx in order[1:]:
-        if evals[idx] - evals[cur[-1]] < ctol:
-            cur.append(idx)
-        else:
-            groups.append(np.array(cur))
-            cur = [idx]
-    groups.append(np.array(cur))
-    return groups
+    return np.split(order, np.flatnonzero(np.diff(evals[order]) >= ctol) + 1)
 
 
 def _phi(x):

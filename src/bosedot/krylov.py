@@ -15,14 +15,19 @@ from scipy.linalg import eigh_tridiagonal
 
 from .fock import SolverConvergenceError
 
+# largest Krylov space of one segment
+M_MAX = 80
+# segment halvings before the action is declared unstable
+MAX_REFINE = 12
 
-def _lanczos_segment(matvec, v, scale, tol, m_max):
+
+def _lanczos_segment(matvec, v, scale, tol):
     beta0 = np.linalg.norm(v)
     if beta0 == 0:
         return v.copy()
     basis = [v / beta0]
     alphas, betas = [], []
-    for j in range(m_max):
+    for j in range(M_MAX):
         w = matvec(basis[j])
         a = float(np.real(np.vdot(basis[j], w)))
         alphas.append(a)
@@ -35,28 +40,23 @@ def _lanczos_segment(matvec, v, scale, tol, m_max):
         evals, q = eigh_tridiagonal(np.array(alphas), np.array(betas))
         small = q @ (np.exp(scale * evals) * q[0])
         if b < 1e-14 or abs(b * small[-1]) * abs(scale) < 0.1 * tol:
-            coeff = beta0 * small
-            out = np.zeros_like(v)
-            for c, u in zip(coeff, basis):
-                out = out + c * u
-            return out
+            break
         betas.append(b)
         basis.append(w / b)
-    coeff = beta0 * small
     out = np.zeros_like(v)
-    for c, u in zip(coeff, basis[:len(coeff)]):
+    for c, u in zip(beta0 * small, basis):
         out = out + c * u
     return out
 
 
-def _segmented(matvec, v, scale, tol, m_max, nseg):
+def _segmented(matvec, v, scale, tol, nseg):
     u = v
     for _ in range(nseg):
-        u = _lanczos_segment(matvec, u, scale / nseg, tol, m_max)
+        u = _lanczos_segment(matvec, u, scale / nseg, tol)
     return u
 
 
-def expm_action(matrix, v, scale, tol=1e-10, m_max=80, max_refine=12):
+def expm_action(matrix, v, scale, tol=1e-10):
     """exp(scale * matrix) v for Hermitian matrix, scale real or complex.
 
     The result verifies itself by segment halving: it is accepted once two
@@ -66,10 +66,10 @@ def expm_action(matrix, v, scale, tol=1e-10, m_max=80, max_refine=12):
     matvec = (matrix.dot if sparse.issparse(matrix) else
               np.asarray(matrix).dot)
     nseg = 1
-    prev = _segmented(matvec, v, scale, tol, m_max, nseg)
-    for _ in range(max_refine):
+    prev = _segmented(matvec, v, scale, tol, nseg)
+    for _ in range(MAX_REFINE):
         nseg *= 2
-        cur = _segmented(matvec, v, scale, tol, m_max, nseg)
+        cur = _segmented(matvec, v, scale, tol, nseg)
         scale_norm = max(np.linalg.norm(cur), np.linalg.norm(prev), 1e-300)
         if np.linalg.norm(cur - prev) <= tol * scale_norm:
             return cur

@@ -41,10 +41,6 @@ from .krylov import expm_action
 DENSE_CUTOFF = 2000
 
 
-def _csr(mat):
-    return sparse.csr_matrix(mat)
-
-
 @dataclass
 class OperatorBundle:
     """All operators of one run, with shared basis and metadata."""
@@ -151,8 +147,8 @@ def _diagonal_operator(diag, label):
 def _dot_blocks(spec):
     gm, gp = dotmod.lower_raise(spec)
     eye = np.eye(spec.d)
-    left = _csr(np.kron(gp, eye))
-    right = _csr(np.kron(eye, dotmod.conjugate_entrywise(gp)))
+    left = sparse.csr_matrix(np.kron(gp, eye))
+    right = sparse.csr_matrix(np.kron(eye, dotmod.conjugate_entrywise(gp)))
     return left, right
 
 
@@ -207,8 +203,8 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
             raise ValueError("condensate runs need rho_crit")
         k_dot = dotmod.condensate_term(dot_spec, xi, rho_crit, grid.g0)
         k_left_dot = dotmod.condensate_left_term(dot_spec, xi, rho_crit, grid.g0)
-        K_mat = sparse.kron(_csr(k_dot), eye_field, format="csr")
-        K_left = sparse.kron(_csr(k_left_dot), eye_field, format="csr")
+        K_mat = sparse.kron(sparse.csr_matrix(k_dot), eye_field, format="csr")
+        K_left = sparse.kron(sparse.csr_matrix(k_left_dot), eye_field, format="csr")
     else:
         K_mat = sparse.csr_matrix((dim, dim), dtype=complex)
         K_left = sparse.csr_matrix((dim, dim), dtype=complex)
@@ -258,12 +254,12 @@ def dilation_one_body(grid):
     return 1j * s
 
 
-def antisymmetric_one_body(grid, seed=7, bandwidth=3):
-    """Seeded banded real-antisymmetric generator, an alternative conjugate."""
+def antisymmetric_one_body(grid, seed=7):
+    """Seeded real-antisymmetric generator of bandwidth 3, another conjugate."""
     m = grid.n_modes
     rng = np.random.default_rng(seed)
     r = np.zeros((m, m))
-    for b in range(1, min(bandwidth, m - 1) + 1):
+    for b in range(1, min(3, m - 1) + 1):
         vals = rng.standard_normal(m - b)
         r += np.diag(vals, k=b)
     s = 0.5 * (r - r.T)
@@ -311,16 +307,16 @@ def assemble_conjugate(bundle, scheme="log_dilation", seed=7):
 # ---------------------------------------------------------------------------
 # equilibrium vector
 
-def kms_vector(bundle, tol=1e-10):
+def kms_vector(bundle):
     """Equilibrium vector of the interacting generator, with its residual.
 
     exp(-beta (L0 + lambda I_left)/2) applied to the free equilibrium vector
-    by the self-verifying Lanczos action of krylov.expm_action (tol), at every
-    dimension, and normalized; I_left keeps the left-acting interaction block
-    and the left condensate half.  No dense eigendecomposition enters.  At
-    lambda = 0 the free equilibrium vector is returned unchanged (it is
-    annihilated by the diagonal free generator exactly).  Returns
-    (state, residual) with residual = || L psi ||.
+    by the self-verifying Lanczos action of krylov.expm_action (at its default
+    tolerance), at every dimension, and normalized; I_left keeps the
+    left-acting interaction block and the left condensate half.  No dense
+    eigendecomposition enters.  At lambda = 0 the free equilibrium vector is
+    returned unchanged (it is annihilated by the diagonal free generator
+    exactly).  Returns (state, residual) with residual = || L psi ||.
     """
     omega0 = bundle.free_equilibrium()
     if bundle.lam == 0:
@@ -330,7 +326,7 @@ def kms_vector(bundle, tol=1e-10):
 
     gen = (sparse.diags(bundle.l0_diag, format="csr")
            + bundle.lam * (bundle.I_first + bundle.K_left)).tocsr()
-    raw = expm_action(gen, omega0, scale=-0.5 * bundle.beta, tol=tol)
+    raw = expm_action(gen, omega0, scale=-0.5 * bundle.beta)
     raw = raw / np.linalg.norm(raw)
     state = StateVector(amplitudes=raw, label="kms")
     residual = float(np.linalg.norm(bundle.L.matrix @ raw))

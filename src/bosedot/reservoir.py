@@ -19,8 +19,9 @@ rho0 = rho_bar - rho_crit) and theta is uniform on the circle.
 Weyl generating functionals are normalized so that a quasi-free gas at
 occupation n gives E(f) = exp[-1/4 <f, (1 + 2 n) f>]; condensates contribute
 either a Bessel J0 factor (after averaging) or a linear phase e^{-i Phi}
-(extremal states).  All test functions used here are radial profiles with an
-explicitly carried zero-momentum value f(0).
+(extremal states).  Test functions are FormFactor profiles read as f, with
+the carried zero-momentum value f(0).  A radial or density quadrature that
+quad flags or that misses its accuracy target raises QuadratureError.
 """
 
 from dataclasses import dataclass, field
@@ -88,11 +89,11 @@ class FormFactor:
     def at(self, k):
         return np.asarray(self.profile(np.asarray(k, dtype=float)), dtype=complex)
 
-    @staticmethod
-    def gaussian(amplitude=1.0, width=1.0):
+    @classmethod
+    def gaussian(cls, amplitude=1.0, width=1.0):
         a, s = complex(amplitude), float(width)
-        return FormFactor(profile=lambda k: a * np.exp(-(k * k) / (2.0 * s * s)),
-                          g0=a, tail_cut=14.0 * s, label="gaussian")
+        return cls(profile=lambda k: a * np.exp(-(k * k) / (2.0 * s * s)),
+                   g0=a, tail_cut=14.0 * s, label="gaussian")
 
     @staticmethod
     def power_law(amplitude=1.0, exponent=1.0, width=1.0):
@@ -142,8 +143,13 @@ class FormFactor:
 # ---------------------------------------------------------------------------
 # scalar quadrature helpers
 
-def _radial(fn, a, b, epsabs=1e-12, epsrel=1e-11, limit=200):
-    val, err = integrate.quad(fn, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+def _radial(fn, a, b):
+    """int_a^b fn, or QuadratureError (say, for a divergent integrand)."""
+    val, err, _, *failure = integrate.quad(fn, a, b, epsabs=1e-12, epsrel=1e-11,
+                                           limit=200, full_output=1)
+    if failure:
+        raise QuadratureError(
+            f"radial integral: {failure[0].splitlines()[0].strip()}")
     if err > 1e-8 * max(1.0, abs(val)):
         raise QuadratureError(f"radial integral error estimate {err:.2e} too large")
     return val
@@ -164,6 +170,20 @@ def planck_density(beta, omega_value):
     return (2.0 * np.pi) ** (-3) * occupation(beta, omega_value)
 
 
+def _thermal(beta, dispersion):
+    """Thermal occupation as a function of |k|, zero at k = 0."""
+    return lambda k: occupation(beta, float(dispersion.omega(k))) if k > 0 else 0.0
+
+
+def _shell_density(fn, beta, dispersion, epsrel):
+    """(2 pi)^{-3} 4 pi int_0^inf fn(k) dk for fn = k^2 n(k), split where
+    beta omega(k) = 1, and its error estimate."""
+    split = 1.0 / beta if dispersion.kind == "relativistic" else 1.0 / math.sqrt(beta)
+    head = integrate.quad(fn, 0.0, split, epsabs=1e-13, epsrel=epsrel)
+    tail = integrate.quad(fn, split, np.inf, epsabs=1e-13, epsrel=epsrel)
+    return (2.0 * np.pi) ** (-3) * 4.0 * np.pi * (head[0] + tail[0]), head[1] + tail[1]
+
+
 def critical_density(beta, dispersion=RELATIVISTIC):
     """rho_crit(beta) = (2 pi)^{-3} int d^3k / (e^{beta omega(k)} - 1).
 
@@ -181,12 +201,10 @@ def critical_density(beta, dispersion=RELATIVISTIC):
             return k * k * math.exp(-x)
         return k * k / math.expm1(x)
 
-    split = 1.0 / beta if dispersion.kind == "relativistic" else 1.0 / math.sqrt(beta)
-    head = integrate.quad(integrand, 0.0, split, epsabs=1e-13, epsrel=1e-12)
-    tail = integrate.quad(integrand, split, np.inf, epsabs=1e-13, epsrel=1e-12)
-    if head[1] + tail[1] > 1e-9:
+    rho, err = _shell_density(integrand, beta, dispersion, 1e-12)
+    if err > 1e-9:
         raise QuadratureError("critical density quadrature did not converge")
-    return (2.0 * np.pi) ** (-3) * 4.0 * np.pi * (head[0] + tail[0])
+    return rho
 
 
 def _subcritical_occupation(beta, z, w):
@@ -210,10 +228,7 @@ def fugacity(beta, rho_bar, dispersion=RELATIVISTIC):
 
     def dens(z):
         fn = lambda k: k * k * _subcritical_occupation(beta, z, dispersion.omega(k))
-        split = 1.0 / beta if dispersion.kind == "relativistic" else 1.0 / math.sqrt(beta)
-        head = integrate.quad(fn, 0.0, split, epsabs=1e-13, epsrel=1e-11)[0]
-        tail = integrate.quad(fn, split, np.inf, epsabs=1e-13, epsrel=1e-11)[0]
-        return (2.0 * np.pi) ** (-3) * 4.0 * np.pi * (head + tail)
+        return _shell_density(fn, beta, dispersion, 1e-11)[0]
 
     from scipy.optimize import brentq
     return brentq(lambda z: dens(z) - rho_bar, 1e-300, 1.0 - 1e-13,
@@ -273,14 +288,14 @@ def phase(f0, xi, rho_crit):
     return amp * (f0.real * math.cos(xi.theta) + f0.imag * math.sin(xi.theta))
 
 
-def uniform_phase_average(f0, r, rho_crit, n_theta=256):
+def uniform_phase_average(f0, r, rho_crit):
     """Average of e^{-i Phi} over uniform theta, against its Bessel closed form.
 
     Returns (average, closed_form); the closed form is
     J0((2 pi)^{-3/2} sqrt(2 (r - rho_crit)) |f0|).  The periodic trapezoid
-    average converges exponentially in n_theta.
+    average over 256 angles converges exponentially in the angle count.
     """
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    thetas = 2.0 * np.pi * np.arange(256) / 256
     amp = PHASE_NORM * math.sqrt(2.0 * max(r - rho_crit, 0.0))
     phis = amp * (f0.real * np.cos(thetas) + f0.imag * np.sin(thetas))
     avg = np.mean(np.exp(-1j * phis))
@@ -301,10 +316,6 @@ class XiMeasure:
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to one")
-
-    @staticmethod
-    def single(xi):
-        return XiMeasure(points=((xi, 1.0),))
 
     @staticmethod
     def uniform_theta(r, n_theta):
@@ -343,49 +354,29 @@ class XiMeasure:
 # ---------------------------------------------------------------------------
 # test functions and generating functionals
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Radial Weyl test function: profile f(k), carried f(0), support bound."""
+class TestFunction(FormFactor):
+    """Radial Weyl test function f: a FormFactor profile whose carried
+    zero-momentum value g0 is read as f(0)."""
 
-    profile: object
-    f0: complex
-    tail_cut: float = 50.0
-    label: str = "custom"
-
-    def at(self, k):
-        return np.asarray(self.profile(np.asarray(k, dtype=float)), dtype=complex)
-
-    @staticmethod
-    def gaussian(amplitude=1.0, width=1.0):
-        a, s = complex(amplitude), float(width)
-        return TestFunction(profile=lambda k: a * np.exp(-(k * k) / (2.0 * s * s)),
-                            f0=a, tail_cut=14.0 * s, label="gaussian")
-
-    def norm_sq(self):
-        return _radial(lambda k: 4.0 * np.pi * k * k * abs(self.at(k)) ** 2,
-                       0.0, self.tail_cut)
-
-    def weighted_sq(self, weight):
-        return _radial(lambda k: 4.0 * np.pi * k * k * abs(self.at(k)) ** 2 * weight(k),
-                       0.0, self.tail_cut)
+    @property
+    def f0(self):
+        return self.g0
 
 
-def _gauss_exponent(f, beta, dispersion, occupation_fn=None):
-    """1/4 <f, f> + 1/2 <f, n f> with n the thermal (or given) occupation."""
-    n = occupation_fn if occupation_fn is not None else (
-        lambda k: occupation(beta, float(dispersion.omega(k))) if k > 0 else 0.0)
-    return 0.25 * f.norm_sq() + 0.5 * f.weighted_sq(n)
+def _gauss_exponent(f, occ):
+    """1/4 <f, f> + 1/2 <f, n f> for the occupation n = occ(|k|)."""
+    return 0.25 * f.norm_sq() + 0.5 * f.weighted_norm_sq(occ)
 
 
 def generating_functional(f, ensemble, beta=None, dispersion=RELATIVISTIC,
                           rho_bar=None, rho=None, rho0=None, xi=None,
-                          occupation_fn=None, thermo=None):
+                          thermo=None):
     """Expectation of the Weyl operator W(f) in the requested gas state.
 
     ensemble:
-      "araki_woods"     quasi-free state at thermal occupation (beta needed
-                        unless occupation_fn is given) with condensate density
-                        rho0 >= 0; Bessel factor J0(sqrt(2 (2 pi)^3 rho0) |f0|).
+      "araki_woods"     quasi-free state at thermal occupation with condensate
+                        density rho0 >= 0; Bessel factor
+                        J0(sqrt(2 (2 pi)^3 rho0) |f0|).
       "grand_canonical" mean density rho_bar; below critical the fugacity
                         z solves the density equation, above critical the
                         condensate factor e^{-4 pi^3 rho0 |f0|^2} appears.
@@ -400,7 +391,7 @@ def generating_functional(f, ensemble, beta=None, dispersion=RELATIVISTIC,
     if ensemble == "araki_woods":
         if rho0 is None or rho0 < 0:
             raise ValueError("araki_woods needs rho0 >= 0")
-        expo = _gauss_exponent(f, beta, dispersion, occupation_fn)
+        expo = _gauss_exponent(f, _thermal(beta, dispersion))
         bessel = j0(math.sqrt(2.0 * (2.0 * np.pi) ** 3 * rho0) * abs(f.f0))
         return math.exp(-expo) * bessel
 
@@ -409,10 +400,10 @@ def generating_functional(f, ensemble, beta=None, dispersion=RELATIVISTIC,
             beta, rho_bar, dispersion)
         if not th.supercritical:
             z = th.z_inf
-            expo = 0.25 * f.norm_sq() + 0.5 * f.weighted_sq(
-                lambda k: _subcritical_occupation(th.beta, z, float(dispersion.omega(k))))
+            expo = _gauss_exponent(f, lambda k: _subcritical_occupation(
+                th.beta, z, float(dispersion.omega(k))))
             return math.exp(-expo)
-        expo = _gauss_exponent(f, th.beta, dispersion)
+        expo = _gauss_exponent(f, _thermal(th.beta, dispersion))
         return math.exp(-expo) * math.exp(-FOUR_PI3 * th.rho0 * abs(f.f0) ** 2)
 
     if ensemble == "canonical":
@@ -428,7 +419,7 @@ def generating_functional(f, ensemble, beta=None, dispersion=RELATIVISTIC,
         if xi is None or beta is None:
             raise ValueError("extremal needs beta and xi")
         rc = critical_density(beta, dispersion)
-        expo = _gauss_exponent(f, beta, dispersion)
+        expo = _gauss_exponent(f, _thermal(beta, dispersion))
         return math.exp(-expo) * np.exp(-1j * phase(f.f0, xi, rc))
 
     raise ValueError(f"unknown ensemble {ensemble!r}")
@@ -446,7 +437,7 @@ def kac_superposition_residual(f, beta, rho_bar, dispersion=RELATIVISTIC):
     th = ReservoirThermo.compute(beta, rho_bar, dispersion)
     if not th.supercritical:
         raise ValueError("identity is stated for supercritical density")
-    gauss = math.exp(-_gauss_exponent(f, beta, dispersion))
+    gauss = math.exp(-_gauss_exponent(f, _thermal(beta, dispersion)))
     c = math.sqrt(2.0 * (2.0 * np.pi) ** 3) * abs(f.f0)
 
     def integrand(s):
@@ -472,21 +463,19 @@ class ClusterReport:
     condensate_factor: complex
 
 
-def two_point_cluster(f, g, x, beta, rho_bar=None, dispersion=RELATIVISTIC,
-                      ensemble="grand_canonical", xi=None):
-    """omega(W(f) W(g translated by x)) against the factorized product.
+def two_point_cluster(f, g, x, beta, rho_bar, dispersion=RELATIVISTIC):
+    """omega(W(f) W(g translated by x)) against the factorized product in the
+    grand canonical state at density rho_bar.
 
     For radial profiles the translation only enters through 1-D oscillatory
     overlaps (4 pi / x) int k sin(k x) conj(f) g [n] dk; the zero-momentum
     values add without any phase, which is what leaves the long-range
     condensate factor exp[-8 pi^3 rho0 Re(conj(f0) g0)] behind in the
-    supercritical grand canonical state.  Extremal states and subcritical
-    states cluster to factor one.
+    supercritical state.  Subcritical states cluster to factor one.
     """
     if x <= 0:
         raise ValueError("separation x must be positive")
-    th = ReservoirThermo.compute(beta, rho_bar, dispersion) if rho_bar is not None \
-        else None
+    th = ReservoirThermo.compute(beta, rho_bar, dispersion)
     cut = min(f.tail_cut, g.tail_cut)
 
     def overlap(weight=None):
@@ -505,46 +494,24 @@ def two_point_cluster(f, g, x, beta, rho_bar=None, dispersion=RELATIVISTIC,
     weyl_phase = np.exp(-0.5j * s_plain.imag)
     f0_tot = f.f0 + g.f0
 
-    if ensemble == "extremal":
-        if xi is None:
-            raise ValueError("extremal clustering needs xi")
-        rc = critical_density(beta, dispersion)
-        occ = lambda k: occupation(beta, float(dispersion.omega(k))) if k > 0 else 0.0
-        s_th = overlap(occ)
-        expo_f = _gauss_exponent(f, beta, dispersion)
-        expo_g = _gauss_exponent(g, beta, dispersion)
-        cross = 0.5 * s_plain.real + s_th.real
-        value = weyl_phase * math.exp(-(expo_f + expo_g) - cross) \
-            * np.exp(-1j * phase(f0_tot, xi, rc))
-        product = generating_functional(f, "extremal", beta=beta, xi=xi,
-                                        dispersion=dispersion) \
-            * generating_functional(g, "extremal", beta=beta, xi=xi,
-                                    dispersion=dispersion)
-        factor = 1.0 + 0.0j
-    elif ensemble == "grand_canonical":
-        if th is None:
-            raise ValueError("grand_canonical clustering needs rho_bar")
-        if th.supercritical:
-            occ = lambda k: occupation(beta, float(dispersion.omega(k))) if k > 0 else 0.0
-            factor = complex(math.exp(-EIGHT_PI3 * th.rho0
-                                      * (np.conj(f.f0) * g.f0).real))
-            cond = math.exp(-FOUR_PI3 * th.rho0 * abs(f0_tot) ** 2)
-        else:
-            z = th.z_inf
-            occ = lambda k: _subcritical_occupation(beta, z, float(dispersion.omega(k)))
-            factor = 1.0 + 0.0j
-            cond = 1.0
-        s_th = overlap(occ)
-        expo_f = 0.25 * f.norm_sq() + 0.5 * f.weighted_sq(occ)
-        expo_g = 0.25 * g.norm_sq() + 0.5 * g.weighted_sq(occ)
-        cross = 0.5 * s_plain.real + s_th.real
-        value = weyl_phase * math.exp(-(expo_f + expo_g) - cross) * cond
-        product = generating_functional(f, "grand_canonical", thermo=th,
-                                        dispersion=dispersion) \
-            * generating_functional(g, "grand_canonical", thermo=th,
-                                    dispersion=dispersion)
+    if th.supercritical:
+        occ = _thermal(beta, dispersion)
+        factor = complex(math.exp(-EIGHT_PI3 * th.rho0
+                                  * (np.conj(f.f0) * g.f0).real))
+        cond = math.exp(-FOUR_PI3 * th.rho0 * abs(f0_tot) ** 2)
     else:
-        raise ValueError(f"unsupported ensemble {ensemble!r} for clustering")
+        z = th.z_inf
+        occ = lambda k: _subcritical_occupation(beta, z, float(dispersion.omega(k)))
+        factor = 1.0 + 0.0j
+        cond = 1.0
+    s_th = overlap(occ)
+    cross = 0.5 * s_plain.real + s_th.real
+    value = weyl_phase * math.exp(-(_gauss_exponent(f, occ) + _gauss_exponent(g, occ))
+                                  - cross) * cond
+    product = generating_functional(f, "grand_canonical", thermo=th,
+                                    dispersion=dispersion) \
+        * generating_functional(g, "grand_canonical", thermo=th,
+                                dispersion=dispersion)
 
     return ClusterReport(x=float(x), value=complex(value), product=complex(product),
                          ratio=complex(value / product),
@@ -656,7 +623,7 @@ class ModeGrid:
 
 
 def discretize(form_factor, beta, grid_spec, dispersion=RELATIVISTIC,
-               bohr_frequencies=(), resonance="shift", collision_tol=1e-9):
+               bohr_frequencies=(), resonance="shift"):
     """Reduce the radial one-particle problem to a finite frequency grid.
 
     Midpoint composite rule in omega (linear) or log omega; for dispersion
@@ -666,7 +633,8 @@ def discretize(form_factor, beta, grid_spec, dispersion=RELATIVISTIC,
 
     which makes w_j |g_j|^2 the three-dimensional shell mass of |g|^2.
 
-    Nodes that collide with a dot Bohr frequency are shifted by half a step
+    Nodes within 1e-9 max(1, omega) of a dot Bohr frequency collide with
+    it.  Colliding nodes are shifted by half a step
     (resonance="shift", the default, keeping the free-generator kernel at its
     intended dimension), kept in place (resonance="keep"), or rejected
     (resonance="reject").
@@ -689,7 +657,7 @@ def discretize(form_factor, beta, grid_spec, dispersion=RELATIVISTIC,
 
     bohr = np.asarray(bohr_frequencies, dtype=float)
     hit = np.any(np.abs(nodes[:, None] - bohr)
-                 <= collision_tol * np.maximum(1.0, nodes)[:, None], axis=1)
+                 <= 1e-9 * np.maximum(1.0, nodes)[:, None], axis=1)
     if resonance == "reject" and hit.any():
         raise ValueError(
             f"grid node {nodes[hit][0]} collides with a Bohr frequency")
@@ -707,21 +675,3 @@ def discretize(form_factor, beta, grid_spec, dispersion=RELATIVISTIC,
     return ModeGrid(omegas=nodes, weights=weights, couplings=couplings,
                     beta=float(beta), dispersion=dispersion, spacing=gs.spacing,
                     step=step, g0=complex(form_factor.g0), shifted=shifted)
-
-
-def resonance_weights(grid, gaps, half_width=None):
-    """Coupling density seen by each dot gap: averaged |g|^2 mass per unit
-    frequency in a window of the given half width around the gap.
-
-    As the window and the grid spacing shrink together this converges to the
-    angular shell integral of |g|^2 at the gap (for omega = |k|); a zero value
-    flags an ineffective coupling at that transition.
-    """
-    if half_width is None:
-        half_width = max(5.0 * grid.step, 1e-3)
-    out = {}
-    mass = grid.weights * np.abs(grid.couplings) ** 2
-    for gap in gaps:
-        sel = np.abs(grid.omegas - gap) < half_width
-        out[float(gap)] = float(mass[sel].sum() / (2.0 * half_width))
-    return out

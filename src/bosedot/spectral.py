@@ -67,9 +67,8 @@ class LevelShiftReport:
             "gap": self.gap,
             "kernel_vector": self.kernel_vector.tolist(),
             "kernel_residual": self.kernel_residual,
+            "gamma": self.gamma.tolist(),
         }
-        if self.gamma is not None:
-            out["gamma"] = self.gamma.tolist()
         if self.alignment is not None:
             out["alignment"] = self.alignment
         return out
@@ -79,24 +78,11 @@ class LevelShiftReport:
 class SandwichReport:
     matrix: np.ndarray
     epsilon: float
-    rho_cut: float
     fit_constant: float
     misfit: float
     gibbs_overlap: float
     oracle_constant: float
     messages: tuple = ()
-
-    def to_dict(self):
-        return {
-            "matrix": self.matrix.tolist(),
-            "epsilon": self.epsilon,
-            "rho_cut": self.rho_cut,
-            "fit_constant": self.fit_constant,
-            "misfit": self.misfit,
-            "gibbs_overlap": self.gibbs_overlap,
-            "oracle_constant": self.oracle_constant,
-            "messages": list(self.messages),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +116,11 @@ def _project_out(w, basis):
     return w
 
 
-def _orthonormalize(w, basis, drop=1e-13):
+def _orthonormalize(w, basis):
     """Orthonormal columns spanning w with its part in span(basis) removed.
 
     Two projection passes before and after a pivoted QR.  Only a column whose
-    remainder is below drop times its own norm is dropped: the small but real
+    remainder is below 1e-13 times its own norm is dropped: the small but real
     remainders of nearly converged vectors are their corrections.  The second
     projection repairs the orthogonality the QR of small remainders loses; the
     columns are then orthonormal to a few parts in 1e3 at worst, and a
@@ -142,7 +128,7 @@ def _orthonormalize(w, basis, drop=1e-13):
     """
     norms = np.linalg.norm(w, axis=0)
     q, r, piv = sla.qr(_project_out(w, basis), mode="economic", pivoting=True)
-    keep = np.abs(np.diag(r)) > drop * norms[piv]
+    keep = np.abs(np.diag(r)) > 1e-13 * norms[piv]
     q = _project_out(q[:, :int(np.cumprod(keep).sum())], basis)
     r = sla.cholesky(q.conj().T @ q)
     return sla.solve_triangular(r, q.T, trans="T").T
@@ -318,42 +304,39 @@ def virial_check(bundle, psi, e=None):
             "eigenvalue": None if e is None else float(e)}
 
 
-def _default_panel(bundle, n_field=2):
+def _default_panel(bundle):
     """Fixed low-excitation test vectors for weak-overlap tables.
 
     Besides the thermal and bare dot entries, the panel carries
     charge-neutral mixed entries (an off-diagonal dot pair compensated by one
-    field quantum); only those can resolve the coupling-induced dressing of
-    kernel vectors, since the generator conserves the total charge and the
-    unmixed entries sit in other charge sectors or tend to constants.
+    field quantum in mode 0 or 1); only those can resolve the coupling-induced
+    dressing of kernel vectors, since the generator conserves the total charge
+    and the unmixed entries sit in other charge sectors or tend to constants.
     """
     d = bundle.dot_dim
     gibbs = dotmod.gibbs_vector(bundle.dot_spec, bundle.beta)
     vac = bundle.basis.vacuum()
-    panel = [("gibbs*vac", np.kron(gibbs, vac))]
-    for (i, j) in [(0, 1), (1, 0)]:
-        if i < d and j < d:
-            e = np.zeros(d * d)
-            e[i * d + j] = 1.0
-            panel.append((f"offdiag({i},{j})*vac", np.kron(e, vac)))
+    pairs = np.eye(d * d)  # row i * d + j is the dot pair (i, j)
+    modes = range(min(2, bundle.grid.n_modes))
+    quanta = {}
     for side in ("left", "right"):
-        for m in range(min(n_field, bundle.grid.n_modes)):
+        for m in modes:
             one = bundle.basis.ladder(m, side, create=True) @ vac
             nrm = np.linalg.norm(one)
             if nrm > 0:
-                panel.append((f"gibbs*{side}_quantum[{m}]",
-                              np.kron(gibbs, one / nrm)))
+                quanta[side, m] = one / nrm
+    panel = [("gibbs*vac", np.kron(gibbs, vac))]
+    for (i, j) in [(0, 1), (1, 0)]:
+        if i < d and j < d:
+            panel.append((f"offdiag({i},{j})*vac", np.kron(pairs[i * d + j], vac)))
+    for (side, m), one in quanta.items():
+        panel.append((f"gibbs*{side}_quantum[{m}]", np.kron(gibbs, one)))
     if d >= 2:
-        for m in range(min(n_field, bundle.grid.n_modes)):
+        for m in modes:
             for (i, j), side in [((0, 1), "left"), ((1, 0), "right")]:
-                one = bundle.basis.ladder(m, side, create=True) @ vac
-                nrm = np.linalg.norm(one)
-                if nrm == 0:
-                    continue
-                e = np.zeros(d * d)
-                e[i * d + j] = 1.0
-                panel.append((f"offdiag({i},{j})*{side}_quantum[{m}]",
-                              np.kron(e, one / nrm)))
+                if (side, m) in quanta:
+                    panel.append((f"offdiag({i},{j})*{side}_quantum[{m}]",
+                                  np.kron(pairs[i * d + j], quanta[side, m])))
     return [(name, v.astype(complex)) for name, v in panel]
 
 
@@ -361,45 +344,31 @@ def _default_panel(bundle, n_field=2):
 class KernelStructure:
     overlap: float
     cut: float
-    gibbs_component_norm: float
     panel: dict
 
-    def to_dict(self):
-        return {"overlap": self.overlap, "cut": self.cut,
-                "gibbs_component_norm": self.gibbs_component_norm,
-                "panel": {k: [v.real, v.imag] for k, v in self.panel.items()}}
 
-
-def kernel_structure(bundle, psi, beta=None, lam=None, panel=None):
+def kernel_structure(bundle, psi, panel=None):
     """Structure overlap || P_gibbs P(Lambda <= |lam|) psi || and a panel table.
 
-    P_gibbs projects the dot pair factor on the thermal purification vector;
-    the field-energy cut is a diagonal indicator.  The panel overlaps are the
+    P_gibbs projects the dot pair factor on the thermal purification vector
+    at the bundle's beta; the field-energy cut at the bundle's |lambda| is a
+    diagonal indicator.  The panel overlaps (default: the fixed panel) are the
     weak-convergence diagnostics for kernel vectors orthogonal to the
     equilibrium vector.
     """
-    beta = bundle.beta if beta is None else beta
-    lam = bundle.lam if lam is None else lam
     psi = psi.amplitudes if hasattr(psi, "amplitudes") else np.asarray(psi, dtype=complex)
-    d2 = bundle.dot_dim ** 2
-    fd = bundle.field_dim
-
-    cut = abs(lam)
+    cut = abs(bundle.lam)
     keep = (bundle.lambda_diag <= cut).astype(float)
-    low = (keep * psi).reshape(d2, fd)
-    gibbs = dotmod.gibbs_vector(bundle.dot_spec, beta)
+    low = (keep * psi).reshape(bundle.dot_dim ** 2, bundle.field_dim)
+    gibbs = dotmod.gibbs_vector(bundle.dot_spec, bundle.beta)
     comp = gibbs.conj() @ low          # field vector left after dot projection
     overlap = float(np.linalg.norm(comp))
-
-    full = psi.reshape(d2, fd)
-    gibbs_norm = float(np.linalg.norm(gibbs.conj() @ full))
 
     table = {}
     for name, chi in (panel if panel is not None else _default_panel(bundle)):
         table[name] = complex(np.vdot(chi, psi))
 
-    return KernelStructure(overlap=overlap, cut=cut,
-                           gibbs_component_norm=gibbs_norm, panel=table)
+    return KernelStructure(overlap=overlap, cut=cut, panel=table)
 
 
 def kms_kernel_vector(bundle, report):
@@ -422,13 +391,13 @@ def kms_kernel_vector(bundle, report):
     return StateVector(amplitudes=proj / captured, label="kms-kernel"), captured
 
 
-def orthogonal_kernel_panel(bundle, report, psi, panel=None):
+def orthogonal_kernel_panel(bundle, report, psi):
     """Weak-overlap table for the kernel complement of a selected vector.
 
-    Orthonormalizes the kernel basis against psi and reports, per panel
-    entry, the largest overlap magnitude over the complement.  Entries in
-    other charge sectors vanish identically; the charge-neutral mixed
-    entries track the coupling-induced dressing.
+    Orthonormalizes the kernel basis against psi and reports, per entry of
+    the fixed panel, the largest overlap magnitude over the complement.
+    Entries in other charge sectors vanish identically; the charge-neutral
+    mixed entries track the coupling-induced dressing.
     """
     basis = report.kernel_basis
     psi = psi.amplitudes if hasattr(psi, "amplitudes") else np.asarray(psi, dtype=complex)
@@ -437,7 +406,7 @@ def orthogonal_kernel_panel(bundle, report, psi, panel=None):
     keep = np.abs(np.diag(r)) > 1e-8
     q = q[:, keep]
     table = {}
-    for name, chi in (panel if panel is not None else _default_panel(bundle)):
+    for name, chi in _default_panel(bundle):
         if q.shape[1]:
             table[name] = float(np.max(np.abs(chi.conj() @ q)))
         else:
@@ -445,9 +414,9 @@ def orthogonal_kernel_panel(bundle, report, psi, panel=None):
     return table
 
 
-def attach_diagnostics(bundle, report, panel=None):
+def attach_diagnostics(bundle, report):
     """Fill the per-vector diagnostics table of a SpectralReport."""
-    panel = _default_panel(bundle) if panel is None else panel
+    panel = _default_panel(bundle)
     rows = []
     for i in range(len(report.eigenvalues)):
         psi = report.vectors[:, i]
@@ -510,7 +479,6 @@ def level_shift(dot_spec, beta, shell_weight=1.0):
 def _sector_states(bundle):
     """Orthonormal basis of (diagonal dot pairs) x (field vacuum)."""
     d = bundle.dot_dim
-    fd = bundle.field_dim
     vac = bundle.basis.vacuum()
     cols = []
     for i in range(d):
@@ -520,33 +488,29 @@ def _sector_states(bundle):
     return cols
 
 
-def lorentzian_constant(grid, epsilon, gap=1.0):
+def lorentzian_constant(grid, epsilon):
     """Independent quadrature oracle for the sandwich proportionality.
 
     Both doubled-field channels feed the sandwich equally, hence the factor
-    two in front of the Lorentzian sum against the discretized coupling
-    density.
+    two in front of the Lorentzian sum, centred on the unit ladder gap,
+    against the discretized coupling density.
     """
     dens = grid.weights * np.abs(grid.couplings) ** 2
-    lorentz = epsilon / ((grid.omegas - gap) ** 2 + epsilon ** 2)
+    lorentz = epsilon / ((grid.omegas - 1.0) ** 2 + epsilon ** 2)
     return float(2.0 * np.sum(dens * lorentz))
 
 
-def resolvent_sandwich(bundle, epsilon, rho_cut=None):
+def resolvent_sandwich(bundle, epsilon):
     """Dot-sector compression epsilon * P I (L0^2+eps^2)^(-1) I P.
 
-    P restricts to diagonal dot pairs tensor the field vacuum (the rho_cut
-    energy cut keeps exactly that sector for any cut below the lowest mode).
-    Returns the d x d matrix together with its best-fit multiple of the
-    level-shift matrix, the relative Frobenius misfit, the overlap of its
-    minimal eigenvector with the Gibbs vector, and the quadrature oracle for
-    the fitted constant.
+    P restricts to diagonal dot pairs tensor the field vacuum (any field
+    energy cut below the lowest mode keeps exactly that sector).  Returns the
+    d x d matrix together with its best-fit multiple of the level-shift
+    matrix, the relative Frobenius misfit, the overlap of its minimal
+    eigenvector with the Gibbs vector, and the quadrature oracle for the
+    fitted constant.
     """
     grid = bundle.grid
-    if rho_cut is None:
-        rho_cut = 0.5 * float(np.min(grid.omegas))
-    if rho_cut >= float(np.min(grid.omegas)):
-        raise ValueError("rho_cut must stay below the lowest mode frequency")
     messages = []
     h_over_eps = grid.step / epsilon
     if h_over_eps > 0.1:
@@ -558,9 +522,9 @@ def resolvent_sandwich(bundle, epsilon, rho_cut=None):
     cols = _sector_states(bundle)
     d = bundle.dot_dim
 
-    images = [inv * (imat @ c) for c in cols]
-    m = np.empty((d, d), dtype=complex)
     half = [imat @ c for c in cols]
+    images = [inv * h for h in half]
+    m = np.empty((d, d), dtype=complex)
     for i in range(d):
         for j in range(d):
             m[i, j] = epsilon * np.vdot(half[i], images[j])
@@ -580,9 +544,8 @@ def resolvent_sandwich(bundle, epsilon, rho_cut=None):
 
     return SandwichReport(
         matrix=m.real if np.allclose(m.imag, 0, atol=1e-13) else m,
-        epsilon=float(epsilon), rho_cut=float(rho_cut),
-        fit_constant=c_fit, misfit=misfit, gibbs_overlap=gibbs_overlap,
-        oracle_constant=oracle, messages=tuple(messages))
+        epsilon=float(epsilon), fit_constant=c_fit, misfit=misfit,
+        gibbs_overlap=gibbs_overlap, oracle_constant=oracle, messages=tuple(messages))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,36 @@ def test_domain_error_maps_to_config_exit(tmp_path, capsys):
     assert "validation error" in out.err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("physics", "mu", {"kind": "uniform_theta"}),
+    ("physics", "mu", {"kind": "kac"}),
+    ("physics", "mu", {"kind": "atoms", "atoms": [{"r": 0.5}]}),
+    ("reservoir", "form_factor", {"table": "absent.csv"}),
+], ids=["uniform_theta-no-radius", "kac-no-rho_bar", "atoms-no-weight",
+        "missing-table"])
+def test_malformed_measure_or_table_is_config_error(tmp_path, capsys, section,
+                                                    key, value):
+    cfg = base_config()
+    if key == "form_factor":
+        value = {"table": str(tmp_path / value["table"])}
+    cfg[section][key] = value
+    code, _, out = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err.startswith("validation error")
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+
+
+def test_divergent_infrared_norm_is_solver_error(tmp_path, capsys):
+    # g / sqrt(omega) with g ~ k^-1.4 is not square integrable at k = 0
+    cfg = base_config()
+    cfg["reservoir"]["form_factor"] = {"preset": "power_law",
+                                       "exponent": -1.4}
+    code, _, out = run_cli(tmp_path, "thermo", cfg, capsys)
+    assert code == cli.EXIT_SOLVER
+    assert out.err.startswith("solver failure: radial integral")
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+
+
 def test_dimension_cap_exit(tmp_path, capsys):
     cfg = base_config()
     cfg["grid"]["n_modes"] = 6

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
+from bosedot import krylov
 from bosedot.fock import (TruncationSpec, FockBasis, SparseOperator,
                           StateVector, DimensionCapError)
 from bosedot.krylov import expm_action
@@ -207,19 +208,30 @@ def _random_hermitian(rng, n):
 
 
 # sparse inputs at n = 60 and dense ndarray inputs at n = 24, each against
-# scipy's expm
+# scipy's expm; at n = 200 the unsplit scale is too long for one segment,
+# which then runs to all M_MAX Lanczos vectors before the halving
 @pytest.mark.parametrize("n, as_input, scale, bound", [
     *[pytest.param(60, sparse.csr_matrix, s, 1e-8, id=str(s))
       for s in (-1.0, -0.4j, -0.3 - 0.9j)],
     *[pytest.param(24, np.asarray, s, 1e-10, id=f"dense-{s}")
       for s in (-0.8, -2.0 + 0.0j, 0.0 - 1.3j, -0.5 - 0.7j)],
+    pytest.param(200, sparse.csr_matrix, -3j, 1e-10, id="exhausted-krylov"),
 ])
-def test_expm_action_lanczos_path(rng, n, as_input, scale, bound):
+def test_expm_action_lanczos_path(rng, monkeypatch, n, as_input, scale, bound):
+    depths = []
+
+    def counted(alphas, betas):
+        depths.append(len(alphas))
+        return eigh_tridiagonal(alphas, betas)
+
+    monkeypatch.setattr(krylov, "eigh_tridiagonal", counted)
     h = _random_hermitian(rng, n)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     out = expm_action(as_input(h), v, scale, tol=1e-11)
     ref = expm(scale * h) @ v
     np.testing.assert_allclose(out, ref, atol=bound * np.linalg.norm(ref))
+    # a Krylov space can only be exhausted in more than M_MAX dimensions
+    assert (max(depths) == krylov.M_MAX) == (n > krylov.M_MAX)
 
 
 def test_expm_action_zero_vector():

@@ -10,9 +10,9 @@ from bosedot.reservoir import (occupation, planck_density, critical_density,
                                fugacity, kac_density, phase,
                                uniform_phase_average, kac_superposition_residual,
                                generating_functional, two_point_cluster,
-                               resonance_weights, ReservoirThermo,
-                               TestFunction as WeylFunction)
+                               ReservoirThermo, TestFunction as WeylFunction)
 from bosedot.dot import CondensatePoint
+from bosedot.spectral import fgr_check
 
 
 def test_occupation_half_filling():
@@ -246,12 +246,12 @@ def test_smearing_channels_unit_difference(grid2):
 def test_resonance_weights_density(gauss_ff):
     gs = bd.GridSpec(n_modes=400, omega_max=4.0)
     grid = bd.discretize(gauss_ff, 1.0, gs)
-    dens = resonance_weights(grid, (1.0,), half_width=0.05)
+    dens = fgr_check(grid, bd.DotSpec(d=2), 0.05)["weights"][1.0]["density"]
     # fine-grid density approaches the angular shell integral at the gap
     k = bd.RELATIVISTIC.k_of_omega(1.0)
     shell = 4.0 * np.pi * k ** 2 * abs(gauss_ff.at(k)) ** 2 \
         * bd.RELATIVISTIC.dk_domega(1.0)
-    assert dens[1.0] == pytest.approx(float(shell), rel=2e-3)
+    assert dens == pytest.approx(float(shell), rel=2e-3)
 
 
 def test_form_factor_from_csv_roundtrip(tmp_path):

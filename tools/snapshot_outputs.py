@@ -1,0 +1,112 @@
+"""Snapshot the JSON and CSV outputs of the bosedot CLI on a fixed set of configs.
+
+    python3 tools/snapshot_outputs.py SRC OUT
+
+runs `python -m bosedot.cli` with the package imported from SRC (a checkout's
+`src/` directory), `--seed 901` and one BLAS thread, once per config below,
+and writes each run's config and outputs to OUT/<name>/.  The configs are the
+benchmark workloads of perfbench/workloads.py at both sizes plus one or two
+small configs per subcommand.  Outputs are deterministic, so `diff -r` of two
+snapshots taken from two source trees is a byte-identity check of everything
+the CLI writes.  Exits 1 when a run fails; its stderr is echoed.
+"""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+SEED = "901"
+THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                  "MKL_NUM_THREADS")}
+BASE = {
+    "dot": {"d": 2},
+    "reservoir": {"beta": 1.0, "rho_bar": 0.3},
+    "grid": {"n_modes": 3, "omega_min": 0.35, "omega_max": 2.3,
+             "spacing": "log"},
+    "trunc": {"n_max": 2},
+    "physics": {"lambda": [0.1]},
+}
+
+
+def _variant(**sections):
+    cfg = copy.deepcopy(BASE)
+    for key, value in sections.items():
+        cfg[key] = {**cfg.get(key, {}), **value}
+    return cfg
+
+
+def cases():
+    """(name, command, config) of every run in the snapshot."""
+    out = []
+    for label, table in (("bench", workloads.WORKLOADS),
+                         ("reduced", workloads.REDUCED)):
+        for name, w in table.items():
+            out.append((f"{label}_{name}", w.command, w.config))
+    out += [
+        ("thermo_super", "thermo", BASE),
+        ("thermo_sub", "thermo",
+         _variant(reservoir={"beta": 1.3, "rho_bar": 0.02})),
+        ("thermo_nonrel_power", "thermo", _variant(reservoir={
+            "dispersion": "nonrelativistic",
+            "form_factor": {"preset": "power_law", "exponent": 1.0}})),
+        ("manifest_sub", "manifest",
+         _variant(reservoir={"beta": 1.3, "rho_bar": 0.02})),
+        ("virial_log", "virial", _variant(solver={"k_eigs": 6})),
+        ("virial_linear_custom", "virial", _variant(
+            grid={"n_modes": 2, "omega_min": 0.0, "omega_max": 2.2,
+                  "spacing": "linear"},
+            solver={"k_eigs": 6, "conjugate": "custom_antisymmetric"})),
+        ("spectrum_xi", "spectrum", _variant(
+            physics={"xi": [{"excess": 0.2, "theta": 0.7}]},
+            solver={"k_eigs": 8})),
+        ("rte_two_xi", "rte", _variant(
+            physics={"xi": [{"excess": 0.2, "theta": 0.0},
+                            {"r": 0.5, "theta": 1.3}]},
+            solver={"T": [50.0, 500.0]})),
+        ("rte_kac", "rte", _variant(
+            physics={"mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 2,
+                            "n_theta": 2}},
+            solver={"T": [100.0]})),
+        ("levelshift_d3", "levelshift", _variant(
+            dot={"d": 3}, trunc={"n_max": 1},
+            grid={"omega_min": 0.2, "omega_max": 3.0},
+            solver={"epsilons": [0.1, 0.05], "h_over_eps": 0.05})),
+    ]
+    return out
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python3 tools/snapshot_outputs.py SRC OUT", file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if not (src / "bosedot" / "cli.py").is_file():
+        print(f"no bosedot package under {src}", file=sys.stderr)
+        return 2
+    env = {**os.environ, **THREADS, "PYTHONPATH": str(src)}
+    runs, failed = cases(), []
+    for name, command, config in runs:
+        rundir = out / name
+        rundir.mkdir(parents=True, exist_ok=True)
+        cfg = {**config, "outputs": {"formats": ["json", "csv"]}}
+        (rundir / "config.json").write_text(json.dumps(cfg, indent=2) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bosedot.cli", command, "--config",
+             "config.json", "--out", ".", "--seed", SEED],
+            cwd=rundir, env=env, capture_output=True, text=True)
+        if proc.returncode:
+            failed.append(name)
+            print(f"{name}: exit {proc.returncode}\n{proc.stderr}",
+                  file=sys.stderr)
+    print(f"{len(runs) - len(failed)} of {len(runs)} runs written to {out}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
