@@ -550,7 +550,7 @@ def _csv_cell(val):
     if isinstance(val, complex):
         return f"{val.real!r}{val.imag:+}j"
     if isinstance(val, float):
-        return repr(val)
+        return repr(float(val))     # np.float64's repr names its type
     return val
 
 

@@ -6,9 +6,12 @@ no time stepping enters and the T -> infinity limit is an exact spectral sum
 over clusters of equal eigenvalues.  The deviation of that limit from the
 product of equilibrium expectations is the weak-coupling return-to-equilibrium
 figure of merit.  One spectral pass per (bundle, A, B omega) clusters the
-bundle's eigensystem once and changes the basis of A once; the limit, the
-deviation and every finite-T window come from it, and the identity observable
-cancels exactly in floating point.
+bundle's blocked eigensystem once and changes the basis of A once, on only
+the symmetry blocks that B omega reaches (the charge-zero sector for a
+charge-neutral B and the KMS vector); the limit, the deviation and every
+finite-T window come from it, and the identity observable cancels exactly in
+floating point.  The dense eigendecompositions are the bundle's blocked ones
+(liouville.BlockedEigensystem); no consumer here factorises L itself.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -19,7 +22,7 @@ from scipy.sparse.linalg import svds
 
 from .fock import StateVector
 from .krylov import expm_action
-from .liouville import DENSE_CUTOFF, kms_vector
+from .liouville import DENSE_CUTOFF, real_if_exact, kms_vector
 
 
 @dataclass
@@ -90,9 +93,11 @@ def evolve(bundle, state, t):
     if t == 0:
         return StateVector(amplitudes=v.copy(), label="evolved[0]")
     if bundle.dim <= DENSE_CUTOFF:
-        evals, evecs = bundle.eigensystem()
-        c = evecs.conj().T @ v
-        out = evecs @ (np.exp(-1j * t * evals) * c)
+        eig = bundle.eigensystem()
+        rows, cols, vecs, c = eig.support(v)
+        out = np.zeros(len(v), dtype=complex)
+        out[rows] = eig.gauge[rows] * (
+            vecs @ (np.exp(-1j * t * eig.evals[cols]) * c))
     else:
         out = expm_action(bundle.L.matrix, v, scale=-1j * t)
     return StateVector(amplitudes=out, label=f"evolved[{t}]")
@@ -107,20 +112,28 @@ def _clusters(evals, ctol):
     return np.split(order, np.flatnonzero(np.diff(evals[order]) >= ctol) + 1)
 
 
-def _phi(x):
-    """Time average of e^{is} over s in [0, x] extended evenly: (e^{ix}-1)/(ix)."""
-    x = np.asarray(x, dtype=float)
+def _window(w, x):
+    """Re sum w phi(x) for phi(x) = (e^{ix}-1)/(ix) = sin(x)/x + i(1-cos x)/x,
+    the time average of e^{is} over s in [0, x]."""
     small = np.abs(x) < 1e-8
     safe = np.where(small, 1.0, x)
-    out = (np.exp(1j * safe) - 1.0) / (1j * safe)
-    return np.where(small, 1.0 + 0.5j * x, out)
+    out = np.dot(w.real, np.where(small, 1.0, np.sin(safe) / safe))
+    if np.iscomplexobj(w):
+        out -= np.dot(w.imag, np.where(small, 0.5 * x,
+                                       (1.0 - np.cos(safe)) / safe))
+    return float(out)
 
 
 def _clustered_spectrum(bundle):
-    """The bundle's eigensystem and its clusters of equal eigenvalues, with
+    """The bundle's blocked eigensystem, its clusters of equal eigenvalues
+    (index groups into its columns) and each column's cluster label, with
     the one cluster tolerance 1e-9 * max(||L||, 1)."""
-    evals, evecs = bundle.eigensystem()
-    return evals, evecs, _clusters(evals, 1e-9 * max(bundle.norm_L(), 1.0))
+    eig = bundle.eigensystem()
+    groups = _clusters(eig.evals, 1e-9 * max(bundle.norm_L(), 1.0))
+    labels = np.empty(len(eig.evals), dtype=int)
+    for i, g in enumerate(groups):
+        labels[g] = i
+    return eig, groups, labels
 
 
 def _ergodic_pass(spectrum, a_mat, v, t_list):
@@ -128,59 +141,74 @@ def _ergodic_pass(spectrum, a_mat, v, t_list):
 
     The limit is sum_g <P_g v, A P_g v> over the cluster projections P_g v;
     it is returned with sum_g |P_g v|^2 and one ErgodicReport per window T.
-    Every window uses the weight W_jk = conj(c_j) (V^H A V)_jk c_k, c = V^H v,
-    formed once: the mean over [0, T] is sum_jk W_jk phi(T (e_j - e_k)).  A
-    window is flagged when more than 1e-2 of sum |S_gh| sits on distinct
-    clusters g, h with gap * T < 10, whose phases have not yet averaged out;
-    S_gh = <P_g v, A P_h v> is the block sum of W over the two clusters and,
-    unlike the entries of W, does not depend on the basis eigh picks inside
-    a cluster.
+    Only the symmetry blocks on which v does not vanish enter.  Every window
+    uses the weight W_jk = conj(c_j) (U^H A U)_jk c_k over their eigenvectors
+    U, c = U^H v, formed once: the mean over [0, T] is
+    sum_jk W_jk phi(T (e_j - e_k)), and as W is Hermitian its real part is
+    the diagonal plus twice the upper triangle of the real kernels of
+    _window.  A window is flagged when more than 1e-2 of sum |S_gh| sits on
+    distinct clusters g, h with gap * T < 10, whose phases have not yet
+    averaged out; S_gh = <P_g v, A P_h v> is the block sum of W over the two
+    clusters and, unlike the entries of W, does not depend on the basis eigh
+    picks inside a cluster.  n_clusters and min_cluster_gap are those of the
+    whole spectrum.
     """
-    evals, evecs, groups = spectrum
-    c = evecs.conj().T @ v
-    limit = omega_bb = 0.0
-    labels = np.empty(len(evals), dtype=int)
-    for i, g in enumerate(groups):
-        p = evecs[:, g] @ c[g]
-        limit += np.vdot(p, a_mat @ p).real
-        omega_bb += np.vdot(p, p).real
-        labels[g] = i
-    limit, omega_bb = float(limit), float(omega_bb)
-
-    weight = evecs.conj().T @ (a_mat @ evecs)
-    weight *= np.outer(np.conj(c), c)
-
+    eig, groups, labels = spectrum
     n_g = len(groups)
-    reps = np.array([np.mean(evals[g]) for g in groups])
+    reps = np.array([np.mean(eig.evals[g]) for g in groups])
     gap = float(np.diff(np.sort(reps)).min()) if n_g > 1 else np.inf
-    # |S_gh| from one bincount per part of W over the cluster-label pairs;
-    # every window's share is taken here, so the n_g x n_g arrays are freed
-    # before the n x n phase arrays are formed
-    pair = (labels[:, None] * n_g + labels).ravel()
-    block = np.hypot(np.bincount(pair, weight.real.ravel(), n_g * n_g),
+
+    rows, cols, vecs, c = eig.support(v)
+    present, lab = np.unique(labels[cols], return_inverse=True)
+    n_p = len(present)
+    # P_g v on the rows v reaches, one column per cluster present: vecs C
+    # with C_jg = c_j where column j lies in cluster g; the limit and
+    # omega_bb are the same sum, so A = 1 cancels exactly
+    onehot = sparse.csr_matrix((c, (np.arange(len(c)), lab)),
+                               shape=(len(c), n_p))
+    proj = eig.gauge[rows][:, None] * (vecs @ onehot)
+    a_rows = real_if_exact(a_mat[rows][:, rows])
+    limit = float(np.vdot(proj, a_rows @ proj).real)
+    omega_bb = float(np.vdot(proj, proj).real)
+    del proj
+
+    phases = sparse.diags(eig.gauge[rows])
+    a_rows = real_if_exact(phases.conj() @ a_rows @ phases)
+    weight = np.conj(c)[:, None] * (vecs.conj().T @ (a_rows @ vecs)) * c
+    # S_gh from one bincount per part of W over the pairs of the clusters
+    # present; every window's share is taken here, so these arrays are
+    # freed before the phase kernels are formed
+    pair = (lab[:, None] * n_p + lab).ravel()
+    block = np.hypot(np.bincount(pair, weight.real.ravel(), n_p * n_p),
                      np.bincount(pair, weight.imag.ravel(),
-                                 n_g * n_g)).reshape(n_g, n_g)
+                                 n_p * n_p)).reshape(n_p, n_p)
     del pair
-    dist = np.abs(reps[:, None] - reps)
+    dist = np.abs(reps[present][:, None] - reps[present])
     np.fill_diagonal(dist, np.inf)
     total = block.sum()
     shares = [float(block[T * dist < 10].sum() / total) if total else 0.0
               for T in t_list]
     del block, dist
 
+    upper = np.triu_indices(len(cols), 1)
+    evals = eig.evals[cols]
+    dx = evals[upper[0]] - evals[upper[1]]
+    w_upper = weight[upper]
+    diagonal = float(np.trace(weight).real)
+    del upper, weight
+
     reports = []
     for T, share in zip(t_list, shares):
-        x = T * (evals[:, None] - evals[None, :])
-        m_T = complex(np.sum(weight * _phi(x)))
-        m_2T = complex(np.sum(weight * _phi(2 * x)))
+        m_T = diagonal + 2.0 * _window(w_upper, T * dx)
+        m_2T = diagonal + 2.0 * _window(w_upper, 2 * T * dx)
         messages = ()
         if share > 1e-2:
             messages = (f"weight share {share:.3g} on cluster pairs with "
                         "gap * T < 10: finite-T mean unreliable",)
         reports.append(ErgodicReport(
-            finite_mean=m_T.real, T=float(T),
-            extrapolated=(2.0 * m_2T - m_T).real, closed_form=limit,
-            min_cluster_gap=gap, n_clusters=n_g, messages=messages))
+            finite_mean=m_T, T=float(T), extrapolated=2.0 * m_2T - m_T,
+            closed_form=limit, min_cluster_gap=gap, n_clusters=n_g,
+            messages=messages))
     return limit, omega_bb, reports
 
 
@@ -205,16 +233,15 @@ def ergodic_mean(bundle, a_obs, b_obs, omega, T):
 
 def _equilibrium(bundle, spectrum):
     ref, _ = kms_vector(bundle)
-    evals, evecs, groups = spectrum
-    c = evecs.conj().T @ ref.amplitudes
-    best, best_norm, best_e = None, -1.0, 0.0
-    for g in groups:
-        p = evecs[:, g] @ c[g]
-        nrm = np.linalg.norm(p)
-        if nrm > best_norm:
-            best, best_norm, best_e = p, nrm, float(np.mean(evals[g]))
-    state = StateVector(amplitudes=best / best_norm, label="equilibrium")
-    return state, best_e, float(best_norm)
+    eig, groups, labels = spectrum
+    _, cols, _, c = eig.support(ref.amplitudes)
+    best = int(np.argmax(np.bincount(labels[cols], np.abs(c) ** 2,
+                                     len(groups))))
+    mine = labels[cols] == best
+    p = eig.vectors(cols[mine]) @ c[mine]
+    best_norm = np.linalg.norm(p)
+    state = StateVector(amplitudes=p / best_norm, label="equilibrium")
+    return state, float(np.mean(eig.evals[groups[best]])), float(best_norm)
 
 
 def equilibrium_vector(bundle):
@@ -259,6 +286,7 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None):
         "a_norm": a_norm,
         "lambda": bundle.lam,
         "manifest": bundle.manifest(),
+        "factorisation": spectrum[0].telemetry(),
         "finite_T": [r.to_dict() for r in reports],
     }
 
@@ -356,7 +384,7 @@ def dyson_truncated(bundle, a_full, t, order=4, n_steps=256):
 def heisenberg_exact(bundle, a_full, t):
     a = np.asarray(a_full.toarray() if sparse.issparse(a_full) else a_full,
                    dtype=complex)
-    evals, evecs = bundle.eigensystem()
+    evals, evecs = bundle.eigensystem().dense()
     ph = np.exp(1j * t * evals)
     inner = evecs.conj().T @ a @ evecs
     return evecs @ ((ph[:, None] * inner) * np.conj(ph)[None, :]) @ evecs.conj().T

@@ -22,15 +22,21 @@ The equilibrium (KMS) vector of the interacting system is produced by the
 perturbation formula: the thermal weight exp(-beta (L0 + lambda I_left)/2)
 applied to the free equilibrium vector, where I_left keeps only the
 left-acting halves of the interaction and condensate terms.  That weight is a
-Lanczos action at every dimension; the only dense eigendecomposition is the
-bundle's own cached one of L, allowed up to DENSE_CUTOFF.
+Lanczos action at every dimension.
+
+The only dense eigendecompositions are those of the bundle's own cached
+BlockedEigensystem, allowed up to DENSE_CUTOFF.  It factorises L in symmetry
+blocks: without a condensate L conserves the charge Q, so every charge sector
+is one block; with one, L = e^{i theta Q} L(0) e^{-i theta Q}, and the gauged
+L(0) is one block.  A block whose gauged entries are real (up to the rounding
+of the phases) gets a real eigh.  No eigh of the whole composite space runs.
 """
 
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import block_diag, eigh
 
 from . import dot as dotmod
 from .fock import FockBasis, SparseOperator, StateVector
@@ -39,6 +45,111 @@ from .krylov import expm_action
 # largest composite dimension at which a bundle forms the dense
 # eigendecomposition of L; above it every consumer takes a sparse path
 DENSE_CUTOFF = 2000
+
+
+def real_if_exact(x):
+    """x without its imaginary part when that part is exactly zero."""
+    imag = x.data.imag if sparse.issparse(x) else x.imag
+    return x.real if np.iscomplexobj(x) and not np.any(imag) else x
+
+
+@dataclass(frozen=True)
+class BlockedEigensystem:
+    """Eigendecomposition of Hermitian L in symmetry blocks.
+
+    L = diag(gauge) B diag(conj(gauge)) with unit-modulus phases gauge and B
+    block diagonal on the index sets idx; blocks holds (idx, evals, evecs)
+    per block of B, and an eigenvector of L is gauge * (evecs column embedded
+    at idx).  The columns of all blocks, in block order, are the columns of
+    the whole spectrum: evals is their concatenation.  path is "sector" when
+    the blocks are the charge sectors (L conserves Q) and "gauge" when B is
+    the whole gauged L(0).
+    """
+
+    blocks: tuple
+    gauge: np.ndarray
+    path: str
+    evals: np.ndarray = dfield(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "evals",
+                           np.concatenate([e for _, e, _ in self.blocks]))
+
+    @classmethod
+    def of(cls, mat, q_diag, theta):
+        """Factorise L from its charge diagonal and condensate phase theta.
+
+        The blocks are the charge sectors when every nonzero of L joins two
+        states of equal charge, and otherwise the one block of the whole
+        gauged space.  A block is factorised in real arithmetic when the imaginary parts of
+        its gauged entries are at most 8 ulp of the largest entry, which is
+        where the rounding of the phases leaves them; otherwise (say, a
+        complex form-factor amplitude) in complex arithmetic.
+        """
+        coo = mat.tocoo()
+        if np.all(q_diag[coo.row] == q_diag[coo.col]):
+            path = "sector"
+            idxs = [np.flatnonzero(q_diag == q) for q in np.unique(q_diag)]
+        else:
+            path, idxs = "gauge", [np.arange(len(q_diag))]
+        gauge = real_if_exact(np.exp(1j * theta * q_diag))
+        phases = sparse.diags(gauge)
+        gauged = (phases.conj() @ mat @ phases).tocsr()
+        tol = 8 * np.finfo(float).eps * np.max(np.abs(gauged.data), initial=0)
+        blocks = []
+        for idx in idxs:
+            block = gauged[idx][:, idx].toarray()
+            if np.iscomplexobj(block) and np.max(np.abs(block.imag)) <= tol:
+                block = block.real
+            blocks.append((idx, *eigh(block)))
+        return cls(tuple(blocks), gauge, path)
+
+    @property
+    def offsets(self):
+        return np.cumsum([0] + [len(idx) for idx, _, _ in self.blocks])
+
+    def telemetry(self):
+        sizes = [len(idx) for idx, _, _ in self.blocks]
+        return {"path": self.path, "blocks": len(sizes),
+                "largest_block": max(sizes),
+                "real": not any(np.iscomplexobj(v) for _, _, v in self.blocks)}
+
+    def vectors(self, cols):
+        """Full-length eigenvectors of L for the columns cols."""
+        cols = np.asarray(cols, dtype=int)
+        out = np.zeros((len(self.gauge), len(cols)), dtype=complex)
+        offsets = self.offsets
+        for b, (idx, _, vecs) in enumerate(self.blocks):
+            sel = np.flatnonzero((cols >= offsets[b]) & (cols < offsets[b + 1]))
+            if len(sel):
+                out[np.ix_(idx, sel)] = vecs[:, cols[sel] - offsets[b]]
+        return self.gauge[:, None] * out
+
+    def dense(self):
+        """(evals, evecs) of the whole space in ascending order, as eigh of
+        the full L would give them; for callers that need the full matrix."""
+        order = np.argsort(self.evals, kind="stable")
+        return self.evals[order], self.vectors(order)
+
+    def support(self, v):
+        """The blocks on which v does not vanish exactly.
+
+        Returns (rows, cols, vecs, c): the basis states rows of those blocks,
+        their spectral columns cols, their eigenvectors as one
+        block-diagonal rows x cols matrix vecs of the gauged frame, and the
+        coordinates c = vecs^H (conj(gauge) v)[rows] of v on them.
+        """
+        gv = real_if_exact(np.conj(self.gauge) * v)
+        offsets = self.offsets
+        keep = [b for b, (idx, _, _) in enumerate(self.blocks)
+                if np.any(gv[idx])]
+        none = np.zeros(0, dtype=int)
+        rows = np.concatenate([none] + [self.blocks[b][0] for b in keep])
+        cols = np.concatenate([none] + [np.arange(offsets[b], offsets[b + 1])
+                                        for b in keep])
+        vecs = block_diag(np.zeros((0, 0)),
+                          *[self.blocks[b][2] for b in keep])
+        return rows, cols, vecs, vecs.conj().T @ gv[rows]
 
 
 @dataclass
@@ -101,19 +212,19 @@ class OperatorBundle:
         return _diagonal_operator(self.lambda_diag, "Lambda")
 
     def eigensystem(self):
-        """Cached dense eigendecomposition (evals, evecs) of L, up to
-        DENSE_CUTOFF."""
+        """Cached BlockedEigensystem of L, up to DENSE_CUTOFF."""
         if self._eigensystem is None:
             if self.dim > DENSE_CUTOFF:
                 raise ValueError("dense eigendecomposition refused above "
                                  f"dimension {DENSE_CUTOFF}")
-            self._eigensystem = eigh(self.L.matrix.toarray())
+            theta = 0.0 if self.xi is None else self.xi.theta
+            self._eigensystem = BlockedEigensystem.of(self.L.matrix,
+                                                      self.q_diag, theta)
         return self._eigensystem
 
     def norm_L(self):
         if self._eigensystem is not None or self.dim <= DENSE_CUTOFF:
-            evals, _ = self.eigensystem()
-            return float(np.max(np.abs(evals)))
+            return float(np.max(np.abs(self.eigensystem().evals)))
         return self.L.norm_bound()
 
     def free_equilibrium(self):

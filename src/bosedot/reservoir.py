@@ -21,7 +21,8 @@ occupation n gives E(f) = exp[-1/4 <f, (1 + 2 n) f>]; condensates contribute
 either a Bessel J0 factor (after averaging) or a linear phase e^{-i Phi}
 (extremal states).  Test functions are FormFactor profiles read as f, with
 the carried zero-momentum value f(0).  A radial or density quadrature that
-quad flags or that misses its accuracy target raises QuadratureError.
+quad flags, that misses its accuracy target or whose integrand is not
+integrable at k = 0 raises QuadratureError.
 """
 
 from dataclasses import dataclass, field
@@ -136,8 +137,24 @@ class FormFactor:
                        0.0, self.tail_cut)
 
     def check_infrared(self, dispersion):
-        """|| g / sqrt(omega) ||^2, the domain condition for the interaction."""
-        return self.weighted_norm_sq(lambda k: 1.0 / dispersion.omega(max(k, 1e-12)))
+        """|| g / sqrt(omega) ||^2, the domain condition for the interaction.
+
+        The integrand 4 pi k^2 |g|^2 / omega behaves as k^s at k -> 0; for
+        s <= -1 the integral diverges (logarithmically at s = -1, which quad
+        does not flag), and QuadratureError is raised.  s is read off the
+        integrand at k = 1e-10 and 1e-8, and within 1e-9 of -1 counts as -1.
+        """
+        def weight(k):
+            return 1.0 / dispersion.omega(max(k, 1e-12))
+        near, far = (k * k * abs(self.at(k)) ** 2 * weight(k)
+                     for k in (1e-10, 1e-8))
+        if near > 0 and far > 0:
+            power = math.log(far / near) / math.log(100.0)
+            if power <= -1.0 + 1e-9:
+                raise QuadratureError(
+                    f"radial integral diverges: integrand ~ k^{power:.3g} "
+                    "at k -> 0")
+        return self.weighted_norm_sq(weight)
 
 
 # ---------------------------------------------------------------------------

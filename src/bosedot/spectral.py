@@ -103,11 +103,13 @@ RESIDUAL_BOUND = 1e-12
 
 
 def _dense_near_zero(bundle, k, kernel_tol):
-    """max(k, kernel_dim) pairs nearest zero from the cached eigensystem."""
-    evals, evecs = bundle.eigensystem()
-    kdim = int(np.sum(np.abs(evals) < kernel_tol))
-    order = np.argsort(np.abs(evals), kind="stable")[:max(k, kdim)]
-    return evals[order], evecs[:, order]
+    """max(k, kernel_dim) pairs nearest zero from the cached blocked
+    eigensystem, by |e| and then by e; only those pairs get full-length
+    vectors."""
+    eig = bundle.eigensystem()
+    kdim = int(np.sum(np.abs(eig.evals) < kernel_tol))
+    order = np.lexsort((eig.evals, np.abs(eig.evals)))[:max(k, kdim)]
+    return eig.evals[order], eig.vectors(order)
 
 
 def _project_out(w, basis):
@@ -248,7 +250,8 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
 
     if mat.shape[0] <= DENSE_CUTOFF:
         evals, evecs = _dense_near_zero(bundle, k, kernel_tol)
-        solver = {"path": "dense"}
+        solver = {"path": "dense",
+                  "factorisation": bundle.eigensystem().telemetry()}
     else:
         evals, evecs, iterations = block_shift_invert(mat, k, bundle.l0_diag,
                                                       norm_l)

@@ -121,6 +121,25 @@ def test_divergent_infrared_norm_is_solver_error(tmp_path, capsys):
     assert out.err.count("\n") == 1 and "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("exponent, code", [(-1.0, cli.EXIT_SOLVER),
+                                             (-0.9, cli.EXIT_OK)])
+def test_infrared_norm_log_divergence_is_solver_error(tmp_path, capsys,
+                                                      exponent, code):
+    # with omega = |k| the integrand of ||g / sqrt(omega)||^2 goes as
+    # k^(1 + 2 p): log-divergent at p = -1, integrable at p = -0.9
+    cfg = base_config()
+    cfg["reservoir"]["form_factor"] = {"preset": "power_law",
+                                       "exponent": exponent}
+    got, outdir, out = run_cli(tmp_path, "thermo", cfg, capsys)
+    assert got == code
+    if code == cli.EXIT_SOLVER:
+        assert out.err.startswith("solver failure: radial integral diverges")
+    else:
+        rows = json.loads((outdir / "thermo.json").read_text())["rows"]
+        norm = {r["name"]: r["value"] for r in rows}["infrared_norm"]
+        assert 0.0 < norm < float("inf")
+
+
 def test_dimension_cap_exit(tmp_path, capsys):
     cfg = base_config()
     cfg["grid"]["n_modes"] = 6
@@ -186,6 +205,18 @@ def test_csv_table_matches_json_rows(tmp_path, capsys, command, key, header):
         thetas = [float(line.split(",")[2]) for line in rows]
         assert thetas == [r["manifest"]["xi"]["theta"]
                           for r in payload["runs"]]
+
+
+@pytest.mark.parametrize("command", ["thermo", "rte", "spectrum"])
+def test_csv_cells_are_plain_numbers(tmp_path, capsys, command):
+    # numpy scalars (scipy.special.zeta returns np.float64) are written as
+    # plain numbers, not as np.float64(...)
+    code, outdir, _ = run_cli(tmp_path, command, base_config(), capsys,
+                              extra=["--format", "csv"])
+    assert code == cli.EXIT_OK
+    text = (outdir / f"{command}.csv").read_text()
+    assert len(text.splitlines()) > 2
+    assert "np." not in text
 
 
 def test_spectrum_kernel_dimension(tmp_path, capsys):

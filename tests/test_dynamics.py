@@ -89,7 +89,7 @@ def test_ergodic_mean_converges_to_closed_form(bundle2):
 
 
 def test_ergodic_mean_on_exact_eigenvector(bundle2):
-    evals, evecs = bundle2.eigensystem()
+    evals, evecs = bundle2.eigensystem().dense()
     psi = evecs[:, 3]
     a = dynamics.dot_observable(bundle2, hop_matrix(2))
     eye = sparse.identity(bundle2.dim, format="csr", dtype=complex)
@@ -136,14 +136,22 @@ def test_short_window_share_ignores_basis_inside_a_cluster(bundle2, rng):
     # a unitary mix of the 6-dimensional kernel cluster changes the entries
     # of W but neither its cluster-pair block sums nor the finite-T mean
     a = dynamics.dot_observable(bundle2, np.diag([0.0, 1.0]))
-    evals, evecs = bundle2.eigensystem()
-    kernel = np.flatnonzero(np.abs(evals) < 1e-9 * max(bundle2.norm_L(), 1.0))
+    eig = bundle2.eigensystem()
+    kernel = np.flatnonzero(np.abs(eig.evals)
+                            < 1e-9 * max(bundle2.norm_L(), 1.0))
     assert len(kernel) == 6
     u, _ = np.linalg.qr(rng.standard_normal((6, 6))
                         + 1j * rng.standard_normal((6, 6)))
-    mixed = evecs.copy()
-    mixed[:, kernel] = evecs[:, kernel] @ u
-    other = dataclasses.replace(bundle2, _eigensystem=(evals, mixed))
+    # the kernel lies in one charge sector; mix its columns in that block
+    b = int(np.searchsorted(eig.offsets, kernel[0], side="right")) - 1
+    idx, evals, evecs = eig.blocks[b]
+    local = kernel - eig.offsets[b]
+    assert local.max() < len(idx)
+    mixed = evecs.astype(complex)
+    mixed[:, local] = evecs[:, local] @ u
+    blocks = eig.blocks[:b] + ((idx, evals, mixed),) + eig.blocks[b + 1:]
+    other = dataclasses.replace(
+        bundle2, _eigensystem=dataclasses.replace(eig, blocks=blocks))
     omega, _, _ = dynamics.equilibrium_vector(bundle2)
     rep = dynamics.ergodic_mean(bundle2, a, a, omega, 1e-3)
     rep_mixed = dynamics.ergodic_mean(other, a, a, omega, 1e-3)

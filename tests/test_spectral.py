@@ -96,7 +96,12 @@ def test_dense_kernel_dimension_not_capped_by_k(gauss_ff):
     rep = spectral.solve_near_zero(b, k=6)
     assert rep.kernel_dim == 10
     assert len(rep.eigenvalues) == 10
-    assert rep.solver == {"path": "dense"}
+    # dot-pair charges -1..1 plus field charges -2..2 (n_max 2): seven
+    # charge sectors, the largest the charge-zero one
+    assert rep.solver == {"path": "dense",
+                          "factorisation": {"path": "sector", "blocks": 7,
+                                            "largest_block": 42,
+                                            "real": True}}
     assert any("kernel fills" in m for m in rep.messages)
     # k above the kernel still means "pairs reported", with no message
     rep = spectral.solve_near_zero(b, k=14)
@@ -129,7 +134,7 @@ def test_block_shift_invert_matches_dense(gauss_ff, n_modes, n_max, lam, xi):
     residuals = np.linalg.norm(b.L.matrix @ evecs - evecs * evals, axis=0)
     assert np.all(residuals <= spectral.RESIDUAL_BOUND * norm_l)
 
-    ref, _ = b.eigensystem()
+    ref = b.eigensystem().evals
     shift = spectral.SHIFT * norm_l
     nearest = np.sort(ref[np.argsort(np.abs(ref - shift))[:len(evals)]])
     np.testing.assert_allclose(np.sort(evals), nearest,
