@@ -144,9 +144,9 @@ def _ergodic_pass(spectrum, a_mat, v, t_list):
     Only the symmetry blocks on which v does not vanish enter.  Every window
     uses the weight W_jk = conj(c_j) (U^H A U)_jk c_k over their eigenvectors
     U, c = U^H v, formed once: the mean over [0, T] is
-    sum_jk W_jk phi(T (e_j - e_k)), and as W is Hermitian its real part is
-    the diagonal plus twice the upper triangle of the real kernels of
-    _window.  A window is flagged when more than 1e-2 of sum |S_gh| sits on
+    sum_jk W_jk phi(T (e_j - e_k)); as phi(-x) = conj(phi(x)), its real part
+    is Re tr W plus the real kernels of _window over the upper triangle of
+    W + W^H (twice that of W when A is Hermitian).  A window is flagged when more than 1e-2 of sum |S_gh| sits on
     distinct clusters g, h with gap * T < 10, whose phases have not yet
     averaged out; S_gh = <P_g v, A P_h v> is the block sum of W over the two
     clusters and, unlike the entries of W, does not depend on the basis eigh
@@ -194,13 +194,14 @@ def _ergodic_pass(spectrum, a_mat, v, t_list):
     evals = eig.evals[cols]
     dx = evals[upper[0]] - evals[upper[1]]
     w_upper = weight[upper]
+    w_upper += weight.T[upper].conj()
     diagonal = float(np.trace(weight).real)
     del upper, weight
 
     reports = []
     for T, share in zip(t_list, shares):
-        m_T = diagonal + 2.0 * _window(w_upper, T * dx)
-        m_2T = diagonal + 2.0 * _window(w_upper, 2 * T * dx)
+        m_T = diagonal + _window(w_upper, T * dx)
+        m_2T = diagonal + _window(w_upper, 2 * T * dx)
         messages = ()
         if share > 1e-2:
             messages = (f"weight share {share:.3g} on cluster pairs with "

@@ -181,7 +181,7 @@ class OperatorBundle:
     I1: sparse.csr_matrix = None
     conjugate_scheme: str = None
 
-    _eigensystem: tuple = dfield(default=None, repr=False)
+    _eigensystem: BlockedEigensystem = dfield(default=None, repr=False)
 
     @property
     def beta(self):

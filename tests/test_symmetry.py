@@ -137,13 +137,18 @@ def full_rte(b, evals, evecs, groups, a, bop, T):
                          for t in T]}
 
 
-@pytest.mark.parametrize("observable", ["projector", "hop"])
+@pytest.mark.parametrize("observable", ["projector", "hop", "non-hermitian"])
 def test_rte_deviation_matches_full_path(case, observable):
     (d, *_), b, evals, evecs, groups = case
     a = dynamics.dot_observable(b, np.diag(np.arange(d) == d - 1) * 1.0)
     gm, gp = lower_raise(bd.DotSpec(d=d))
     bop = a if observable == "projector" else dynamics.dot_observable(
         b, gm + gp)
+    if observable == "non-hermitian":
+        # A != A^H: W is not Hermitian, and both W_jk and W_kj enter
+        a = dynamics.dot_observable(
+            b, np.diag(np.arange(d) == d - 1) * (1.0 + 0.5j) + 0.4 * gm
+            + 0.3j * gm @ gm + 0.2 * np.eye(d))
     T = [50.0, 400.0]
     out = dynamics.rte_deviation(b, a, bop, T=T, a_norm=1.0)
     ref = full_rte(b, evals, evecs, groups, a, bop, T)
