@@ -146,10 +146,11 @@ def _ergodic_pass(spectrum, a_mat, v, t_list):
     U, c = U^H v, formed once: the mean over [0, T] is
     sum_jk W_jk phi(T (e_j - e_k)); as phi(-x) = conj(phi(x)), its real part
     is Re tr W plus the real kernels of _window over the upper triangle of
-    W + W^H (twice that of W when A is Hermitian).  A window is flagged when more than 1e-2 of sum |S_gh| sits on
-    distinct clusters g, h with gap * T < 10, whose phases have not yet
-    averaged out; S_gh = <P_g v, A P_h v> is the block sum of W over the two
-    clusters and, unlike the entries of W, does not depend on the basis eigh
+    W + W^H (twice that of W when A is Hermitian).  A window is flagged when
+    more than 1e-2 of sum |S_gh| sits on distinct clusters g, h with
+    gap * T < 10, whose phases have not yet averaged out;
+    S_gh = <P_g v, A P_h v> is the block sum of W over the two clusters and,
+    unlike the entries of W, does not depend on the basis eigh
     picks inside a cluster.  n_clusters and min_cluster_gap are those of the
     whole spectrum.
     """
