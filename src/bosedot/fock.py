@@ -105,6 +105,15 @@ class FockBasis:
             v[m] = c
         return v
 
+    def swap_permutation(self):
+        """perm[i]: the index of state i with its left and right occupations
+        exchanged.  Built on call, not with the basis: only the sector solve
+        above the dense cutoff needs it."""
+        m = self.trunc.n_modes
+        return np.fromiter(
+            (self.index[tuple(sorted(((g + m) % (2 * m), c) for g, c in st))]
+             for st in self.states), dtype=np.intp, count=self.dim)
+
     def vacuum(self):
         v = np.zeros(self.dim, dtype=complex)
         v[self.index[()]] = 1.0

@@ -30,9 +30,12 @@ blocks: without a condensate L conserves the charge Q, so every charge sector
 is one block; with one, L = e^{i theta Q} L(0) e^{-i theta Q}, and the gauged
 L(0) is one block.  A block whose gauged entries are real (up to the rounding
 of the phases) gets a real eigh.  No eigh of the whole composite space runs.
+symmetry_blocks makes that split, for this factorisation and for the
+near-zero solve above DENSE_CUTOFF alike.
 """
 
 from dataclasses import dataclass, field as dfield
+from math import comb
 
 import numpy as np
 from scipy import sparse
@@ -47,10 +50,53 @@ from .krylov import expm_action
 DENSE_CUTOFF = 2000
 
 
+def kernel_index(dot_spec, trunc):
+    """d * sum_{j <= n_max / 2} C(M + j - 1, j): the number of basis states
+    that the swap fixes (a diagonal dot pair and equal left and right
+    occupations, mode by mode).  For real (gauged) L, P L P = -L puts L in
+    chiral form between the P-even and P-odd states, and this is the index
+    n+ - n-, a lower bound on dim ker L that no coupling lifts."""
+    m = trunc.n_modes
+    return dot_spec.d * sum(comb(m + j - 1, j)
+                            for j in range(trunc.n_max // 2 + 1))
+
+
 def real_if_exact(x):
     """x without its imaginary part when that part is exactly zero."""
     imag = x.data.imag if sparse.issparse(x) else x.imag
     return x.real if np.iscomplexobj(x) and not np.any(imag) else x
+
+
+def symmetry_blocks(mat, q_diag, theta):
+    """The blocks of L that its charge and condensate gauge make independent.
+
+    L = diag(gauge) B diag(conj(gauge)) with gauge = e^{i theta Q}.  The
+    blocks of B are the charge sectors when every nonzero of L joins two
+    states of equal charge (path "sector"), and otherwise the one block of the
+    whole gauged L(0) (path "gauge").  Returns (path, gauge, blocks) with
+    blocks a list of (idx, csr block of B on idx).  A block is real when the
+    imaginary parts of its gauged entries are at most 8 ulp of the largest
+    entry, which is where the rounding of the phases leaves them; otherwise
+    (say, a complex form-factor amplitude) it stays complex.
+    """
+    coo = mat.tocoo()
+    if np.all(q_diag[coo.row] == q_diag[coo.col]):
+        path = "sector"
+        idxs = [np.flatnonzero(q_diag == q) for q in np.unique(q_diag)]
+    else:
+        path, idxs = "gauge", [np.arange(len(q_diag))]
+    gauge = real_if_exact(np.exp(1j * theta * q_diag))
+    phases = sparse.diags(gauge)
+    gauged = (phases.conj() @ mat @ phases).tocsr()
+    tol = 8 * np.finfo(float).eps * np.max(np.abs(gauged.data), initial=0)
+    blocks = []
+    for idx in idxs:
+        block = gauged[idx][:, idx]
+        if (np.iscomplexobj(block)
+                and np.max(np.abs(block.data.imag), initial=0) <= tol):
+            block = block.real
+        blocks.append((idx, block))
+    return path, gauge, blocks
 
 
 @dataclass(frozen=True)
@@ -77,32 +123,11 @@ class BlockedEigensystem:
 
     @classmethod
     def of(cls, mat, q_diag, theta):
-        """Factorise L from its charge diagonal and condensate phase theta.
-
-        The blocks are the charge sectors when every nonzero of L joins two
-        states of equal charge, and otherwise the one block of the whole
-        gauged space.  A block is factorised in real arithmetic when the imaginary parts of
-        its gauged entries are at most 8 ulp of the largest entry, which is
-        where the rounding of the phases leaves them; otherwise (say, a
-        complex form-factor amplitude) in complex arithmetic.
-        """
-        coo = mat.tocoo()
-        if np.all(q_diag[coo.row] == q_diag[coo.col]):
-            path = "sector"
-            idxs = [np.flatnonzero(q_diag == q) for q in np.unique(q_diag)]
-        else:
-            path, idxs = "gauge", [np.arange(len(q_diag))]
-        gauge = real_if_exact(np.exp(1j * theta * q_diag))
-        phases = sparse.diags(gauge)
-        gauged = (phases.conj() @ mat @ phases).tocsr()
-        tol = 8 * np.finfo(float).eps * np.max(np.abs(gauged.data), initial=0)
-        blocks = []
-        for idx in idxs:
-            block = gauged[idx][:, idx].toarray()
-            if np.iscomplexobj(block) and np.max(np.abs(block.imag)) <= tol:
-                block = block.real
-            blocks.append((idx, *eigh(block)))
-        return cls(tuple(blocks), gauge, path)
+        """Factorise L from its charge diagonal and condensate phase theta:
+        one eigh per block of symmetry_blocks, in the block's own dtype."""
+        path, gauge, blocks = symmetry_blocks(mat, q_diag, theta)
+        return cls(tuple((idx, *eigh(block.toarray()))
+                         for idx, block in blocks), gauge, path)
 
     @property
     def offsets(self):
@@ -221,6 +246,15 @@ class OperatorBundle:
             self._eigensystem = BlockedEigensystem.of(self.L.matrix,
                                                       self.q_diag, theta)
         return self._eigensystem
+
+    def swap_permutation(self):
+        """The swap P as a permutation: (P v)[i] = v[perm[i]] maps the dot
+        pair (i, j) to (j, i) and exchanges the left and right occupations.
+        P conj(L) P = -L, and P sends charge sector Q to -Q."""
+        d = self.dot_dim
+        pairs = np.arange(d * d).reshape(d, d).T.ravel()
+        return np.add.outer(pairs * self.field_dim,
+                            self.basis.swap_permutation()).ravel()
 
     def norm_L(self):
         if self._eigensystem is not None or self.dim <= DENSE_CUTOFF:

@@ -17,7 +17,8 @@ from scipy.sparse.linalg import splu
 
 from . import dot as dotmod
 from .fock import SolverConvergenceError, StateVector
-from .liouville import DENSE_CUTOFF, kms_vector
+from .liouville import (DENSE_CUTOFF, kernel_index, kms_vector,
+                        symmetry_blocks)
 
 
 @dataclass
@@ -27,9 +28,10 @@ class SpectralReport:
     residuals: np.ndarray        # ||(L - e) psi|| per pair
     kernel_tol: float
     kernel_dim: int
+    kernel_index: int            # swap index, liouville.kernel_index
     kernel_basis: np.ndarray     # columns, orthonormalized
     norm_L: float
-    solver: dict = dfield(default_factory=dict)   # path and iteration count
+    solver: dict = dfield(default_factory=dict)   # path and block telemetry
     messages: tuple = ()
     diagnostics: list = dfield(default_factory=list)
 
@@ -39,6 +41,7 @@ class SpectralReport:
             "residuals": [float(r) for r in self.residuals],
             "kernel_tol": self.kernel_tol,
             "kernel_dim": self.kernel_dim,
+            "kernel_index": self.kernel_index,
             "norm_L": self.norm_L,
             "solver": self.solver,
             "messages": list(self.messages),
@@ -139,10 +142,10 @@ def _orthonormalize(w, basis):
 def _start_block(l0_diag, width, dtype):
     """Indicator columns of the states with smallest |L0|, plus a dense probe.
 
-    The indicators of the L0 kernel come first.  Without a condensate L
-    conserves the charge, so indicator columns only reach the charge sectors
-    of their own states; the probe column has weight in every sector, and an
-    eigenvalue near zero in a sector the indicators miss grows out of it.
+    The indicators of the L0 kernel come first.  The probe column has weight
+    on every state of the matrix, and a pair near zero that the indicators
+    miss grows out of it; blockwise_shift_invert hands each symmetry block
+    its own matrix, so the probe reaches only that block.
     """
     n = len(l0_diag)
     states = np.argsort(np.abs(l0_diag), kind="stable")[:width]
@@ -225,21 +228,87 @@ def block_shift_invert(mat, k, l0_diag, norm_l):
         f"{MAX_BLOCK_ITERATIONS} iterations")
 
 
+def blockwise_shift_invert(bundle, k, norm_l):
+    """The max(k, #zeros of L0) pairs of L nearest zero, one symmetry block
+    at a time.
+
+    L splits into the blocks of liouville.symmetry_blocks, and
+    block_shift_invert runs on each block's own (real where the gauged
+    entries are) matrix.  Without a condensate the blocks are the charge
+    sectors, and only Q >= 0 are solved: the swap P (P conj(L) P = -L) gives
+    the pair (-e, P conj(v)) of sector -Q for every pair (e, v) of sector Q.
+    With one, the block is the gauged L(0) and its vectors are multiplied by
+    the gauge.  Sector 0 asks for all K = max(k, #zeros of L0) pairs; every
+    other sector starts at max(1, its own L0 zeros) pairs and doubles that
+    number while its farthest pair found is nearer zero than the K-th
+    smallest |e| found so far (mirrors included), until the sector is
+    exhausted.  Returns the K pairs nearest zero, by |e| and then by e, and
+    the solver entry: the path, per block solve its charge, size, pairs and
+    iterations, and the number of mirrored blocks.
+    """
+    theta = 0.0 if bundle.xi is None else bundle.xi.theta
+    path, gauge, blocks = symmetry_blocks(bundle.L.matrix, bundle.q_diag,
+                                          theta)
+    perm = bundle.swap_permutation() if path == "sector" else None
+    want = max(k, int(np.sum(bundle.l0_diag == 0)))
+    found, solves = [], []    # (rows, evals, vectors), mirrors included
+
+    def kth_smallest(sector_abs):
+        # the sector's own pairs count twice: once more for their mirrors
+        found_abs = np.sort(np.concatenate(
+            [np.abs(e) for _, e, _ in found] + [sector_abs] * 2))
+        return found_abs[want - 1] if len(found_abs) >= want else np.inf
+
+    for idx, block in blocks:
+        charge = None if path == "gauge" else int(bundle.q_diag[idx[0]])
+        if charge is not None and charge < 0:
+            continue
+        l0 = bundle.l0_diag[idx]
+        pairs = want if not charge else max(1, int(np.sum(l0 == 0)))
+        while True:
+            evals, vecs, iterations = block_shift_invert(block, pairs, l0,
+                                                         norm_l)
+            solves.append({"charge": charge, "size": len(idx),
+                           "pairs": len(evals), "iterations": iterations})
+            if (not charge or len(evals) == len(idx)
+                    or np.max(np.abs(evals)) >= kth_smallest(np.abs(evals))):
+                break
+            pairs *= 2
+        found.append((idx, evals, vecs))
+        if charge:
+            found.append((perm[idx], -evals, vecs.conj()))
+
+    e_all = np.concatenate([e for _, e, _ in found])
+    order = np.lexsort((e_all, np.abs(e_all)))[:want]
+    real = not any(np.iscomplexobj(block) for _, block in blocks)
+    evecs = np.zeros((len(gauge), want), dtype=float if real else complex)
+    start = 0
+    for rows, evals, vecs in found:
+        cols = np.flatnonzero((order >= start) & (order < start + len(evals)))
+        evecs[np.ix_(rows, cols)] = vecs[:, order[cols] - start]
+        start += len(evals)
+    solver = {"path": f"{path}-shift-invert", "real": real, "blocks": solves,
+              "mirrored": len({s["charge"] for s in solves if s["charge"]})}
+    return e_all[order], gauge[:, None] * evecs, solver
+
+
 def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     """Eigenpairs of L nearest zero, with verified residuals and whole kernel.
 
     At least k pairs are reported, more when the kernel is larger.  Up to
     dimension DENSE_CUTOFF they come from the bundle's cached eigensystem and
     the kernel is counted over the whole spectrum: max(k, kernel_dim) pairs.
-    Above it block_shift_invert reports max(k, #zeros of L0) pairs; it starts
-    from fixed vectors, so the result does not depend on any seed.
+    Above it blockwise_shift_invert reports max(k, #zeros of L0) pairs, one
+    symmetry block at a time, each from fixed start vectors, so the result
+    does not depend on any seed.
 
     The kernel is the set of eigenvalues below kernel_tol (default
     1e-9 * ||L||); its basis is re-orthonormalized with a pivoted QR and the
     reported dimension is the numerical rank.  tol sets the verification
     bound max(tol, 1e-12) * ||L|| * 100 on the residuals and the
     near-degeneracy flag, which looks only at the pairs outside the kernel; a
-    message also marks a kernel that fills every reported pair.
+    message also marks a kernel that fills every reported pair, and a kernel
+    of real (gauged) L whose dimension differs from the swap index.
     """
     mat = bundle.L.matrix
     if k > mat.shape[0]:
@@ -250,12 +319,12 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
 
     if mat.shape[0] <= DENSE_CUTOFF:
         evals, evecs = _dense_near_zero(bundle, k, kernel_tol)
-        solver = {"path": "dense",
-                  "factorisation": bundle.eigensystem().telemetry()}
+        factorisation = bundle.eigensystem().telemetry()
+        solver = {"path": "dense", "factorisation": factorisation}
+        real = factorisation["real"]
     else:
-        evals, evecs, iterations = block_shift_invert(mat, k, bundle.l0_diag,
-                                                      norm_l)
-        solver = {"path": "block-shift-invert", "iterations": iterations}
+        evals, evecs, solver = blockwise_shift_invert(bundle, k, norm_l)
+        real = solver["real"]
 
     residuals = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
 
@@ -281,10 +350,15 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
         kdim = rank
     else:
         basis = np.zeros((mat.shape[0], 0), dtype=complex)
+    index = kernel_index(bundle.dot_spec, bundle.trunc)
+    if real and kdim != index:
+        messages.append(f"kernel_dim {kdim} differs from the swap index "
+                        f"{index}")
 
     return SpectralReport(
         eigenvalues=evals, vectors=evecs, residuals=residuals,
-        kernel_tol=kernel_tol, kernel_dim=kdim, kernel_basis=basis,
+        kernel_tol=kernel_tol, kernel_dim=kdim, kernel_index=index,
+        kernel_basis=basis,
         norm_L=norm_l, solver=solver, messages=tuple(messages))
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bosedot import cli, dynamics, liouville
+from bosedot import cli, dynamics, liouville, spectral
 
 
 def base_config():
@@ -322,15 +322,20 @@ def test_seed_flag_lands_in_manifest(tmp_path, capsys):
     assert manifest["seed"] == 99
 
 
-def test_spectrum_above_dense_cutoff_ignores_seed(tmp_path, capsys):
+def sparse_config():
     # 2720-dimensional composite on a log grid (seed-free conjugate): the
-    # block shift-invert path, whose start block comes from L0 alone
+    # per-sector shift-invert path, whose start blocks come from L0 alone
     cfg = base_config()
     cfg["grid"] = {"n_modes": 7, "omega_min": 0.35, "omega_max": 2.8,
                    "spacing": "log"}
     cfg["trunc"] = {"n_max": 3}
     cfg["physics"] = {"lambda": [0.05]}
     cfg["solver"] = {"k_eigs": 20}
+    return cfg
+
+
+def test_spectrum_above_dense_cutoff_ignores_seed(tmp_path, capsys):
+    cfg = sparse_config()
     texts = []
     for seed in ("11", "109"):
         sub = tmp_path / seed
@@ -341,10 +346,23 @@ def test_spectrum_above_dense_cutoff_ignores_seed(tmp_path, capsys):
         texts.append((outdir / "spectrum.json").read_bytes())
     assert texts[0] == texts[1]
     run = json.loads(texts[0])["runs"][0]
-    assert run["report"]["solver"]["path"] == "block-shift-invert"
+    assert run["report"]["solver"]["path"] == "sector-shift-invert"
     # diagonal dot pairs times the vacuum and the 7 matched one-quantum pairs
-    assert run["kernel_dim"] == 2 * (1 + 7)
+    assert run["kernel_dim"] == run["report"]["kernel_index"] == 2 * (1 + 7)
     assert len(run["report"]["eigenvalues"]) == 20
+    # sectors 0..4 solved, -1..-4 mirrored; no wall times in the output
+    blocks = run["report"]["solver"]["blocks"]
+    assert sorted({b["charge"] for b in blocks}) == [0, 1, 2, 3, 4]
+    assert run["report"]["solver"]["mirrored"] == 4
+    assert all(set(b) == {"charge", "size", "pairs", "iterations"}
+               for b in blocks)
+
+
+def test_sparse_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_BLOCK_ITERATIONS", 1)
+    code, _, out = run_cli(tmp_path, "spectrum", sparse_config(), capsys)
+    assert code == cli.EXIT_SOLVER
+    assert "solver failure" in out.err
 
 
 def test_jobs_flag_parallel_spectrum(tmp_path, capsys):

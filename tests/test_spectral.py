@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import bosedot as bd
 from bosedot import spectral
@@ -70,7 +71,27 @@ def test_solve_near_zero_sparse_path_self_consistent(gauss_ff):
     assert b.dim == 2720
     rep = spectral.solve_near_zero(b, k=10)
     assert np.all(rep.residuals <= 1e-7 * rep.norm_L)
-    assert rep.kernel_dim >= 2
+    assert rep.kernel_dim == rep.kernel_index == 16
+    assert not rep.messages
+    # the linear grid puts L0 zeros in the sectors +-1 and +-2 as well, so
+    # those sectors start at more than one pair
+    zeros = b.q_diag[b.l0_diag == 0]
+    assert set(np.unique(zeros)) == {-2, -1, 0, 1, 2}
+    assert len(rep.eigenvalues) == len(zeros) == 60
+    assert rep.solver["path"] == "sector-shift-invert"
+    assert rep.solver["mirrored"] == 4
+
+    # against eigh of the whole (real) matrix: every eigenvalue in a window
+    # just past the farthest reported pair, with the kernel's vectors
+    scale = rep.norm_L
+    edge = np.max(np.abs(rep.eigenvalues)) * (1 + 1e-9)
+    ref, vecs = sla.eigh(b.L.matrix.real.toarray(),
+                         subset_by_value=(-edge, edge))
+    np.testing.assert_allclose(np.sort(rep.eigenvalues), ref,
+                               rtol=0, atol=1e-10 * scale)
+    kernel = vecs[:, np.abs(ref) < rep.kernel_tol]
+    np.testing.assert_allclose(rep.kernel_basis @ rep.kernel_basis.T,
+                               kernel @ kernel.T, rtol=0, atol=1e-9)
 
 
 def _log_bundle(gauss_ff, d, n_modes, n_max, lam, xi=None):
@@ -118,29 +139,15 @@ def test_degenerate_kernel_is_not_flagged_near_degenerate(gauss_ff):
     assert not any("near-degenerate" in m for m in rep.messages)
 
 
-@pytest.mark.parametrize("n_modes, n_max, lam, xi", [
-    (4, 3, 0.1, None),      # real L, dim 660
-    (4, 3, 1.0, None),      # strong coupling: pairs in charge sectors +-2
-    (4, 2, 0.3, 0.7),       # condensate: complex L that breaks the charge
-])
-def test_block_shift_invert_matches_dense(gauss_ff, n_modes, n_max, lam, xi):
-    b = _log_bundle(gauss_ff, 2, n_modes, n_max, lam, xi)
-    k = 12
+def _assert_near_zero_pairs(b, mat, evals, evecs, reference):
+    """Residuals within the block bound, eigenvalues equal to the reference
+    eigenvalues of eigh, and the kernel projector equal to the dense one."""
     norm_l = b.norm_L()
-    evals, evecs, iterations = spectral.block_shift_invert(
-        b.L.matrix, k, b.l0_diag, norm_l)
-    assert iterations <= spectral.MAX_BLOCK_ITERATIONS
-    assert len(evals) == max(k, int(np.sum(b.l0_diag == 0)))
-    residuals = np.linalg.norm(b.L.matrix @ evecs - evecs * evals, axis=0)
+    residuals = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
     assert np.all(residuals <= spectral.RESIDUAL_BOUND * norm_l)
-
-    ref = b.eigensystem().evals
-    shift = spectral.SHIFT * norm_l
-    nearest = np.sort(ref[np.argsort(np.abs(ref - shift))[:len(evals)]])
-    np.testing.assert_allclose(np.sort(evals), nearest,
+    np.testing.assert_allclose(np.sort(evals), np.sort(reference),
                                rtol=0, atol=1e-10 * norm_l)
-
-    dense = spectral.solve_near_zero(b, k=k)
+    dense = spectral.solve_near_zero(b, k=len(evals))
     in_kernel = np.abs(evals) < dense.kernel_tol
     assert int(in_kernel.sum()) == dense.kernel_dim
     block_kernel = evecs[:, in_kernel]
@@ -148,6 +155,48 @@ def test_block_shift_invert_matches_dense(gauss_ff, n_modes, n_max, lam, xi):
     np.testing.assert_allclose(block_kernel @ block_kernel.conj().T,
                                dense_kernel @ dense_kernel.conj().T,
                                rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_modes, n_max, lam, xi, amplitude", [
+    # real L, dim 660
+    pytest.param(4, 3, 0.1, None, 1.0, id="4-3-0.1-None"),
+    # strong coupling: pairs in charge sectors +-2
+    pytest.param(4, 3, 1.0, None, 1.0, id="4-3-1.0-None"),
+    # condensate: complex L that breaks the charge
+    pytest.param(4, 2, 0.3, 0.7, 1.0, id="4-2-0.3-0.7"),
+    # complex form factor: complex sectors
+    pytest.param(4, 3, 0.1, None, 1 + 0.6j, id="4-3-0.1-None-complex"),
+    # dim 20: the sectors Q = +-2 hold two states
+    pytest.param(2, 1, 0.3, None, 1.0, id="2-1-0.3-None"),
+])
+def test_block_shift_invert_matches_dense(n_modes, n_max, lam, xi,
+                                          amplitude):
+    b = _log_bundle(bd.FormFactor.gaussian(amplitude, 1.0), 2, n_modes,
+                    n_max, lam, xi)
+    k = 12
+    norm_l = b.norm_L()
+    ref = b.eigensystem().evals
+    want = max(k, int(np.sum(b.l0_diag == 0)))
+
+    # the whole-space call: the reference for the per-block primitive
+    evals, evecs, iterations = spectral.block_shift_invert(
+        b.L.matrix, k, b.l0_diag, norm_l)
+    assert iterations <= spectral.MAX_BLOCK_ITERATIONS
+    assert len(evals) == want
+    shift = spectral.SHIFT * norm_l
+    _assert_near_zero_pairs(b, b.L.matrix, evals, evecs,
+                            ref[np.argsort(np.abs(ref - shift))[:want]])
+
+    # the per-block driver of the path above DENSE_CUTOFF
+    evals, evecs, solver = spectral.blockwise_shift_invert(b, k, norm_l)
+    assert len(evals) == want
+    assert solver["path"] == ("sector" if xi is None else "gauge") + \
+        "-shift-invert"
+    assert solver["real"] == (amplitude.imag == 0 if xi is None else True)
+    assert all(s["iterations"] <= spectral.MAX_BLOCK_ITERATIONS
+               for s in solver["blocks"])
+    _assert_near_zero_pairs(b, b.L.matrix, evals, evecs,
+                            ref[np.lexsort((ref, np.abs(ref)))[:want]])
 
 
 def test_virial_value_real_and_small_for_eigenvectors(gauss_ff):

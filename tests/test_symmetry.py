@@ -13,9 +13,9 @@ import scipy.linalg as sla
 from scipy import sparse
 
 import bosedot as bd
-from bosedot import dynamics
+from bosedot import dynamics, spectral
 from bosedot.dot import lower_raise
-from bosedot.liouville import build_bundle, kms_vector
+from bosedot.liouville import build_bundle, kernel_index, kms_vector
 
 RHO_CRIT = bd.critical_density(1.0, bd.RELATIVISTIC)
 
@@ -62,6 +62,41 @@ def test_charge_commutes_bitwise_without_condensate():
         b = make_bundle(*spec)
         comm = (b.L.matrix @ b.Q.matrix - b.Q.matrix @ b.L.matrix).tocoo()
         assert not np.any(comm.data)
+
+
+def test_swap_anticommutes_with_the_conjugated_generator(case):
+    # P maps the dot pair (i, j) to (j, i) and exchanges the left and right
+    # occupations: P conj(L) P = -L exactly, and P maps sector Q to -Q
+    _, b, _, _, _ = case
+    perm = b.swap_permutation()
+    mat = b.L.matrix
+    assert not np.any((mat[perm][:, perm].conj() + mat).data)
+    np.testing.assert_array_equal(b.q_diag[perm], -b.q_diag)
+    np.testing.assert_array_equal(perm[perm], np.arange(b.dim))
+
+
+@pytest.mark.parametrize("spec", [
+    (2, "linear", 3, 4, 0.5, None, 1.0),    # L0 has 32 zeros, the kernel 20
+    (2, "linear", 3, 4, 0.5, 0.7, 1.0),
+    (3, "log", 3, 3, 0.2, None, 1.0),
+    (2, "log", 4, 2, 0.3, 1.3, 1.0),
+])
+def test_kernel_dim_is_the_swap_index(spec):
+    b = make_bundle(*spec)
+    rep = spectral.solve_near_zero(b, k=4)
+    assert rep.kernel_index == kernel_index(b.dot_spec, b.trunc)
+    assert rep.kernel_dim == rep.kernel_index
+    assert rep.to_dict()["kernel_index"] == rep.kernel_index
+    assert not any("swap index" in m for m in rep.messages)
+
+
+def test_kernel_off_the_swap_index_gets_a_message():
+    # at lambda = 0 the kernel is every zero of L0, which on a linear grid
+    # are more than the index d * (1 + 3 + 6)
+    b = make_bundle(2, "linear", 3, 4, 0.0, None, 1.0)
+    rep = spectral.solve_near_zero(b, k=4)
+    assert (rep.kernel_dim, rep.kernel_index) == (32, 20)
+    assert "kernel_dim 32 differs from the swap index 20" in rep.messages
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, 1.3])
