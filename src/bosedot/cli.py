@@ -393,19 +393,43 @@ def _rho_crit(config):
 
 def _map_bundles(config, args, xis, rho_crit, per_bundle):
     """per_bundle(lam, xi, bundle) for the bundle of every (lambda, xi) task,
-    lambda outer, on args.jobs threads; results in task order."""
+    lambda outer; results in task order.
+
+    Tasks with the same lambda and the same condensate density r differ only
+    in the phase theta, so their generators are gauges of one another,
+    L(theta) = e^{i theta Q} L(0) e^{-i theta Q}.  Each such group runs as one
+    job, its tasks in order: the first bundle whose eigensystem is asked for
+    factorises, and every later bundle of the group is handed the same blocks
+    in its own gauge, so no eigh runs for it.  Nothing is factorised that a
+    task does not ask for (a spectrum above DENSE_CUTOFF asks for nothing).
+    args.jobs threads run the groups in parallel.
+    """
     dspec, grid = _build_grid(config)
     trunc = _trunc(config)
-
-    def run(task):
-        lam, xi = task
-        bundle = build_bundle(dspec, grid, trunc, lam, xi=xi,
-                              rho_crit=rho_crit if xi is not None else None)
-        return per_bundle(lam, xi, bundle)
-
     tasks = [(lam, xi) for lam in _lambdas(config) for xi in xis]
+    groups = {}
+    for i, (lam, xi) in enumerate(tasks):
+        groups.setdefault((lam, None if xi is None else xi.r), []).append(i)
+
+    def run(members):
+        shared, out = None, []
+        for i in members:
+            lam, xi = tasks[i]
+            bundle = build_bundle(dspec, grid, trunc, lam, xi=xi,
+                                  rho_crit=rho_crit if xi is not None else None)
+            if shared is not None:
+                bundle.share_eigensystem(shared)
+            out.append(per_bundle(lam, xi, bundle))
+            shared = bundle.cached_eigensystem()
+        return out
+
+    results = [None] * len(tasks)
     with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-        return list(pool.map(run, tasks))
+        for members, out in zip(groups.values(),
+                                pool.map(run, groups.values())):
+            for i, result in zip(members, out):
+                results[i] = result
+    return results
 
 
 def _spectrum_tasks(config, args):

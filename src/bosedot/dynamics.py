@@ -113,15 +113,24 @@ def _clusters(evals, ctol):
 
 
 def _window(w, x):
-    """Re sum w phi(x) for phi(x) = (e^{ix}-1)/(ix) = sin(x)/x + i(1-cos x)/x,
-    the time average of e^{is} over s in [0, x]."""
+    """Re sum w phi(x) and Re sum w phi(2x), for
+    phi(x) = (e^{ix}-1)/(ix) = sin(x)/x + i(1-cos x)/x, the time average of
+    e^{is} over s in [0, x]: a window T and its Richardson partner 2T.
+
+    One sin and one cos of x serve both, by the double-angle identities
+    sin(2x)/(2x) = (sin x / x) cos x and (1 - cos 2x)/(2x) = sin x (sin x / x).
+    Below |x| = 1e-8 the kernels at x are 1 and x / 2.
+    """
     small = np.abs(x) < 1e-8
     safe = np.where(small, 1.0, x)
-    out = np.dot(w.real, np.where(small, 1.0, np.sin(safe) / safe))
+    sin, cos = np.sin(x), np.cos(x)
+    sinc = np.where(small, 1.0, sin / safe)
+    m_T = np.dot(w.real, sinc)
+    m_2T = np.dot(w.real, sinc * cos)
     if np.iscomplexobj(w):
-        out -= np.dot(w.imag, np.where(small, 0.5 * x,
-                                       (1.0 - np.cos(safe)) / safe))
-    return float(out)
+        m_T -= np.dot(w.imag, np.where(small, 0.5 * x, (1.0 - cos) / safe))
+        m_2T -= np.dot(w.imag, sin * sinc)
+    return float(m_T), float(m_2T)
 
 
 def _clustered_spectrum(bundle):
@@ -201,8 +210,7 @@ def _ergodic_pass(spectrum, a_mat, v, t_list):
 
     reports = []
     for T, share in zip(t_list, shares):
-        m_T = diagonal + _window(w_upper, T * dx)
-        m_2T = diagonal + _window(w_upper, 2 * T * dx)
+        m_T, m_2T = (diagonal + m for m in _window(w_upper, T * dx))
         messages = ()
         if share > 1e-2:
             messages = (f"weight share {share:.3g} on cluster pairs with "
@@ -266,7 +274,9 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None):
     observable gives zero exactly.  omega is the dominant near-stationary
     projection of the perturbative thermal vector, and finite_T holds one
     ergodic_mean report per window in T.  The normalized field divides by
-    the spectral norm of A.
+    the spectral norm of A.  factorisation describes the bundle's blocked
+    eigensystem, and factorised says whether this bundle ran its eigh or
+    took the blocks of another bundle at the same density (regauged).
     """
     a_mat = _as_matrix(a_obs)
     b_mat = _as_matrix(b_obs)
@@ -289,6 +299,7 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None):
         "lambda": bundle.lam,
         "manifest": bundle.manifest(),
         "factorisation": spectrum[0].telemetry(),
+        "factorised": spectrum[0].factorised,
         "finite_T": [r.to_dict() for r in reports],
     }
 

@@ -27,14 +27,19 @@ Lanczos action at every dimension.
 The only dense eigendecompositions are those of the bundle's own cached
 BlockedEigensystem, allowed up to DENSE_CUTOFF.  It factorises L in symmetry
 blocks: without a condensate L conserves the charge Q, so every charge sector
-is one block; with one, L = e^{i theta Q} L(0) e^{-i theta Q}, and the gauged
+is one block, and only the sectors Q >= 0 run an eigh (the swap gives sector
+-Q from Q); with one, L = e^{i theta Q} L(0) e^{-i theta Q}, and the gauged
 L(0) is one block.  A block whose gauged entries are real (up to the rounding
 of the phases) gets a real eigh.  No eigh of the whole composite space runs.
 symmetry_blocks makes that split, for this factorisation and for the
-near-zero solve above DENSE_CUTOFF alike.
+near-zero solve above DENSE_CUTOFF alike.  Bundles that differ only in the
+condensate phase theta share one factorisation: BlockedEigensystem.regauged
+hands the blocks of one to another under its own gauge e^{i theta Q}, with no
+eigh (the command line does this for every theta of a sweep at one lambda and
+one density r).
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from math import comb
 
 import numpy as np
@@ -67,6 +72,11 @@ def real_if_exact(x):
     return x.real if np.iscomplexobj(x) and not np.any(imag) else x
 
 
+def condensate_gauge(q_diag, theta):
+    """The unit-modulus gauge e^{i theta Q}, real when theta Q leaves it so."""
+    return real_if_exact(np.exp(1j * theta * q_diag))
+
+
 def symmetry_blocks(mat, q_diag, theta):
     """The blocks of L that its charge and condensate gauge make independent.
 
@@ -85,7 +95,7 @@ def symmetry_blocks(mat, q_diag, theta):
         idxs = [np.flatnonzero(q_diag == q) for q in np.unique(q_diag)]
     else:
         path, idxs = "gauge", [np.arange(len(q_diag))]
-    gauge = real_if_exact(np.exp(1j * theta * q_diag))
+    gauge = condensate_gauge(q_diag, theta)
     phases = sparse.diags(gauge)
     gauged = (phases.conj() @ mat @ phases).tocsr()
     tol = 8 * np.finfo(float).eps * np.max(np.abs(gauged.data), initial=0)
@@ -109,12 +119,14 @@ class BlockedEigensystem:
     at idx).  The columns of all blocks, in block order, are the columns of
     the whole spectrum: evals is their concatenation.  path is "sector" when
     the blocks are the charge sectors (L conserves Q) and "gauge" when B is
-    the whole gauged L(0).
+    the whole gauged L(0).  factorised is False for an eigensystem that
+    regauged took from another bundle's blocks.
     """
 
     blocks: tuple
     gauge: np.ndarray
     path: str
+    factorised: bool = True
     evals: np.ndarray = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -122,12 +134,32 @@ class BlockedEigensystem:
                            np.concatenate([e for _, e, _ in self.blocks]))
 
     @classmethod
-    def of(cls, mat, q_diag, theta):
-        """Factorise L from its charge diagonal and condensate phase theta:
-        one eigh per block of symmetry_blocks, in the block's own dtype."""
+    def of(cls, mat, q_diag, theta, perm):
+        """Factorise L from its charge diagonal, condensate phase theta and
+        swap permutation perm: one eigh per block of symmetry_blocks, in the
+        block's own dtype, except for the sectors Q < 0.  Those are the swap
+        images of Q > 0 (P conj(L) P = -L): the pairs (-e, conj(v)) on the
+        rows perm[idx] for the pairs (e, v) of sector Q on idx."""
         path, gauge, blocks = symmetry_blocks(mat, q_diag, theta)
-        return cls(tuple((idx, *eigh(block.toarray()))
-                         for idx, block in blocks), gauge, path)
+        charges = [q_diag[idx[0]] for idx, _ in blocks]
+        solved = {q: (idx, *eigh(block.toarray()))
+                  for q, (idx, block) in zip(charges, blocks)
+                  if path == "gauge" or q >= 0}
+        out = []
+        for q in charges:
+            if q in solved:
+                out.append(solved[q])
+            else:
+                idx, e, v = solved[-q]
+                out.append((perm[idx], -e, v.conj()))
+        return cls(tuple(out), gauge, path)
+
+    def regauged(self, q_diag, theta):
+        """The eigensystem of e^{i theta Q} B e^{-i theta Q} from these blocks:
+        that of a bundle whose L differs from this one's only by the
+        condensate phase.  No eigh runs; the blocks are shared."""
+        return replace(self, gauge=condensate_gauge(q_diag, theta),
+                       factorised=False)
 
     @property
     def offsets(self):
@@ -236,16 +268,30 @@ class OperatorBundle:
     def Lambda(self):
         return _diagonal_operator(self.lambda_diag, "Lambda")
 
+    @property
+    def theta(self):
+        """The condensate phase, 0 without a condensate."""
+        return 0.0 if self.xi is None else self.xi.theta
+
     def eigensystem(self):
         """Cached BlockedEigensystem of L, up to DENSE_CUTOFF."""
         if self._eigensystem is None:
             if self.dim > DENSE_CUTOFF:
                 raise ValueError("dense eigendecomposition refused above "
                                  f"dimension {DENSE_CUTOFF}")
-            theta = 0.0 if self.xi is None else self.xi.theta
-            self._eigensystem = BlockedEigensystem.of(self.L.matrix,
-                                                      self.q_diag, theta)
+            self._eigensystem = BlockedEigensystem.of(
+                self.L.matrix, self.q_diag, self.theta,
+                self.swap_permutation())
         return self._eigensystem
+
+    def cached_eigensystem(self):
+        """The eigensystem if something has formed it, else None."""
+        return self._eigensystem
+
+    def share_eigensystem(self, other):
+        """Take other, the eigensystem of a bundle whose L differs from this
+        one's only by the condensate phase, in this bundle's own gauge."""
+        self._eigensystem = other.regauged(self.q_diag, self.theta)
 
     def swap_permutation(self):
         """The swap P as a permutation: (P v)[i] = v[perm[i]] maps the dot

@@ -246,9 +246,8 @@ def blockwise_shift_invert(bundle, k, norm_l):
     the solver entry: the path, per block solve its charge, size, pairs and
     iterations, and the number of mirrored blocks.
     """
-    theta = 0.0 if bundle.xi is None else bundle.xi.theta
     path, gauge, blocks = symmetry_blocks(bundle.L.matrix, bundle.q_diag,
-                                          theta)
+                                          bundle.theta)
     perm = bundle.swap_permutation() if path == "sector" else None
     want = max(k, int(np.sum(bundle.l0_diag == 0)))
     found, solves = [], []    # (rows, evals, vectors), mirrors included
@@ -308,7 +307,9 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     bound max(tol, 1e-12) * ||L|| * 100 on the residuals and the
     near-degeneracy flag, which looks only at the pairs outside the kernel; a
     message also marks a kernel that fills every reported pair, and a kernel
-    of real (gauged) L whose dimension differs from the swap index.
+    of real (gauged) L larger than the swap index.  The index bounds the
+    kernel of real L from below, so a smaller kernel is a certain miss and
+    raises SolverConvergenceError.
     """
     mat = bundle.L.matrix
     if k > mat.shape[0]:
@@ -351,7 +352,11 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     else:
         basis = np.zeros((mat.shape[0], 0), dtype=complex)
     index = kernel_index(bundle.dot_spec, bundle.trunc)
-    if real and kdim != index:
+    if real and kdim < index:
+        raise SolverConvergenceError(
+            f"kernel_dim {kdim} is below the swap index {index}: kernel "
+            "vectors were missed")
+    if real and kdim > index:
         messages.append(f"kernel_dim {kdim} differs from the swap index "
                         f"{index}")
 

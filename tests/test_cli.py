@@ -263,7 +263,8 @@ def test_levelshift_sweep(tmp_path, capsys):
 
 
 def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
-    # each task forms one dense eigh (the bundle's) and one KMS vector
+    # both phases share one dense eigh (the first bundle's), and each task
+    # forms its own KMS vector
     counts = {"eigh": 0, "kms_vector": 0}
 
     def counted(name, fn):
@@ -282,7 +283,7 @@ def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
                              "n_theta": 2}}
     code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
     assert code == cli.EXIT_OK
-    assert counts == {"eigh": 2, "kms_vector": 2}
+    assert counts == {"eigh": 1, "kms_vector": 2}
     payload = json.loads((outdir / "rte.json").read_text())
     assert len(payload["runs"]) == 2
     for run in payload["runs"]:
@@ -374,3 +375,53 @@ def test_jobs_flag_parallel_spectrum(tmp_path, capsys):
     assert code == cli.EXIT_OK
     payload = json.loads((outdir / "spectrum.json").read_text())
     assert [r["lambda"] for r in payload["runs"]] == [0.05, 0.1, 0.2]
+
+
+def test_kac_sweep_factorises_once_per_density(tmp_path, capsys,
+                                                 monkeypatch):
+    calls, eigh = [], liouville.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(liouville, "eigh", counted)
+    cfg = base_config()
+    cfg["physics"] = {"lambda": [0.1],
+                      "mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 3,
+                             "n_theta": 4}}
+    code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_OK
+    assert len(calls) == 3
+    runs = json.loads((outdir / "rte.json").read_text())["runs"]
+    assert len(runs) == 12
+    # r outer, theta inner: the first phase of each density factorises
+    assert [r["factorised"] for r in runs] == [True, False, False, False] * 3
+    assert all(r["factorisation"] == runs[0]["factorisation"] for r in runs)
+
+
+def test_rte_jobs_do_not_change_the_output(tmp_path, capsys):
+    cfg = base_config()
+    cfg["physics"] = {"lambda": [0.1],
+                      "mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 3,
+                             "n_theta": 2}}
+    texts = []
+    for jobs in ("1", "2"):
+        sub = tmp_path / jobs
+        sub.mkdir()
+        code, outdir, _ = run_cli(sub, "rte", cfg, capsys,
+                                  extra=["--jobs", jobs])
+        assert code == cli.EXIT_OK
+        texts.append((outdir / "rte.json").read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_missing_kernel_vectors_exit_3(tmp_path, capsys):
+    # no eigenvalue is below 1e-300, so the kernel reads 0 against the swap
+    # index 2 of real L
+    cfg = base_config()
+    cfg["solver"] = {"k_eigs": 4, "kernel_tol": 1e-300}
+    code, _, out = run_cli(tmp_path, "spectrum", cfg, capsys)
+    assert code == cli.EXIT_SOLVER
+    assert out.err.startswith("solver failure: kernel_dim 0 is below the "
+                              "swap index 2")

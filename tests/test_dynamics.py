@@ -293,3 +293,27 @@ def test_dyson_comparison_exponents(gauss_ff):
     assert out["order"] == 2
     for e in out["exponents"]:
         assert 2.4 < e < 3.6
+
+
+def _direct_window(w, x):
+    """Re sum w phi(x), evaluated from sin and cos of x itself."""
+    small = np.abs(x) < 1e-8
+    safe = np.where(small, 1.0, x)
+    out = np.dot(w.real, np.where(small, 1.0, np.sin(safe) / safe))
+    return out - np.dot(w.imag, np.where(small, 0.5 * x,
+                                         (1.0 - np.cos(safe)) / safe))
+
+
+@pytest.mark.parametrize("complex_weights", [True, False])
+def test_window_double_angle_matches_direct_evaluation(rng, complex_weights):
+    # tiny entries take the |x| < 1e-8 branch at x and at 2x alike (between
+    # the two thresholds the direct (1 - cos 2x) / 2x loses every digit)
+    x = np.concatenate([3.0 * rng.standard_normal(400),
+                        [0.0, 1e-12, -2e-10, 4e-9, -4.9e-9]])
+    w = rng.standard_normal(len(x))
+    if complex_weights:
+        w = w + 1j * rng.standard_normal(len(x))
+    m_T, m_2T = dynamics._window(w, x)
+    scale = np.sum(np.abs(w))
+    assert m_T == _direct_window(w, x)
+    assert abs(m_2T - _direct_window(w, 2 * x)) <= 1e-13 * scale

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 import bosedot as bd
 from bosedot import spectral
 from bosedot.dot import gibbs_vector
+from bosedot.fock import SolverConvergenceError
 from bosedot.liouville import build_bundle
 
 
@@ -197,6 +198,29 @@ def test_block_shift_invert_matches_dense(n_modes, n_max, lam, xi,
                for s in solver["blocks"])
     _assert_near_zero_pairs(b, evals, evecs,
                             ref[np.lexsort((ref, np.abs(ref)))[:want]])
+
+
+def test_dense_and_block_paths_report_the_same_signed_pairs(gauss_ff):
+    # d = 3, one mode, n_max 1 (dim 27): k = 4 cuts between the pair +-e of
+    # the sectors Q = +-1.  Both paths take sector -1 from sector 1 through
+    # the swap, so the tie |e| = |-e| is exact and both keep -e.
+    b = _log_bundle(gauss_ff, 3, 1, 1, 0.3)
+    norm_l = b.norm_L()
+    kernel_tol = 1e-9 * norm_l
+    dense_e, dense_v = spectral._dense_near_zero(b, 4, kernel_tol)
+    block_e, block_v, _ = spectral.blockwise_shift_invert(b, 4, norm_l)
+    np.testing.assert_allclose(dense_e, block_e, rtol=0, atol=1e-12 * norm_l)
+    outside = np.abs(dense_e) >= kernel_tol
+    assert outside.sum() == 1 and dense_e[outside][0] < 0
+    assert dense_e[outside][0] == pytest.approx(-1.50016751e-02, rel=1e-8)
+    overlap = np.vdot(dense_v[:, outside][:, 0], block_v[:, outside][:, 0])
+    assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kernel_below_the_swap_index_raises(gauss_ff):
+    b = _log_bundle(gauss_ff, 2, 2, 1, 0.1)
+    with pytest.raises(SolverConvergenceError, match="below the swap index"):
+        spectral.solve_near_zero(b, k=4, kernel_tol=1e-300)
 
 
 def test_virial_value_real_and_small_for_eigenvectors(gauss_ff):

@@ -19,6 +19,12 @@ from bosedot.liouville import build_bundle, kernel_index, kms_vector
 
 RHO_CRIT = bd.critical_density(1.0, bd.RELATIVISTIC)
 
+
+def hop_matrix(d):
+    gm, gp = lower_raise(bd.DotSpec(d=d))
+    return gm + gp
+
+
 # (d, spacing, n_modes, n_max, lam, theta or None, form-factor amplitude)
 CASES = {
     "d2-log": (2, "log", 3, 2, 0.1, None, 1.0),
@@ -213,3 +219,40 @@ def test_hop_reaches_only_the_unit_charge_sectors():
         dynamics.dot_observable(b, gm + gp) @ omega)
     assert set(np.unique(b.q_diag[rows])) == {-1.0, 1.0}
     assert set(np.unique(b.q_diag[np.flatnonzero(omega)])) == {0.0}
+
+
+@pytest.mark.parametrize("observable", ["hop", "projector"])
+def test_shared_factorisation_matches_per_theta(observable):
+    # the four phases of uniform_theta with n_theta 4: per-theta bundles
+    # factorise their own L, shared ones regauge the theta = 0 blocks
+    spec = (2, "log", 3, 2, 0.1)
+    thetas = [2.0 * np.pi * j / 4 for j in range(4)]
+    own = [make_bundle(*spec, theta, 1.0) for theta in thetas]
+    shared = [make_bundle(*spec, theta, 1.0) for theta in thetas]
+    for b in shared[1:]:
+        b.share_eigensystem(shared[0].eigensystem())
+    x = hop_matrix(2) if observable == "hop" else np.diag([0.0, 1.0])
+    for b_own, b in zip(own, shared):
+        eig = b.eigensystem()
+        assert eig.factorised == (b is shared[0])
+        assert eig.telemetry() == b_own.eigensystem().telemetry()
+        norm_l = b.norm_L()
+        vecs = eig.vectors(np.arange(b.dim))
+        residuals = np.linalg.norm(b.L.matrix @ vecs - vecs * eig.evals,
+                                   axis=0)
+        assert residuals.max() <= 1e-12 * norm_l
+
+        a = dynamics.dot_observable(b, x)
+        got = dynamics.rte_deviation(b, a, a, T=[50.0, 400.0], a_norm=1.0)
+        want = dynamics.rte_deviation(b_own, a, a, T=[50.0, 400.0],
+                                      a_norm=1.0)
+        assert got["factorised"] == (b is shared[0])
+        assert want["factorised"]
+        for key in ("deviation", "ergodic_limit", "omega_bb"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12), key
+        for g, w in zip(got["finite_T"], want["finite_T"]):
+            assert g["n_clusters"] == w["n_clusters"]
+            assert g["messages"] == w["messages"]
+            for key in ("finite_mean", "extrapolated", "closed_form", "T",
+                        "min_cluster_gap"):
+                assert g[key] == pytest.approx(w[key], rel=1e-12), key

@@ -69,6 +69,10 @@ def cases():
             physics={"xi": [{"excess": 0.2, "theta": 0.0},
                             {"r": 0.5, "theta": 1.3}]},
             solver={"T": [50.0, 500.0]})),
+        ("rte_uniform_hop", "rte", _variant(
+            physics={"mu": {"kind": "uniform_theta", "excess": 0.2,
+                            "n_theta": 4}},
+            solver={"T": [100.0, 1000.0]})),
         ("rte_kac", "rte", _variant(
             physics={"mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 2,
                             "n_theta": 2}},
