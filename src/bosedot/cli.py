@@ -122,10 +122,18 @@ SCHEMA = {
 # ---------------------------------------------------------------------------
 # config plumbing
 
+# built once: jsonschema.validate would check SCHEMA itself on every call
+VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
 def load_config(path):
+    """Read a JSON config; raise the most relevant schema violation, as
+    jsonschema.validate does."""
     with open(path) as fh:
         config = json.load(fh)
-    jsonschema.validate(config, SCHEMA)
+    error = jsonschema.exceptions.best_match(VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise error
     return config
 
 

@@ -119,7 +119,8 @@ def _window(w, x):
 
     One sin and one cos of x serve both, by the double-angle identities
     sin(2x)/(2x) = (sin x / x) cos x and (1 - cos 2x)/(2x) = sin x (sin x / x).
-    Below |x| = 1e-8 the kernels at x are 1 and x / 2.
+    Where cos x > 0, (1 - cos x)/x is taken as sin x (sin x / x)/(1 + cos x),
+    which does not cancel for small x.  Below |x| = 1e-8, sin x / x is 1.
     """
     small = np.abs(x) < 1e-8
     safe = np.where(small, 1.0, x)
@@ -128,7 +129,8 @@ def _window(w, x):
     m_T = np.dot(w.real, sinc)
     m_2T = np.dot(w.real, sinc * cos)
     if np.iscomplexobj(w):
-        m_T -= np.dot(w.imag, np.where(small, 0.5 * x, (1.0 - cos) / safe))
+        m_T -= np.dot(w.imag, np.where(cos > 0, sin * sinc / (1.0 + cos),
+                                       (1.0 - cos) / safe))
         m_2T -= np.dot(w.imag, sin * sinc)
     return float(m_T), float(m_2T)
 

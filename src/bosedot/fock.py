@@ -5,19 +5,25 @@ The doubled one-particle space has 2 M modes: indices 0..M-1 are the left
 occupation configurations whose total quantum number over both copies is at
 most n_max, enumerated in graded order: shells of fixed total first, and
 inside a shell lexicographically by the sparse signature ((mode, count), ...).
-Configurations are stored sparsely.  One entry table, a row per (state,
-occupied mode) holding the state, the mode, its count and the state with one
-quantum fewer in that mode, gives every annihilator and occupation diagonal
-as one vectorised build, so very wide single-quantum grids stay cheap.
+Everything is integer arrays.  A state is the ascending row of its occupied
+modes, with multiplicity; shell k is built from shell k - 1 by appending one
+mode and ordered by one lexsort over the signatures.  A state's key is the
+combinatorial rank of its row, so one inverse permutation turns any row back
+into a state index.  One entry table, a row per (state, occupied mode)
+holding the state, the mode, its count and the state with one quantum fewer
+in that mode, gives every annihilator, occupation diagonal and second
+quantization as one vectorised build, so very wide single-quantum grids
+stay cheap.  The tuple view of the states is built only when asked for.
 
 Truncation is hard: a creator is the adjoint of an annihilator, so creation
-out of the top shell maps to zero.  Below the
-top shell the canonical commutation relations hold exactly; this is checked
-in the tests entry by entry.
+out of the top shell maps to zero.  Below the top shell the canonical
+commutation relations hold exactly; this is checked in the tests entry by
+entry.
 """
 
+import functools
 from dataclasses import dataclass, field
-from math import comb, sqrt
+from math import comb
 
 import numpy as np
 from scipy import sparse
@@ -53,20 +59,61 @@ class TruncationSpec:
         return sum(comb(m + k - 1, k) for k in range(self.n_max + 1))
 
 
-def _compositions(total_modes, k, start=0):
-    # sparse compositions: ((mode, count), ...) with modes ascending, counts >= 1
-    if k == 0:
-        yield ()
-        return
-    for m in range(start, total_modes):
-        for c in range(1, k + 1):
-            for rest in _compositions(total_modes, k - c, m + 1):
-                yield ((m, c),) + rest
+def _ranges(start, length):
+    """The ranges start[i] + arange(length[i]), concatenated."""
+    first = np.cumsum(length) - length
+    return np.arange(length.sum()) + np.repeat(start - first, length)
+
+
+def _signature_order(shell):
+    """Order of the rows of one shell (non-decreasing modes, one state a
+    row) by the sparse signature (m1, c1, m2, c2, ...) of distinct modes and
+    their counts.  Two states of one shell first differ at a pair both have,
+    so the zero padding of the shorter signature is never compared."""
+    n, k = shell.shape
+    starts = np.ones(shell.shape, dtype=bool)
+    starts[:, 1:] = shell[:, 1:] != shell[:, :-1]
+    run = np.cumsum(starts, axis=1) - 1
+    modes = np.zeros_like(shell)
+    counts = np.zeros_like(shell)
+    rows = np.arange(n)
+    for j in range(k):
+        modes[rows, run[:, j]] = shell[:, j]
+        counts[rows, run[:, j]] += 1
+    # lexsort's last key is the primary one
+    return np.lexsort([a for j in reversed(range(k))
+                       for a in (counts[:, j], modes[:, j])])
+
+
+def _enumerate(total_modes, n_max):
+    """Occupied modes of every basis state, with multiplicity and ascending,
+    padded with total_modes to n_max columns, in basis order.  Shell k is
+    shell k - 1 with one mode appended that is not below the row's last."""
+    n = total_modes
+    out = [np.full((1, n_max), n, dtype=np.intp)]
+    shell = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, n_max + 1):
+        last = shell[:, -1] if k > 1 else np.zeros(1, dtype=np.intp)
+        reps = n - last
+        shell = np.column_stack([np.repeat(shell, reps, axis=0),
+                                 _ranges(last, reps)])
+        shell = shell[_signature_order(shell)]
+        out.append(np.pad(shell, ((0, 0), (0, n_max - k)), constant_values=n))
+    return np.concatenate(out)
 
 
 class FockBasis:
-    """Enumerated truncated basis with index maps in both directions, and
-    the entry table (rows ordered by state, then by mode) built once."""
+    """Enumerated truncated basis as arrays: the occupied modes of every
+    state, the key lookup back to states, and the entry table (rows ordered
+    by state, then by mode), all built once.  The tuple view (states, index)
+    is built on first use only.
+
+    The key of a state is the combinatorial rank of its multiset of modes:
+    shell k's multisets s_0 <= ... <= s_{k-1} of n modes map one to one onto
+    [0, C(n + k - 1, k)) by sum_j C(s_j + j, j + 1), offset by the sizes of
+    the shells below.  So the keys are a permutation of range(dim), never
+    overflow, and one inverse permutation finds any state.
+    """
 
     def __init__(self, trunc):
         self.trunc = trunc
@@ -74,25 +121,59 @@ class FockBasis:
         if dim > trunc.dim_cap:
             raise DimensionCapError(
                 f"field dimension {dim} exceeds cap {trunc.dim_cap}")
-        states = []
-        for k in range(trunc.n_max + 1):
-            shell = sorted(_compositions(trunc.total_modes, k))
-            states.extend(shell)
-        self.states = states
-        self.index = index = {s: i for i, s in enumerate(states)}
-        assert len(states) == dim
-        # (state, mode, count, state with one quantum fewer in that mode)
-        table = np.fromiter(
-            ((i, g, c, index[st[:p] + ((g, c - 1),) * (c > 1) + st[p + 1:]])
-             for i, st in enumerate(states) for p, (g, c) in enumerate(st)),
-            dtype=(np.intp, 4))
-        self._state, self._mode, self._count, self._lower = table.T
-        self.totals = np.bincount(self._state, weights=self._count,
-                                  minlength=dim).astype(np.int64)
+        n, n_max = trunc.total_modes, trunc.n_max
+        self.occupied = occ = _enumerate(n, n_max)
+        assert len(occ) == dim
+        # C(t, j + 1) for t < n + j: the rank terms of column j
+        self._binom = [np.arange(n, dtype=np.intp)]
+        for _ in range(1, n_max):
+            self._binom.append(np.concatenate([[0], np.cumsum(self._binom[-1])]))
+        self._shell_start = np.array(
+            [0] + [comb(n + k - 1, k) for k in range(n_max)],
+            dtype=np.intp).cumsum()
+        self._where = np.empty(dim, dtype=np.intp)
+        self._where[self._key(occ)] = np.arange(dim)
+        # (state, mode, count, state with one quantum fewer in that mode),
+        # one row at the last copy of each occupied mode
+        last = occ < n
+        last[:, :-1] &= occ[:, :-1] != occ[:, 1:]
+        self._state, col = np.nonzero(last)
+        self._mode = occ[self._state, col]
+        self._count = col + 1 - (occ[self._state] < self._mode[:, None]).sum(1)
+        # drop column col: shift the columns from col on one to the left
+        shift = np.arange(n_max) + (np.arange(n_max) >= col[:, None])
+        padded = np.pad(occ, ((0, 0), (0, 1)), constant_values=n)
+        self._lower = self.lookup(padded[self._state[:, None], shift])
+        self.totals = (occ < n).sum(axis=1)
+
+    def _key(self, occupied):
+        n = self.trunc.total_modes
+        key = self._shell_start[(occupied < n).sum(axis=1)]
+        for j, col in enumerate(occupied.T):
+            on = col < n
+            key[on] += self._binom[j][col[on] + j]
+        return key
+
+    def lookup(self, occupied):
+        """Indices of the states with these occupied-mode rows (ascending,
+        padded with total_modes, as in `occupied`)."""
+        return self._where[self._key(occupied)]
+
+    @functools.cached_property
+    def states(self):
+        """Sparse signature ((mode, count), ...) of every state."""
+        pairs = list(zip(self._mode.tolist(), self._count.tolist()))
+        cut = np.searchsorted(self._state, np.arange(self.dim + 1)).tolist()
+        return [tuple(pairs[a:b]) for a, b in zip(cut[:-1], cut[1:])]
+
+    @functools.cached_property
+    def index(self):
+        """State index of every sparse signature."""
+        return {s: i for i, s in enumerate(self.states)}
 
     @property
     def dim(self):
-        return len(self.states)
+        return len(self.occupied)
 
     @property
     def n_modes(self):
@@ -100,23 +181,21 @@ class FockBasis:
 
     def occupation_vector(self, i):
         """Dense occupation tuple of length 2 n_modes for basis state i."""
-        v = np.zeros(self.trunc.total_modes, dtype=np.int64)
-        for m, c in self.states[i]:
-            v[m] = c
-        return v
+        n = self.trunc.total_modes
+        row = self.occupied[i]
+        return np.bincount(row[row < n], minlength=n).astype(np.int64)
 
     def swap_permutation(self):
         """perm[i]: the index of state i with its left and right occupations
         exchanged.  Built on call, not with the basis: only the sector solve
         above the dense cutoff needs it."""
-        m = self.trunc.n_modes
-        return np.fromiter(
-            (self.index[tuple(sorted(((g + m) % (2 * m), c) for g, c in st))]
-             for st in self.states), dtype=np.intp, count=self.dim)
+        m, occ = self.trunc.n_modes, self.occupied
+        swapped = np.where(occ < 2 * m, (occ + m) % (2 * m), occ)
+        return self.lookup(np.sort(swapped, axis=1))
 
     def vacuum(self):
         v = np.zeros(self.dim, dtype=complex)
-        v[self.index[()]] = 1.0
+        v[0] = 1.0
         return v
 
     def _mode_offset(self, side):
@@ -175,6 +254,9 @@ class FockBasis:
     def dgamma(self, one_body, side="left"):
         """Second quantization sum_{jm} X_{jm} a*_j a_m of a one-body matrix.
 
+        One entry per table row on the given copy (mode m, count c) and per
+        nonzero X_jm of its column: the quantum moves from m to j, with
+        amplitude c on the diagonal and sqrt(c) sqrt(n_j + 1) off it.
         Quanta conserving, so the hard cap never interferes and commutators
         of two such operators equal the second quantization of the one-body
         commutator exactly.
@@ -184,31 +266,24 @@ class FockBasis:
         if x.shape != (m_count, m_count):
             raise ValueError("one-body matrix has wrong shape")
         off = self._mode_offset(side)
-        cols_by_mode = [np.nonzero(x[:, m])[0] for m in range(m_count)]
-        rows, cols, vals = [], [], []
-        for i, st in enumerate(self.states):
-            for g, c in st:
-                m = g - off
-                if not 0 <= m < m_count:
-                    continue
-                for j in cols_by_mode[m]:
-                    occ = dict(st)
-                    if j == m:
-                        amp = float(c)
-                    else:
-                        gj = j + off
-                        nj = occ.get(gj, 0)
-                        amp = sqrt(c) * sqrt(nj + 1)
-                        occ[gj] = nj + 1
-                        if c == 1:
-                            del occ[g]
-                        else:
-                            occ[g] = c - 1
-                    tgt = tuple(sorted(occ.items())) if j != m else st
-                    rows.append(self.index[tgt])
-                    cols.append(i)
-                    vals.append(x[j, m] * amp)
-        return sparse.csr_matrix((vals, (rows, cols)),
+        rows = np.flatnonzero((self._mode >= off)
+                              & (self._mode < off + m_count))
+        # nonzeros of x column by column: x[nz_j, nz_m], ascending j per m
+        nz_m, nz_j = np.nonzero(x.T)
+        col_start = np.searchsorted(nz_m, np.arange(m_count + 1))
+        m = self._mode[rows] - off
+        reps = col_start[m + 1] - col_start[m]
+        nz = _ranges(col_start[m], reps)
+        rows = np.repeat(rows, reps)
+        j, m = nz_j[nz], nz_m[nz]
+        state, count, g = self._state[rows], self._count[rows], self._mode[rows]
+        moved = self.occupied[state]
+        n_j = (moved == j[:, None] + off).sum(axis=1)
+        amp = np.where(j == m, count, np.sqrt(count) * np.sqrt(n_j + 1))
+        # the quantum leaves the first copy of g for j, then re-sort
+        moved[np.arange(len(rows)), (moved < g[:, None]).sum(axis=1)] = j + off
+        moved.sort(axis=1)
+        return sparse.csr_matrix((x[j, m] * amp, (self.lookup(moved), state)),
                                  shape=(self.dim, self.dim), dtype=complex)
 
     def number_diag(self, side=None):

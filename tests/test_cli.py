@@ -58,6 +58,13 @@ def test_thermo_payload_is_deterministic(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+def test_schema_is_a_valid_schema():
+    # load_config validates with a validator built once, which does not
+    # check SCHEMA against the metaschema on each call as validate() would
+    type(cli.VALIDATOR).check_schema(cli.SCHEMA)
+    assert cli.VALIDATOR.schema is cli.SCHEMA
+
+
 def test_schema_rejects_missing_section(tmp_path, capsys):
     cfg = base_config()
     del cfg["trunc"]

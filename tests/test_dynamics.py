@@ -315,5 +315,20 @@ def test_window_double_angle_matches_direct_evaluation(rng, complex_weights):
         w = w + 1j * rng.standard_normal(len(x))
     m_T, m_2T = dynamics._window(w, x)
     scale = np.sum(np.abs(w))
-    assert m_T == _direct_window(w, x)
+    # the T kernel (1 - cos x)/x is formed without cancellation, so it
+    # matches the direct form to rounding, and exactly for real weights
+    if complex_weights:
+        assert abs(m_T - _direct_window(w, x)) <= 1e-13 * scale
+    else:
+        assert m_T == _direct_window(w, x)
     assert abs(m_2T - _direct_window(w, 2 * x)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("x", [7e-9, 1.2e-8, 1e-6, 1e-4, -1e-4])
+def test_window_imaginary_kernel_does_not_cancel(x):
+    # w = -i reads off the T kernel (1 - cos x)/x; the direct form reads 0
+    # just above |x| = 1e-8 and keeps only about 1e-16/|x| of absolute
+    # accuracy up to 1e-4
+    m_T, _ = dynamics._window(np.array([-1j]), np.array([x]))
+    series = x / 2 - x ** 3 / 24
+    assert abs(m_T - series) <= 1e-15 * abs(series)

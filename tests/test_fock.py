@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal, expm
 
-from bosedot import krylov
+from bosedot import fock, krylov
 from bosedot.fock import (TruncationSpec, FockBasis, SparseOperator,
                           StateVector, DimensionCapError)
 from bosedot.krylov import expm_action
@@ -33,6 +33,104 @@ def test_dimension_cap():
     assert trunc.field_dimension() == 18564
     with pytest.raises(DimensionCapError):
         FockBasis(trunc)
+
+
+def test_dimension_cap_checked_before_enumeration(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the dimension cap")
+
+    monkeypatch.setattr(fock, "_enumerate", enumerate_nothing)
+    with pytest.raises(DimensionCapError):
+        FockBasis(TruncationSpec(n_modes=10**6, n_max=3))
+
+
+# -- oracle: the recursive enumeration and tuple dict of the sparse basis ----
+
+def _compositions(total_modes, k, start=0):
+    # sparse compositions: ((mode, count), ...) with modes ascending
+    if k == 0:
+        yield ()
+        return
+    for m in range(start, total_modes):
+        for c in range(1, k + 1):
+            for rest in _compositions(total_modes, k - c, m + 1):
+                yield ((m, c),) + rest
+
+
+def _oracle(n_modes, n_max):
+    states = [s for k in range(n_max + 1)
+              for s in sorted(_compositions(2 * n_modes, k))]
+    index = {s: i for i, s in enumerate(states)}
+    table = [(i, g, c, index[st[:p] + ((g, c - 1),) * (c > 1) + st[p + 1:]])
+             for i, st in enumerate(states) for p, (g, c) in enumerate(st)]
+    swap = [index[tuple(sorted(((g + n_modes) % (2 * n_modes), c)
+                               for g, c in st))] for st in states]
+    return states, index, np.array(table, dtype=np.intp).reshape(-1, 4), swap
+
+
+def _oracle_dgamma(states, index, x, off):
+    rows, cols, vals = [], [], []
+    for i, st in enumerate(states):
+        for g, c in st:
+            m = g - off
+            if not 0 <= m < len(x):
+                continue
+            for j in np.nonzero(x[:, m])[0]:
+                occ = dict(st)
+                if j == m:
+                    amp, tgt = float(c), st
+                else:
+                    nj = occ.get(j + off, 0)
+                    amp = math.sqrt(c) * math.sqrt(nj + 1)
+                    occ[j + off] = nj + 1
+                    occ[g] -= 1
+                    tgt = tuple(sorted((k, v) for k, v in occ.items() if v))
+                rows.append(index[tgt])
+                cols.append(i)
+                vals.append(x[j, m] * amp)
+    return sparse.csr_matrix((vals, (rows, cols)),
+                             shape=(len(states),) * 2, dtype=complex)
+
+
+@pytest.mark.parametrize("n_max", range(5))
+@pytest.mark.parametrize("n_modes", range(1, 7))
+def test_array_basis_matches_tuple_oracle(rng, n_modes, n_max):
+    states, index, table, swap = _oracle(n_modes, n_max)
+    basis = FockBasis(TruncationSpec(n_modes, n_max))
+    assert basis.states == states
+    assert basis.index == index
+    np.testing.assert_array_equal(
+        np.column_stack([basis._state, basis._mode, basis._count,
+                         basis._lower]).reshape(-1, 4), table)
+    np.testing.assert_array_equal(basis.swap_permutation(), swap)
+    x = rng.normal(size=(n_modes,) * 2) + 1j * rng.normal(size=(n_modes,) * 2)
+    x[rng.random(x.shape) < 0.3] = 0.0
+    for side, off in (("left", 0), ("right", n_modes)):
+        got = basis.dgamma(x, side)
+        want = _oracle_dgamma(states, index, x, off)
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_key_lookup_exact_at_the_largest_default_grid(n_max):
+    cap = TruncationSpec(1, n_max).dim_cap
+    n_modes = 1
+    while TruncationSpec(n_modes + 1, n_max).field_dimension() <= cap:
+        n_modes += 1
+    basis = FockBasis(TruncationSpec(n_modes, n_max))
+    occ = basis.occupied
+    n = 2 * n_modes
+    # distinct, ascending rows of the right multiplicities, found in place
+    assert len(np.unique(occ, axis=0)) == basis.dim
+    assert np.all(np.diff(occ, axis=1) >= 0) and occ.max() == n
+    np.testing.assert_array_equal(
+        np.bincount(basis.totals),
+        [math.comb(n + k - 1, k) for k in range(n_max + 1)])
+    np.testing.assert_array_equal(basis.lookup(occ), np.arange(basis.dim))
+    perm = basis.swap_permutation()
+    np.testing.assert_array_equal(perm[perm], np.arange(basis.dim))
 
 
 def test_basis_graded_and_vacuum():

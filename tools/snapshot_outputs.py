@@ -62,6 +62,10 @@ def cases():
             grid={"n_modes": 2, "omega_min": 0.0, "omega_max": 2.2,
                   "spacing": "linear"},
             solver={"k_eigs": 6, "conjugate": "custom_antisymmetric"})),
+        # counts of 2 or more interleave with pairs in the shell order:
+        # ((m, 1), (m', 1)) sorts before ((m, 2),)
+        ("spectrum_deep_shells", "spectrum", _variant(
+            grid={"n_modes": 2}, trunc={"n_max": 4}, solver={"k_eigs": 8})),
         ("spectrum_xi", "spectrum", _variant(
             physics={"xi": [{"excess": 0.2, "theta": 0.7}]},
             solver={"k_eigs": 8})),
