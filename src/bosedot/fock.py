@@ -7,7 +7,7 @@ most n_max, enumerated in graded order: shells of fixed total first, and
 inside a shell lexicographically by the sparse signature ((mode, count), ...).
 Everything is integer arrays.  A state is the ascending row of its occupied
 modes, with multiplicity; shell k is built from shell k - 1 by appending one
-mode and ordered by one lexsort over the signatures.  A state's key is the
+mode and put in signature order by one lexsort.  A state's key is the
 combinatorial rank of its row, so one inverse permutation turns any row back
 into a state index.  One entry table, a row per (state, occupied mode)
 holding the state, the mode, its count and the state with one quantum fewer
@@ -65,30 +65,11 @@ def _ranges(start, length):
     return np.arange(length.sum()) + np.repeat(start - first, length)
 
 
-def _signature_order(shell):
-    """Order of the rows of one shell (non-decreasing modes, one state a
-    row) by the sparse signature (m1, c1, m2, c2, ...) of distinct modes and
-    their counts.  Two states of one shell first differ at a pair both have,
-    so the zero padding of the shorter signature is never compared."""
-    n, k = shell.shape
-    starts = np.ones(shell.shape, dtype=bool)
-    starts[:, 1:] = shell[:, 1:] != shell[:, :-1]
-    run = np.cumsum(starts, axis=1) - 1
-    modes = np.zeros_like(shell)
-    counts = np.zeros_like(shell)
-    rows = np.arange(n)
-    for j in range(k):
-        modes[rows, run[:, j]] = shell[:, j]
-        counts[rows, run[:, j]] += 1
-    # lexsort's last key is the primary one
-    return np.lexsort([a for j in reversed(range(k))
-                       for a in (counts[:, j], modes[:, j])])
-
-
 def _enumerate(total_modes, n_max):
     """Occupied modes of every basis state, with multiplicity and ascending,
     padded with total_modes to n_max columns, in basis order.  Shell k is
-    shell k - 1 with one mode appended that is not below the row's last."""
+    shell k - 1 with one mode appended that is not below the row's last,
+    ordered by one lexsort."""
     n = total_modes
     out = [np.full((1, n_max), n, dtype=np.intp)]
     shell = np.zeros((1, 0), dtype=np.intp)
@@ -97,7 +78,12 @@ def _enumerate(total_modes, n_max):
         reps = n - last
         shell = np.column_stack([np.repeat(shell, reps, axis=0),
                                  _ranges(last, reps)])
-        shell = shell[_signature_order(shell)]
+        # with every repeat of a mode read as n, the rows sort
+        # lexicographically as their sparse signatures (m1, c1, m2, c2, ...)
+        # do: one more copy of a mode sorts after any new mode
+        repeat = np.zeros(shell.shape, dtype=bool)
+        repeat[:, 1:] = shell[:, 1:] == shell[:, :-1]
+        shell = shell[np.lexsort(np.where(repeat, n, shell).T[::-1])]
         out.append(np.pad(shell, ((0, 0), (0, n_max - k)), constant_values=n))
     return np.concatenate(out)
 
