@@ -409,7 +409,7 @@ def _map_bundles(config, args, xis, rho_crit, per_bundle):
     job, its tasks in order: the first bundle whose eigensystem is asked for
     factorises, and every later bundle of the group is handed the same blocks
     in its own gauge, so no eigh runs for it.  Nothing is factorised that a
-    task does not ask for (a spectrum above DENSE_CUTOFF asks for nothing).
+    task does not ask for (a spectrum above DENSE_CUTOFF solves near zero).
     args.jobs threads run the groups in parallel.
     """
     dspec, grid = _build_grid(config)

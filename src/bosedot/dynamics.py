@@ -22,7 +22,7 @@ from scipy.sparse.linalg import svds
 
 from .fock import StateVector
 from .krylov import expm_action
-from .liouville import DENSE_CUTOFF, real_if_exact, kms_vector
+from .liouville import real_if_exact, kms_vector
 
 
 @dataclass
@@ -88,12 +88,13 @@ def operator_norm(obs):
 # propagation
 
 def evolve(bundle, state, t):
-    """e^{-i t L} applied to a state; eigenbasis when dense, Krylov above."""
+    """e^{-i t L} applied to a state: in the bundle's full eigensystem when
+    it has one (OperatorBundle.full_eigensystem), else by Krylov."""
     v = _as_array(state)
     if t == 0:
         return StateVector(amplitudes=v.copy(), label="evolved[0]")
-    if bundle.dim <= DENSE_CUTOFF:
-        eig = bundle.eigensystem()
+    eig = bundle.full_eigensystem()
+    if eig is not None:
         rows, cols, vecs, c = eig.support(v)
         out = np.zeros(len(v), dtype=complex)
         out[rows] = eig.gauge[rows] * (
@@ -250,7 +251,8 @@ def _equilibrium(bundle, spectrum):
     best = int(np.argmax(np.bincount(labels[cols], np.abs(c) ** 2,
                                      len(groups))))
     mine = labels[cols] == best
-    p = eig.vectors(cols[mine]) @ c[mine]
+    # a complex state, also where the blocks and c are real
+    p = eig.vectors(cols[mine]).astype(complex) @ c[mine]
     best_norm = np.linalg.norm(p)
     state = StateVector(amplitudes=p / best_norm, label="equilibrium")
     return state, float(np.mean(eig.evals[groups[best]])), float(best_norm)

@@ -24,19 +24,17 @@ applied to the free equilibrium vector, where I_left keeps only the
 left-acting halves of the interaction and condensate terms.  That weight is a
 Lanczos action at every dimension.
 
-The only dense eigendecompositions are those of the bundle's own cached
-BlockedEigensystem, allowed up to DENSE_CUTOFF.  It factorises L in symmetry
-blocks: without a condensate L conserves the charge Q, so every charge sector
-is one block, and only the sectors Q >= 0 run an eigh (the swap gives sector
--Q from Q); with one, L = e^{i theta Q} L(0) e^{-i theta Q}, and the gauged
-L(0) is one block.  A block whose gauged entries are real (up to the rounding
-of the phases) gets a real eigh.  No eigh of the whole composite space runs.
-symmetry_blocks makes that split, for this factorisation and for the
-near-zero solve above DENSE_CUTOFF alike.  Bundles that differ only in the
-condensate phase theta share one factorisation: BlockedEigensystem.regauged
-hands the blocks of one to another under its own gauge e^{i theta Q}, with no
-eigh (the command line does this for every theta of a sweep at one lambda and
-one density r).
+Every eigensolve of L is a BlockedEigensystem, built in the blocks of
+symmetry_blocks: without a condensate L conserves the charge Q and each charge
+sector is one block, of which only Q >= 0 are solved (the swap gives -Q from
+Q); with one, L = e^{i theta Q} L(0) e^{-i theta Q} and the gauged L(0) is one
+block.  A block real up to the rounding of the phases is solved in real
+arithmetic.  The per-block solve is passed in: a dense eigh for the bundle's
+cached factorisation, refused for a block above DENSE_CUTOFF states, or
+spectral's shift-invert for the pairs nearest zero.  No eigh of the whole
+space runs.  Bundles that differ only in theta share one factorisation
+(BlockedEigensystem.regauged); the command line does this for every theta of
+a sweep at one lambda and one density r.
 """
 
 from dataclasses import dataclass, field as dfield, replace
@@ -47,11 +45,11 @@ from scipy import sparse
 from scipy.linalg import block_diag, eigh
 
 from . import dot as dotmod
-from .fock import FockBasis, SparseOperator, StateVector
+from .fock import DimensionCapError, FockBasis, SparseOperator, StateVector
 from .krylov import expm_action
 
-# largest composite dimension at which a bundle forms the dense
-# eigendecomposition of L; above it every consumer takes a sparse path
+# largest symmetry block that gets a dense eigh, and the largest L that a
+# consumer with a sparse path factorises when nothing else has
 DENSE_CUTOFF = 2000
 
 
@@ -111,16 +109,17 @@ def symmetry_blocks(mat, q_diag, theta):
 
 @dataclass(frozen=True)
 class BlockedEigensystem:
-    """Eigendecomposition of Hermitian L in symmetry blocks.
+    """Eigenpairs of Hermitian L in symmetry blocks.
 
     L = diag(gauge) B diag(conj(gauge)) with unit-modulus phases gauge and B
     block diagonal on the index sets idx; blocks holds (idx, evals, evecs)
     per block of B, and an eigenvector of L is gauge * (evecs column embedded
-    at idx).  The columns of all blocks, in block order, are the columns of
-    the whole spectrum: evals is their concatenation.  path is "sector" when
-    the blocks are the charge sectors (L conserves Q) and "gauge" when B is
-    the whole gauged L(0).  factorised is False for an eigensystem that
-    regauged took from another bundle's blocks.
+    at idx).  A block holds all its pairs (a factorisation) or only some (the
+    pairs nearest zero).  The columns of all blocks, in block order, are the
+    columns of the eigensystem: evals is their concatenation.  path is
+    "sector" when the blocks are the charge sectors (L conserves Q) and
+    "gauge" when B is the whole gauged L(0).  factorised is False for an
+    eigensystem that regauged took from another bundle's blocks.
     """
 
     blocks: tuple
@@ -134,25 +133,26 @@ class BlockedEigensystem:
                            np.concatenate([e for _, e, _ in self.blocks]))
 
     @classmethod
-    def of(cls, mat, q_diag, theta, perm):
-        """Factorise L from its charge diagonal, condensate phase theta and
-        swap permutation perm: one eigh per block of symmetry_blocks, in the
-        block's own dtype, except for the sectors Q < 0.  Those are the swap
-        images of Q > 0 (P conj(L) P = -L): the pairs (-e, conj(v)) on the
-        rows perm[idx] for the pairs (e, v) of sector Q on idx."""
-        path, gauge, blocks = symmetry_blocks(mat, q_diag, theta)
-        charges = [q_diag[idx[0]] for idx, _ in blocks]
-        solved = {q: (idx, *eigh(block.toarray()))
-                  for q, (idx, block) in zip(charges, blocks)
-                  if path == "gauge" or q >= 0}
-        out = []
-        for q in charges:
-            if q in solved:
-                out.append(solved[q])
-            else:
-                idx, e, v = solved[-q]
-                out.append((perm[idx], -e, v.conj()))
-        return cls(tuple(out), gauge, path)
+    def of(cls, bundle, solve):
+        """The eigenpairs of the bundle's L that solve(charge, idx, block)
+        returns, as (evals, evecs), for each block of symmetry_blocks in
+        order; charge is None for the gauged L(0).  The sectors Q < 0 are not
+        solved: they are the swap images of Q > 0 (P conj(L) P = -L), the
+        pairs (-e, conj(v)) on the rows perm[idx] for the pairs (e, v) of
+        sector Q on idx."""
+        path, gauge, blocks = symmetry_blocks(bundle.L.matrix, bundle.q_diag,
+                                              bundle.theta)
+        charges = [None if path == "gauge" else int(bundle.q_diag[idx[0]])
+                   for idx, _ in blocks]
+        perm = bundle.swap_permutation()
+        solved = {}
+        for q, (idx, block) in zip(charges, blocks):
+            if q is None or q >= 0:
+                e, v = solve(q, idx, block)
+                solved[q] = (idx, e, v)
+                if q:
+                    solved[-q] = (perm[idx], -e, v.conj())
+        return cls(tuple(solved[q] for q in charges), gauge, path)
 
     def regauged(self, q_diag, theta):
         """The eigensystem of e^{i theta Q} B e^{-i theta Q} from these blocks:
@@ -163,7 +163,7 @@ class BlockedEigensystem:
 
     @property
     def offsets(self):
-        return np.cumsum([0] + [len(idx) for idx, _, _ in self.blocks])
+        return np.cumsum([0] + [len(e) for _, e, _ in self.blocks])
 
     def telemetry(self):
         sizes = [len(idx) for idx, _, _ in self.blocks]
@@ -172,9 +172,11 @@ class BlockedEigensystem:
                 "real": not any(np.iscomplexobj(v) for _, _, v in self.blocks)}
 
     def vectors(self, cols):
-        """Full-length eigenvectors of L for the columns cols."""
+        """Full-length eigenvectors of L for the columns cols, real when
+        every block and the gauge are."""
         cols = np.asarray(cols, dtype=int)
-        out = np.zeros((len(self.gauge), len(cols)), dtype=complex)
+        dtype = np.result_type(*(v.dtype for _, _, v in self.blocks))
+        out = np.zeros((len(self.gauge), len(cols)), dtype=dtype)
         offsets = self.offsets
         for b, (idx, _, vecs) in enumerate(self.blocks):
             sel = np.flatnonzero((cols >= offsets[b]) & (cols < offsets[b + 1]))
@@ -274,15 +276,19 @@ class OperatorBundle:
         return 0.0 if self.xi is None else self.xi.theta
 
     def eigensystem(self):
-        """Cached BlockedEigensystem of L, up to DENSE_CUTOFF."""
+        """Cached BlockedEigensystem of L: a dense eigh of every symmetry
+        block.  A block of more than DENSE_CUTOFF states is refused with
+        DimensionCapError."""
         if self._eigensystem is None:
-            if self.dim > DENSE_CUTOFF:
-                raise ValueError("dense eigendecomposition refused above "
-                                 f"dimension {DENSE_CUTOFF}")
-            self._eigensystem = BlockedEigensystem.of(
-                self.L.matrix, self.q_diag, self.theta,
-                self.swap_permutation())
+            self._eigensystem = BlockedEigensystem.of(self, _dense_block)
         return self._eigensystem
+
+    def full_eigensystem(self):
+        """The eigensystem when it is cached or dim <= DENSE_CUTOFF, else
+        None, for consumers that have a sparse path."""
+        if self._eigensystem is None and self.dim > DENSE_CUTOFF:
+            return None
+        return self.eigensystem()
 
     def cached_eigensystem(self):
         """The eigensystem if something has formed it, else None."""
@@ -303,9 +309,10 @@ class OperatorBundle:
                             self.basis.swap_permutation()).ravel()
 
     def norm_L(self):
-        if self._eigensystem is not None or self.dim <= DENSE_CUTOFF:
-            return float(np.max(np.abs(self.eigensystem().evals)))
-        return self.L.norm_bound()
+        eig = self.full_eigensystem()
+        if eig is None:
+            return self.L.norm_bound()
+        return float(np.max(np.abs(eig.evals)))
 
     def free_equilibrium(self):
         """Product vector: dot Gibbs purification times field vacuum."""
@@ -328,6 +335,13 @@ class OperatorBundle:
             out["xi"] = {"r": float(self.xi.r), "theta": float(self.xi.theta)}
             out["rho_crit"] = float(self.rho_crit)
         return out
+
+
+def _dense_block(charge, idx, block):
+    if len(idx) > DENSE_CUTOFF:
+        raise DimensionCapError(f"symmetry block of {len(idx)} states above "
+                                f"the dense cutoff {DENSE_CUTOFF}")
+    return eigh(block.toarray())
 
 
 def _diagonal_operator(diag, label):

@@ -17,8 +17,7 @@ from scipy.sparse.linalg import splu
 
 from . import dot as dotmod
 from .fock import SolverConvergenceError, StateVector
-from .liouville import (DENSE_CUTOFF, kernel_index, kms_vector,
-                        symmetry_blocks)
+from .liouville import BlockedEigensystem, kernel_index, kms_vector
 
 
 @dataclass
@@ -105,16 +104,6 @@ MAX_BLOCK_ITERATIONS = 100
 RESIDUAL_BOUND = 1e-12
 
 
-def _dense_near_zero(bundle, k, kernel_tol):
-    """max(k, kernel_dim) pairs nearest zero from the cached blocked
-    eigensystem, by |e| and then by e; only those pairs get full-length
-    vectors."""
-    eig = bundle.eigensystem()
-    kdim = int(np.sum(np.abs(eig.evals) < kernel_tol))
-    order = np.lexsort((eig.evals, np.abs(eig.evals)))[:max(k, kdim)]
-    return eig.evals[order], eig.vectors(order)
-
-
 def _project_out(w, basis):
     for _ in range(2):
         w = w - basis @ (basis.conj().T @ w)
@@ -144,8 +133,8 @@ def _start_block(l0_diag, width, dtype):
 
     The indicators of the L0 kernel come first.  The probe column has weight
     on every state of the matrix, and a pair near zero that the indicators
-    miss grows out of it; blockwise_shift_invert hands each symmetry block
-    its own matrix, so the probe reaches only that block.
+    miss grows out of it; the near-zero solve hands each symmetry block its
+    own matrix, so the probe reaches only that block.
     """
     n = len(l0_diag)
     states = np.argsort(np.abs(l0_diag), kind="stable")[:width]
@@ -156,11 +145,29 @@ def _start_block(l0_diag, width, dtype):
     return block
 
 
-def block_shift_invert(mat, k, l0_diag, norm_l):
-    """The max(k, #zeros of l0_diag) eigenpairs of Hermitian mat nearest zero.
+def shift_invert_factor(mat, norm_l):
+    """(mat, lu, scale) for block_shift_invert: mat in real arithmetic when
+    it has no imaginary part, the sparse LU of mat - shift (MMD ordering on
+    A + A^T) and the scale max(||L||, 1) of the shift and the residual bound.
+    One factor serves every call on the same matrix."""
+    if not np.any(mat.data.imag):
+        mat = mat.real
+    scale = max(norm_l, 1.0)
+    shifted = mat - SHIFT * scale * sparse.identity(
+        mat.shape[0], dtype=mat.dtype, format="csr")
+    try:
+        lu = splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverConvergenceError(
+            f"shift-invert factorisation: {exc}") from exc
+    return mat, lu, scale
 
-    One sparse LU of mat - shift (MMD ordering on A + A^T, in real arithmetic
-    when mat has no imaginary part) serves every iteration.  Each iteration
+
+def block_shift_invert(factor, k, l0_diag):
+    """The max(k, #zeros of l0_diag) eigenpairs of Hermitian mat nearest zero,
+    for factor = shift_invert_factor(mat, norm_l).
+
+    The one LU of the factor serves every iteration.  Each iteration
     applies the inverse KRYLOV_DEPTH times to the active block, takes the
     Ritz pairs of the inverse with the largest |mu| (e = shift + 1/mu), and
     locks the leading pairs whose residual is below a tenth of the bound; the
@@ -170,19 +177,9 @@ def block_shift_invert(mat, k, l0_diag, norm_l):
     fixed by l0_diag, so the result depends on no seed.  Returns
     (eigenvalues by increasing |e|, eigenvectors, iterations).
     """
+    mat, lu, scale = factor
     n = mat.shape[0]
-    if not np.any(mat.data.imag):
-        mat = mat.real
-    scale = max(norm_l, 1.0)
-    shift = SHIFT * scale
     bound = RESIDUAL_BOUND * scale
-    shifted = mat - shift * sparse.identity(n, dtype=mat.dtype, format="csr")
-    try:
-        lu = splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SolverConvergenceError(
-            f"shift-invert factorisation: {exc}") from exc
-
     want = min(max(k, int(np.sum(l0_diag == 0))), n)
     width = min(want + BLOCK_GUARDS, n - 1)
     block = _start_block(l0_diag, width, mat.dtype)
@@ -228,78 +225,55 @@ def block_shift_invert(mat, k, l0_diag, norm_l):
         f"{MAX_BLOCK_ITERATIONS} iterations")
 
 
-def blockwise_shift_invert(bundle, k, norm_l):
-    """The max(k, #zeros of L0) pairs of L nearest zero, one symmetry block
-    at a time.
+def near_zero_eigensystem(bundle, want, norm_l):
+    """The BlockedEigensystem of the pairs of L nearest zero, by
+    block_shift_invert on each symmetry block's own (real where the gauged
+    entries are) matrix, one LU per block.
 
-    L splits into the blocks of liouville.symmetry_blocks, and
-    block_shift_invert runs on each block's own (real where the gauged
-    entries are) matrix.  Without a condensate the blocks are the charge
-    sectors, and only Q >= 0 are solved: the swap P (P conj(L) P = -L) gives
-    the pair (-e, P conj(v)) of sector -Q for every pair (e, v) of sector Q.
-    With one, the block is the gauged L(0) and its vectors are multiplied by
-    the gauge.  Sector 0 asks for all K = max(k, #zeros of L0) pairs; every
-    other sector starts at max(1, its own L0 zeros) pairs and doubles that
-    number while its farthest pair found is nearer zero than the K-th
-    smallest |e| found so far (mirrors included), until the sector is
-    exhausted.  Returns the K pairs nearest zero, by |e| and then by e, and
+    Sector 0, and the gauged L(0) of a condensate, ask for all want pairs;
+    every other sector starts at max(1, its own L0 zeros) pairs and doubles
+    that number while its farthest pair found is nearer zero than the
+    want-th smallest |e| found so far (its mirror and the earlier sectors'
+    included), until the sector is exhausted.  Returns the eigensystem and
     the solver entry: the path, per block solve its charge, size, pairs and
-    iterations, and the number of mirrored blocks.
+    iterations, and the number of mirrored sectors.
     """
-    path, gauge, blocks = symmetry_blocks(bundle.L.matrix, bundle.q_diag,
-                                          bundle.theta)
-    perm = bundle.swap_permutation() if path == "sector" else None
-    want = max(k, int(np.sum(bundle.l0_diag == 0)))
-    found, solves = [], []    # (rows, evals, vectors), mirrors included
+    found, solves = [], []      # |e| of every pair so far, mirrors included
 
-    def kth_smallest(sector_abs):
-        # the sector's own pairs count twice: once more for their mirrors
-        found_abs = np.sort(np.concatenate(
-            [np.abs(e) for _, e, _ in found] + [sector_abs] * 2))
-        return found_abs[want - 1] if len(found_abs) >= want else np.inf
-
-    for idx, block in blocks:
-        charge = None if path == "gauge" else int(bundle.q_diag[idx[0]])
-        if charge is not None and charge < 0:
-            continue
+    def solve(charge, idx, block):
         l0 = bundle.l0_diag[idx]
+        factor = shift_invert_factor(block, norm_l)
         pairs = want if not charge else max(1, int(np.sum(l0 == 0)))
         while True:
-            evals, vecs, iterations = block_shift_invert(block, pairs, l0,
-                                                         norm_l)
+            evals, vecs, iterations = block_shift_invert(factor, pairs, l0)
             solves.append({"charge": charge, "size": len(idx),
                            "pairs": len(evals), "iterations": iterations})
-            if (not charge or len(evals) == len(idx)
-                    or np.max(np.abs(evals)) >= kth_smallest(np.abs(evals))):
+            if not charge or len(evals) == len(idx):
+                break
+            # the sector's own pairs count twice: once more for their mirrors
+            found_abs = np.sort(np.concatenate(found + [np.abs(evals)] * 2))
+            if (len(found_abs) >= want
+                    and np.max(np.abs(evals)) >= found_abs[want - 1]):
                 break
             pairs *= 2
-        found.append((idx, evals, vecs))
-        if charge:
-            found.append((perm[idx], -evals, vecs.conj()))
+        found.extend([np.abs(evals)] * (2 if charge else 1))
+        return evals, vecs
 
-    e_all = np.concatenate([e for _, e, _ in found])
-    order = np.lexsort((e_all, np.abs(e_all)))[:want]
-    real = not any(np.iscomplexobj(block) for _, block in blocks)
-    evecs = np.zeros((len(gauge), want), dtype=float if real else complex)
-    start = 0
-    for rows, evals, vecs in found:
-        cols = np.flatnonzero((order >= start) & (order < start + len(evals)))
-        evecs[np.ix_(rows, cols)] = vecs[:, order[cols] - start]
-        start += len(evals)
-    solver = {"path": f"{path}-shift-invert", "real": real, "blocks": solves,
-              "mirrored": len({s["charge"] for s in solves if s["charge"]})}
-    return e_all[order], gauge[:, None] * evecs, solver
+    eig = BlockedEigensystem.of(bundle, solve)
+    return eig, {"path": f"{eig.path}-shift-invert",
+                 "real": eig.telemetry()["real"], "blocks": solves,
+                 "mirrored": len({s["charge"] for s in solves
+                                  if s["charge"]})}
 
 
 def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     """Eigenpairs of L nearest zero, with verified residuals and whole kernel.
 
-    At least k pairs are reported, more when the kernel is larger.  Up to
-    dimension DENSE_CUTOFF they come from the bundle's cached eigensystem and
-    the kernel is counted over the whole spectrum: max(k, kernel_dim) pairs.
-    Above it blockwise_shift_invert reports max(k, #zeros of L0) pairs, one
-    symmetry block at a time, each from fixed start vectors, so the result
-    does not depend on any seed.
+    At least k pairs are reported, more when the kernel is larger, by |e| and
+    then by e.  From the bundle's full_eigensystem, when it has one, the
+    kernel is counted over the whole spectrum: max(k, kernel_dim) pairs.
+    Otherwise near_zero_eigensystem finds max(k, #zeros of L0) pairs from
+    fixed start vectors, so the result does not depend on any seed.
 
     The kernel is the set of eigenvalues below kernel_tol (default
     1e-9 * ||L||); its basis is re-orthonormalized with a pivoted QR and the
@@ -318,14 +292,17 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     if kernel_tol is None:
         kernel_tol = 1e-9 * max(norm_l, 1.0)
 
-    if mat.shape[0] <= DENSE_CUTOFF:
-        evals, evecs = _dense_near_zero(bundle, k, kernel_tol)
-        factorisation = bundle.eigensystem().telemetry()
-        solver = {"path": "dense", "factorisation": factorisation}
-        real = factorisation["real"]
+    eig = bundle.full_eigensystem()
+    if eig is not None:
+        want = max(k, int(np.sum(np.abs(eig.evals) < kernel_tol)))
+        solver = {"path": "dense", "factorisation": eig.telemetry()}
     else:
-        evals, evecs, solver = blockwise_shift_invert(bundle, k, norm_l)
-        real = solver["real"]
+        want = max(k, int(np.sum(bundle.l0_diag == 0)))
+        eig, solver = near_zero_eigensystem(bundle, want, norm_l)
+    order = np.lexsort((eig.evals, np.abs(eig.evals)))[:want]
+    evals, evecs = eig.evals[order], eig.vectors(order)
+    real = eig.telemetry()["real"]
+    del eig     # near-zero blocks are not kept past the selection
 
     residuals = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
 
@@ -456,9 +433,9 @@ def kernel_structure(bundle, psi, panel=None):
 def kms_kernel_vector(bundle, report):
     """Select the equilibrium direction inside a (possibly degenerate) kernel.
 
-    Hard truncation keeps the free-generator kernel exactly degenerate at
-    every coupling (the left and right channel contributions to the reduced
-    second-order shift cancel pairwise), so the solver's kernel basis is an
+    The kernel of real (gauged) L is degenerate at every coupling: its
+    dimension is at least the swap index (liouville.kernel_index), the number
+    of basis states the swap fixes, so the solver's kernel basis is an
     arbitrary rotation.  The physical vector is the projection of the
     perturbative thermal vector onto that kernel; returns (state, captured)
     with captured the norm fraction the kernel holds.

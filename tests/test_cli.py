@@ -156,6 +156,50 @@ def test_dimension_cap_exit(tmp_path, capsys):
     assert "dimension cap" in out.err
 
 
+def test_dense_cutoff_applies_to_the_largest_block(tmp_path, capsys):
+    # dim 2244 is above the cutoff; its largest charge sector holds 546
+    cfg = base_config()
+    cfg["grid"]["n_modes"] = 16
+    cfg["trunc"] = {"n_max": 2}
+    code, outdir, out = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_OK, out.err
+    run = json.loads((outdir / "rte.json").read_text())["runs"][0]
+    assert run["manifest"]["dim"] == 2244 > liouville.DENSE_CUTOFF
+    assert run["factorisation"] == {"path": "sector", "blocks": 7,
+                                    "largest_block": 546, "real": True}
+
+
+def test_rte_between_largest_block_and_dim_matches_dense(tmp_path, capsys,
+                                                          monkeypatch):
+    # dim 112, largest charge sector 26: a cutoff between the two runs the
+    # same factorisation, and every consumer must read it
+    cfg = base_config()
+    cfg["grid"]["n_modes"] = 3
+    cfg["trunc"] = {"n_max": 2}
+    cfg["solver"]["T"] = [60.0, 600.0]
+    texts = []
+    for cutoff in (liouville.DENSE_CUTOFF, 50):
+        monkeypatch.setattr(liouville, "DENSE_CUTOFF", cutoff)
+        sub = tmp_path / str(cutoff)
+        sub.mkdir()
+        code, outdir, out = run_cli(sub, "rte", cfg, capsys)
+        assert code == cli.EXIT_OK, out.err
+        texts.append((outdir / "rte.json").read_bytes())
+    run = json.loads(texts[1])["runs"][0]
+    assert run["manifest"]["dim"] == 112
+    assert run["factorisation"]["largest_block"] == 26
+    assert texts[0] == texts[1]
+
+
+def test_block_above_the_dense_cutoff_exits_4(tmp_path, capsys, monkeypatch):
+    # dim 20, largest charge sector 6
+    monkeypatch.setattr(liouville, "DENSE_CUTOFF", 5)
+    code, _, out = run_cli(tmp_path, "rte", base_config(), capsys)
+    assert code == cli.EXIT_CAP
+    assert "dimension cap" in out.err
+    assert "symmetry block of 6 states" in out.err
+
+
 def test_spectrum_smoke_and_csv(tmp_path, capsys):
     cfg = base_config()
     cfg["solver"]["k_eigs"] = 6

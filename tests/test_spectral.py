@@ -158,6 +158,15 @@ def _assert_near_zero_pairs(b, evals, evecs, reference):
                                rtol=0, atol=1e-9)
 
 
+def _near_zero_pairs(b, k, norm_l):
+    """The pairs that solve_near_zero reports from near-zero blocks: the
+    max(k, #zeros of L0) nearest zero, by |e| and then by e."""
+    want = max(k, int(np.sum(b.l0_diag == 0)))
+    eig, solver = spectral.near_zero_eigensystem(b, want, norm_l)
+    order = np.lexsort((eig.evals, np.abs(eig.evals)))[:want]
+    return eig.evals[order], eig.vectors(order), solver
+
+
 @pytest.mark.parametrize("n_modes, n_max, lam, xi, amplitude", [
     # real L, dim 660
     pytest.param(4, 3, 0.1, None, 1.0, id="4-3-0.1-None"),
@@ -181,7 +190,7 @@ def test_block_shift_invert_matches_dense(n_modes, n_max, lam, xi,
 
     # the whole-space call: the reference for the per-block primitive
     evals, evecs, iterations = spectral.block_shift_invert(
-        b.L.matrix, k, b.l0_diag, norm_l)
+        spectral.shift_invert_factor(b.L.matrix, norm_l), k, b.l0_diag)
     assert iterations <= spectral.MAX_BLOCK_ITERATIONS
     assert len(evals) == want
     shift = spectral.SHIFT * norm_l
@@ -189,7 +198,7 @@ def test_block_shift_invert_matches_dense(n_modes, n_max, lam, xi,
                             ref[np.argsort(np.abs(ref - shift))[:want]])
 
     # the per-block driver of the path above DENSE_CUTOFF
-    evals, evecs, solver = spectral.blockwise_shift_invert(b, k, norm_l)
+    evals, evecs, solver = _near_zero_pairs(b, k, norm_l)
     assert len(evals) == want
     assert solver["path"] == ("sector" if xi is None else "gauge") + \
         "-shift-invert"
@@ -207,8 +216,10 @@ def test_dense_and_block_paths_report_the_same_signed_pairs(gauss_ff):
     b = _log_bundle(gauss_ff, 3, 1, 1, 0.3)
     norm_l = b.norm_L()
     kernel_tol = 1e-9 * norm_l
-    dense_e, dense_v = spectral._dense_near_zero(b, 4, kernel_tol)
-    block_e, block_v, _ = spectral.blockwise_shift_invert(b, 4, norm_l)
+    dense = spectral.solve_near_zero(b, 4, kernel_tol=kernel_tol)
+    assert dense.solver["path"] == "dense"
+    dense_e, dense_v = dense.eigenvalues, dense.vectors
+    block_e, block_v, _ = _near_zero_pairs(b, 4, norm_l)
     np.testing.assert_allclose(dense_e, block_e, rtol=0, atol=1e-12 * norm_l)
     outside = np.abs(dense_e) >= kernel_tol
     assert outside.sum() == 1 and dense_e[outside][0] < 0

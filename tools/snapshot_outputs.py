@@ -5,10 +5,11 @@
 runs `python -m bosedot.cli` with the package imported from SRC (a checkout's
 `src/` directory), `--seed 901` and one BLAS thread, once per config below,
 and writes each run's config and outputs to OUT/<name>/.  The configs are the
-benchmark workloads of perfbench/workloads.py at both sizes plus one or two
-small configs per subcommand.  Outputs are deterministic, so `diff -r` of two
-snapshots taken from two source trees is a byte-identity check of everything
-the CLI writes.  Exits 1 when a run fails; its stderr is echoed.
+benchmark workloads of perfbench/workloads.py at both sizes, one or two small
+configs per subcommand, and one rte above liouville.DENSE_CUTOFF.  Outputs are
+deterministic, so `diff -r` of two snapshots taken from two source trees is a
+byte-identity check of everything the CLI writes.  Exits 1 when a run fails;
+its stderr is echoed.
 """
 
 import copy
@@ -81,6 +82,11 @@ def cases():
             physics={"mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 2,
                             "n_theta": 2}},
             solver={"T": [100.0]})),
+        # dim 2244: its largest charge sector holds 546 states
+        ("rte_above_dense_cutoff", "rte", _variant(
+            grid={"n_modes": 16},
+            physics={"observable": {"matrix": [[0, 0], [0, 1]]}},
+            solver={"T": [100.0, 1000.0]})),
         ("levelshift_d3", "levelshift", _variant(
             dot={"d": 3}, trunc={"n_max": 1},
             grid={"omega_min": 0.2, "omega_max": 3.0},
