@@ -532,8 +532,25 @@ def cmd_rte(config, args):
     results = _map_bundles(config, args, xis, rc, run)
     payload = {"runs": results}
     if measure is not None and len(_lambdas(config)) == 1:
-        payload["aggregate"] = dynamics.superpose_xi(measure, results)
+        payload["aggregate"] = {**dynamics.superpose_xi(measure, results),
+                                "messages": _aliasing(config, measure, x)}
     return payload
+
+
+def _aliasing(config, measure, x):
+    """A message when a uniform theta rule (uniform_theta, kac) may alias:
+    with B = A every rte quantity is a trigonometric polynomial in theta of
+    degree at most 3q, q the largest |i - j| with x_ij != 0, and a uniform
+    rule of n angles is exact below degree n."""
+    rows, cols = np.nonzero(x)
+    degree = 3 * int(np.max(np.abs(rows - cols), initial=0))
+    n_theta = len({p.theta for p, _ in measure.points})
+    if config["physics"]["mu"]["kind"] == "atoms" or n_theta > degree:
+        return []
+    return [f"n_theta {n_theta} may alias: the rte quantities are "
+            f"trigonometric polynomials in theta of degree up to {degree}, "
+            f"which a uniform rule integrates exactly when n_theta > "
+            f"{degree}"]
 
 
 def cmd_manifest(config, args):

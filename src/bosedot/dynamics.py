@@ -5,16 +5,17 @@ average of e^{it(e-e')} over [0, T] has the closed form (e^{iTx}-1)/(iTx), so
 no time stepping enters and the T -> infinity limit is an exact spectral sum
 over clusters of equal eigenvalues.  The deviation of that limit from the
 product of equilibrium expectations is the weak-coupling return-to-equilibrium
-figure of merit.  One spectral pass per (bundle, A, B omega) clusters the
-bundle's blocked eigensystem once and changes the basis of A once, on only
-the symmetry blocks that B omega reaches (the charge-zero sector for a
-charge-neutral B and the KMS vector); the limit, the deviation and every
-finite-T window come from it, and the identity observable cancels exactly in
-floating point.  The dense eigendecompositions are the bundle's blocked ones
-(liouville.BlockedEigensystem); no consumer here factorises L itself.
+figure of merit.  Everything here reads the bundle's blocked eigensystem
+(liouville.BlockedEigensystem) and the clusters it forms once; nothing here
+factorises L or clusters a spectrum.  The equilibrium vector is the KMS vector
+projected onto the eigensystem's cluster nearest zero, by the projection
+spectral.kms_kernel_vector applies to a report's kernel basis.  One spectral
+pass per (bundle, A, B omega) changes the basis of A once, on only the
+symmetry blocks that B omega reaches; the limit, the deviation and every
+finite-T window come from it, and the identity observable cancels exactly.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -22,7 +23,7 @@ from scipy.sparse.linalg import svds
 
 from .fock import StateVector
 from .krylov import expm_action
-from .liouville import real_if_exact, kms_vector
+from .liouville import equilibrium_projection, real_if_exact
 
 
 @dataclass
@@ -36,15 +37,7 @@ class ErgodicReport:
     messages: tuple = ()
 
     def to_dict(self):
-        return {
-            "finite_mean": self.finite_mean,
-            "T": self.T,
-            "extrapolated": self.extrapolated,
-            "closed_form": self.closed_form,
-            "min_cluster_gap": self.min_cluster_gap,
-            "n_clusters": self.n_clusters,
-            "messages": list(self.messages),
-        }
+        return {**asdict(self), "messages": list(self.messages)}
 
 
 def _as_array(state):
@@ -107,12 +100,6 @@ def evolve(bundle, state, t):
 # ---------------------------------------------------------------------------
 # one spectral pass shared by the ergodic formulas
 
-def _clusters(evals, ctol):
-    """Index groups of the sorted spectrum, split at gaps of at least ctol."""
-    order = np.argsort(evals)
-    return np.split(order, np.flatnonzero(np.diff(evals[order]) >= ctol) + 1)
-
-
 def _window(w, x):
     """Re sum w phi(x) and Re sum w phi(2x), for
     phi(x) = (e^{ix}-1)/(ix) = sin(x)/x + i(1-cos x)/x, the time average of
@@ -136,19 +123,7 @@ def _window(w, x):
     return float(m_T), float(m_2T)
 
 
-def _clustered_spectrum(bundle):
-    """The bundle's blocked eigensystem, its clusters of equal eigenvalues
-    (index groups into its columns) and each column's cluster label, with
-    the one cluster tolerance 1e-9 * max(||L||, 1)."""
-    eig = bundle.eigensystem()
-    groups = _clusters(eig.evals, 1e-9 * max(bundle.norm_L(), 1.0))
-    labels = np.empty(len(eig.evals), dtype=int)
-    for i, g in enumerate(groups):
-        labels[g] = i
-    return eig, groups, labels
-
-
-def _ergodic_pass(spectrum, a_mat, v, t_list):
+def _ergodic_pass(eig, a_mat, v, t_list):
     """Ergodic limit and finite-T means of <v, e^{itL} A e^{-itL} v>.
 
     The limit is sum_g <P_g v, A P_g v> over the cluster projections P_g v;
@@ -164,12 +139,11 @@ def _ergodic_pass(spectrum, a_mat, v, t_list):
     S_gh = <P_g v, A P_h v> is the block sum of W over the two clusters and,
     unlike the entries of W, does not depend on the basis eigh
     picks inside a cluster.  n_clusters and min_cluster_gap are those of the
-    whole spectrum.
+    whole spectrum of the eigensystem eig.
     """
-    eig, groups, labels = spectrum
-    n_g = len(groups)
-    reps = np.array([np.mean(eig.evals[g]) for g in groups])
-    gap = float(np.diff(np.sort(reps)).min()) if n_g > 1 else np.inf
+    _, labels, means = eig.clusters
+    n_g = len(means)
+    gap = float(np.diff(means).min()) if n_g > 1 else np.inf
 
     rows, cols, vecs, c = eig.support(v)
     present, lab = np.unique(labels[cols], return_inverse=True)
@@ -196,7 +170,7 @@ def _ergodic_pass(spectrum, a_mat, v, t_list):
                      np.bincount(pair, weight.imag.ravel(),
                                  n_p * n_p)).reshape(n_p, n_p)
     del pair
-    dist = np.abs(reps[present][:, None] - reps[present])
+    dist = np.abs(means[present][:, None] - means[present])
     np.fill_diagonal(dist, np.inf)
     total = block.sum()
     shares = [float(block[T * dist < 10].sum() / total) if total else 0.0
@@ -236,36 +210,24 @@ def ergodic_mean(bundle, a_obs, b_obs, omega, T):
     cluster pairs is flagged in the report's messages.
     """
     v = _as_matrix(b_obs) @ _as_array(omega)
-    _, _, (report,) = _ergodic_pass(_clustered_spectrum(bundle),
-                                    _as_matrix(a_obs), v, [T])
+    _, _, (report,) = _ergodic_pass(bundle.eigensystem(), _as_matrix(a_obs),
+                                    v, [T])
     return report
 
 
 # ---------------------------------------------------------------------------
-# equilibrium stand-in and deviation
-
-def _equilibrium(bundle, spectrum):
-    ref, _ = kms_vector(bundle)
-    eig, groups, labels = spectrum
-    _, cols, _, c = eig.support(ref.amplitudes)
-    best = int(np.argmax(np.bincount(labels[cols], np.abs(c) ** 2,
-                                     len(groups))))
-    mine = labels[cols] == best
-    # a complex state, also where the blocks and c are real
-    p = eig.vectors(cols[mine]).astype(complex) @ c[mine]
-    best_norm = np.linalg.norm(p)
-    state = StateVector(amplitudes=p / best_norm, label="equilibrium")
-    return state, float(np.mean(eig.evals[groups[best]])), float(best_norm)
-
+# equilibrium vector and deviation
 
 def equilibrium_vector(bundle):
-    """Best equilibrium stand-in among near-stationary spectral clusters.
-
-    Projects the perturbative thermal vector onto each eigenvalue cluster and
-    returns the dominant projection (normalized), the cluster's mean
-    eigenvalue, and the captured norm fraction.
-    """
-    return _equilibrium(bundle, _clustered_spectrum(bundle))
+    """The KMS vector projected onto the kernel of L, the cluster of the
+    bundle's eigensystem nearest zero: (normalized projection, the cluster's
+    mean eigenvalue, captured norm fraction)."""
+    eig = bundle.eigensystem()
+    _, labels, means = eig.clusters
+    zero = int(np.argmin(np.abs(means)))
+    state, captured = equilibrium_projection(
+        bundle, eig.vectors(np.flatnonzero(labels == zero)))
+    return state, float(means[zero]), captured
 
 
 def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None):
@@ -275,18 +237,19 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None):
                  - omega(B*B) omega(A) |
 
     evaluated in real parts through one spectral pass, so that the identity
-    observable gives zero exactly.  omega is the dominant near-stationary
-    projection of the perturbative thermal vector, and finite_T holds one
-    ergodic_mean report per window in T.  The normalized field divides by
-    the spectral norm of A.  factorisation describes the bundle's blocked
-    eigensystem, and factorised says whether this bundle ran its eigh or
-    took the blocks of another bundle at the same density (regauged).
+    observable gives zero exactly.  omega is equilibrium_vector, the
+    projection of the perturbative thermal vector onto the kernel, and
+    finite_T holds one ergodic_mean report per window in T.  The normalized
+    field divides by the spectral norm of A.  factorisation describes the
+    bundle's blocked eigensystem, and factorised says whether this bundle ran
+    its eigh or took the blocks of another bundle at the same density
+    (regauged).
     """
     a_mat = _as_matrix(a_obs)
     b_mat = _as_matrix(b_obs)
-    spectrum = _clustered_spectrum(bundle)
-    w = _equilibrium(bundle, spectrum)[0].amplitudes
-    limit, omega_bb, reports = _ergodic_pass(spectrum, a_mat, b_mat @ w, T)
+    eig = bundle.eigensystem()
+    w = equilibrium_vector(bundle)[0].amplitudes
+    limit, omega_bb, reports = _ergodic_pass(eig, a_mat, b_mat @ w, T)
     omega_a = float(np.vdot(w, a_mat @ w).real / np.vdot(w, w).real)
 
     deviation = abs(limit - omega_bb * omega_a)
@@ -302,8 +265,8 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None):
         "a_norm": a_norm,
         "lambda": bundle.lam,
         "manifest": bundle.manifest(),
-        "factorisation": spectrum[0].telemetry(),
-        "factorised": spectrum[0].factorised,
+        "factorisation": eig.telemetry(),
+        "factorised": eig.factorised,
         "finite_T": [r.to_dict() for r in reports],
     }
 

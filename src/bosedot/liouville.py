@@ -38,6 +38,7 @@ a sweep at one lambda and one density r.
 """
 
 from dataclasses import dataclass, field as dfield, replace
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -51,6 +52,9 @@ from .krylov import expm_action
 # largest symmetry block that gets a dense eigh, and the largest L that a
 # consumer with a sparse path factorises when nothing else has
 DENSE_CUTOFF = 2000
+# eigenvalues within CLUSTER_TOL * max(||L||, 1) of each other are one
+# cluster, and those within it of zero the kernel
+CLUSTER_TOL = 1e-9
 
 
 def kernel_index(dot_spec, trunc):
@@ -160,6 +164,19 @@ class BlockedEigensystem:
         condensate phase.  No eigh runs; the blocks are shared."""
         return replace(self, gauge=condensate_gauge(q_diag, theta),
                        factorised=False)
+
+    @cached_property
+    def clusters(self):
+        """(groups, labels, means): the columns of each cluster of equal
+        eigenvalues, each column's cluster and each cluster's mean, ascending;
+        clusters split at gaps of at least CLUSTER_TOL * max(max|e|, 1)."""
+        order = np.argsort(self.evals)
+        tol = CLUSTER_TOL * max(np.max(np.abs(self.evals)), 1.0)
+        cuts = np.diff(self.evals[order]) >= tol
+        labels = np.empty(len(order), dtype=int)
+        labels[order] = np.concatenate([[0], np.cumsum(cuts)])
+        means = np.bincount(labels, self.evals) / np.bincount(labels)
+        return np.split(order, np.flatnonzero(cuts) + 1), labels, means
 
     @property
     def offsets(self):
@@ -403,6 +420,9 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
     I_mat = (first - second).tocsr()
 
     eye_field = sparse.identity(fd, format="csr", dtype=complex)
+    # without a condensate K is zero: kept for bundle.K, added to nothing
+    K_mat = K_left = sparse.csr_matrix((dim, dim), dtype=complex)
+    coupling = I_mat
     if xi is not None:
         if rho_crit is None:
             raise ValueError("condensate runs need rho_crit")
@@ -410,12 +430,10 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
         k_left_dot = dotmod.condensate_left_term(dot_spec, xi, rho_crit, grid.g0)
         K_mat = sparse.kron(sparse.csr_matrix(k_dot), eye_field, format="csr")
         K_left = sparse.kron(sparse.csr_matrix(k_left_dot), eye_field, format="csr")
-    else:
-        K_mat = sparse.csr_matrix((dim, dim), dtype=complex)
-        K_left = sparse.csr_matrix((dim, dim), dtype=complex)
+        coupling = I_mat + K_mat
 
     L_mat = (sparse.diags(l0_diag.astype(complex), format="csr")
-             + lam * (I_mat + K_mat)).tocsr()
+             + lam * coupling).tocsr()
 
     lambda_diag = np.tile(e_left + e_right, d2)
     levels = np.arange(dot_spec.d, dtype=float)
@@ -523,16 +541,26 @@ def kms_vector(bundle):
     returned unchanged (it is annihilated by the diagonal free generator
     exactly).  Returns (state, residual) with residual = || L psi ||.
     """
-    omega0 = bundle.free_equilibrium()
-    if bundle.lam == 0:
-        state = StateVector(amplitudes=omega0, label="kms")
-        residual = float(np.linalg.norm(bundle.L.matrix @ omega0))
-        return state, residual
-
-    gen = (sparse.diags(bundle.l0_diag, format="csr")
-           + bundle.lam * (bundle.I_first + bundle.K_left)).tocsr()
-    raw = expm_action(gen, omega0, scale=-0.5 * bundle.beta)
-    raw = raw / np.linalg.norm(raw)
-    state = StateVector(amplitudes=raw, label="kms")
+    raw = bundle.free_equilibrium()
+    if bundle.lam != 0:
+        left = (bundle.I_first if bundle.xi is None
+                else bundle.I_first + bundle.K_left)
+        gen = (sparse.diags(bundle.l0_diag, format="csr")
+               + bundle.lam * left).tocsr()
+        raw = expm_action(gen, raw, scale=-0.5 * bundle.beta)
+        raw = raw / np.linalg.norm(raw)
     residual = float(np.linalg.norm(bundle.L.matrix @ raw))
-    return state, residual
+    return StateVector(amplitudes=raw, label="kms"), residual
+
+
+def equilibrium_projection(bundle, kernel):
+    """The KMS vector projected onto the span of the orthonormal columns
+    kernel and normalised: the equilibrium direction inside a degenerate
+    kernel.  Returns (state, captured), captured the norm of the projection
+    of the unit KMS vector."""
+    if kernel.shape[1] == 0:
+        raise ValueError("empty kernel")
+    ref, _ = kms_vector(bundle)
+    proj = kernel @ (kernel.conj().T @ ref.amplitudes)
+    captured = float(np.linalg.norm(proj))
+    return StateVector(amplitudes=proj / captured, label="equilibrium"), captured

@@ -16,8 +16,9 @@ import scipy.linalg as sla
 from scipy.sparse.linalg import splu
 
 from . import dot as dotmod
-from .fock import SolverConvergenceError, StateVector
-from .liouville import BlockedEigensystem, kernel_index, kms_vector
+from .fock import SolverConvergenceError
+from .liouville import (CLUSTER_TOL, BlockedEigensystem, equilibrium_projection,
+                        kernel_index)
 
 
 @dataclass
@@ -276,8 +277,8 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     fixed start vectors, so the result does not depend on any seed.
 
     The kernel is the set of eigenvalues below kernel_tol (default
-    1e-9 * ||L||); its basis is re-orthonormalized with a pivoted QR and the
-    reported dimension is the numerical rank.  tol sets the verification
+    CLUSTER_TOL * max(||L||, 1)); its basis is re-orthonormalized with a
+    pivoted QR and the reported dimension is the numerical rank.  tol sets the verification
     bound max(tol, 1e-12) * ||L|| * 100 on the residuals and the
     near-degeneracy flag, which looks only at the pairs outside the kernel; a
     message also marks a kernel that fills every reported pair, and a kernel
@@ -290,7 +291,7 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
         raise ValueError("more eigenpairs requested than the dimension")
     norm_l = bundle.norm_L()
     if kernel_tol is None:
-        kernel_tol = 1e-9 * max(norm_l, 1.0)
+        kernel_tol = CLUSTER_TOL * max(norm_l, 1.0)
 
     eig = bundle.full_eigensystem()
     if eig is not None:
@@ -431,46 +432,34 @@ def kernel_structure(bundle, psi, panel=None):
 
 
 def kms_kernel_vector(bundle, report):
-    """Select the equilibrium direction inside a (possibly degenerate) kernel.
+    """The equilibrium direction inside a report's (degenerate) kernel.
 
     The kernel of real (gauged) L is degenerate at every coupling: its
     dimension is at least the swap index (liouville.kernel_index), the number
     of basis states the swap fixes, so the solver's kernel basis is an
-    arbitrary rotation.  The physical vector is the projection of the
-    perturbative thermal vector onto that kernel; returns (state, captured)
-    with captured the norm fraction the kernel holds.
+    arbitrary rotation.  The physical vector, which no rotation moves, is
+    the projection of the perturbative thermal vector onto the kernel
+    (liouville.equilibrium_projection, as dynamics.equilibrium_vector).
     """
-    if report.kernel_dim == 0:
-        raise ValueError("empty kernel")
-    ref, _ = kms_vector(bundle)
-    basis = report.kernel_basis
-    coeff = basis.conj().T @ ref.amplitudes
-    proj = basis @ coeff
-    captured = float(np.linalg.norm(proj))
-    return StateVector(amplitudes=proj / captured, label="kms-kernel"), captured
+    return equilibrium_projection(bundle, report.kernel_basis)
 
 
 def orthogonal_kernel_panel(bundle, report, psi):
     """Weak-overlap table for the kernel complement of a selected vector.
 
-    Orthonormalizes the kernel basis against psi and reports, per entry of
-    the fixed panel, the largest overlap magnitude over the complement.
-    Entries in other charge sectors vanish identically; the charge-neutral
-    mixed entries track the coupling-induced dressing.
+    Per entry chi of the fixed panel, ||P_comp chi||, the largest overlap
+    over unit vectors of the kernel orthogonal to the unit kernel vector psi:
+    sqrt(||K^H chi||^2 - |<psi, chi>|^2) for orthonormal kernel columns K,
+    taken as the norm of K^H chi less its psi part, so no rotation of the
+    kernel basis moves it.  Entries in other charge sectors vanish; the
+    charge-neutral mixed entries track the coupling-induced dressing.
     """
-    basis = report.kernel_basis
-    psi = psi.amplitudes if hasattr(psi, "amplitudes") else np.asarray(psi, dtype=complex)
-    comp = basis - np.outer(psi, psi.conj() @ basis)
-    q, r = np.linalg.qr(comp)
-    keep = np.abs(np.diag(r)) > 1e-8
-    q = q[:, keep]
-    table = {}
-    for name, chi in _default_panel(bundle):
-        if q.shape[1]:
-            table[name] = float(np.max(np.abs(chi.conj() @ q)))
-        else:
-            table[name] = 0.0
-    return table
+    basis = report.kernel_basis.conj().T
+    names, chis = zip(*_default_panel(bundle))
+    coords = basis @ np.column_stack(chis)
+    p = basis @ getattr(psi, "amplitudes", psi)
+    comp = coords - np.outer(p, p.conj() @ coords)
+    return dict(zip(names, np.linalg.norm(comp, axis=0).tolist()))
 
 
 def attach_diagnostics(bundle, report):

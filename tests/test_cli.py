@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bosedot import cli, dynamics, liouville, spectral
+from bosedot import cli, liouville, spectral
 
 
 def base_config():
@@ -327,7 +327,6 @@ def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(liouville, "eigh", counted("eigh", liouville.eigh))
     kms = counted("kms_vector", liouville.kms_vector)
     monkeypatch.setattr(liouville, "kms_vector", kms)
-    monkeypatch.setattr(dynamics, "kms_vector", kms)
     cfg = base_config()
     cfg["physics"] = {"lambda": [0.1],
                       "mu": {"kind": "uniform_theta", "excess": 0.2,
@@ -343,6 +342,37 @@ def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
     agg = payload["aggregate"]
     assert agg["aggregate_deviation"] >= 0.0
     assert len(agg["per_xi"]) == 2
+
+
+@pytest.mark.parametrize("n_theta, matrix, aliased", [
+    (3, None, True), (4, None, False), (3, [[1, 0], [0, -1]], False),
+    (1, [[0, 0], [0, 1]], False)])
+def test_rte_aliased_theta_rule_gets_a_message(tmp_path, capsys, n_theta,
+                                               matrix, aliased):
+    # hop at d=2: the limit over theta is a cos(theta) + b cos(3 theta), and
+    # a 3-point rule reads cos(3 theta) as 1
+    cfg = base_config()
+    cfg["grid"] = {"n_modes": 3, "omega_min": 0.35, "omega_max": 2.3,
+                   "spacing": "log"}
+    cfg["trunc"] = {"n_max": 2}
+    cfg["physics"] = {"lambda": [0.3],
+                      "mu": {"kind": "uniform_theta", "excess": 0.2,
+                             "n_theta": n_theta}}
+    if matrix is not None:
+        cfg["physics"]["observable"] = {"matrix": matrix}
+    code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_OK
+    agg = json.loads((outdir / "rte.json").read_text())["aggregate"]
+    if aliased:
+        assert agg["messages"] == [
+            "n_theta 3 may alias: the rte quantities are trigonometric "
+            "polynomials in theta of degree up to 3, which a uniform rule "
+            "integrates exactly when n_theta > 3"]
+        assert agg["aggregate_limit"] == pytest.approx(2.50e-4, rel=1e-2)
+    else:
+        assert agg["messages"] == []
+    if matrix is None and not aliased:
+        assert abs(agg["aggregate_limit"]) < 1e-15
 
 
 def test_manifest_is_deterministic(tmp_path, capsys):

@@ -260,6 +260,13 @@ def test_kms_kernel_vector_is_captured(bundle2):
         1e-9 * bundle2.norm_L()
 
 
+def test_kms_kernel_vector_rejects_an_empty_kernel(bundle2):
+    rep = spectral.solve_near_zero(bundle2, k=6)
+    rep.kernel_basis = rep.kernel_basis[:, :0]
+    with pytest.raises(ValueError, match="empty kernel"):
+        spectral.kms_kernel_vector(bundle2, rep)
+
+
 def test_kernel_structure_overlap_range(bundle2):
     rep = spectral.solve_near_zero(bundle2, k=6)
     psi, _ = spectral.kms_kernel_vector(bundle2, rep)

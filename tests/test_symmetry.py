@@ -7,6 +7,8 @@ complex eigh of L, its clusters, and the cluster projections of the
 perturbative thermal vector and of B omega.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -15,7 +17,8 @@ from scipy import sparse
 import bosedot as bd
 from bosedot import dynamics, spectral
 from bosedot.dot import lower_raise
-from bosedot.liouville import build_bundle, kernel_index, kms_vector
+from bosedot.liouville import (BlockedEigensystem, build_bundle, kernel_index,
+                               kms_vector)
 
 RHO_CRIT = bd.critical_density(1.0, bd.RELATIVISTIC)
 
@@ -57,7 +60,10 @@ def case(request):
     spec = CASES[request.param]
     bundle = make_bundle(*spec)
     evals, evecs = sla.eigh(bundle.L.matrix.toarray())
-    groups = dynamics._clusters(evals, 1e-9 * max(np.abs(evals).max(), 1.0))
+    # the clusters of the whole-space eigh, as one block of one eigensystem
+    whole = BlockedEigensystem(((np.arange(bundle.dim), evals, evecs),),
+                               np.ones(bundle.dim), "sector")
+    groups = whole.clusters[0]
     return spec, bundle, evals, evecs, groups
 
 
@@ -138,13 +144,43 @@ def test_eigenvalues_and_cluster_projectors_match_full_eigh(case):
     assert b.norm_L() == pytest.approx(norm_l, rel=1e-12)
     np.testing.assert_allclose(np.sort(eig.evals), evals, rtol=0,
                                atol=1e-12 * norm_l)
-    _, mine, _ = dynamics._clustered_spectrum(b)
+    mine = eig.clusters[0]
     assert len(mine) == len(groups)
     for g, h in zip(groups, mine):
         ref = evecs[:, g] @ evecs[:, g].conj().T
         vecs = eig.vectors(h)
         np.testing.assert_allclose(vecs @ vecs.conj().T, ref, rtol=0,
                                    atol=1e-10)
+
+
+def test_equilibrium_vector_is_the_kms_kernel_vector(case):
+    # one projection: onto the eigensystem's zero cluster and onto the
+    # near-zero report's kernel basis
+    _, b, _, _, _ = case
+    state, energy, captured = dynamics.equilibrium_vector(b)
+    rep = spectral.solve_near_zero(b, k=4)
+    psi, kernel_captured = spectral.kms_kernel_vector(b, rep)
+    u, v = state.amplitudes, psi.amplitudes
+    phase = np.vdot(v, u) / abs(np.vdot(v, u))
+    assert np.linalg.norm(u - phase * v) <= 1e-12
+    assert captured == pytest.approx(kernel_captured, rel=1e-12)
+    assert abs(energy) < rep.kernel_tol
+
+
+def test_orthogonal_kernel_panel_ignores_the_kernel_basis(rng):
+    b = make_bundle(2, "log", 4, 3, 0.1, None, 1.0)
+    rep = spectral.solve_near_zero(b, k=4)
+    psi, _ = spectral.kms_kernel_vector(b, rep)
+    table = spectral.orthogonal_kernel_panel(b, rep, psi)
+    n = rep.kernel_dim
+    unitary, _ = np.linalg.qr(rng.standard_normal((n, n))
+                              + 1j * rng.standard_normal((n, n)))
+    rotated = dataclasses.replace(rep, kernel_basis=rep.kernel_basis @ unitary)
+    moved = spectral.orthogonal_kernel_panel(b, rotated, psi)
+    assert moved.keys() == table.keys()
+    assert max(table.values()) > 0.1
+    for name, value in table.items():
+        assert abs(moved[name] - value) <= 1e-12, name
 
 
 def full_rte(b, evals, evecs, groups, a, bop, T):

@@ -78,6 +78,13 @@ def cases():
             physics={"mu": {"kind": "uniform_theta", "excess": 0.2,
                             "n_theta": 4}},
             solver={"T": [100.0, 1000.0]})),
+        # hop at d=2 is of degree 3 in theta, so 3 angles alias and the
+        # aggregate carries a message
+        ("rte_uniform_aliased", "rte", _variant(
+            physics={"lambda": [0.3],
+                     "mu": {"kind": "uniform_theta", "excess": 0.2,
+                            "n_theta": 3}},
+            solver={"T": [100.0, 1000.0]})),
         ("rte_kac", "rte", _variant(
             physics={"mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 2,
                             "n_theta": 2}},
