@@ -548,9 +548,7 @@ def _aliasing(config, measure, x):
     if config["physics"]["mu"]["kind"] == "atoms" or n_theta > degree:
         return []
     return [f"n_theta {n_theta} may alias: the rte quantities are "
-            f"trigonometric polynomials in theta of degree up to {degree}, "
-            f"which a uniform rule integrates exactly when n_theta > "
-            f"{degree}"]
+            f"trigonometric polynomials in theta of degree {degree}"]
 
 
 def cmd_manifest(config, args):

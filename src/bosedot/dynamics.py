@@ -15,7 +15,7 @@ symmetry blocks that B omega reaches; the limit, the deviation and every
 finite-T window come from it, and the identity observable cancels exactly.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -37,7 +37,15 @@ class ErgodicReport:
     messages: tuple = ()
 
     def to_dict(self):
-        return {**asdict(self), "messages": list(self.messages)}
+        return {
+            "finite_mean": self.finite_mean,
+            "T": self.T,
+            "extrapolated": self.extrapolated,
+            "closed_form": self.closed_form,
+            "min_cluster_gap": self.min_cluster_gap,
+            "n_clusters": self.n_clusters,
+            "messages": list(self.messages),
+        }
 
 
 def _as_array(state):
@@ -141,7 +149,7 @@ def _ergodic_pass(eig, a_mat, v, t_list):
     picks inside a cluster.  n_clusters and min_cluster_gap are those of the
     whole spectrum of the eigensystem eig.
     """
-    _, labels, means = eig.clusters
+    labels, means = eig.clusters
     n_g = len(means)
     gap = float(np.diff(means).min()) if n_g > 1 else np.inf
 
@@ -223,7 +231,7 @@ def equilibrium_vector(bundle):
     bundle's eigensystem nearest zero: (normalized projection, the cluster's
     mean eigenvalue, captured norm fraction)."""
     eig = bundle.eigensystem()
-    _, labels, means = eig.clusters
+    labels, means = eig.clusters
     zero = int(np.argmin(np.abs(means)))
     state, captured = equilibrium_projection(
         bundle, eig.vectors(np.flatnonzero(labels == zero)))

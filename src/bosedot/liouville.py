@@ -167,16 +167,15 @@ class BlockedEigensystem:
 
     @cached_property
     def clusters(self):
-        """(groups, labels, means): the columns of each cluster of equal
-        eigenvalues, each column's cluster and each cluster's mean, ascending;
-        clusters split at gaps of at least CLUSTER_TOL * max(max|e|, 1)."""
-        order = np.argsort(self.evals)
+        """(labels, means): each column's cluster of equal eigenvalues and
+        each cluster's mean, ascending; clusters split at gaps of at least
+        CLUSTER_TOL * max(max|e|, 1)."""
         tol = CLUSTER_TOL * max(np.max(np.abs(self.evals)), 1.0)
-        cuts = np.diff(self.evals[order]) >= tol
-        labels = np.empty(len(order), dtype=int)
-        labels[order] = np.concatenate([[0], np.cumsum(cuts)])
+        srt = np.sort(self.evals)
+        starts = srt[np.r_[True, np.diff(srt) >= tol]]
+        labels = np.searchsorted(starts, self.evals, side="right") - 1
         means = np.bincount(labels, self.evals) / np.bincount(labels)
-        return np.split(order, np.flatnonzero(cuts) + 1), labels, means
+        return labels, means
 
     @property
     def offsets(self):
@@ -420,9 +419,8 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
     I_mat = (first - second).tocsr()
 
     eye_field = sparse.identity(fd, format="csr", dtype=complex)
-    # without a condensate K is zero: kept for bundle.K, added to nothing
     K_mat = K_left = sparse.csr_matrix((dim, dim), dtype=complex)
-    coupling = I_mat
+    coupling = I_mat    # K is zero without a condensate: not added to L
     if xi is not None:
         if rho_crit is None:
             raise ValueError("condensate runs need rho_crit")
@@ -543,10 +541,8 @@ def kms_vector(bundle):
     """
     raw = bundle.free_equilibrium()
     if bundle.lam != 0:
-        left = (bundle.I_first if bundle.xi is None
-                else bundle.I_first + bundle.K_left)
         gen = (sparse.diags(bundle.l0_diag, format="csr")
-               + bundle.lam * left).tocsr()
+               + bundle.lam * (bundle.I_first + bundle.K_left)).tocsr()
         raw = expm_action(gen, raw, scale=-0.5 * bundle.beta)
         raw = raw / np.linalg.norm(raw)
     residual = float(np.linalg.norm(bundle.L.matrix @ raw))

@@ -63,7 +63,8 @@ def case(request):
     # the clusters of the whole-space eigh, as one block of one eigensystem
     whole = BlockedEigensystem(((np.arange(bundle.dim), evals, evecs),),
                                np.ones(bundle.dim), "sector")
-    groups = whole.clusters[0]
+    labels, means = whole.clusters
+    groups = [np.flatnonzero(labels == g) for g in range(len(means))]
     return spec, bundle, evals, evecs, groups
 
 
@@ -144,7 +145,8 @@ def test_eigenvalues_and_cluster_projectors_match_full_eigh(case):
     assert b.norm_L() == pytest.approx(norm_l, rel=1e-12)
     np.testing.assert_allclose(np.sort(eig.evals), evals, rtol=0,
                                atol=1e-12 * norm_l)
-    mine = eig.clusters[0]
+    labels, means = eig.clusters
+    mine = [np.flatnonzero(labels == g) for g in range(len(means))]
     assert len(mine) == len(groups)
     for g, h in zip(groups, mine):
         ref = evecs[:, g] @ evecs[:, g].conj().T
