@@ -399,18 +399,16 @@ def _rho_crit(config):
                                 _dispersion(config))
 
 
-def _map_bundles(config, args, xis, rho_crit, per_bundle):
-    """per_bundle(lam, xi, bundle) for the bundle of every (lambda, xi) task,
-    lambda outer; results in task order.
+def _map_bundles(config, args, xis, rho_crit, per_group):
+    """per_group(lam, group, build) for every group of (lambda, xi) tasks
+    with one lambda and one condensate density r, lambda outer: group lists
+    the xis of its tasks in order, build(xi) assembles the bundle of one of
+    them, and per_group returns one result per task.  Results in task order.
 
-    Tasks with the same lambda and the same condensate density r differ only
-    in the phase theta, so their generators are gauges of one another,
-    L(theta) = e^{i theta Q} L(0) e^{-i theta Q}.  Each such group runs as one
-    job, its tasks in order: the first bundle whose eigensystem is asked for
-    factorises, and every later bundle of the group is handed the same blocks
-    in its own gauge, so no eigh runs for it.  Nothing is factorised that a
-    task does not ask for (a spectrum above DENSE_CUTOFF solves near zero).
-    args.jobs threads run the groups in parallel.
+    The tasks of a group differ only in the phase theta, so their generators
+    are gauges of one another, L(theta) = e^{i theta Q} L(0) e^{-i theta Q},
+    and one factorisation serves the group.  args.jobs threads run the
+    groups in parallel.
     """
     dspec, grid = _build_grid(config)
     trunc = _trunc(config)
@@ -420,16 +418,13 @@ def _map_bundles(config, args, xis, rho_crit, per_bundle):
         groups.setdefault((lam, None if xi is None else xi.r), []).append(i)
 
     def run(members):
-        shared, out = None, []
-        for i in members:
-            lam, xi = tasks[i]
-            bundle = build_bundle(dspec, grid, trunc, lam, xi=xi,
-                                  rho_crit=rho_crit if xi is not None else None)
-            if shared is not None:
-                bundle.share_eigensystem(shared)
-            out.append(per_bundle(lam, xi, bundle))
-            shared = bundle.cached_eigensystem()
-        return out
+        lam = tasks[members[0]][0]
+
+        def build(xi):
+            return build_bundle(dspec, grid, trunc, lam, xi=xi,
+                                rho_crit=rho_crit if xi is not None else None)
+
+        return per_group(lam, [tasks[i][1] for i in members], build)
 
     results = [None] * len(tasks)
     with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
@@ -441,6 +436,11 @@ def _map_bundles(config, args, xis, rho_crit, per_bundle):
 
 
 def _spectrum_tasks(config, args):
+    """One spectral report per (lambda, xi) task.  In a group of phases the
+    first bundle whose eigensystem is asked for factorises, and every later
+    bundle is handed the same blocks in its own gauge, so no eigh runs for
+    it.  Nothing is factorised that a task does not ask for (a spectrum
+    above DENSE_CUTOFF solves near zero)."""
     solver = _solver(config)
     rc = _rho_crit(config)
 
@@ -455,7 +455,17 @@ def _spectrum_tasks(config, args):
                 "kernel_dim": report.kernel_dim,
                 "report": report.to_dict()}
 
-    return _map_bundles(config, args, _xis(config, rc), rc, run)
+    def run_group(lam, group, build):
+        shared, out = None, []
+        for xi in group:
+            bundle = build(xi)
+            if shared is not None:
+                bundle.share_eigensystem(shared)
+            out.append(run(lam, xi, bundle))
+            shared = bundle.cached_eigensystem()
+        return out
+
+    return _map_bundles(config, args, _xis(config, rc), rc, run_group)
 
 
 def cmd_spectrum(config, args):
@@ -524,29 +534,40 @@ def cmd_rte(config, args):
            else _xis(config, rc))
     t_list = _solver(config)["T"]
 
-    def run(lam, xi, bundle):
+    def run(lam, group, build):
+        # one bundle, one KMS vector and one ergodic pass per density
+        bundle = build(group[0])
         a_full = dynamics.dot_observable(bundle, x)
-        return dynamics.rte_deviation(bundle, a_full, a_full, T=t_list,
-                                      a_norm=x_norm)
+        runs, found, theta_mean = dynamics.rte_deviation(
+            bundle, a_full, a_full, T=t_list, a_norm=x_norm,
+            thetas=[bundle.theta if xi is None else xi.theta for xi in group])
+        return [(r, found, theta_mean) for r in runs]
 
     results = _map_bundles(config, args, xis, rc, run)
-    payload = {"runs": results}
+    payload = {"runs": [r for r, _, _ in results]}
     if measure is not None and len(_lambdas(config)) == 1:
-        payload["aggregate"] = {**dynamics.superpose_xi(measure, results),
-                                "messages": _aliasing(config, measure, x)}
+        payload["aggregate"] = dynamics.superpose_xi(measure, payload["runs"])
+        if config["physics"]["mu"]["kind"] == "atoms":
+            payload["aggregate"]["messages"] = []
+        else:
+            found = set().union(*(f for _, f, _ in results))
+            payload["aggregate"].update(
+                exact_theta_limit=sum(w * m for (_, w), (_, _, m)
+                                      in zip(measure.points, results)),
+                messages=_aliasing(measure, found))
     return payload
 
 
-def _aliasing(config, measure, x):
-    """A message when a uniform theta rule (uniform_theta, kac) may alias:
-    with B = A every rte quantity is a trigonometric polynomial in theta of
-    degree at most 3q, q the largest |i - j| with x_ij != 0, and a uniform
-    rule of n angles is exact below degree n."""
-    rows, cols = np.nonzero(x)
-    degree = 3 * int(np.max(np.abs(rows - cols), initial=0))
+def _aliasing(measure, found):
+    """A message when a uniform theta rule (uniform_theta, kac) aliases.
+    Every rte quantity is a trigonometric polynomial in theta whose
+    frequencies are among found, those of the sweep's terms, and a uniform
+    rule of n angles is exact unless some f != 0 in found is a multiple of
+    n."""
     n_theta = len({p.theta for p, _ in measure.points})
-    if config["physics"]["mu"]["kind"] == "atoms" or n_theta > degree:
+    if not any(f % n_theta == 0 for f in found if f):
         return []
+    degree = max(abs(f) for f in found)
     return [f"n_theta {n_theta} may alias: the rte quantities are "
             f"trigonometric polynomials in theta of degree {degree}"]
 

@@ -9,10 +9,17 @@ figure of merit.  Everything here reads the bundle's blocked eigensystem
 (liouville.BlockedEigensystem) and the clusters it forms once; nothing here
 factorises L or clusters a spectrum.  The equilibrium vector is the KMS vector
 projected onto the eigensystem's cluster nearest zero, by the projection
-spectral.kms_kernel_vector applies to a report's kernel basis.  One spectral
-pass per (bundle, A, B omega) changes the basis of A once, on only the
-symmetry blocks that B omega reaches; the limit, the deviation and every
-finite-T window come from it, and the identity observable cancels exactly.
+spectral.kms_kernel_vector applies to a report's kernel basis.
+
+One spectral pass per condensate density serves every phase theta of it:
+L(theta) = e^{i theta Q} L(0) e^{-i theta Q} and omega(theta) =
+e^{i theta Q} omega(0), so with A and B split by the charge they shift,
+every quantity is a short Fourier sum in theta whose coefficients the pass
+forms once, in the gauged frame of the eigensystem's blocks and on only the
+blocks that B omega reaches.  The limit, the deviation and every finite-T
+window come from it; ergodic_mean and a single-bundle rte_deviation run the
+same pass at the bundle's own phase, and the identity observable cancels
+exactly.
 """
 
 from dataclasses import dataclass
@@ -96,7 +103,8 @@ def evolve(bundle, state, t):
         return StateVector(amplitudes=v.copy(), label="evolved[0]")
     eig = bundle.full_eigensystem()
     if eig is not None:
-        rows, cols, vecs, c = eig.support(v)
+        rows, cols, vecs, c = eig.support(
+            real_if_exact(np.conj(eig.gauge) * v))
         out = np.zeros(len(v), dtype=complex)
         out[rows] = eig.gauge[rows] * (
             vecs @ (np.exp(-1j * t * eig.evals[cols]) * c))
@@ -108,103 +116,229 @@ def evolve(bundle, state, t):
 # ---------------------------------------------------------------------------
 # one spectral pass shared by the ergodic formulas
 
-def _window(w, x):
-    """Re sum w phi(x) and Re sum w phi(2x), for
-    phi(x) = (e^{ix}-1)/(ix) = sin(x)/x + i(1-cos x)/x, the time average of
-    e^{is} over s in [0, x]: a window T and its Richardson partner 2T.
+# eigenvalue pairs per slice of the window kernels, which keeps their
+# temporaries small beside the weights
+WINDOW_SLICE = 1 << 15
 
-    One sin and one cos of x serve both, by the double-angle identities
-    sin(2x)/(2x) = (sin x / x) cos x and (1 - cos 2x)/(2x) = sin x (sin x / x).
-    Where cos x > 0, (1 - cos x)/x is taken as sin x (sin x / x)/(1 + cos x),
-    which does not cancel for small x.  Below |x| = 1e-8, sin x / x is 1.
-    """
+
+def _kernels(x):
+    """(sin x, cos x, sin x / x, x), with x read as 1 below |x| = 1e-8 and
+    sin x / x as 1 there: what _window needs of the phases x."""
     small = np.abs(x) < 1e-8
     safe = np.where(small, 1.0, x)
-    sin, cos = np.sin(x), np.cos(x)
-    sinc = np.where(small, 1.0, sin / safe)
+    sin = np.sin(x)
+    return sin, np.cos(x), np.where(small, 1.0, sin / safe), safe
+
+
+def _window(w, kernels):
+    """Re sum w phi(x) and Re sum w phi(2x), for
+    phi(x) = (e^{ix}-1)/(ix) = sin(x)/x + i(1-cos x)/x, the time average of
+    e^{is} over s in [0, x]: a window T and its Richardson partner 2T.  The
+    kernels are _kernels(x), so one sin and one cos of x serve every row of
+    a 2-D w, which gives one pair of sums per row.
+
+    Both windows come from them, by the double-angle identities
+    sin(2x)/(2x) = (sin x / x) cos x and (1 - cos 2x)/(2x) = sin x (sin x / x).
+    Where cos x > 0, (1 - cos x)/x is taken as sin x (sin x / x)/(1 + cos x),
+    which does not cancel for small x.
+    """
+    sin, cos, sinc, safe = kernels
     m_T = np.dot(w.real, sinc)
     m_2T = np.dot(w.real, sinc * cos)
     if np.iscomplexobj(w):
         m_T -= np.dot(w.imag, np.where(cos > 0, sin * sinc / (1.0 + cos),
                                        (1.0 - cos) / safe))
         m_2T -= np.dot(w.imag, sin * sinc)
-    return float(m_T), float(m_2T)
+    return m_T, m_2T
 
 
-def _ergodic_pass(eig, a_mat, v, t_list):
-    """Ergodic limit and finite-T means of <v, e^{itL} A e^{-itL} v>.
+def _charge_parts(mat, q_diag):
+    """mat split by the charge it shifts: {p: A_p} in ascending p, where A_p
+    keeps the entries with q_diag[row] - q_diag[col] = p, so that
+    e^{-i theta Q} A e^{i theta Q} = sum_p e^{-i theta p} A_p.  A dot
+    observable X has the parts p = i - j of its entries X_ij != 0."""
+    coo = mat.tocoo()
+    nz = coo.data != 0      # kron stores explicit zeros
+    data, row, col = coo.data[nz], coo.row[nz], coo.col[nz]
+    shift = np.rint(q_diag[row] - q_diag[col]).astype(int)
+    parts = {}
+    for p in np.unique(shift):
+        keep = shift == p
+        parts[int(p)] = real_if_exact(sparse.csr_matrix(
+            (data[keep], (row[keep], col[keep])), shape=mat.shape))
+    return parts or {0: real_if_exact(sparse.csr_matrix(mat))}
 
-    The limit is sum_g <P_g v, A P_g v> over the cluster projections P_g v;
-    it is returned with sum_g |P_g v|^2 and one ErgodicReport per window T.
-    Only the symmetry blocks on which v does not vanish enter.  Every window
-    uses the weight W_jk = conj(c_j) (U^H A U)_jk c_k over their eigenvectors
-    U, c = U^H v, formed once: the mean over [0, T] is
-    sum_jk W_jk phi(T (e_j - e_k)); as phi(-x) = conj(phi(x)), its real part
-    is Re tr W plus the real kernels of _window over the upper triangle of
-    W + W^H (twice that of W when A is Hermitian).  A window is flagged when
-    more than 1e-2 of sum |S_gh| sits on distinct clusters g, h with
-    gap * T < 10, whose phases have not yet averaged out;
+
+def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
+    """Ergodic limit and finite-T means of <v, e^{itL} A e^{-itL} v>,
+    v = B omega, for the generators L(theta) = e^{i theta Q} L(0)
+    e^{-i theta Q} of the eigensystem eig at every phase in thetas.
+
+    omega is a vector of the phase of eig's own gauge g; the vector at theta
+    is e^{i theta Q} w with w = conj(g) omega, so that with the charge parts
+    of A and B (_charge_parts) everything below is a Fourier sum over theta
+    in the gauged frame of eig's blocks: conj(gauge) v = sum_k e^{-i theta k}
+    u_k with u_k = B_k w, and every quantity is Re sum_f e^{i theta f} X_f.
+    The limit is sum_g <P_g v, A P_g v> over the cluster projections P_g v,
+    and omega_bb = sum_g |P_g v|^2 is the same sum with A = 1, so A = 1
+    cancels exactly; omega_a = <w, A w> / <w, w>.  Only the symmetry blocks
+    that some u_k reaches enter.  Over their eigenvectors U, with
+    c_k = U^H u_k and M_p = U^H A_p U, the weight of the frequency f is
+    W_f = sum conj(c_k) M_p c_k' over k - p - k' = f, formed once for every
+    phase and freed once folded.  The mean over [0, T] is
+    sum_jk W_jk phi(T (e_j - e_k)); as phi(-x) = conj(phi(x)) it is tr W plus
+    the window of the upper triangle of W + W^H (its real part) and that of
+    W - W^H against -i phi (its imaginary part, needed for f != 0 only); one
+    sin and one cos of each window T serve every frequency.
+    A window is flagged when more than 1e-2 of sum |S_gh| sits on distinct
+    clusters g, h with gap * T < 10, whose phases have not yet averaged out;
     S_gh = <P_g v, A P_h v> is the block sum of W over the two clusters and,
-    unlike the entries of W, does not depend on the basis eigh
-    picks inside a cluster.  n_clusters and min_cluster_gap are those of the
-    whole spectrum of the eigensystem eig.
+    unlike the entries of W, does not depend on the basis eigh picks inside
+    a cluster.  n_clusters and min_cluster_gap are those of the whole
+    spectrum of eig.
+
+    Returns (runs, found, theta_mean): one (limit, omega_bb, omega_a,
+    [ErgodicReport per window T]) per phase; the frequencies f of the terms
+    k - p - k' of the limit, which bound those of the limit and of
+    omega_bb * omega_a; and the uniform average over theta of the limit,
+    its f = 0 coefficient.
     """
     labels, means = eig.clusters
     n_g = len(means)
     gap = float(np.diff(means).min()) if n_g > 1 else np.inf
 
-    rows, cols, vecs, c = eig.support(v)
+    w = real_if_exact(np.conj(eig.gauge) * omega)
+    a_parts = _charge_parts(a_mat, q_diag)
+    b_parts = _charge_parts(b_mat, q_diag)
+    ks = list(b_parts)
+    rows, cols, vecs, c = eig.support(
+        np.stack([b_parts[k] @ w for k in ks], axis=1))
+    terms = {}
+    for i, k in enumerate(ks):
+        for p in a_parts:
+            for j, k2 in enumerate(ks):
+                terms.setdefault(k - p - k2, []).append((i, p, j))
+    found = sorted(terms)
+    freqs = sorted(set(found) | {k - m for k in ks for m in ks}
+                   | {-p for p in a_parts})
+    at = {f: n for n, f in enumerate(freqs)}
+    phases = np.exp(1j * np.outer(thetas, freqs))
+
     present, lab = np.unique(labels[cols], return_inverse=True)
     n_p = len(present)
-    # P_g v on the rows v reaches, one column per cluster present: vecs C
-    # with C_jg = c_j where column j lies in cluster g; the limit and
-    # omega_bb are the same sum, so A = 1 cancels exactly
-    onehot = sparse.csr_matrix((c, (np.arange(len(c)), lab)),
-                               shape=(len(c), n_p))
-    proj = eig.gauge[rows][:, None] * (vecs @ onehot)
-    a_rows = real_if_exact(a_mat[rows][:, rows])
-    limit = float(np.vdot(proj, a_rows @ proj).real)
-    omega_bb = float(np.vdot(proj, proj).real)
+    n_c = len(cols)
+    a_rows = {p: real_if_exact(a[rows][:, rows]) for p, a in a_parts.items()}
+    # P_g u_k on the rows the u_k reach, one column per cluster present:
+    # vecs C with C_jg = c_jk where column j lies in cluster g; the limit and
+    # omega_bb add the same products in the same order, so A = 1 cancels
+    proj = [vecs @ sparse.csr_matrix((c[:, i], (np.arange(n_c), lab)),
+                                     shape=(n_c, n_p))
+            for i in range(len(ks))]
+    limit = np.zeros(len(freqs), dtype=complex)
+    omega_bb = np.zeros(len(freqs), dtype=complex)
+    for j, k_j in enumerate(ks):
+        for i, k_i in enumerate(ks):
+            omega_bb[at[k_i - k_j]] += np.vdot(proj[i], proj[j])
+        for p, a in a_rows.items():
+            a_proj = a @ proj[j]
+            for i, k_i in enumerate(ks):
+                limit[at[k_i - p - k_j]] += np.vdot(proj[i], a_proj)
+            del a_proj
     del proj
+    omega_a = np.zeros(len(freqs), dtype=complex)
+    for p, a in a_parts.items():
+        omega_a[at[-p]] += np.vdot(w, a @ w)
+    omega_a /= np.vdot(w, w).real
 
-    phases = sparse.diags(eig.gauge[rows])
-    a_rows = real_if_exact(phases.conj() @ a_rows @ phases)
-    weight = np.conj(c)[:, None] * (vecs.conj().T @ (a_rows @ vecs)) * c
-    # S_gh from one bincount per part of W over the pairs of the clusters
-    # present; every window's share is taken here, so these arrays are
-    # freed before the phase kernels are formed
+    m_parts = {p: real_if_exact(vecs.conj().T @ (a @ vecs))
+               for p, a in a_rows.items()}
+    # sum_{j<k} W_jk phi + W_kj conj(phi) over the upper triangle: its real
+    # part is the window of W_jk + conj(W_kj), its imaginary part that of
+    # W_jk - conj(W_kj) against -i phi, needed for f != 0 only
+    upper = np.triu(np.ones((n_c, n_c), dtype=bool), 1)
+    evals = eig.evals[cols]
+    dx = np.subtract.outer(evals, evals)[upper]
+    nonzero = {f: n for n, f in enumerate(f for f in found if f)}
+    dtype = np.result_type(c, *m_parts.values())
+    plus = np.empty((len(found), len(dx)), dtype=dtype)
+    minus = np.empty((len(nonzero), len(dx)), dtype=dtype)
+    trace = np.zeros(len(freqs), dtype=complex)
     pair = (lab[:, None] * n_p + lab).ravel()
-    block = np.hypot(np.bincount(pair, weight.real.ravel(), n_p * n_p),
-                     np.bincount(pair, weight.imag.ravel(),
-                                 n_p * n_p)).reshape(n_p, n_p)
-    del pair
+    blocks = []
+    for n, f in enumerate(found):
+        weight = None
+        for i, p, j in terms[f]:
+            term = np.einsum("j,jk,k->jk", np.conj(c[:, i]), m_parts[p],
+                             c[:, j])
+            if weight is None:
+                weight = term.astype(dtype, copy=False)
+            else:
+                weight += term
+        trace[at[f]] = np.trace(weight)
+        # S_gh from one bincount per part of W over the pairs of the
+        # clusters present
+        block = np.bincount(pair, weight.real.ravel(), n_p * n_p)
+        if np.iscomplexobj(weight):
+            block = block + 1j * np.bincount(pair, weight.imag.ravel(),
+                                             n_p * n_p)
+        blocks.append(block.reshape(n_p, n_p))
+        upper_w, lower_w = weight[upper], weight.T[upper]
+        del weight
+        np.conjugate(lower_w, out=lower_w)
+        np.add(upper_w, lower_w, out=plus[n])
+        if f:
+            np.subtract(upper_w, lower_w, out=minus[nonzero[f]])
+        del upper_w, lower_w
+    del pair, m_parts, upper
+
+    # per window, the coefficients of the means over [0, T] and [0, 2T];
+    # the kernels are formed one slice of pairs at a time
+    windows = []
+    for T in t_list:
+        re, im = np.zeros((2, len(found))), np.zeros((2, len(nonzero)))
+        for start in range(0, len(dx), WINDOW_SLICE):
+            part = slice(start, start + WINDOW_SLICE)
+            kernels = _kernels(T * dx[part])
+            re += _window(plus[:, part], kernels)
+            # Re sum w (-i phi) = Re sum (-i w) phi
+            im += _window(-1j * minus[:, part], kernels)
+        coef = []
+        for m_re, m_im in zip(re, im):
+            x = trace.copy()
+            x[[at[f] for f in found]] += m_re
+            x[[at[f] for f in nonzero]] += 1j * m_im
+            coef.append(x)
+        windows.append(coef)
+    del plus, minus, dx
+
     dist = np.abs(means[present][:, None] - means[present])
     np.fill_diagonal(dist, np.inf)
-    total = block.sum()
-    shares = [float(block[T * dist < 10].sum() / total) if total else 0.0
-              for T in t_list]
-    del block, dist
-
-    upper = np.triu_indices(len(cols), 1)
-    evals = eig.evals[cols]
-    dx = evals[upper[0]] - evals[upper[1]]
-    w_upper = weight[upper]
-    w_upper += weight.T[upper].conj()
-    diagonal = float(np.trace(weight).real)
-    del upper, weight
-
-    reports = []
-    for T, share in zip(t_list, shares):
-        m_T, m_2T = (diagonal + m for m in _window(w_upper, T * dx))
-        messages = ()
-        if share > 1e-2:
-            messages = (f"weight share {share:.3g} on cluster pairs with "
-                        "gap * T < 10: finite-T mean unreliable",)
-        reports.append(ErgodicReport(
-            finite_mean=m_T, T=float(T), extrapolated=2.0 * m_2T - m_T,
-            closed_form=limit, min_cluster_gap=gap, n_clusters=n_g,
-            messages=messages))
-    return limit, omega_bb, reports
+    short = [T * dist < 10 for T in t_list]
+    del dist
+    # |S_gh| at a phase; with one frequency it is the same at every phase
+    block = np.abs(blocks[0]) if len(found) == 1 else None
+    runs = []
+    for e in phases:
+        if len(found) > 1:
+            block = np.abs(sum(e[at[f]] * s for f, s in zip(found, blocks)))
+        total = block.sum()
+        lim = float((e @ limit).real)
+        reports = []
+        for T, mask, (coef_T, coef_2T) in zip(t_list, short, windows):
+            m_T, m_2T = float((e @ coef_T).real), float((e @ coef_2T).real)
+            share = float(block[mask].sum() / total) if total else 0.0
+            messages = ()
+            if share > 1e-2:
+                messages = (f"weight share {share:.3g} on cluster pairs with "
+                            "gap * T < 10: finite-T mean unreliable",)
+            reports.append(ErgodicReport(
+                finite_mean=m_T, T=float(T), extrapolated=2.0 * m_2T - m_T,
+                closed_form=lim, min_cluster_gap=gap, n_clusters=n_g,
+                messages=messages))
+        runs.append((lim, float((e @ omega_bb).real),
+                     float((e @ omega_a).real), reports))
+    theta_mean = float(limit[at[0]].real) if 0 in found else 0.0
+    return runs, found, theta_mean
 
 
 def ergodic_mean(bundle, a_obs, b_obs, omega, T):
@@ -217,9 +351,9 @@ def ergodic_mean(bundle, a_obs, b_obs, omega, T):
     eigenvalue pair.  A window too short for the weight it carries on close
     cluster pairs is flagged in the report's messages.
     """
-    v = _as_matrix(b_obs) @ _as_array(omega)
-    _, _, (report,) = _ergodic_pass(bundle.eigensystem(), _as_matrix(a_obs),
-                                    v, [T])
+    ((_, _, _, (report,)),), _, _ = _ergodic_pass(
+        bundle.eigensystem(), bundle.q_diag, _as_matrix(a_obs),
+        _as_matrix(b_obs), _as_array(omega), [bundle.theta], [T])
     return report
 
 
@@ -238,7 +372,7 @@ def equilibrium_vector(bundle):
     return state, float(means[zero]), captured
 
 
-def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None):
+def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None, thetas=None):
     """Deviation of the ergodic limit from the equilibrium product.
 
     deviation = | lim_T (1/T) int <B omega, sigma_t(A) B omega> dt
@@ -252,31 +386,48 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None):
     bundle's blocked eigensystem, and factorised says whether this bundle ran
     its eigh or took the blocks of another bundle at the same density
     (regauged).
+
+    Without thetas this is one run, at the bundle's own condensate phase.
+    With a list thetas of phases, the bundle stands for every bundle that
+    differs from it only in the phase: L(theta) = e^{i theta Q} L(0)
+    e^{-i theta Q} and omega(theta) = e^{i theta Q} omega(0), so one KMS
+    vector and one pass give every phase, and the result is (runs, found,
+    theta_mean): one run per phase, with its own xi in the manifest and
+    factorised only for the first; the Fourier frequencies of the ergodic
+    limit in theta; and its exact uniform average over theta.
     """
     a_mat = _as_matrix(a_obs)
     b_mat = _as_matrix(b_obs)
     eig = bundle.eigensystem()
     w = equilibrium_vector(bundle)[0].amplitudes
-    limit, omega_bb, reports = _ergodic_pass(eig, a_mat, b_mat @ w, T)
-    omega_a = float(np.vdot(w, a_mat @ w).real / np.vdot(w, w).real)
-
-    deviation = abs(limit - omega_bb * omega_a)
+    at_thetas = [bundle.theta] if thetas is None else thetas
+    runs, found, theta_mean = _ergodic_pass(eig, bundle.q_diag, a_mat, b_mat,
+                                            w, at_thetas, T)
     if a_norm is None:
         a_norm = operator_norm(a_mat)
 
-    return {
-        "deviation": deviation,
-        "deviation_normalized": deviation / a_norm if a_norm > 0 else 0.0,
-        "ergodic_limit": limit,
-        "omega_bb": omega_bb,
-        "omega_a": omega_a,
-        "a_norm": a_norm,
-        "lambda": bundle.lam,
-        "manifest": bundle.manifest(),
-        "factorisation": eig.telemetry(),
-        "factorised": eig.factorised,
-        "finite_T": [r.to_dict() for r in reports],
-    }
+    manifest = bundle.manifest()
+    out = []
+    for n, (theta, (limit, omega_bb, omega_a, reports)) in enumerate(
+            zip(at_thetas, runs)):
+        if bundle.xi is not None:
+            manifest = {**manifest, "xi": {"r": float(bundle.xi.r),
+                                           "theta": float(theta)}}
+        deviation = abs(limit - omega_bb * omega_a)
+        out.append({
+            "deviation": deviation,
+            "deviation_normalized": deviation / a_norm if a_norm > 0 else 0.0,
+            "ergodic_limit": limit,
+            "omega_bb": omega_bb,
+            "omega_a": omega_a,
+            "a_norm": a_norm,
+            "lambda": bundle.lam,
+            "manifest": manifest,
+            "factorisation": eig.telemetry(),
+            "factorised": eig.factorised and n == 0,
+            "finite_T": [r.to_dict() for r in reports],
+        })
+    return out[0] if thetas is None else (out, found, theta_mean)
 
 
 def superpose_xi(measure, results):

@@ -33,8 +33,9 @@ arithmetic.  The per-block solve is passed in: a dense eigh for the bundle's
 cached factorisation, refused for a block above DENSE_CUTOFF states, or
 spectral's shift-invert for the pairs nearest zero.  No eigh of the whole
 space runs.  Bundles that differ only in theta share one factorisation
-(BlockedEigensystem.regauged); the command line does this for every theta of
-a sweep at one lambda and one density r.
+(BlockedEigensystem.regauged); the spectrum and virial commands do this for
+every theta of a sweep at one lambda and one density r, and rte evaluates
+every theta from one bundle (dynamics.rte_deviation).
 """
 
 from dataclasses import dataclass, field as dfield, replace
@@ -206,15 +207,16 @@ class BlockedEigensystem:
         order = np.argsort(self.evals, kind="stable")
         return self.evals[order], self.vectors(order)
 
-    def support(self, v):
-        """The blocks on which v does not vanish exactly.
+    def support(self, gv):
+        """The blocks on which the gauged-frame vector gv, or any column of
+        the matrix gv, does not vanish exactly; gv = conj(gauge) v for a
+        vector v of L.
 
         Returns (rows, cols, vecs, c): the basis states rows of those blocks,
         their spectral columns cols, their eigenvectors as one
         block-diagonal rows x cols matrix vecs of the gauged frame, and the
-        coordinates c = vecs^H (conj(gauge) v)[rows] of v on them.
+        coordinates c = vecs^H gv[rows] on them.
         """
-        gv = real_if_exact(np.conj(self.gauge) * v)
         offsets = self.offsets
         keep = [b for b, (idx, _, _) in enumerate(self.blocks)
                 if np.any(gv[idx])]

@@ -314,8 +314,7 @@ def test_levelshift_sweep(tmp_path, capsys):
 
 
 def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
-    # both phases share one dense eigh (the first bundle's), and each task
-    # forms its own KMS vector
+    # both phases share one bundle, one dense eigh and one KMS vector
     counts = {"eigh": 0, "kms_vector": 0}
 
     def counted(name, fn):
@@ -333,7 +332,7 @@ def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
                              "n_theta": 2}}
     code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
     assert code == cli.EXIT_OK
-    assert counts == {"eigh": 1, "kms_vector": 2}
+    assert counts == {"eigh": 1, "kms_vector": 1}
     payload = json.loads((outdir / "rte.json").read_text())
     assert len(payload["runs"]) == 2
     for run in payload["runs"]:
@@ -372,6 +371,77 @@ def test_rte_aliased_theta_rule_gets_a_message(tmp_path, capsys, n_theta,
         assert agg["messages"] == []
     if matrix is None and not aliased:
         assert abs(agg["aggregate_limit"]) < 1e-15
+
+
+def probe_config(mu):
+    cfg = base_config()
+    cfg["grid"] = {"n_modes": 3, "omega_min": 0.35, "omega_max": 2.3,
+                   "spacing": "log"}
+    cfg["trunc"] = {"n_max": 2}
+    cfg["physics"] = {"lambda": [0.3], "mu": mu}
+    return cfg
+
+
+@pytest.mark.parametrize("n_theta", [3, 4])
+def test_rte_exact_theta_limit(tmp_path, capsys, n_theta):
+    # hop at d=2: the limit over theta is a cos(theta) + b cos(3 theta), so
+    # its exact average is 0, which a 3-point rule misses by b = 2.50e-4
+    cfg = probe_config({"kind": "uniform_theta", "excess": 0.2,
+                        "n_theta": n_theta})
+    code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_OK
+    agg = json.loads((outdir / "rte.json").read_text())["aggregate"]
+    if n_theta == 3:
+        assert agg["exact_theta_limit"] == 0.0
+        assert agg["aggregate_limit"] == pytest.approx(2.50e-4, rel=1e-2)
+    else:
+        assert abs(agg["exact_theta_limit"] - agg["aggregate_limit"]) <= 1e-15
+
+
+@pytest.mark.parametrize("mu, messages", [
+    ({"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 2}, []),
+    ({"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 3},
+     ["n_theta 3 may alias: the rte quantities are trigonometric "
+      "polynomials in theta of degree 3"]),
+    ({"kind": "atoms", "atoms": [{"r": 0.5, "theta": 0.0, "weight": 0.5},
+                                 {"r": 0.5, "theta": 3.0, "weight": 0.5}]},
+     [])], ids=["kac-2", "kac-3", "atoms"])
+def test_rte_aliasing_reads_the_frequencies_present(tmp_path, capsys, mu,
+                                                     messages):
+    # hop at d=2 has only the odd frequencies 1 and 3, so a 2-point rule is
+    # exact and a 3-point rule is not; atoms get neither check nor average
+    code, outdir, _ = run_cli(tmp_path, "rte", probe_config(mu), capsys)
+    assert code == cli.EXIT_OK
+    agg = json.loads((outdir / "rte.json").read_text())["aggregate"]
+    assert agg["messages"] == messages
+    assert ("exact_theta_limit" in agg) == (mu["kind"] != "atoms")
+
+
+def test_rte_kac_sweep_has_one_eigh_and_kms_vector_per_density(
+        tmp_path, capsys, monkeypatch):
+    counts = {"eigh": 0, "kms_vector": 0, "build_bundle": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(liouville, "eigh", counted("eigh", liouville.eigh))
+    monkeypatch.setattr(liouville, "kms_vector",
+                        counted("kms_vector", liouville.kms_vector))
+    monkeypatch.setattr(cli, "build_bundle",
+                        counted("build_bundle", cli.build_bundle))
+    cfg = base_config()
+    cfg["physics"] = {"lambda": [0.1],
+                      "mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 2,
+                             "n_theta": 4}}
+    code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_OK
+    assert counts == {"eigh": 2, "kms_vector": 2, "build_bundle": 2}
+    runs = json.loads((outdir / "rte.json").read_text())["runs"]
+    assert [r["manifest"]["xi"]["theta"] for r in runs[:4]] == [
+        2.0 * 3.141592653589793 * j / 4 for j in range(4)]
 
 
 def test_manifest_is_deterministic(tmp_path, capsys):

@@ -313,7 +313,7 @@ def test_window_double_angle_matches_direct_evaluation(rng, complex_weights):
     w = rng.standard_normal(len(x))
     if complex_weights:
         w = w + 1j * rng.standard_normal(len(x))
-    m_T, m_2T = dynamics._window(w, x)
+    m_T, m_2T = dynamics._window(w, dynamics._kernels(x))
     scale = np.sum(np.abs(w))
     # the T kernel (1 - cos x)/x is formed without cancellation, so it
     # matches the direct form to rounding, and exactly for real weights
@@ -329,6 +329,23 @@ def test_window_imaginary_kernel_does_not_cancel(x):
     # w = -i reads off the T kernel (1 - cos x)/x; the direct form reads 0
     # just above |x| = 1e-8 and keeps only about 1e-16/|x| of absolute
     # accuracy up to 1e-4
-    m_T, _ = dynamics._window(np.array([-1j]), np.array([x]))
+    m_T, _ = dynamics._window(np.array([-1j]),
+                              dynamics._kernels(np.array([x])))
     series = x / 2 - x ** 3 / 24
     assert abs(m_T - series) <= 1e-15 * abs(series)
+
+
+def test_charge_parts_of_dot_observables(bundle2):
+    # hop at d = 2 shifts the charge by +-1; a diagonal observable and the
+    # identity by 0; the parts sum to the observable
+    for x, shifts in ((hop_matrix(2), [-1, 1]), (np.diag([0.0, 1.0]), [0]),
+                      (np.array([[0.3, 1 + 0.5j], [0.2j, -0.7]]),
+                       [-1, 0, 1])):
+        a = dynamics.dot_observable(bundle2, x)
+        parts = dynamics._charge_parts(a, bundle2.q_diag)
+        assert list(parts) == shifts
+        assert abs(sum(parts.values()) - a).max() == 0
+    eye = sparse.identity(bundle2.dim, format="csr", dtype=complex)
+    (part,) = dynamics._charge_parts(eye, bundle2.q_diag).values()
+    assert not np.iscomplexobj(part.data)
+    assert (part != sparse.identity(bundle2.dim)).nnz == 0

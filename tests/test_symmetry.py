@@ -294,3 +294,82 @@ def test_shared_factorisation_matches_per_theta(observable):
             for key in ("finite_mean", "extrapolated", "closed_form", "T",
                         "min_cluster_gap"):
                 assert g[key] == pytest.approx(w[key], rel=1e-12), key
+
+
+def assert_runs_agree(got, want, path="", window_scale=False, scale=None):
+    """Every field of two rte runs, numbers to 1e-12 relative (1e-15
+    absolute below 1e-15), everything else exactly.  With window_scale, a
+    number of a finite-T window agrees to 1e-12 of the window's largest
+    |value|."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        if window_scale and "finite_mean" in want:
+            scale = max(abs(want[k]) for k in ("finite_mean", "extrapolated",
+                                              "closed_form"))
+        for key in want:
+            assert_runs_agree(got[key], want[key], f"{path}/{key}",
+                              window_scale, scale)
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for g, w in zip(got, want):
+            assert_runs_agree(g, w, path + "[]", window_scale, scale)
+    elif isinstance(want, float):
+        tol = 1e-12 * scale if scale is not None else 1e-15
+        assert got == pytest.approx(want, rel=1e-12, abs=tol), path
+    else:
+        assert got == want, path
+
+
+NON_HERMITIAN = {2: [[0.3, 1.0 + 0.5j], [0.2j, -0.7]],
+                 3: [[0.3, 1.0 + 0.5j, 0.0], [0.2j, -0.7, 0.4],
+                     [0.6 - 0.1j, 0.0, 0.1j]]}
+
+
+@pytest.mark.parametrize("observable", ["projector", "hop", "non-hermitian"])
+@pytest.mark.parametrize("spec", [(2, "log", 3, 2, 0.1),
+                                  (3, "linear", 2, 2, 0.2)],
+                         ids=["d2", "d3"])
+def test_theta_sweep_matches_bundles_factorised_per_theta(spec, observable):
+    # one bundle at the first phase gives every phase of its density; the
+    # references build and project a bundle at each phase
+    d = spec[0]
+    thetas = [0.7, 0.0, 2.0 * np.pi / 5, np.pi, 4.4]
+    x = {"projector": np.diag(np.arange(d) == d - 1) * 1.0,
+         "hop": hop_matrix(d),
+         "non-hermitian": np.array(NON_HERMITIAN[d])}[observable]
+    b = make_bundle(*spec, thetas[0], 1.0)
+    a = dynamics.dot_observable(b, x)
+    runs, found, _ = dynamics.rte_deviation(b, a, a, T=[50.0, 400.0],
+                                            a_norm=1.0, thetas=thetas)
+    assert len(runs) == len(thetas)
+    if observable == "projector":
+        assert found == [0]
+    for n, (theta, run) in enumerate(zip(thetas, runs)):
+        assert run.pop("factorised") == (n == 0)
+        # a bundle at theta on the blocks of b, and one that factorises its
+        # own L: two factorisations move a finite-T mean at T = 400 by up to
+        # 1.4e-12 of itself at d = 3, so there the window's scale is the unit
+        shared = make_bundle(*spec, theta, 1.0)
+        shared.share_eigensystem(b.eigensystem())
+        own = make_bundle(*spec, theta, 1.0)
+        for ref in (shared, own):
+            a_ref = dynamics.dot_observable(ref, x)
+            want = dynamics.rte_deviation(ref, a_ref, a_ref, T=[50.0, 400.0],
+                                          a_norm=1.0)
+            assert want.pop("factorised") == (ref is own)
+            assert_runs_agree(run, want, window_scale=ref is own)
+
+
+@pytest.mark.parametrize("observable", ["identity", "hop"])
+def test_theta_sweep_identity_deviation_is_exactly_zero(observable):
+    b = make_bundle(3, "linear", 2, 2, 0.2, 1.3, 1.0)
+    eye = sparse.identity(b.dim, format="csr", dtype=complex)
+    bop = eye if observable == "identity" else dynamics.dot_observable(
+        b, hop_matrix(3))
+    runs, _, _ = dynamics.rte_deviation(
+        b, eye, bop, T=[50.0], a_norm=1.0,
+        thetas=[1.3, 0.0, 0.4, 2.0, np.pi, 5.9])
+    for run in runs:
+        assert run["deviation"] == 0.0
+        assert run["omega_a"] == 1.0
+        assert run["ergodic_limit"] == run["omega_bb"]

@@ -85,6 +85,17 @@ def cases():
                      "mu": {"kind": "uniform_theta", "excess": 0.2,
                             "n_theta": 3}},
             solver={"T": [100.0, 1000.0]})),
+        # a complex non-Hermitian observable at d=3, entries as [re, im]:
+        # charge parts -2 to 2, so many Fourier frequencies per density
+        ("rte_uniform_complex", "rte", _variant(
+            dot={"d": 3},
+            physics={"observable": {"matrix": [
+                [[0.3, 0.0], [1.0, 0.5], [0.0, 0.0]],
+                [[0.0, 0.2], [-0.7, 0.0], [0.4, 0.0]],
+                [[0.6, -0.1], [0.0, 0.0], [0.0, 0.1]]]},
+                     "mu": {"kind": "uniform_theta", "excess": 0.2,
+                            "n_theta": 5}},
+            solver={"T": [100.0, 1000.0]})),
         ("rte_kac", "rte", _variant(
             physics={"mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 2,
                             "n_theta": 2}},
