@@ -400,15 +400,16 @@ def _rho_crit(config):
 
 
 def _map_bundles(config, args, xis, rho_crit, per_group):
-    """per_group(lam, group, build) for every group of (lambda, xi) tasks
+    """per_group(lam, group, bundle) for every group of (lambda, xi) tasks
     with one lambda and one condensate density r, lambda outer: group lists
-    the xis of its tasks in order, build(xi) assembles the bundle of one of
-    them, and per_group returns one result per task.  Results in task order.
+    the xis of its tasks in order, bundle is the one bundle of the group,
+    built at its first xi, and per_group returns one result per task.
+    Results in task order.
 
     The tasks of a group differ only in the phase theta, so their generators
     are gauges of one another, L(theta) = e^{i theta Q} L(0) e^{-i theta Q},
-    and one factorisation serves the group.  args.jobs threads run the
-    groups in parallel.
+    with the same map on the equilibrium vector, and one bundle serves the
+    group.  args.jobs threads run the groups in parallel.
     """
     dspec, grid = _build_grid(config)
     trunc = _trunc(config)
@@ -418,13 +419,10 @@ def _map_bundles(config, args, xis, rho_crit, per_group):
         groups.setdefault((lam, None if xi is None else xi.r), []).append(i)
 
     def run(members):
-        lam = tasks[members[0]][0]
-
-        def build(xi):
-            return build_bundle(dspec, grid, trunc, lam, xi=xi,
-                                rho_crit=rho_crit if xi is not None else None)
-
-        return per_group(lam, [tasks[i][1] for i in members], build)
+        lam, xi = tasks[members[0]]
+        bundle = build_bundle(dspec, grid, trunc, lam, xi=xi,
+                              rho_crit=rho_crit if xi is not None else None)
+        return per_group(lam, [tasks[i][1] for i in members], bundle)
 
     results = [None] * len(tasks)
     with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
@@ -436,34 +434,28 @@ def _map_bundles(config, args, xis, rho_crit, per_group):
 
 
 def _spectrum_tasks(config, args):
-    """One spectral report per (lambda, xi) task.  In a group of phases the
-    first bundle whose eigensystem is asked for factorises, and every later
-    bundle is handed the same blocks in its own gauge, so no eigh runs for
-    it.  Nothing is factorised that a task does not ask for (a spectrum
+    """One spectral report per (lambda, xi) task, computed once per group of
+    phases on the group's bundle.  Every field the report writes is
+    invariant under the gauge e^{i theta Q} that maps one phase onto
+    another: the eigenvalues, residuals and norm; the virial value, since
+    the conjugate A commutes with Q; the lambda weight and the structure
+    overlap, diagonal weights of |psi|; and every panel entry, which lies in
+    one charge sector.  So each phase gets the group's report with its own
+    xi.  Nothing is factorised that the report does not ask for (a spectrum
     above DENSE_CUTOFF solves near zero)."""
     solver = _solver(config)
     rc = _rho_crit(config)
 
-    def run(lam, xi, bundle):
+    def run_group(lam, group, bundle):
         _attach(bundle, config, args.seed)
         report = spectral.solve_near_zero(bundle, solver["k_eigs"],
                                           tol=solver["tol"],
                                           kernel_tol=solver["kernel_tol"])
         spectral.attach_diagnostics(bundle, report)
-        return {"lambda": lam,
-                "xi": None if xi is None else {"r": xi.r, "theta": xi.theta},
-                "kernel_dim": report.kernel_dim,
-                "report": report.to_dict()}
-
-    def run_group(lam, group, build):
-        shared, out = None, []
-        for xi in group:
-            bundle = build(xi)
-            if shared is not None:
-                bundle.share_eigensystem(shared)
-            out.append(run(lam, xi, bundle))
-            shared = bundle.cached_eigensystem()
-        return out
+        return [{"lambda": lam,
+                 "xi": None if xi is None else {"r": xi.r, "theta": xi.theta},
+                 "kernel_dim": report.kernel_dim,
+                 "report": report.to_dict()} for xi in group]
 
     return _map_bundles(config, args, _xis(config, rc), rc, run_group)
 
@@ -534,9 +526,8 @@ def cmd_rte(config, args):
            else _xis(config, rc))
     t_list = _solver(config)["T"]
 
-    def run(lam, group, build):
-        # one bundle, one KMS vector and one ergodic pass per density
-        bundle = build(group[0])
+    def run(lam, group, bundle):
+        # one KMS vector and one ergodic pass per density
         a_full = dynamics.dot_observable(bundle, x)
         runs, found, theta_mean = dynamics.rte_deviation(
             bundle, a_full, a_full, T=t_list, a_norm=x_norm,

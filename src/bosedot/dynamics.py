@@ -77,8 +77,8 @@ def dot_observable(bundle, x):
         raise ValueError("observable must be d x d on the dot")
     eye_d = sparse.identity(d, format="csr", dtype=complex)
     eye_f = sparse.identity(bundle.field_dim, format="csr", dtype=complex)
-    return sparse.kron(sparse.kron(sparse.csr_matrix(x), eye_d), eye_f,
-                       format="csr")
+    return sparse.kron(sparse.kron(sparse.csr_matrix(x), eye_d, format="csr"),
+                       eye_f, format="csr")
 
 
 def operator_norm(obs):
@@ -158,7 +158,9 @@ def _charge_parts(mat, q_diag):
     e^{-i theta Q} A e^{i theta Q} = sum_p e^{-i theta p} A_p.  A dot
     observable X has the parts p = i - j of its entries X_ij != 0."""
     coo = mat.tocoo()
-    nz = coo.data != 0      # kron stores explicit zeros
+    # callers pass any sparse matrix, and a stored zero would add a
+    # charge part that A does not have
+    nz = coo.data != 0
     data, row, col = coo.data[nz], coo.row[nz], coo.col[nz]
     shift = np.rint(q_diag[row] - q_diag[col]).astype(int)
     parts = {}
@@ -383,9 +385,8 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None, thetas=None):
     projection of the perturbative thermal vector onto the kernel, and
     finite_T holds one ergodic_mean report per window in T.  The normalized
     field divides by the spectral norm of A.  factorisation describes the
-    bundle's blocked eigensystem, and factorised says whether this bundle ran
-    its eigh or took the blocks of another bundle at the same density
-    (regauged).
+    bundle's blocked eigensystem, and factorised is true for the first phase
+    of its density only: the bundle factorises once for all of them.
 
     Without thetas this is one run, at the bundle's own condensate phase.
     With a list thetas of phases, the bundle stands for every bundle that
@@ -424,7 +425,7 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None, thetas=None):
             "lambda": bundle.lam,
             "manifest": manifest,
             "factorisation": eig.telemetry(),
-            "factorised": eig.factorised and n == 0,
+            "factorised": n == 0,
             "finite_T": [r.to_dict() for r in reports],
         })
     return out[0] if thetas is None else (out, found, theta_mean)

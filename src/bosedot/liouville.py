@@ -32,13 +32,12 @@ block.  A block real up to the rounding of the phases is solved in real
 arithmetic.  The per-block solve is passed in: a dense eigh for the bundle's
 cached factorisation, refused for a block above DENSE_CUTOFF states, or
 spectral's shift-invert for the pairs nearest zero.  No eigh of the whole
-space runs.  Bundles that differ only in theta share one factorisation
-(BlockedEigensystem.regauged); the spectrum and virial commands do this for
-every theta of a sweep at one lambda and one density r, and rte evaluates
-every theta from one bundle (dynamics.rte_deviation).
+space runs.  Bundles that differ only in theta are gauges of one another, so
+the commands build one bundle per lambda and density r and read every theta
+of the sweep from it (cli._map_bundles).
 """
 
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from math import comb
 
@@ -123,14 +122,12 @@ class BlockedEigensystem:
     pairs nearest zero).  The columns of all blocks, in block order, are the
     columns of the eigensystem: evals is their concatenation.  path is
     "sector" when the blocks are the charge sectors (L conserves Q) and
-    "gauge" when B is the whole gauged L(0).  factorised is False for an
-    eigensystem that regauged took from another bundle's blocks.
+    "gauge" when B is the whole gauged L(0).
     """
 
     blocks: tuple
     gauge: np.ndarray
     path: str
-    factorised: bool = True
     evals: np.ndarray = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -158,13 +155,6 @@ class BlockedEigensystem:
                 if q:
                     solved[-q] = (perm[idx], -e, v.conj())
         return cls(tuple(solved[q] for q in charges), gauge, path)
-
-    def regauged(self, q_diag, theta):
-        """The eigensystem of e^{i theta Q} B e^{-i theta Q} from these blocks:
-        that of a bundle whose L differs from this one's only by the
-        condensate phase.  No eigh runs; the blocks are shared."""
-        return replace(self, gauge=condensate_gauge(q_diag, theta),
-                       factorised=False)
 
     @cached_property
     def clusters(self):
@@ -307,15 +297,6 @@ class OperatorBundle:
         if self._eigensystem is None and self.dim > DENSE_CUTOFF:
             return None
         return self.eigensystem()
-
-    def cached_eigensystem(self):
-        """The eigensystem if something has formed it, else None."""
-        return self._eigensystem
-
-    def share_eigensystem(self, other):
-        """Take other, the eigensystem of a bundle whose L differs from this
-        one's only by the condensate phase, in this bundle's own gauge."""
-        self._eigensystem = other.regauged(self.q_diag, self.theta)
 
     def swap_permutation(self):
         """The swap P as a permutation: (P v)[i] = v[perm[i]] maps the dot

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from bosedot import cli, liouville, spectral
@@ -548,6 +549,90 @@ def test_kac_sweep_factorises_once_per_density(tmp_path, capsys,
     # r outer, theta inner: the first phase of each density factorises
     assert [r["factorised"] for r in runs] == [True, False, False, False] * 3
     assert all(r["factorisation"] == runs[0]["factorisation"] for r in runs)
+
+
+def cluster_traces(report):
+    """Per cluster of equal eigenvalues (gaps of kernel_tol), ascending: its
+    size and the sums over its orthonormal eigenvectors of each squared
+    diagonal weight and panel entry, traces that no rotation of the
+    cluster's basis moves."""
+    rows = sorted(report["diagnostics"], key=lambda r: r["eigenvalue"])
+    out = []
+    for row in rows:
+        if not out or row["eigenvalue"] - last >= report["kernel_tol"]:
+            out.append({"size": 0, **dict.fromkeys(
+                ["lambda_weight", "structure_overlap", *row["panel"]], 0.0)})
+        last = row["eigenvalue"]
+        out[-1]["size"] += 1
+        for key in ("lambda_weight", "structure_overlap"):
+            out[-1][key] += row[key] ** 2
+        for key, val in row["panel"].items():
+            out[-1][key] += val ** 2
+    return out
+
+
+def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
+                                                            monkeypatch):
+    # three phases of one density: one bundle, one eigh and one conjugate.
+    # A run at one phase alone factorises its own L, whose degenerate kernel
+    # the eigensolver may rotate, so its rows agree with the sweep's as
+    # traces over each cluster, to 1e-12 of the unit scale of a unit
+    # vector's weights; eigenvalues, residuals and virial values are
+    # rounding noise in the kernel and agree to 1e-12 ||L||
+    thetas = (0.0, 0.7, 2.9)
+    cfg = base_config()
+    cfg["grid"] = {"n_modes": 3, "omega_min": 0.35, "omega_max": 2.3,
+                   "spacing": "log"}
+    cfg["trunc"] = {"n_max": 2}
+    cfg["solver"] = {"k_eigs": 12}     # the kernel of 8 and four pairs
+    cfg["physics"]["xi"] = [{"excess": 0.2, "theta": t} for t in thetas]
+    counts = dict.fromkeys(("build_bundle", "eigh", "assemble_conjugate"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((cli, "build_bundle"), (liouville, "eigh"),
+                         (cli, "assemble_conjugate")):
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
+
+    def run(command, config, sub):
+        (tmp_path / sub).mkdir()
+        code, outdir, _ = run_cli(tmp_path / sub, command, config, capsys)
+        assert code == cli.EXIT_OK
+        return json.loads((outdir / f"{command}.json").read_text())
+
+    runs = run("spectrum", cfg, "sweep")["runs"]
+    assert counts == {"build_bundle": 1, "eigh": 1, "assemble_conjugate": 1}
+    assert [r["xi"]["theta"] for r in runs] == list(thetas)
+    for theta, got in zip(thetas, runs):
+        one = {**cfg, "physics": {**cfg["physics"],
+                                  "xi": [{"excess": 0.2, "theta": theta}]}}
+        (want,) = run("spectrum", one, f"theta{theta}")["runs"]
+        assert got["xi"] == want["xi"]
+        assert got["kernel_dim"] == want["kernel_dim"]
+        got, want = got["report"], want["report"]
+        assert got.keys() == want.keys()
+        for key in ("kernel_dim", "kernel_index", "solver", "messages"):
+            assert got[key] == want[key], key
+        for key in ("kernel_tol", "norm_L"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12), key
+        for g, w in zip(*map(cluster_traces, (got, want)), strict=True):
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
+        bound = 1e-12 * want["norm_L"]
+        for key in ("eigenvalues", "residuals"):
+            assert np.allclose(sorted(got[key]), sorted(want[key]),
+                               rtol=0, atol=bound), key
+        for rows in (got["diagnostics"], want["diagnostics"]):
+            assert max(abs(r["virial_value"]) for r in rows) <= bound
+
+    rows = run("virial", cfg, "virial")["rows"]
+    per_theta = len(runs[0]["report"]["diagnostics"])
+    assert len(rows) == len(thetas) * per_theta
+    assert rows == rows[:per_theta] * len(thetas)
 
 
 def test_rte_jobs_do_not_change_the_output(tmp_path, capsys):

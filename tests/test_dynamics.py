@@ -20,10 +20,13 @@ def hop_matrix(d):
 
 def test_dot_observable_index_layout(bundle2):
     x = np.array([[0.0, 2.0], [3.0, 0.0]])
-    full = dynamics.dot_observable(bundle2, x).toarray()
+    full = dynamics.dot_observable(bundle2, x)
     d, f = bundle2.dot_dim, bundle2.field_dim
     ref = np.kron(np.kron(x, np.eye(d)), np.eye(f))
-    np.testing.assert_array_equal(full, ref)
+    np.testing.assert_array_equal(full.toarray(), ref)
+    # no stored zero, which a reader of the pattern would take for a charge
+    # shift
+    assert full.nnz == np.count_nonzero(ref)
 
 
 def test_dot_observable_shape_check(bundle2):

@@ -17,7 +17,8 @@ from scipy import sparse
 import bosedot as bd
 from bosedot import dynamics, spectral
 from bosedot.dot import lower_raise
-from bosedot.liouville import (BlockedEigensystem, build_bundle, kernel_index,
+from bosedot.liouville import (BlockedEigensystem, assemble_conjugate,
+                               build_bundle, condensate_gauge, kernel_index,
                                kms_vector)
 
 RHO_CRIT = bd.critical_density(1.0, bd.RELATIVISTIC)
@@ -53,6 +54,13 @@ def make_bundle(d, spacing, n_modes, n_max, lam, theta, amplitude):
     return build_bundle(dspec, grid, bd.TruncationSpec(n_modes, n_max),
                         lam=lam, xi=xi,
                         rho_crit=None if xi is None else RHO_CRIT)
+
+
+def on_blocks(bundle, eig):
+    """bundle with the blocks of eig, the eigensystem of a bundle at another
+    phase of the same density, in bundle's own gauge: no eigh runs."""
+    return dataclasses.replace(bundle, _eigensystem=dataclasses.replace(
+        eig, gauge=condensate_gauge(bundle.q_diag, bundle.theta)))
 
 
 @pytest.fixture(scope="module", params=list(CASES))
@@ -266,13 +274,13 @@ def test_shared_factorisation_matches_per_theta(observable):
     spec = (2, "log", 3, 2, 0.1)
     thetas = [2.0 * np.pi * j / 4 for j in range(4)]
     own = [make_bundle(*spec, theta, 1.0) for theta in thetas]
-    shared = [make_bundle(*spec, theta, 1.0) for theta in thetas]
-    for b in shared[1:]:
-        b.share_eigensystem(shared[0].eigensystem())
+    first = make_bundle(*spec, thetas[0], 1.0)
+    shared = [first] + [on_blocks(make_bundle(*spec, theta, 1.0),
+                                  first.eigensystem())
+                        for theta in thetas[1:]]
     x = hop_matrix(2) if observable == "hop" else np.diag([0.0, 1.0])
     for b_own, b in zip(own, shared):
         eig = b.eigensystem()
-        assert eig.factorised == (b is shared[0])
         assert eig.telemetry() == b_own.eigensystem().telemetry()
         norm_l = b.norm_L()
         vecs = eig.vectors(np.arange(b.dim))
@@ -284,8 +292,8 @@ def test_shared_factorisation_matches_per_theta(observable):
         got = dynamics.rte_deviation(b, a, a, T=[50.0, 400.0], a_norm=1.0)
         want = dynamics.rte_deviation(b_own, a, a, T=[50.0, 400.0],
                                       a_norm=1.0)
-        assert got["factorised"] == (b is shared[0])
-        assert want["factorised"]
+        # a single run is the first phase of its own sweep
+        assert got["factorised"] and want["factorised"]
         for key in ("deviation", "ergodic_limit", "omega_bb"):
             assert got[key] == pytest.approx(want[key], rel=1e-12), key
         for g, w in zip(got["finite_T"], want["finite_T"]):
@@ -296,11 +304,32 @@ def test_shared_factorisation_matches_per_theta(observable):
                 assert g[key] == pytest.approx(w[key], rel=1e-12), key
 
 
+def test_spectral_report_is_gauge_invariant():
+    # a bundle at theta on the blocks of the theta = 0 bundle has the
+    # eigenvectors e^{i theta Q} psi, and every field of its report (the
+    # virial value, the diagonal weights, each panel entry in its one charge
+    # sector) agrees with the theta = 0 report up to rounding: the CLI gives
+    # every phase of a density that one report
+    spec = (2, "log", 3, 2, 0.1)
+
+    def report(b):
+        assemble_conjugate(b, scheme="log_dilation", seed=11)
+        rep = spectral.solve_near_zero(b, 12)
+        return spectral.attach_diagnostics(b, rep).to_dict()
+
+    first = make_bundle(*spec, 0.0, 1.0)
+    want = report(first)
+    assert len(want["diagnostics"]) == 12
+    for theta in (0.7, 2.9):
+        b = on_blocks(make_bundle(*spec, theta, 1.0), first.eigensystem())
+        assert_runs_agree(report(b), want)
+
+
 def assert_runs_agree(got, want, path="", window_scale=False, scale=None):
-    """Every field of two rte runs, numbers to 1e-12 relative (1e-15
-    absolute below 1e-15), everything else exactly.  With window_scale, a
-    number of a finite-T window agrees to 1e-12 of the window's largest
-    |value|."""
+    """Every field of two rte runs or spectral reports, numbers to 1e-12
+    relative (1e-15 absolute below 1e-15), everything else exactly.  With
+    window_scale, a number of a finite-T window agrees to 1e-12 of the
+    window's largest |value|."""
     if isinstance(want, dict):
         assert got.keys() == want.keys(), path
         if window_scale and "finite_mean" in want:
@@ -349,14 +378,13 @@ def test_theta_sweep_matches_bundles_factorised_per_theta(spec, observable):
         # a bundle at theta on the blocks of b, and one that factorises its
         # own L: two factorisations move a finite-T mean at T = 400 by up to
         # 1.4e-12 of itself at d = 3, so there the window's scale is the unit
-        shared = make_bundle(*spec, theta, 1.0)
-        shared.share_eigensystem(b.eigensystem())
+        shared = on_blocks(make_bundle(*spec, theta, 1.0), b.eigensystem())
         own = make_bundle(*spec, theta, 1.0)
         for ref in (shared, own):
             a_ref = dynamics.dot_observable(ref, x)
             want = dynamics.rte_deviation(ref, a_ref, a_ref, T=[50.0, 400.0],
                                           a_norm=1.0)
-            assert want.pop("factorised") == (ref is own)
+            assert want.pop("factorised")
             assert_runs_agree(run, want, window_scale=ref is own)
 
 

@@ -70,6 +70,11 @@ def cases():
         ("spectrum_xi", "spectrum", _variant(
             physics={"xi": [{"excess": 0.2, "theta": 0.7}]},
             solver={"k_eigs": 8})),
+        # three phases of one density: one bundle and one report serve all
+        ("spectrum_theta_sweep", "spectrum", _variant(
+            physics={"xi": [{"excess": 0.2, "theta": theta}
+                            for theta in (0.0, 0.7, 2.9)]},
+            solver={"k_eigs": 8})),
         ("rte_two_xi", "rte", _variant(
             physics={"xi": [{"excess": 0.2, "theta": 0.0},
                             {"r": 0.5, "theta": 1.3}]},
