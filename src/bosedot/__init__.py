@@ -3,7 +3,7 @@ condensed free Bose gas, on truncated doubled Fock spaces."""
 
 from .dot import (DotSpec, CondensatePoint, gibbs_vector, hamiltonian,
                   lower_raise, doubled_free_part, condensate_block,
-                  condensate_term, condensate_left_term)
+                  condensate_left_term)
 from .reservoir import (Dispersion, RELATIVISTIC, NONRELATIVISTIC, FormFactor,
                         TestFunction, GridSpec, ModeGrid, discretize,
                         occupation, planck_density, critical_density,

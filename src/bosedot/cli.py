@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 import jsonschema
 from scipy.special import zeta
-from scipy import integrate
 
 from . import dot as dotmod
 from . import reservoir as res
@@ -100,8 +99,11 @@ SCHEMA = {
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "kernel_tol": {"type": ["number", "null"]},
                 "k_eigs": {"type": "integer", "minimum": 1},
-                "T": {"type": "array", "items": {"type": "number"}},
-                "epsilons": {"type": "array", "items": {"type": "number"}},
+                "T": {"type": "array",
+                      "items": {"type": "number", "exclusiveMinimum": 0}},
+                "epsilons": {"type": "array",
+                             "items": {"type": "number",
+                                       "exclusiveMinimum": 0}},
                 "h_over_eps": {"type": "number", "exclusiveMinimum": 0},
                 "conjugate": {"enum": ["log_dilation", "custom_antisymmetric"]},
             },
@@ -358,15 +360,13 @@ def cmd_thermo(config, args):
         rows.append({"name": "fugacity", "value": z, "reference": None,
                      "residual": None})
         if rho_bar > rc:
-            norm = integrate.quad(
-                lambda r: res.kac_density(r, beta, rho_bar, disp, rho_crit=rc),
-                rc, np.inf)[0]
+            def kac(r):
+                return res.kac_density(r, beta, rho_bar, disp, rho_crit=rc)
+
+            norm = res.excess_integral(kac, rc, rho_bar - rc)
             rows.append({"name": "kac_normalization", "value": norm,
                          "reference": 1.0, "residual": abs(norm - 1.0)})
-            mean = integrate.quad(
-                lambda r: r * res.kac_density(r, beta, rho_bar, disp,
-                                              rho_crit=rc),
-                rc, np.inf)[0]
+            mean = res.excess_integral(lambda r: r * kac(r), rc, rho_bar - rc)
             rows.append({"name": "kac_mean", "value": mean,
                          "reference": rho_bar,
                          "residual": abs(mean - rho_bar)})

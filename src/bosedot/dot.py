@@ -6,12 +6,13 @@ product basis phi_i (x) phi_j ordered as index i*d + j.  On that space live
 
 * the dot part of the free Liouvillian,  H1 (x) 1 - 1 (x) H1,
 * the normalized Gibbs vector  sum_j e^{-beta E_j / 2} phi_j (x) phi_j / sqrt(Z),
-* the condensate-induced perturbation K_xi, a purely dot-local operator
-  parametrized by a point xi = (r, theta) of the condensate phase space and by
-  the zero-momentum coupling value g(0).
+* the left half K^1_xi (x) 1 of the condensate-induced perturbation, a
+  purely dot-local operator parametrized by a point xi = (r, theta) of the
+  condensate phase space and by the zero-momentum coupling value g(0).
 
-Entrywise complex conjugation in the energy basis plays the role of the
-modular conjugation on a single factor: conj(M) = C M C.
+The right half 1 (x) conj(K^1_xi) is the image of the left half under the
+swap-and-conjugate map, which the Liouvillian assembly applies to the whole
+doubled space (liouville.swap_image).
 """
 
 from dataclasses import dataclass
@@ -126,11 +127,6 @@ def gibbs_vector(spec, beta):
     return vec
 
 
-def conjugate_entrywise(mat):
-    """C M C with C the entrywise complex conjugation in the energy basis."""
-    return np.conj(np.asarray(mat))
-
-
 PHASE_NORM = (2.0 * np.pi) ** (-1.5)
 
 
@@ -150,19 +146,9 @@ def condensate_block(spec, xi, rho_crit, g0):
                   + gm * (g0 * np.exp(-1j * xi.theta)))
 
 
-def condensate_term(spec, xi, rho_crit, g0):
-    """Doubled-space condensate perturbation K_xi = K^1 (x) 1 - 1 (x) conj(K^1).
-
-    Acts on C^d (x) C^d; the field factor is the identity and is attached by
-    the Liouvillian assembly.  Hermitian, and it anticommutes with the
-    swap-and-conjugate symmetry of the full generator.
-    """
-    k1 = condensate_block(spec, xi, rho_crit, g0)
-    eye = np.eye(spec.d)
-    return np.kron(k1, eye) - np.kron(eye, conjugate_entrywise(k1))
-
-
 def condensate_left_term(spec, xi, rho_crit, g0):
-    """Left-factor half K^1 (x) 1 only, used by the equilibrium vector build."""
+    """Left-factor half K^1 (x) 1 of the doubled condensate term K_xi =
+    K^1 (x) 1 - 1 (x) conj(K^1); the field factor is the identity and is
+    attached by the Liouvillian assembly."""
     k1 = condensate_block(spec, xi, rho_crit, g0)
     return np.kron(k1, np.eye(spec.d))

@@ -173,8 +173,8 @@ class FockBasis:
 
     def swap_permutation(self):
         """perm[i]: the index of state i with its left and right occupations
-        exchanged.  Built on call, not with the basis: only the sector solve
-        above the dense cutoff needs it."""
+        exchanged.  Built on call, not with the basis: build_bundle calls it
+        once and keeps the swap of the whole doubled space."""
         m, occ = self.trunc.n_modes, self.occupied
         swapped = np.where(occ < 2 * m, (occ + m) % (2 * m), occ)
         return self.lookup(np.sort(swapped, axis=1))

@@ -7,16 +7,20 @@ generator splits as
     L = L0 + lambda (I + K),
 
 with diagonal free part L0 (dot level differences plus left-minus-right field
-energy), a two-block interaction I, and a purely dot-local condensate term K.
-The first interaction block couples the left dot factor to the left-particle /
-right-hole field pair,
+energy), an interaction I, and a purely dot-local condensate term K.  Only
+the left-acting half of each doubled operator is assembled.  The interaction's
+left block couples the left dot factor to the left-particle / right-hole
+field pair,
 
     G_plus (x) 1 (x) [ a(sqrt(1+rho) g)_left + a*(sqrt(rho) conj(g))_right ] + adjoint,
 
-and the second block is its image under the swap-and-conjugate symmetry,
-entering with a minus sign so that the full generator anticommutes with that
-antiunitary map.  Both blocks are assembled explicitly; no conjugation
-operator is applied at matrix level.
+and K's left half is K^1_xi (x) 1 (x) 1.  Each enters in standard form, its
+left half minus the right half J V J, where J, the modular conjugation, is
+the swap P followed by complex conjugation.  So the right half is the swap
+image P conj(V) P (swap_image), one relabelling of the left half's entries by
+the bundle's swap permutation, which is built once per bundle; the full
+generator then anticommutes with that antiunitary map.  The conjugate's
+right half dGamma(a)_right is the swap image of its left half the same way.
 
 The equilibrium (KMS) vector of the interacting system is produced by the
 perturbation formula: the thermal weight exp(-beta (L0 + lambda I_left)/2)
@@ -146,7 +150,7 @@ class BlockedEigensystem:
                                               bundle.theta)
         charges = [None if path == "gauge" else int(bundle.q_diag[idx[0]])
                    for idx, _ in blocks]
-        perm = bundle.swap_permutation()
+        perm = bundle.swap
         solved = {}
         for q, (idx, block) in zip(charges, blocks):
             if q is None or q >= 0:
@@ -240,8 +244,11 @@ class OperatorBundle:
     q_diag: np.ndarray = None
 
     I_first: sparse.csr_matrix = None
-    I_second: sparse.csr_matrix = None
     K_left: sparse.csr_matrix = None
+    # the swap P as a permutation, (P v)[i] = v[swap[i]]: it maps the dot pair
+    # (i, j) to (j, i) and exchanges the left and right occupations.
+    # P conj(L) P = -L, and P sends charge sector Q to -Q
+    swap: np.ndarray = None
 
     A: SparseOperator = None
     C1: SparseOperator = None
@@ -298,15 +305,6 @@ class OperatorBundle:
             return None
         return self.eigensystem()
 
-    def swap_permutation(self):
-        """The swap P as a permutation: (P v)[i] = v[perm[i]] maps the dot
-        pair (i, j) to (j, i) and exchanges the left and right occupations.
-        P conj(L) P = -L, and P sends charge sector Q to -Q."""
-        d = self.dot_dim
-        pairs = np.arange(d * d).reshape(d, d).T.ravel()
-        return np.add.outer(pairs * self.field_dim,
-                            self.basis.swap_permutation()).ravel()
-
     def norm_L(self):
         eig = self.full_eigensystem()
         if eig is None:
@@ -348,12 +346,12 @@ def _diagonal_operator(diag, label):
                           hermitian=True, label=label)
 
 
-def _dot_blocks(spec):
-    gm, gp = dotmod.lower_raise(spec)
-    eye = np.eye(spec.d)
-    left = sparse.csr_matrix(np.kron(gp, eye))
-    right = sparse.csr_matrix(np.kron(eye, dotmod.conjugate_entrywise(gp)))
-    return left, right
+def swap_image(mat, perm):
+    """P conj(mat) P for the swap permutation perm, an involution: the entry
+    (i, j) moves to (perm[i], perm[j]), conjugated.  One COO relabel."""
+    coo = mat.tocoo()
+    return sparse.csr_matrix((coo.data.conj(), (perm[coo.row], perm[coo.col])),
+                             shape=mat.shape)
 
 
 def assemble_free(dot_spec, field_left, field_right):
@@ -364,20 +362,15 @@ def assemble_free(dot_spec, field_left, field_right):
 
 
 def assemble_interaction(dot_spec, basis, grid):
-    """Two-block interaction; returns (first_block, second_block), both Hermitian.
-
-    The full interaction is first_block - second_block.
-    """
-    dot_left, dot_right = _dot_blocks(dot_spec)
-    b1_field = (basis.smeared(grid.left_smearing, "left", create=False)
-                + basis.smeared(grid.right_smearing, "right", create=True))
-    b2_field = (basis.smeared(np.conj(grid.right_smearing), "left", create=True)
-                + basis.smeared(np.conj(grid.left_smearing), "right", create=False))
-    b1 = sparse.kron(dot_left, b1_field, format="csr")
-    b2 = sparse.kron(dot_right, b2_field, format="csr")
-    first = (b1 + b1.getH()).tocsr()
-    second = (b2 + b2.getH()).tocsr()
-    return first, second
+    """The interaction's left block, Hermitian: G_plus (x) 1 on the dot pair
+    times a(sqrt(1+rho) g)_left + a*(sqrt(rho) conj(g))_right, plus the
+    adjoint.  The full interaction is this block minus its swap image."""
+    _, gp = dotmod.lower_raise(dot_spec)
+    dot_left = sparse.csr_matrix(np.kron(gp, np.eye(dot_spec.d)))
+    field = (basis.smeared(grid.left_smearing, "left", create=False)
+             + basis.smeared(grid.right_smearing, "right", create=True))
+    block = sparse.kron(dot_left, field, format="csr")
+    return (block + block.getH()).tocsr()
 
 
 def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
@@ -393,24 +386,27 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
     d2 = dot_spec.d ** 2
     fd = basis.dim
     dim = d2 * fd
+    field_perm = basis.swap_permutation()
+    pairs = np.arange(d2).reshape(dot_spec.d, dot_spec.d).T.ravel()
+    swap = np.add.outer(pairs * fd, field_perm).ravel()
 
     e_left = basis.energy_diag(grid.omegas, "left")
-    e_right = basis.energy_diag(grid.omegas, "right")
+    e_right = e_left[field_perm]
     l0_diag = assemble_free(dot_spec, e_left, e_right)
 
-    first, second = assemble_interaction(dot_spec, basis, grid)
-    I_mat = (first - second).tocsr()
+    first = assemble_interaction(dot_spec, basis, grid)
+    I_mat = first - swap_image(first, swap)
 
-    eye_field = sparse.identity(fd, format="csr", dtype=complex)
     K_mat = K_left = sparse.csr_matrix((dim, dim), dtype=complex)
     coupling = I_mat    # K is zero without a condensate: not added to L
     if xi is not None:
         if rho_crit is None:
             raise ValueError("condensate runs need rho_crit")
-        k_dot = dotmod.condensate_term(dot_spec, xi, rho_crit, grid.g0)
         k_left_dot = dotmod.condensate_left_term(dot_spec, xi, rho_crit, grid.g0)
-        K_mat = sparse.kron(sparse.csr_matrix(k_dot), eye_field, format="csr")
-        K_left = sparse.kron(sparse.csr_matrix(k_left_dot), eye_field, format="csr")
+        K_left = sparse.kron(sparse.csr_matrix(k_left_dot),
+                             sparse.identity(fd, format="csr", dtype=complex),
+                             format="csr")
+        K_mat = K_left - swap_image(K_left, swap)
         coupling = I_mat + K_mat
 
     L_mat = (sparse.diags(l0_diag.astype(complex), format="csr")
@@ -419,8 +415,8 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
     lambda_diag = np.tile(e_left + e_right, d2)
     levels = np.arange(dot_spec.d, dtype=float)
     q_dot = (levels[:, None] - levels[None, :]).ravel()
-    q_field = basis.number_diag("left") - basis.number_diag("right")
-    q_diag = np.add.outer(q_dot, q_field).ravel()
+    n_left = basis.number_diag("left")
+    q_diag = np.add.outer(q_dot, n_left - n_left[field_perm]).ravel()
 
     bundle = OperatorBundle(
         dot_spec=dot_spec, grid=grid, trunc=trunc, basis=basis, lam=float(lam),
@@ -429,7 +425,7 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
         K=SparseOperator(K_mat, hermitian=True, label="K"),
         L=SparseOperator(L_mat, hermitian=True, label="L"),
         l0_diag=l0_diag, lambda_diag=lambda_diag, q_diag=q_diag,
-        I_first=first, I_second=second, K_left=K_left,
+        I_first=first, K_left=K_left, swap=swap,
     )
     return bundle
 
@@ -489,9 +485,11 @@ def assemble_conjugate(bundle, scheme="log_dilation", seed=7):
     else:
         raise ValueError(f"unknown conjugate scheme {scheme!r}")
 
-    basis = bundle.basis
-    a_field = (basis.dgamma(one_body, "left")
-               - basis.dgamma(one_body, "right")).tocsr()
+    # conj(a) = -a, so the right half -dGamma(a)_right is the swap image of
+    # the left; the dot pair (0, 0) is swap-fixed, so the swap's first
+    # field_dim entries are the field swap
+    a_left = bundle.basis.dgamma(one_body, "left")
+    a_field = a_left + swap_image(a_left, bundle.swap[:bundle.field_dim])
     eye_dot = sparse.identity(bundle.dot_dim ** 2, format="csr", dtype=complex)
     a_full = sparse.kron(eye_dot, a_field, format="csr")
 

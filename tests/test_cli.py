@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bosedot import cli, liouville, spectral
+from bosedot import reservoir as res
 
 
 def base_config():
@@ -57,6 +58,44 @@ def test_thermo_payload_is_deterministic(tmp_path, capsys):
         assert code == cli.EXIT_OK
         texts.append((outdir / "thermo.json").read_text())
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("excess, code", [(1e-6, cli.EXIT_OK),
+                                          (1e-12, cli.EXIT_SOLVER)])
+def test_thermo_kac_rows_near_criticality(tmp_path, capsys, excess, code):
+    # the Kac density is a peak of width rho0 = rho_bar - rho_crit at
+    # rho_crit; on the unscaled half line quad misses it and read 1e-295 for
+    # a normalisation of 1.  Below what the scaled excess resolves, quad
+    # flags the integral and the run exits 3
+    cfg = base_config()
+    cfg["reservoir"]["rho_bar"] = res.critical_density(1.0) + excess
+    got, outdir, out = run_cli(tmp_path, "thermo", cfg, capsys)
+    assert got == code
+    if code == cli.EXIT_SOLVER:
+        assert out.err.startswith("solver failure: radial integral")
+        assert out.err.count("\n") == 1 and "Traceback" not in out.err
+        return
+    rows = {r["name"]: r
+            for r in json.loads((outdir / "thermo.json").read_text())["rows"]}
+    for name in ("kac_normalization", "kac_mean", "laplace_bessel_identity"):
+        assert rows[name]["residual"] <= 1e-10, name
+    assert rows["laplace_bessel_identity"]["value"] > 0.03
+
+
+@pytest.mark.parametrize("command, key, values", [
+    ("levelshift", "epsilons", [0.0]),
+    ("levelshift", "epsilons", [-0.1]),
+    ("rte", "T", [-100.0]),
+], ids=["levelshift-zero-epsilon", "levelshift-negative-epsilon",
+        "rte-negative-T"])
+def test_schema_rejects_nonpositive_solver_scales(tmp_path, capsys, command,
+                                                  key, values):
+    cfg = base_config()
+    cfg["solver"] = {key: values}
+    code, _, out = run_cli(tmp_path, command, cfg, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err.startswith("config validation error")
+    assert "Traceback" not in out.err
 
 
 def test_schema_is_a_valid_schema():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from bosedot.dot import (DotSpec, CondensatePoint, hamiltonian, lower_raise,
-                         doubled_free_part, gibbs_vector, conjugate_entrywise,
-                         condensate_block, condensate_term,
+                         doubled_free_part, gibbs_vector, condensate_block,
                          condensate_left_term)
 
 
@@ -92,21 +91,19 @@ def test_condensate_block_hermitian_and_scaling():
 
 
 def test_condensate_term_doubled_structure():
+    # the doubled term is the left half minus its swap image P conj(.) P,
+    # with P the exchange of the dot pair (i, j) and (j, i)
     spec = DotSpec(d=2)
     xi = CondensatePoint(r=0.4, theta=1.1)
     g0 = 0.3 + 0.5j
-    k = condensate_term(spec, xi, 0.1, g0)
-    np.testing.assert_allclose(k, k.conj().T, atol=1e-15)
+    left = condensate_left_term(spec, xi, 0.1, g0)
     k1 = condensate_block(spec, xi, 0.1, g0)
+    np.testing.assert_array_equal(left, np.kron(k1, np.eye(2)))
+    pairs = np.arange(4).reshape(2, 2).T.ravel()
+    k = left - left.conj()[pairs][:, pairs]
+    np.testing.assert_allclose(k, k.conj().T, atol=1e-15)
     ref = np.kron(k1, np.eye(2)) - np.kron(np.eye(2), np.conj(k1))
     np.testing.assert_array_equal(k, ref)
-    left = condensate_left_term(spec, xi, 0.1, g0)
-    np.testing.assert_array_equal(left, np.kron(k1, np.eye(2)))
-
-
-def test_conjugate_entrywise_is_involution(rng):
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_array_equal(conjugate_entrywise(conjugate_entrywise(m)), m)
 
 
 def test_condensate_point_from_excess():

@@ -61,10 +61,14 @@ def test_all_blocks_exactly_hermitian(bundle2):
 
 
 def test_interaction_splits_into_hermitian_blocks(bundle2):
-    for block in (bundle2.I_first, bundle2.I_second):
+    # the second block is the swap image P conj(I_first) P of the first
+    perm = swap_conjugation_permutation(bundle2)
+    first = bundle2.I_first
+    second = first.conj()[perm][:, perm]
+    for block in (first, second):
         delta = (block - block.getH()).tocoo()
         assert delta.nnz == 0 or np.max(np.abs(delta.data)) == 0.0
-    total = (bundle2.I_first - bundle2.I_second) - bundle2.I_op.matrix
+    total = (first - second) - bundle2.I_op.matrix
     assert total.count_nonzero() == 0
 
 

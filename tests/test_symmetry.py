@@ -17,9 +17,11 @@ from scipy import sparse
 import bosedot as bd
 from bosedot import dynamics, spectral
 from bosedot.dot import lower_raise
-from bosedot.liouville import (BlockedEigensystem, assemble_conjugate,
-                               build_bundle, condensate_gauge, kernel_index,
-                               kms_vector)
+from bosedot.liouville import (BlockedEigensystem, antisymmetric_one_body,
+                               assemble_conjugate, build_bundle,
+                               condensate_gauge, dilation_one_body,
+                               kernel_index, kms_vector)
+from test_liouville import swap_conjugation_permutation
 
 RHO_CRIT = bd.critical_density(1.0, bd.RELATIVISTIC)
 
@@ -89,11 +91,45 @@ def test_swap_anticommutes_with_the_conjugated_generator(case):
     # P maps the dot pair (i, j) to (j, i) and exchanges the left and right
     # occupations: P conj(L) P = -L exactly, and P maps sector Q to -Q
     _, b, _, _, _ = case
-    perm = b.swap_permutation()
+    perm = b.swap
     mat = b.L.matrix
     assert not np.any((mat[perm][:, perm].conj() + mat).data)
     np.testing.assert_array_equal(b.q_diag[perm], -b.q_diag)
     np.testing.assert_array_equal(perm[perm], np.arange(b.dim))
+
+
+def test_swap_is_the_tuple_built_involution(case):
+    # the bundle's swap is the oracle built from the tuple view of the basis,
+    # an involution, and it fixes exactly the kernel_index states
+    _, b, _, _, _ = case
+    np.testing.assert_array_equal(b.swap, swap_conjugation_permutation(b))
+    np.testing.assert_array_equal(b.swap[b.swap], np.arange(b.dim))
+    assert (np.count_nonzero(b.swap == np.arange(b.dim))
+            == kernel_index(b.dot_spec, b.trunc))
+
+
+def test_right_halves_are_swap_images_of_the_left(case):
+    # standard form V - J V J: I and K are their left half minus its image
+    # P conj(.) P under the oracle swap, and A, whose one-body generator has
+    # conj(a) = -a, is its left half plus it
+    spec, b, _, _, _ = case
+    perm = swap_conjugation_permutation(b)
+
+    def image(mat):
+        return mat.conj()[perm][:, perm]
+
+    for op, left in ((b.I_op.matrix, b.I_first), (b.K.matrix, b.K_left)):
+        assert (op - (left - image(left))).count_nonzero() == 0
+    b = make_bundle(*spec)
+    if b.grid.spacing == "log":
+        scheme, one_body = "log_dilation", dilation_one_body(b.grid)
+    else:
+        scheme, one_body = ("custom_antisymmetric",
+                            antisymmetric_one_body(b.grid, seed=11))
+    assemble_conjugate(b, scheme=scheme, seed=11)
+    eye_dot = sparse.identity(b.dot_dim ** 2, format="csr", dtype=complex)
+    left = sparse.kron(eye_dot, b.basis.dgamma(one_body, "left"), format="csr")
+    assert (b.A.matrix - (left + image(left))).count_nonzero() == 0
 
 
 @pytest.mark.parametrize("spec", [

@@ -6,14 +6,16 @@ runs `python -m bosedot.cli` with the package imported from SRC (a checkout's
 `src/` directory), `--seed 901` and one BLAS thread, once per config below,
 and writes each run's config and outputs to OUT/<name>/.  The configs are the
 benchmark workloads of perfbench/workloads.py at both sizes, one or two small
-configs per subcommand, and one rte above liouville.DENSE_CUTOFF.  Outputs are
-deterministic, so `diff -r` of two snapshots taken from two source trees is a
-byte-identity check of everything the CLI writes.  Exits 1 when a run fails;
-its stderr is echoed.
+configs per subcommand, one rte above liouville.DENSE_CUTOFF, and a spectrum
+and an rte on a tabulated complex coupling, whose table the tool writes beside
+config.json as form_factor.csv.  Outputs are deterministic, so `diff -r` of
+two snapshots taken from two source trees is a byte-identity check of
+everything the CLI writes.  Exits 1 when a run fails; its stderr is echoed.
 """
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +37,20 @@ BASE = {
 }
 
 
+# a tabulated coupling g(k) = (1 + 0.5i + 0.6i k) e^{-k^2/2}: Im g != 0, and
+# its phase turns with k, so no constant phase makes it real
+TABLE = "form_factor.csv"
+
+
+def complex_table():
+    rows = []
+    for j in range(161):
+        k = j / 20.0
+        g = (1.0 + 0.5j + 0.6j * k) * math.exp(-0.5 * k * k)
+        rows.append(f"{k!r},{g.real!r},{g.imag!r}\n")
+    return "# k, Re g, Im g\n" + "".join(rows)
+
+
 def _variant(**sections):
     cfg = copy.deepcopy(BASE)
     for key, value in sections.items():
@@ -53,6 +69,10 @@ def cases():
         ("thermo_super", "thermo", BASE),
         ("thermo_sub", "thermo",
          _variant(reservoir={"beta": 1.3, "rho_bar": 0.02})),
+        # rho0 = 1e-6 above the closed-form critical density zeta(3)/pi^2: a
+        # Kac peak far narrower than the unit scale of the half line
+        ("thermo_near_critical", "thermo", _variant(reservoir={
+            "rho_bar": 1.2020569031595942 / math.pi ** 2 + 1e-6})),
         ("thermo_nonrel_power", "thermo", _variant(reservoir={
             "dispersion": "nonrelativistic",
             "form_factor": {"preset": "power_law", "exponent": 1.0}})),
@@ -75,6 +95,15 @@ def cases():
             physics={"xi": [{"excess": 0.2, "theta": theta}
                             for theta in (0.0, 0.7, 2.9)]},
             solver={"k_eigs": 8})),
+        ("spectrum_complex_table", "spectrum", _variant(
+            reservoir={"form_factor": {"table": TABLE}},
+            physics={"xi": [{"excess": 0.2, "theta": 0.7}]},
+            solver={"k_eigs": 8})),
+        ("rte_complex_table", "rte", _variant(
+            reservoir={"form_factor": {"table": TABLE}},
+            physics={"mu": {"kind": "uniform_theta", "excess": 0.2,
+                            "n_theta": 4}},
+            solver={"T": [100.0, 1000.0]})),
         ("rte_two_xi", "rte", _variant(
             physics={"xi": [{"excess": 0.2, "theta": 0.0},
                             {"r": 0.5, "theta": 1.3}]},
@@ -133,6 +162,8 @@ def main(argv):
         rundir.mkdir(parents=True, exist_ok=True)
         cfg = {**config, "outputs": {"formats": ["json", "csv"]}}
         (rundir / "config.json").write_text(json.dumps(cfg, indent=2) + "\n")
+        if cfg["reservoir"].get("form_factor", {}).get("table") == TABLE:
+            (rundir / TABLE).write_text(complex_table())
         proc = subprocess.run(
             [sys.executable, "-m", "bosedot.cli", command, "--config",
              "config.json", "--out", ".", "--seed", SEED],
