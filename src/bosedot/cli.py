@@ -22,8 +22,6 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-import jsonschema
-from scipy.special import zeta
 
 from . import dot as dotmod
 from . import reservoir as res
@@ -124,18 +122,55 @@ SCHEMA = {
 # ---------------------------------------------------------------------------
 # config plumbing
 
-# built once: jsonschema.validate would check SCHEMA itself on every call
-VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+class ConfigValidationError(ValueError):
+    """A config that SCHEMA rejects; the message says where."""
+
+
+def _is_type(value, name):
+    """JSON Schema's types: a bool is no number, and 1.0 is an integer."""
+    if name in ("number", "integer"):
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and (name == "number" or value % 1 == 0))
+    return isinstance(value, {"object": dict, "array": list, "string": str,
+                              "null": type(None)}[name])
+
+
+# keyword -> whether a value meets it; the bounds apply to numbers only
+_KEYWORDS = {
+    "type": lambda v, t: any(_is_type(v, n) for n in ([t] if isinstance(t, str) else t)),
+    "enum": lambda v, e: v in e,
+    "minimum": lambda v, m: not (_is_type(v, "number") and v < m),
+    "exclusiveMinimum": lambda v, m: not (_is_type(v, "number") and v <= m),
+}
+
+
+def validate(value, schema=SCHEMA, where="config"):
+    """Raise ConfigValidationError where value first breaks schema.  Only
+    the keywords SCHEMA uses are read: those of _KEYWORDS, required,
+    properties, additionalProperties (false) and items."""
+    for keyword, holds in _KEYWORDS.items():
+        if keyword in schema and not holds(value, schema[keyword]):
+            raise ConfigValidationError(
+                f"{where}: {value!r} fails {keyword} {schema[keyword]!r}")
+    if isinstance(value, dict):
+        missing = [key for key in schema.get("required", []) if key not in value]
+        if missing:
+            raise ConfigValidationError(f"{where}: {missing[0]!r} is required")
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key not in properties and schema.get("additionalProperties") is False:
+                raise ConfigValidationError(f"{where}: unknown key {key!r}")
+            validate(item, properties.get(key, {}), f"{where}.{key}")
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            validate(item, schema.get("items", {}), f"{where}[{i}]")
 
 
 def load_config(path):
-    """Read a JSON config; raise the most relevant schema violation, as
-    jsonschema.validate does."""
+    """Read a JSON config and validate it against SCHEMA."""
     with open(path) as fh:
         config = json.load(fh)
-    error = jsonschema.exceptions.best_match(VALIDATOR.iter_errors(config))
-    if error is not None:
-        raise error
+    validate(config)
     return config
 
 
@@ -338,6 +373,7 @@ def cmd_thermo(config, args):
     beta = config["reservoir"]["beta"]
     rows = []
 
+    from scipy.special import zeta
     rc = res.critical_density(beta, disp)
     if disp.kind == "relativistic":
         ref = zeta(3.0) / (np.pi ** 2 * beta ** 3)
@@ -634,8 +670,8 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except jsonschema.ValidationError as exc:
-        print(f"config validation error: {exc.message}", file=sys.stderr)
+    except ConfigValidationError as exc:
+        print(f"config validation error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     outdir = Path(args.out or config.get("outputs", {}).get("dir", "out"))
@@ -652,7 +688,7 @@ def main(argv=None):
     except (SolverConvergenceError, res.QuadratureError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, jsonschema.ValidationError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -20,17 +20,18 @@ Weyl generating functionals are normalized so that a quasi-free gas at
 occupation n gives E(f) = exp[-1/4 <f, (1 + 2 n) f>]; condensates contribute
 either a Bessel J0 factor (after averaging) or a linear phase e^{-i Phi}
 (extremal states).  Test functions are FormFactor profiles read as f, with
-the carried zero-momentum value f(0).  A radial or density quadrature that
-quad flags, that misses its accuracy target or whose integrand is not
-integrable at k = 0 raises QuadratureError.
+the carried zero-momentum value f(0).  The critical density is a fixed Gauss
+rule; quad, imported where it is called, does the radial integrals and the
+density equation below critical.  A quadrature that quad flags, that misses
+its accuracy target or whose integrand is not integrable at k = 0 raises
+QuadratureError.
 """
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
-from scipy import integrate
-from scipy.special import j0
 
 from .dot import CondensatePoint, PHASE_NORM
 
@@ -129,12 +130,12 @@ class FormFactor:
     def norm_sq(self):
         """|| g ||^2 over R^3 (radial measure 4 pi k^2 dk)."""
         return _radial(lambda k: 4.0 * np.pi * k * k * abs(self.at(k)) ** 2,
-                       0.0, self.tail_cut)
+                       0.0, self.tail_cut, "norm")
 
-    def weighted_norm_sq(self, weight):
+    def weighted_norm_sq(self, weight, name="weighted norm"):
         """int 4 pi k^2 |g|^2 weight(k) dk for a scalar weight function."""
         return _radial(lambda k: 4.0 * np.pi * k * k * abs(self.at(k)) ** 2 * weight(k),
-                       0.0, self.tail_cut)
+                       0.0, self.tail_cut, name)
 
     def check_infrared(self, dispersion):
         """|| g / sqrt(omega) ||^2, the domain condition for the interaction.
@@ -154,21 +155,24 @@ class FormFactor:
                 raise QuadratureError(
                     f"radial integral diverges: integrand ~ k^{power:.3g} "
                     "at k -> 0")
-        return self.weighted_norm_sq(weight)
+        return self.weighted_norm_sq(weight, "infrared norm")
 
 
 # ---------------------------------------------------------------------------
 # scalar quadrature helpers
 
-def _radial(fn, a, b):
-    """int_a^b fn, or QuadratureError (say, for a divergent integrand)."""
-    val, err, _, *failure = integrate.quad(fn, a, b, epsabs=1e-12, epsrel=1e-11,
-                                           limit=200, full_output=1)
+def _radial(fn, a, b, name):
+    """int_a^b fn, or QuadratureError (say, for a divergent integrand) that
+    names the integral and gives the first sentence of quad's warning."""
+    from scipy.integrate import quad
+    val, err, _, *failure = quad(fn, a, b, epsabs=1e-12, epsrel=1e-11,
+                                 limit=200, full_output=1)
     if failure:
-        raise QuadratureError(
-            f"radial integral: {failure[0].splitlines()[0].strip()}")
+        sentence = " ".join(failure[0].split()).split(". ")[0].rstrip(".")
+        raise QuadratureError(f"radial integral ({name}): {sentence}.")
     if err > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureError(f"radial integral error estimate {err:.2e} too large")
+        raise QuadratureError(
+            f"radial integral ({name}) error estimate {err:.2e} too large")
     return val
 
 
@@ -176,7 +180,7 @@ def excess_integral(fn, start, width):
     """int_start^inf fn, in the scaled excess u = (r - start) / width: a peak
     of width `width` at start is resolved however narrow it is.  Checked as
     _radial is, so a flagged integral raises QuadratureError."""
-    return width * _radial(lambda u: fn(start + width * u), 0.0, np.inf)
+    return width * _radial(lambda u: fn(start + width * u), 0.0, np.inf, "Kac excess")
 
 
 def occupation(beta, omega_value):
@@ -199,36 +203,34 @@ def _thermal(beta, dispersion):
     return lambda k: occupation(beta, float(dispersion.omega(k))) if k > 0 else 0.0
 
 
-def _shell_density(fn, beta, dispersion, epsrel):
-    """(2 pi)^{-3} 4 pi int_0^inf fn(k) dk for fn = k^2 n(k), split where
-    beta omega(k) = 1, and its error estimate."""
-    split = 1.0 / beta if dispersion.kind == "relativistic" else 1.0 / math.sqrt(beta)
-    head = integrate.quad(fn, 0.0, split, epsabs=1e-13, epsrel=epsrel)
-    tail = integrate.quad(fn, split, np.inf, epsabs=1e-13, epsrel=epsrel)
-    return (2.0 * np.pi) ** (-3) * 4.0 * np.pi * (head[0] + tail[0]), head[1] + tail[1]
+@functools.cache
+def _scaled_shell_integral(dispersion):
+    """int_0^inf u^2 / (e^{omega(u)} - 1) du, u = beta^{1/p} k for omega = |k|^p,
+    by Gauss-Laguerre (p = 1, on u^2 / (1 - e^{-u})) or half of Gauss-Hermite
+    (p = 2, on the even u^2 / (1 - e^{-u^2}); no node at u = 0) at two sizes:
+    the larger, or QuadratureError when they differ by more than 1e-9 (they
+    differ by 4e-14 relative for p = 1 and 1e-14 for p = 2)."""
+    rule, sizes, factor = {
+        "relativistic": (np.polynomial.laguerre.laggauss, (24, 32), 1.0),
+        "nonrelativistic": (np.polynomial.hermite.hermgauss, (48, 64), 0.5),
+    }[dispersion.kind]
+    coarse, fine = (factor * np.sum(w * u * u / -np.expm1(-dispersion.omega(u)))
+                    for u, w in map(rule, sizes))
+    if abs(fine - coarse) > 1e-9:
+        raise QuadratureError("critical density quadrature did not converge")
+    return float(fine)
 
 
 def critical_density(beta, dispersion=RELATIVISTIC):
     """rho_crit(beta) = (2 pi)^{-3} int d^3k / (e^{beta omega(k)} - 1).
 
-    Radial reduction; the integrand k^2/(e^{beta omega}-1) is regular at the
-    origin (it vanishes linearly for omega = |k| and approaches 1/beta for
-    omega = |k|^2), so a split adaptive rule reaches absolute 1e-10 easily.
+    Radial reduction in the scaled momentum, so one fixed Gauss rule serves
+    every beta.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-
-    def integrand(k):
-        x = beta * dispersion.omega(k)
-        if x > 700.0:
-            # expm1 overflows; the occupation is e^{-x} to double precision
-            return k * k * math.exp(-x)
-        return k * k / math.expm1(x)
-
-    rho, err = _shell_density(integrand, beta, dispersion, 1e-12)
-    if err > 1e-9:
-        raise QuadratureError("critical density quadrature did not converge")
-    return rho
+    power = 3.0 if dispersion.kind == "relativistic" else 1.5
+    return _scaled_shell_integral(dispersion) / (2.0 * np.pi ** 2 * beta ** power)
 
 
 def _subcritical_occupation(beta, z, w):
@@ -250,11 +252,16 @@ def fugacity(beta, rho_bar, dispersion=RELATIVISTIC):
     if rho_bar >= rc:
         return 1.0
 
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+    split = 1.0 / beta if dispersion.kind == "relativistic" else 1.0 / math.sqrt(beta)
+
     def dens(z):
         fn = lambda k: k * k * _subcritical_occupation(beta, z, dispersion.omega(k))
-        return _shell_density(fn, beta, dispersion, 1e-11)[0]
+        return (2.0 * np.pi) ** (-3) * 4.0 * np.pi * sum(
+            quad(fn, a, b, epsabs=1e-13, epsrel=1e-11)[0]
+            for a, b in ((0.0, split), (split, np.inf)))
 
-    from scipy.optimize import brentq
     return brentq(lambda z: dens(z) - rho_bar, 1e-300, 1.0 - 1e-13,
                   xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
@@ -323,6 +330,7 @@ def uniform_phase_average(f0, r, rho_crit):
     amp = PHASE_NORM * math.sqrt(2.0 * max(r - rho_crit, 0.0))
     phis = amp * (f0.real * np.cos(thetas) + f0.imag * np.sin(thetas))
     avg = np.mean(np.exp(-1j * phis))
+    from scipy.special import j0
     return complex(avg), float(j0(amp * abs(f0)))
 
 
@@ -415,6 +423,7 @@ def generating_functional(f, ensemble, beta=None, dispersion=RELATIVISTIC,
     if ensemble == "araki_woods":
         if rho0 is None or rho0 < 0:
             raise ValueError("araki_woods needs rho0 >= 0")
+        from scipy.special import j0
         expo = _gauss_exponent(f, _thermal(beta, dispersion))
         bessel = j0(math.sqrt(2.0 * (2.0 * np.pi) ** 3 * rho0) * abs(f.f0))
         return math.exp(-expo) * bessel
@@ -461,6 +470,7 @@ def kac_superposition_residual(f, beta, rho_bar, dispersion=RELATIVISTIC):
     th = ReservoirThermo.compute(beta, rho_bar, dispersion)
     if not th.supercritical:
         raise ValueError("identity is stated for supercritical density")
+    from scipy.special import j0
     gauss = math.exp(-_gauss_exponent(f, _thermal(beta, dispersion)))
     c = math.sqrt(2.0 * (2.0 * np.pi) ** 3) * abs(f.f0)
 
@@ -495,6 +505,7 @@ def two_point_cluster(f, g, x, beta, rho_bar, dispersion=RELATIVISTIC):
     """
     if x <= 0:
         raise ValueError("separation x must be positive")
+    from scipy.integrate import quad
     th = ReservoirThermo.compute(beta, rho_bar, dispersion)
     cut = min(f.tail_cut, g.tail_cut)
 
@@ -504,10 +515,10 @@ def two_point_cluster(f, g, x, beta, rho_bar, dispersion=RELATIVISTIC):
             if weight is not None:
                 v = v * weight(k)
             return v
-        re = integrate.quad(lambda k: float(np.real(base(k))), 0.0, cut,
-                            weight="sin", wvar=x, limit=400)[0]
-        im = integrate.quad(lambda k: float(np.imag(base(k))), 0.0, cut,
-                            weight="sin", wvar=x, limit=400)[0]
+        re = quad(lambda k: float(np.real(base(k))), 0.0, cut,
+                  weight="sin", wvar=x, limit=400)[0]
+        im = quad(lambda k: float(np.imag(base(k))), 0.0, cut,
+                  weight="sin", wvar=x, limit=400)[0]
         return (4.0 * np.pi / x) * (re + 1j * im)
 
     s_plain = overlap()

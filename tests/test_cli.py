@@ -1,10 +1,27 @@
+import copy
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bosedot import cli, liouville, spectral
 from bosedot import reservoir as res
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benchmark_workloads():
+    """The benchmark's four workloads, name -> Workload (command, config)."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def base_config():
@@ -98,11 +115,116 @@ def test_schema_rejects_nonpositive_solver_scales(tmp_path, capsys, command,
     assert "Traceback" not in out.err
 
 
-def test_schema_is_a_valid_schema():
-    # load_config validates with a validator built once, which does not
-    # check SCHEMA against the metaschema on each call as validate() would
-    type(cli.VALIDATOR).check_schema(cli.SCHEMA)
-    assert cli.VALIDATOR.schema is cli.SCHEMA
+DELETE = object()
+
+
+def _edited(path, value):
+    """base_config with the key at path (a tuple) set to value, or deleted
+    when value is DELETE."""
+    cfg = copy.deepcopy(base_config())
+    *parents, key = path
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    return cfg
+
+
+PARITY_CASES = (
+    [base_config()]
+    + [_edited((name,), DELETE) for name in cli.SCHEMA["required"]]
+    + [_edited(("dot", "d"), DELETE), _edited(("grid", "omega_max"), DELETE)]
+    + [_edited(("unknown",), 1)]
+    + [_edited((name, "unknown"), 1) for name in cli.SCHEMA["properties"]]
+    + [_edited(("reservoir", "beta"), True),
+       _edited(("trunc", "n_max"), True),
+       _edited(("trunc", "n_max"), 2.0),
+       _edited(("trunc", "n_max"), 2.5),
+       _edited(("trunc", "n_max"), "2"),
+       _edited(("grid", "spacing"), "cubic"),
+       _edited(("grid", "spacing"), "log"),
+       _edited(("reservoir", "beta"), 0),
+       _edited(("reservoir", "beta"), 1e-300),
+       _edited(("reservoir", "rho_bar"), 0),
+       _edited(("grid", "n_modes"), 0),
+       _edited(("solver", "T"), [100.0, "x"]),
+       _edited(("solver", "T"), 100.0),
+       _edited(("solver", "kernel_tol"), None),
+       _edited(("solver", "kernel_tol"), "1e-9"),
+       _edited(("outputs", "formats"), ["csv", "xml"]),
+       _edited(("physics", "xi"), [{"theta": 0.3}, 2]),
+       [base_config()]])            # a config that is no object
+
+
+def test_validator_agrees_with_jsonschema():
+    # load_config checks configs with cli.validate, a walker of the few
+    # keywords SCHEMA uses; jsonschema is the reference for its verdicts
+    jsonschema = pytest.importorskip("jsonschema")
+    reference = jsonschema.validators.validator_for(cli.SCHEMA)
+    reference.check_schema(cli.SCHEMA)
+    reference = reference(cli.SCHEMA)
+    cases = PARITY_CASES + [w.config for w in benchmark_workloads().values()]
+    assert len(cases) >= 15
+    verdicts = {True: 0, False: 0}
+    for cfg in cases:
+        try:
+            cli.validate(cfg)
+            accepted = True
+        except cli.ConfigValidationError:
+            accepted = False
+        assert accepted == reference.is_valid(cfg), cfg
+        verdicts[accepted] += 1
+    assert min(verdicts.values()) >= 8
+
+
+@pytest.mark.parametrize("name", ["rte_dense", "rte_condensate",
+                                  "spectrum_sparse", "levelshift_wide"])
+def test_benchmark_calls_import_no_thermo_modules(tmp_path, name):
+    # scipy.integrate (with scipy.optimize), scipy.special and jsonschema
+    # serve only thermo and below-critical densities; a fresh interpreter
+    # running a benchmark call imports none of them, neither in setup nor
+    # in the call
+    workload = benchmark_workloads()[name]
+    config = write_config(tmp_path, workload.config)
+    script = (
+        "import json, sys\n"
+        "from bosedot import cli\n"
+        "heavy = ['scipy.integrate', 'scipy.optimize', 'scipy.special',\n"
+        "         'jsonschema']\n"
+        "cli.build_manifest(cli.load_config(sys.argv[1]), 1)\n"
+        "setup = [m for m in heavy if m in sys.modules]\n"
+        "code = cli.main(sys.argv[2:])\n"
+        "print(json.dumps([setup, code,\n"
+        "                  [m for m in heavy if m in sys.modules]]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                                          if "PYTHONPATH" in os.environ
+                                          else [])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, config, workload.command, "--config",
+         config, "--out", str(tmp_path / "out"), "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    setup, code, after = json.loads(proc.stdout.splitlines()[-1])
+    assert (setup, code, after) == ([], cli.EXIT_OK, [])
+
+
+def test_flagged_radial_integral_is_named_in_one_sentence(tmp_path, capsys):
+    # quad's warning spans several lines; the exit-3 message joins its
+    # first sentence onto one line and names the integral quad flagged
+    cfg = base_config()
+    cfg["reservoir"]["rho_bar"] = res.critical_density(1.0) + 1e-12
+    code, _, out = run_cli(tmp_path, "thermo", cfg, capsys)
+    assert code == cli.EXIT_SOLVER
+    prefix = "solver failure: radial integral (Kac excess): "
+    assert out.err.startswith(prefix) and out.err.count("\n") == 1
+    sentence = out.err[len(prefix):].rstrip("\n")
+    assert sentence[0].isupper() and sentence.endswith(".")
+    assert ". " not in sentence and len(sentence.split()) > 6
 
 
 def test_schema_rejects_missing_section(tmp_path, capsys):

@@ -45,6 +45,31 @@ def test_critical_density_closed_forms():
                                    rel=1e-8)
 
 
+@pytest.mark.parametrize("kind", ["relativistic", "nonrelativistic"])
+def test_critical_density_matches_closed_form_and_quad(kind):
+    # the fixed Gauss rule against the zeta closed forms and against the
+    # adaptive rule it replaced: quad in k, split where beta omega = 1
+    disp = bd.Dispersion(kind)
+    for beta in (0.05, 0.5, 1.0, 2.0, 20.0):
+        rc = critical_density(beta, disp)
+        if kind == "relativistic":
+            closed = zeta(3.0) / (np.pi ** 2 * beta ** 3)
+        else:
+            closed = zeta(1.5) * (4.0 * np.pi * beta) ** (-1.5)
+
+        def shell(k):
+            x = beta * float(disp.omega(k))
+            return k * k * math.exp(-x) / -math.expm1(-x) if k > 0 else 0.0
+
+        split = float(disp.k_of_omega(1.0 / beta))
+        ref = sum(integrate.quad(shell, a, b, epsabs=0.0, epsrel=1e-13,
+                                 limit=200)[0]
+                  for a, b in ((0.0, split), (split, np.inf))) / (2 * np.pi ** 2)
+        assert rc == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert rc == pytest.approx(ref, rel=1e-13 if beta == 1.0 else 1e-12,
+                                   abs=0.0)
+
+
 def test_fugacity_against_polylog():
     beta, rho_bar = 1.3, 0.02
     z = fugacity(beta, rho_bar, bd.RELATIVISTIC)
