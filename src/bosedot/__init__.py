@@ -1,9 +1,8 @@
 """Spectral and dynamical diagnostics for a small quantum dot coupled to a
 condensed free Bose gas, on truncated doubled Fock spaces."""
 
-from .dot import (DotSpec, CondensatePoint, gibbs_vector, hamiltonian,
-                  lower_raise, doubled_free_part, condensate_block,
-                  condensate_left_term)
+from .dot import (DotSpec, CondensatePoint, gibbs_vector, lower_raise,
+                  doubled_free_part, condensate_block, condensate_left_term)
 from .reservoir import (Dispersion, RELATIVISTIC, NONRELATIVISTIC, FormFactor,
                         TestFunction, GridSpec, ModeGrid, discretize,
                         occupation, planck_density, critical_density,
@@ -21,7 +20,7 @@ from .spectral import (SpectralReport, LevelShiftReport, SandwichReport,
                        solve_near_zero, virial_check, kernel_structure,
                        kms_kernel_vector, orthogonal_kernel_panel,
                        attach_diagnostics, level_shift, resolvent_sandwich,
-                       lorentzian_constant, fgr_check)
+                       lorentzian_constant)
 from .dynamics import (ErgodicReport, evolve, ergodic_mean, rte_deviation,
                        equilibrium_vector, superpose_xi, dot_observable,
                        operator_norm, dyson_truncated, heisenberg_exact,

@@ -145,9 +145,11 @@ _KEYWORDS = {
 
 
 def validate(value, schema=SCHEMA, where="config"):
-    """Raise ConfigValidationError where value first breaks schema.  Only
-    the keywords SCHEMA uses are read: those of _KEYWORDS, required,
-    properties, additionalProperties (false) and items."""
+    """Raise ConfigValidationError where value first breaks schema, else
+    return value with int(v) at its integer-typed keys, where JSON Schema
+    also accepts an integral float such as 2.0.  Only the keywords SCHEMA
+    uses are read: those of _KEYWORDS, required, properties,
+    additionalProperties (false) and items."""
     for keyword, holds in _KEYWORDS.items():
         if keyword in schema and not holds(value, schema[keyword]):
             raise ConfigValidationError(
@@ -157,21 +159,22 @@ def validate(value, schema=SCHEMA, where="config"):
         if missing:
             raise ConfigValidationError(f"{where}: {missing[0]!r} is required")
         properties = schema.get("properties", {})
+        out = {}
         for key, item in value.items():
             if key not in properties and schema.get("additionalProperties") is False:
                 raise ConfigValidationError(f"{where}: unknown key {key!r}")
-            validate(item, properties.get(key, {}), f"{where}.{key}")
+            out[key] = validate(item, properties.get(key, {}), f"{where}.{key}")
+        return out
     if isinstance(value, list):
-        for i, item in enumerate(value):
-            validate(item, schema.get("items", {}), f"{where}[{i}]")
+        return [validate(item, schema.get("items", {}), f"{where}[{i}]")
+                for i, item in enumerate(value)]
+    return int(value) if schema.get("type") == "integer" else value
 
 
 def load_config(path):
-    """Read a JSON config and validate it against SCHEMA."""
+    """Read a JSON config and return it as validate returns it."""
     with open(path) as fh:
-        config = json.load(fh)
-    validate(config)
-    return config
+        return validate(json.load(fh))
 
 
 def canonical_json(obj):
@@ -239,14 +242,9 @@ def _trunc(config):
 
 
 def _solver(config):
-    s = dict(config.get("solver", {}))
-    s.setdefault("tol", 1e-10)
-    s.setdefault("kernel_tol", None)
-    s.setdefault("k_eigs", 10)
-    s.setdefault("T", [100.0])
-    s.setdefault("epsilons", [0.2, 0.1, 0.05])
-    s.setdefault("h_over_eps", 0.02)
-    return s
+    return {"tol": 1e-10, "kernel_tol": None, "k_eigs": 10, "T": [100.0],
+            "epsilons": [0.2, 0.1, 0.05], "h_over_eps": 0.02,
+            **config.get("solver", {})}
 
 
 def _lambdas(config):
@@ -271,7 +269,7 @@ def _xis(config, rho_crit):
             for e in entries]
 
 
-def _measure(config, beta, dispersion, rho_crit):
+def _measure(config, rho_crit):
     mu = config.get("physics", {}).get("mu")
     if mu is None:
         return None
@@ -282,7 +280,8 @@ def _measure(config, beta, dispersion, rho_crit):
                                                int(mu.get("n_theta", 8)))
         if kind == "kac":
             return res.XiMeasure.kac_theta(
-                beta, float(mu["rho_bar"]), dispersion, n_r=int(mu.get("n_r", 8)),
+                config["reservoir"]["beta"], float(mu["rho_bar"]),
+                _dispersion(config), n_r=int(mu.get("n_r", 8)),
                 n_theta=int(mu.get("n_theta", 4)))
         if kind == "atoms":
             pts = tuple((dotmod.CondensatePoint(
@@ -359,8 +358,7 @@ def _write_csv(outdir, name, header, rows, mhash):
         fh.write(f"# manifest={mhash}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return str(path)
 
 
@@ -407,12 +405,14 @@ def cmd_thermo(config, args):
                          "reference": rho_bar,
                          "residual": abs(mean - rho_bar)})
 
-            f = res.TestFunction.gaussian(1.0, 1.0)
-            gap, lhs, rhs = res.kac_superposition_residual(f, beta, rho_bar,
-                                                           disp)
+            # both sides read 0.10 at rho_bar = 0.3, where a unit Gaussian's
+            # 8e-12 sits below the radial integral's tolerance of 1e-12
+            gap, lhs, rhs = res.kac_superposition_residual(
+                res.TestFunction.gaussian(0.3, 1.0), beta, rho_bar, disp)
             rows.append({"name": "laplace_bessel_identity", "value": lhs,
                          "reference": rhs, "residual": gap})
 
+            f = res.TestFunction.gaussian(1.0, 1.0)
             avg, closed = res.uniform_phase_average(f.f0, rho_bar, rc)
             rows.append({"name": "uniform_theta_phase_average",
                          "value": avg, "reference": closed,
@@ -427,7 +427,6 @@ def _attach(bundle, config, seed):
         scheme = ("log_dilation" if bundle.grid.spacing == "log"
                   else "custom_antisymmetric")
     assemble_conjugate(bundle, scheme=scheme, seed=seed)
-    return bundle
 
 
 def _rho_crit(config):
@@ -497,21 +496,15 @@ def _spectrum_tasks(config, args):
 
 
 def cmd_spectrum(config, args):
-    entries = _spectrum_tasks(config, args)
-    return {"runs": entries}
+    return {"runs": _spectrum_tasks(config, args)}
 
 
 def cmd_virial(config, args):
-    entries = _spectrum_tasks(config, args)
-    rows = []
-    for entry in entries:
-        for diag in entry["report"]["diagnostics"]:
-            rows.append({"lambda": entry["lambda"],
-                         "eigenvalue": diag["eigenvalue"],
-                         "virial_value": diag.get("virial_value"),
-                         "lambda_weight": diag.get("lambda_weight"),
-                         "residual": diag["residual"]})
-    return {"rows": rows}
+    keys = ("eigenvalue", "virial_value", "lambda_weight", "residual")
+    return {"rows": [{"lambda": entry["lambda"],
+                      **{key: diag.get(key) for key in keys}}
+                     for entry in _spectrum_tasks(config, args)
+                     for diag in entry["report"]["diagnostics"]]}
 
 
 def cmd_levelshift(config, args):
@@ -553,11 +546,10 @@ def cmd_levelshift(config, args):
 
 
 def cmd_rte(config, args):
-    beta = config["reservoir"]["beta"]
     rc = _rho_crit(config)
     x = _observable_matrix(config, _dot_spec(config))
     x_norm = float(np.linalg.norm(x, 2))
-    measure = _measure(config, beta, _dispersion(config), rc)
+    measure = _measure(config, rc)
     xis = ([p for p, _ in measure.points] if measure is not None
            else _xis(config, rc))
     t_list = _solver(config)["T"]
@@ -565,38 +557,18 @@ def cmd_rte(config, args):
     def run(lam, group, bundle):
         # one KMS vector and one ergodic pass per density
         a_full = dynamics.dot_observable(bundle, x)
-        runs, found, theta_mean = dynamics.rte_deviation(
+        runs, series = dynamics.rte_deviation(
             bundle, a_full, a_full, T=t_list, a_norm=x_norm,
             thetas=[bundle.theta if xi is None else xi.theta for xi in group])
-        return [(r, found, theta_mean) for r in runs]
+        return [(r, series) for r in runs]
 
     results = _map_bundles(config, args, xis, rc, run)
-    payload = {"runs": [r for r, _, _ in results]}
+    payload = {"runs": [r for r, _ in results]}
     if measure is not None and len(_lambdas(config)) == 1:
-        payload["aggregate"] = dynamics.superpose_xi(measure, payload["runs"])
-        if config["physics"]["mu"]["kind"] == "atoms":
-            payload["aggregate"]["messages"] = []
-        else:
-            found = set().union(*(f for _, f, _ in results))
-            payload["aggregate"].update(
-                exact_theta_limit=sum(w * m for (_, w), (_, _, m)
-                                      in zip(measure.points, results)),
-                messages=_aliasing(measure, found))
+        payload["aggregate"] = dynamics.superpose_xi(
+            measure, payload["runs"],
+            {xi.r: series for xi, (_, series) in zip(xis, results)})
     return payload
-
-
-def _aliasing(measure, found):
-    """A message when a uniform theta rule (uniform_theta, kac) aliases.
-    Every rte quantity is a trigonometric polynomial in theta whose
-    frequencies are among found, those of the sweep's terms, and a uniform
-    rule of n angles is exact unless some f != 0 in found is a multiple of
-    n."""
-    n_theta = len({p.theta for p, _ in measure.points})
-    if not any(f % n_theta == 0 for f in found if f):
-        return []
-    degree = max(abs(f) for f in found)
-    return [f"n_theta {n_theta} may alias: the rte quantities are "
-            f"trigonometric polynomials in theta of degree {degree}"]
 
 
 def cmd_manifest(config, args):

@@ -85,11 +85,6 @@ class CondensatePoint:
         return CondensatePoint(r=float(rho_crit) + float(excess), theta=float(theta))
 
 
-def hamiltonian(spec):
-    """Dot Hamiltonian as a dense diagonal d x d array."""
-    return np.diag(spec.energy_array)
-
-
 def lower_raise(spec):
     """Ladder pair (G_minus, G_plus) with G_plus = ones on the subdiagonal.
 

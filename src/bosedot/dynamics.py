@@ -16,13 +16,14 @@ L(theta) = e^{i theta Q} L(0) e^{-i theta Q} and omega(theta) =
 e^{i theta Q} omega(0), so with A and B split by the charge they shift,
 every quantity is a short Fourier sum in theta whose coefficients the pass
 forms once, in the gauged frame of the eigensystem's blocks and on only the
-blocks that B omega reaches.  The limit, the deviation and every finite-T
-window come from it; ergodic_mean and a single-bundle rte_deviation run the
-same pass at the bundle's own phase, and the identity observable cancels
-exactly.
+blocks that B omega reaches.  The limit, the deviation, every finite-T
+window and the exact average over any measure of theta (superpose_xi) come
+from it; ergodic_mean and a single-bundle rte_deviation run the same pass at
+the bundle's own phase, and the identity observable cancels exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -44,15 +45,17 @@ class ErgodicReport:
     messages: tuple = ()
 
     def to_dict(self):
-        return {
-            "finite_mean": self.finite_mean,
-            "T": self.T,
-            "extrapolated": self.extrapolated,
-            "closed_form": self.closed_form,
-            "min_cluster_gap": self.min_cluster_gap,
-            "n_clusters": self.n_clusters,
-            "messages": list(self.messages),
-        }
+        return {**asdict(self), "messages": list(self.messages)}
+
+
+class ThetaSeries(NamedTuple):
+    """One density's rte quantities as Fourier series in the phase theta,
+    X(theta) = sum_f X_f e^{i theta f} over freqs: freqs is closed under
+    f -> -f and X_{-f} = conj(X_f), so each sum is real."""
+    freqs: np.ndarray
+    limit: np.ndarray
+    omega_bb: np.ndarray
+    omega_a: np.ndarray
 
 
 def _as_array(state):
@@ -199,11 +202,10 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
     a cluster.  n_clusters and min_cluster_gap are those of the whole
     spectrum of eig.
 
-    Returns (runs, found, theta_mean): one (limit, omega_bb, omega_a,
-    [ErgodicReport per window T]) per phase; the frequencies f of the terms
-    k - p - k' of the limit, which bound those of the limit and of
-    omega_bb * omega_a; and the uniform average over theta of the limit,
-    its f = 0 coefficient.
+    Returns (runs, series): one (limit, omega_bb, omega_a, [ErgodicReport
+    per window T]) per phase, and the ThetaSeries of the limit, omega_bb and
+    omega_a, their coefficients taken as (X_f + conj(X_{-f}))/2, whose
+    Fourier sums are the real parts each run reports.
     """
     labels, means = eig.clusters
     n_g = len(means)
@@ -221,8 +223,9 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
             for j, k2 in enumerate(ks):
                 terms.setdefault(k - p - k2, []).append((i, p, j))
     found = sorted(terms)
-    freqs = sorted(set(found) | {k - m for k in ks for m in ks}
-                   | {-p for p in a_parts})
+    # closed under f -> -f, so that X_{-f} sits at the mirrored index
+    freqs = sorted({s * f for f in [*found, *a_parts] for s in (1, -1)}
+                   | {k - m for k in ks for m in ks})
     at = {f: n for n, f in enumerate(freqs)}
     phases = np.exp(1j * np.outer(thetas, freqs))
 
@@ -339,8 +342,8 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
                 messages=messages))
         runs.append((lim, float((e @ omega_bb).real),
                      float((e @ omega_a).real), reports))
-    theta_mean = float(limit[at[0]].real) if 0 in found else 0.0
-    return runs, found, theta_mean
+    return runs, ThetaSeries(np.array(freqs), *(
+        (x + np.conj(x[::-1])) / 2 for x in (limit, omega_bb, omega_a)))
 
 
 def ergodic_mean(bundle, a_obs, b_obs, omega, T):
@@ -353,7 +356,7 @@ def ergodic_mean(bundle, a_obs, b_obs, omega, T):
     eigenvalue pair.  A window too short for the weight it carries on close
     cluster pairs is flagged in the report's messages.
     """
-    ((_, _, _, (report,)),), _, _ = _ergodic_pass(
+    ((_, _, _, (report,)),), _ = _ergodic_pass(
         bundle.eigensystem(), bundle.q_diag, _as_matrix(a_obs),
         _as_matrix(b_obs), _as_array(omega), [bundle.theta], [T])
     return report
@@ -392,18 +395,18 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None, thetas=None):
     With a list thetas of phases, the bundle stands for every bundle that
     differs from it only in the phase: L(theta) = e^{i theta Q} L(0)
     e^{-i theta Q} and omega(theta) = e^{i theta Q} omega(0), so one KMS
-    vector and one pass give every phase, and the result is (runs, found,
-    theta_mean): one run per phase, with its own xi in the manifest and
-    factorised only for the first; the Fourier frequencies of the ergodic
-    limit in theta; and its exact uniform average over theta.
+    vector and one pass give every phase, and the result is (runs, series):
+    one run per phase, with its own xi in the manifest and factorised only
+    for the first, and the ThetaSeries of the density, from which
+    superpose_xi integrates over any measure of the phase.
     """
     a_mat = _as_matrix(a_obs)
     b_mat = _as_matrix(b_obs)
     eig = bundle.eigensystem()
     w = equilibrium_vector(bundle)[0].amplitudes
     at_thetas = [bundle.theta] if thetas is None else thetas
-    runs, found, theta_mean = _ergodic_pass(eig, bundle.q_diag, a_mat, b_mat,
-                                            w, at_thetas, T)
+    runs, series = _ergodic_pass(eig, bundle.q_diag, a_mat, b_mat, w,
+                                 at_thetas, T)
     if a_norm is None:
         a_norm = operator_norm(a_mat)
 
@@ -428,37 +431,40 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None, thetas=None):
             "factorised": n == 0,
             "finite_T": [r.to_dict() for r in reports],
         })
-    return out[0] if thetas is None else (out, found, theta_mean)
+    return out[0] if thetas is None else (out, series)
 
 
-def superpose_xi(measure, results):
+def superpose_xi(measure, results, series):
     """Measure-weighted aggregate of per-condensate ergodic results.
 
-    Every entry must come from the same grid, truncation, dot, and coupling;
-    only the condensate point may differ.  Returns the weighted ergodic limit
-    and the redistribution target sum(weight * omega_bb * omega_a).
+    results holds one run per point of the measure, all from the same grid,
+    truncation, dot and coupling, and gives the per_xi rows.  series maps
+    each density r to the ThetaSeries of its pass (rte_deviation with
+    thetas).  With the measure's phase moments m at r (phase_moments), the
+    ergodic limit adds sum_f limit_f m(f) and the redistribution target,
+    the weighted omega_bb * omega_a, adds sum_fg bb_f a_g m(f + g): both are
+    exact in theta.
     """
     if len(results) != len(measure.points):
         raise ValueError("one result per measure atom required")
+    manifests = [{k: v for k, v in res["manifest"].items() if k != "xi"}
+                 for res in results]
+    if any(man != manifests[0] for man in manifests):
+        raise ValueError("inconsistent run manifests in superposition")
+    densities = dict.fromkeys(xi.r for xi, _ in measure.points)
+    if not densities.keys() <= series.keys():
+        raise ValueError("one theta series per density required")
 
-    def strip(man):
-        out = {k: v for k, v in man.items() if k not in ("xi",)}
-        return out
-
-    base = strip(results[0]["manifest"])
-    for res in results[1:]:
-        if strip(res["manifest"]) != base:
-            raise ValueError("inconsistent run manifests in superposition")
-
-    agg_limit = 0.0
-    target = 0.0
-    per_xi = []
-    for (xi, weight), res in zip(measure.points, results):
-        agg_limit += weight * res["ergodic_limit"]
-        target += weight * res["omega_bb"] * res["omega_a"]
-        per_xi.append({"r": xi.r, "theta": xi.theta, "weight": weight,
-                       "ergodic_limit": res["ergodic_limit"],
-                       "deviation": res["deviation"]})
+    agg_limit = target = 0.0
+    for r in densities:
+        f, limit, omega_bb, omega_a = series[r]
+        pair_moments = measure.phase_moments(r, np.add.outer(f, f))
+        agg_limit += float((limit @ measure.phase_moments(r, f)).real)
+        target += float((omega_bb @ pair_moments @ omega_a).real)
+    per_xi = [{"r": xi.r, "theta": xi.theta, "weight": weight,
+               "ergodic_limit": res["ergodic_limit"],
+               "deviation": res["deviation"]}
+              for (xi, weight), res in zip(measure.points, results)]
 
     return {
         "aggregate_limit": agg_limit,

@@ -336,9 +336,12 @@ def uniform_phase_average(f0, r, rho_crit):
 
 @dataclass(frozen=True)
 class XiMeasure:
-    """Finite quadrature measure on condensate points: ((xi, weight), ...)."""
+    """Finite quadrature measure on condensate points: ((xi, weight), ...).
+    With uniform_circle the phases at each density stand for the uniform
+    measure on the circle; without it they are atoms."""
 
     points: tuple
+    uniform_circle: bool = False
 
     def __post_init__(self):
         if not self.points:
@@ -351,17 +354,18 @@ class XiMeasure:
 
     @staticmethod
     def uniform_theta(r, n_theta):
-        """Uniform circle quadrature at fixed radial density r."""
+        """The uniform circle at the radial density r, held as n_theta
+        equally spaced phases of equal weight."""
         if n_theta < 1:
             raise ValueError("need at least one angle")
-        w = 1.0 / n_theta
-        pts = tuple((CondensatePoint(r=r, theta=2.0 * np.pi * j / n_theta), w)
-                    for j in range(n_theta))
-        return XiMeasure(points=pts)
+        pts = tuple((CondensatePoint(r=r, theta=2.0 * np.pi * j / n_theta),
+                     1.0 / n_theta) for j in range(n_theta))
+        return XiMeasure(points=pts, uniform_circle=True)
 
     @staticmethod
     def kac_theta(beta, rho_bar, dispersion=RELATIVISTIC, n_r=24, n_theta=16):
-        """Product quadrature: Gauss-Laguerre in the radial excess, uniform theta.
+        """Product measure: Gauss-Laguerre in the radial excess, the uniform
+        circle in theta, held as n_theta phases per radial node.
 
         The radial weight e^{-s/rho0} ds / rho0 maps to the Laguerre weight
         after s = rho0 x, so nodes are r = rho_crit + rho0 x_i.
@@ -371,16 +375,22 @@ class XiMeasure:
             raise ValueError("Kac measure needs a supercritical density")
         x, wx = np.polynomial.laguerre.laggauss(n_r)
         wx = wx / wx.sum()
-        pts = []
-        for xi_r, wr in zip(x, wx):
-            r = th.rho_crit + th.rho0 * xi_r
-            for j in range(n_theta):
-                pts.append((CondensatePoint(r=r, theta=2.0 * np.pi * j / n_theta),
-                            wr / n_theta))
-        return XiMeasure(points=tuple(pts))
+        pts = tuple((CondensatePoint(r=th.rho_crit + th.rho0 * x_i,
+                                     theta=2.0 * np.pi * j / n_theta),
+                     w_i / n_theta) for x_i, w_i in zip(x, wx)
+                    for j in range(n_theta))
+        return XiMeasure(points=pts, uniform_circle=True)
 
-    def mean_r(self):
-        return sum(p.r * w for p, w in self.points)
+    def phase_moments(self, r, h):
+        """m(h) = int e^{i theta h} dnu(theta) on an integer array h, for the
+        measure's weight nu over the phase at the density r: W_r at h = 0
+        and 0 elsewhere on the uniform circle, else sum_j w_j e^{i theta_j h}
+        over the atoms at r."""
+        theta, w = np.array([(p.theta, wp) for p, wp in self.points
+                             if p.r == r]).T
+        if self.uniform_circle:
+            return np.where(h == 0, w.sum(), 0.0)
+        return np.exp(1j * np.multiply.outer(h, theta)) @ w
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +473,9 @@ def kac_superposition_residual(f, beta, rho_bar, dispersion=RELATIVISTIC):
 
     int_0^inf K(r) E_canonical(beta, r)(f) dr  vs  E_grand_canonical(beta, rho_bar)(f).
 
-    The Gaussian factor is r independent, so the integral reduces to a Laplace
-    transform of the Bessel factor; both sides are nevertheless evaluated
-    through the public functionals.
+    The Gaussian factor is r independent, so the left side is that factor
+    times a Laplace transform of the Bessel factor in the excess, integrated
+    here directly; only the right side goes through generating_functional.
     """
     th = ReservoirThermo.compute(beta, rho_bar, dispersion)
     if not th.supercritical:

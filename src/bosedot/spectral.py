@@ -594,26 +594,3 @@ def resolvent_sandwich(bundle, epsilon):
         matrix=m.real if np.allclose(m.imag, 0, atol=1e-13) else m,
         epsilon=float(epsilon), fit_constant=c_fit, misfit=misfit,
         gibbs_overlap=gibbs_overlap, oracle_constant=oracle, messages=tuple(messages))
-
-
-# ---------------------------------------------------------------------------
-# resonant-coupling effectiveness
-
-def fgr_check(grid, dot_spec, delta):
-    """Per-gap resonant coupling weights; effective iff all gaps see weight.
-
-    For each distinct level gap the raw weight sums w_j |g_j|^2 over modes
-    within delta of the gap; the density value divides by the window width
-    2*delta so that shrinking windows converge to the shell coupling density
-    at the gap.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    gaps = dot_spec.gaps()
-    out = {}
-    for gap in gaps:
-        sel = np.abs(grid.omegas - gap) < delta
-        raw = float(np.sum(grid.weights[sel] * np.abs(grid.couplings[sel]) ** 2))
-        out[gap] = {"raw": raw, "density": raw / (2.0 * delta)}
-    effective = all(v["raw"] > 0 for v in out.values())
-    return {"weights": out, "effective": effective, "delta": float(delta)}

@@ -180,6 +180,26 @@ def test_validator_agrees_with_jsonschema():
     assert min(verdicts.values()) >= 8
 
 
+@pytest.mark.parametrize("command", ["rte", "spectrum"])
+def test_integral_floats_at_integer_keys_run_as_ints(tmp_path, capsys,
+                                                     command):
+    # JSON Schema accepts 2.0 as an integer; the validated config carries
+    # int(2.0), so the run and its manifest are those of the int config
+    outputs = []
+    for n_max, n_modes, k_eigs in ((2, 4, 10), (2.0, 4.0, 10.0)):
+        cfg = base_config()
+        cfg["trunc"]["n_max"] = n_max
+        cfg["grid"]["n_modes"] = n_modes
+        cfg["solver"]["k_eigs"] = k_eigs
+        run_dir = tmp_path / type(n_max).__name__
+        run_dir.mkdir()
+        code, outdir, _ = run_cli(run_dir, command, cfg, capsys)
+        assert code == cli.EXIT_OK
+        outputs.append([(outdir / name).read_text()
+                        for name in ("manifest.json", f"{command}.json")])
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("name", ["rte_dense", "rte_condensate",
                                   "spectrum_sparse", "levelshift_wide"])
 def test_benchmark_calls_import_no_thermo_modules(tmp_path, name):
@@ -505,78 +525,133 @@ def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
     assert len(agg["per_xi"]) == 2
 
 
-@pytest.mark.parametrize("n_theta, matrix, aliased", [
-    (3, None, True), (4, None, False), (3, [[1, 0], [0, -1]], False),
-    (1, [[0, 0], [0, 1]], False)])
-def test_rte_aliased_theta_rule_gets_a_message(tmp_path, capsys, n_theta,
-                                               matrix, aliased):
-    # hop at d=2: the limit over theta is a cos(theta) + b cos(3 theta), and
-    # a 3-point rule reads cos(3 theta) as 1
-    cfg = base_config()
-    cfg["grid"] = {"n_modes": 3, "omega_min": 0.35, "omega_max": 2.3,
-                   "spacing": "log"}
-    cfg["trunc"] = {"n_max": 2}
-    cfg["physics"] = {"lambda": [0.3],
-                      "mu": {"kind": "uniform_theta", "excess": 0.2,
-                             "n_theta": n_theta}}
-    if matrix is not None:
-        cfg["physics"]["observable"] = {"matrix": matrix}
-    code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
-    assert code == cli.EXIT_OK
-    agg = json.loads((outdir / "rte.json").read_text())["aggregate"]
-    if aliased:
-        assert agg["messages"] == [
-            "n_theta 3 may alias: the rte quantities are trigonometric "
-            "polynomials in theta of degree 3"]
-        assert agg["aggregate_limit"] == pytest.approx(2.50e-4, rel=1e-2)
-    else:
-        assert agg["messages"] == []
-    if matrix is None and not aliased:
-        assert abs(agg["aggregate_limit"]) < 1e-15
-
-
-def probe_config(mu):
+def probe_config(mu, observable=None):
     cfg = base_config()
     cfg["grid"] = {"n_modes": 3, "omega_min": 0.35, "omega_max": 2.3,
                    "spacing": "log"}
     cfg["trunc"] = {"n_max": 2}
     cfg["physics"] = {"lambda": [0.3], "mu": mu}
+    if observable is not None:
+        cfg["physics"]["observable"] = {"matrix": observable}
     return cfg
+
+
+def rte_payload(tmp_path, capsys, cfg):
+    code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_OK
+    return json.loads((outdir / "rte.json").read_text())
+
+
+AGGREGATE_FIELDS = ("aggregate_limit", "redistribution_target",
+                    "aggregate_deviation")
+
+
+@pytest.mark.parametrize("n_theta, matrix, aliased", [
+    (3, None, True), (4, None, False), (3, [[1, 0], [0, -1]], False),
+    (1, [[0, 0], [0, 1]], False)])
+def test_rte_uniform_theta_aggregate_is_the_exact_average(
+        tmp_path, capsys, n_theta, matrix, aliased):
+    # hop at d=2: the limit over theta is a cos(theta) + b cos(3 theta), so
+    # the mean of 3 runs reads b = 2.50e-4 where the exact average is 0; a
+    # diagonal observable is constant in theta and any rule is exact
+    payload = rte_payload(tmp_path, capsys, probe_config(
+        {"kind": "uniform_theta", "excess": 0.2, "n_theta": n_theta}, matrix))
+    agg = payload["aggregate"]
+    assert set(agg) == {*AGGREGATE_FIELDS, "per_xi"}
+    rule = np.mean([run["ergodic_limit"] for run in payload["runs"]])
+    if aliased:
+        assert rule == pytest.approx(2.50e-4, rel=1e-2)
+    else:
+        assert agg["aggregate_limit"] == pytest.approx(rule, rel=1e-12,
+                                                       abs=1e-15)
+    if matrix is None:
+        for key in AGGREGATE_FIELDS:
+            assert agg[key] == 0.0
 
 
 @pytest.mark.parametrize("n_theta", [3, 4])
 def test_rte_exact_theta_limit(tmp_path, capsys, n_theta):
-    # hop at d=2: the limit over theta is a cos(theta) + b cos(3 theta), so
-    # its exact average is 0, which a 3-point rule misses by b = 2.50e-4
-    cfg = probe_config({"kind": "uniform_theta", "excess": 0.2,
-                        "n_theta": n_theta})
-    code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
-    assert code == cli.EXIT_OK
-    agg = json.loads((outdir / "rte.json").read_text())["aggregate"]
-    if n_theta == 3:
-        assert agg["exact_theta_limit"] == 0.0
-        assert agg["aggregate_limit"] == pytest.approx(2.50e-4, rel=1e-2)
+    # hop at d=2: the limit has only the frequencies +-1 and +-3 in theta
+    # and omega_bb * omega_a only +-1 and +-3 too, so every average is 0
+    payload = rte_payload(tmp_path, capsys, probe_config(
+        {"kind": "uniform_theta", "excess": 0.2, "n_theta": n_theta}))
+    agg = payload["aggregate"]
+    for key in AGGREGATE_FIELDS:
+        assert abs(agg[key]) <= 1e-15
+
+
+@pytest.mark.parametrize("mu", [
+    {"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 2},
+    {"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 3},
+    {"kind": "atoms", "atoms": [{"r": 0.5, "theta": 0.0, "weight": 0.5},
+                                {"r": 0.5, "theta": 3.0, "weight": 0.5}]}],
+    ids=["kac-2", "kac-3", "atoms"])
+def test_rte_aliasing_reads_the_frequencies_present(tmp_path, capsys, mu):
+    # the aggregate reads the Fourier coefficients of the pass, so a kac
+    # rule of 3 angles, which the odd frequency 3 of hop at d=2 aliases,
+    # gives the exact average 0 as 2 angles do; atoms are a finite sum over
+    # their own phases, and hop at theta = 0 and 3 does not cancel
+    payload = rte_payload(tmp_path, capsys, probe_config(mu))
+    agg = payload["aggregate"]
+    weights = [row["weight"] for row in agg["per_xi"]]
+    rule = np.dot(weights, [run["ergodic_limit"] for run in payload["runs"]])
+    if mu["kind"] == "kac":
+        assert agg["aggregate_limit"] == 0.0
     else:
-        assert abs(agg["exact_theta_limit"] - agg["aggregate_limit"]) <= 1e-15
+        assert abs(agg["aggregate_limit"]) > 1e-6
+        assert agg["aggregate_limit"] == pytest.approx(rule, rel=1e-12)
 
 
-@pytest.mark.parametrize("mu, messages", [
-    ({"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 2}, []),
-    ({"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 3},
-     ["n_theta 3 may alias: the rte quantities are trigonometric "
-      "polynomials in theta of degree 3"]),
-    ({"kind": "atoms", "atoms": [{"r": 0.5, "theta": 0.0, "weight": 0.5},
-                                 {"r": 0.5, "theta": 3.0, "weight": 0.5}]},
-     [])], ids=["kac-2", "kac-3", "atoms"])
-def test_rte_aliasing_reads_the_frequencies_present(tmp_path, capsys, mu,
-                                                     messages):
-    # hop at d=2 has only the odd frequencies 1 and 3, so a 2-point rule is
-    # exact and a 3-point rule is not; atoms get neither check nor average
-    code, outdir, _ = run_cli(tmp_path, "rte", probe_config(mu), capsys)
-    assert code == cli.EXIT_OK
-    agg = json.loads((outdir / "rte.json").read_text())["aggregate"]
-    assert agg["messages"] == messages
-    assert ("exact_theta_limit" in agg) == (mu["kind"] != "atoms")
+NON_HERMITIAN_D3 = [[0.3, 1.0 + 0.5j, 0.0], [0.2j, -0.7, 0.4],
+                    [0.6 - 0.1j, 0.0, 0.1j]]
+
+
+def d3_non_hermitian(mu):
+    cfg = probe_config(mu, [[[z.real, z.imag] for z in map(complex, row)]
+                            for row in NON_HERMITIAN_D3])
+    cfg["dot"] = {"d": 3}
+    cfg["grid"]["n_modes"] = 2
+    cfg["physics"]["lambda"] = [0.2]
+    return cfg
+
+
+@pytest.mark.parametrize("make, mu, n_thetas", [
+    (probe_config, {"kind": "uniform_theta", "excess": 0.2}, [1, 2, 3, 4, 7]),
+    (probe_config, {"kind": "kac", "rho_bar": 0.4, "n_r": 2}, [2, 3]),
+    (d3_non_hermitian, {"kind": "uniform_theta", "excess": 0.2},
+     [1, 2, 3, 4, 7])], ids=["uniform-hop", "kac-hop", "d3-non-hermitian"])
+def test_rte_theta_aggregate_does_not_depend_on_n_theta(tmp_path, capsys,
+                                                        make, mu, n_thetas):
+    # n_theta only chooses which phases get a run: the aggregate is the
+    # exact average over the circle
+    aggs = [rte_payload(tmp_path, capsys, make({**mu, "n_theta": n}))
+            ["aggregate"] for n in n_thetas]
+    for agg in aggs[1:]:
+        assert len(agg["per_xi"]) != len(aggs[0]["per_xi"])
+        for key in AGGREGATE_FIELDS:
+            assert agg[key] == pytest.approx(aggs[0][key], rel=1e-12,
+                                             abs=1e-15), key
+
+
+def test_rte_atoms_aggregate_is_the_weighted_sum_of_its_runs(tmp_path,
+                                                             capsys):
+    # two densities, three phases at the first and one at the second
+    atoms = [{"r": 0.5, "theta": 0.0, "weight": 0.2},
+             {"r": 0.5, "theta": 1.1, "weight": 0.3},
+             {"r": 0.6, "theta": 2.5, "weight": 0.4},
+             {"r": 0.5, "theta": 4.0, "weight": 0.1}]
+    payload = rte_payload(tmp_path, capsys, d3_non_hermitian(
+        {"kind": "atoms", "atoms": atoms}))
+    agg, runs = payload["aggregate"], payload["runs"]
+    weights = [a["weight"] for a in atoms]
+    limit = np.dot(weights, [run["ergodic_limit"] for run in runs])
+    target = np.dot(weights, [run["omega_bb"] * run["omega_a"]
+                              for run in runs])
+    assert abs(agg["aggregate_limit"] - limit) <= 1e-12
+    assert abs(agg["redistribution_target"] - target) <= 1e-12
+    assert abs(agg["aggregate_deviation"] - abs(limit - target)) <= 1e-12
+    assert [(row["r"], row["theta"]) for row in agg["per_xi"]] == [
+        (a["r"], a["theta"]) for a in atoms]
 
 
 def test_rte_kac_sweep_has_one_eigh_and_kms_vector_per_density(

@@ -218,19 +218,38 @@ def small_xi_bundle(gauss_ff, theta, rho_bar=0.3):
 
 
 def test_superpose_xi_aggregates(gauss_ff):
-    measure = XiMeasure.uniform_theta(0.4, 2)
-    results = []
-    for (xi, _w) in measure.points:
-        b = small_xi_bundle(gauss_ff, xi.theta)
-        a = dynamics.dot_observable(b, np.diag([0.0, 1.0]))
-        bb = dynamics.dot_observable(b, hop_matrix(2))
-        results.append(dynamics.rte_deviation(b, a, bb))
-    out = dynamics.superpose_xi(measure, results)
-    mean_limit = 0.5 * (results[0]["ergodic_limit"] +
-                        results[1]["ergodic_limit"])
-    assert out["aggregate_limit"] == pytest.approx(mean_limit, rel=1e-12)
-    assert len(out["per_xi"]) == 2
-    assert out["aggregate_deviation"] >= 0.0
+    # A = diag(0, 1) and B = hop: the limit and omega_bb * omega_a hold the
+    # frequencies 0 and +-2 in theta, so the mean of 2 runs aliases, and 8
+    # runs give the exact averages that the series gives at 2
+    b = small_xi_bundle(gauss_ff, 0.0)
+    a = dynamics.dot_observable(b, np.diag([0.0, 1.0]))
+    bb = dynamics.dot_observable(b, hop_matrix(2))
+    exact = {}
+    for n_theta in (2, 8):
+        measure = XiMeasure.uniform_theta(b.xi.r, n_theta)
+        thetas = [xi.theta for xi, _ in measure.points]
+        runs, series = dynamics.rte_deviation(b, a, bb, a_norm=1.0,
+                                              thetas=thetas)
+        exact[n_theta] = dynamics.superpose_xi(measure, runs, {b.xi.r: series})
+        assert len(exact[n_theta]["per_xi"]) == n_theta
+    limits = [run["ergodic_limit"] for run in runs]
+    targets = [run["omega_bb"] * run["omega_a"] for run in runs]
+    for agg in exact.values():
+        assert agg["aggregate_limit"] == pytest.approx(np.mean(limits),
+                                                       rel=1e-12)
+        assert agg["redistribution_target"] == pytest.approx(
+            np.mean(targets), rel=1e-12)
+        assert agg["aggregate_deviation"] == pytest.approx(
+            abs(np.mean(limits) - np.mean(targets)), rel=1e-9, abs=1e-15)
+    # the same series read at the atoms of a measure without the circle
+    atoms = XiMeasure(points=tuple(
+        (xi, w) for (xi, _), w in zip(measure.points, (0.1, 0.2, 0.3, 0.4))))
+    agg = dynamics.superpose_xi(atoms, runs[:4], {b.xi.r: series})
+    weights = [w for _, w in atoms.points]
+    assert agg["aggregate_limit"] == pytest.approx(
+        np.dot(weights, limits[:4]), rel=1e-12)
+    assert agg["redistribution_target"] == pytest.approx(
+        np.dot(weights, targets[:4]), rel=1e-12)
 
 
 def test_superpose_xi_rejects_mixed_manifests(gauss_ff):
@@ -245,9 +264,12 @@ def test_superpose_xi_rejects_mixed_manifests(gauss_ff):
         bb = dynamics.dot_observable(b, hop_matrix(2))
         res.append(dynamics.rte_deviation(b, a, bb))
     with pytest.raises(ValueError):
-        dynamics.superpose_xi(measure, res)
+        dynamics.superpose_xi(measure, res, {})
     with pytest.raises(ValueError):
-        dynamics.superpose_xi(measure, res[:1])
+        dynamics.superpose_xi(measure, res[:1], {})
+    # one series per density of the measure
+    with pytest.raises(ValueError):
+        dynamics.superpose_xi(measure, res[:1] * 2, {})
 
 
 def test_dyson_truncated_tracks_exact_at_weak_coupling(gauss_ff):

@@ -12,7 +12,6 @@ from bosedot.reservoir import (occupation, planck_density, critical_density,
                                generating_functional, two_point_cluster,
                                ReservoirThermo, TestFunction as WeylFunction)
 from bosedot.dot import CondensatePoint
-from bosedot.spectral import fgr_check
 
 
 def test_occupation_half_filling():
@@ -122,12 +121,19 @@ def test_xi_measures():
     m = bd.XiMeasure.uniform_theta(r=0.5, n_theta=8)
     assert len(m.points) == 8
     assert sum(w for _, w in m.points) == pytest.approx(1.0, abs=1e-12)
-    assert m.mean_r() == pytest.approx(0.5)
+    assert sum(p.r * w for p, w in m.points) == pytest.approx(0.5)
+    # the uniform circle has no moment at h != 0; its 8 phases read as
+    # atoms have one at h = 8
+    h = np.array([0, 1, -3, 8])
+    np.testing.assert_array_equal(m.phase_moments(0.5, h), [1, 0, 0, 0])
+    np.testing.assert_allclose(bd.XiMeasure(points=m.points).phase_moments(
+        0.5, h), [1.0, 0.0, 0.0, 1.0], atol=1e-15)
 
     beta, rho_bar = 1.0, 0.4
     mk = bd.XiMeasure.kac_theta(beta, rho_bar, n_r=24, n_theta=4)
     # Laguerre quadrature integrates the linear moment exactly
-    assert mk.mean_r() == pytest.approx(rho_bar, rel=1e-10)
+    mean_r = sum(p.r * w for p, w in mk.points)
+    assert mean_r == pytest.approx(rho_bar, rel=1e-10)
 
     with pytest.raises(ValueError):
         bd.XiMeasure(points=((CondensatePoint(r=1.0), 0.5),))
@@ -271,8 +277,12 @@ def test_smearing_channels_unit_difference(grid2):
 def test_resonance_weights_density(gauss_ff):
     gs = bd.GridSpec(n_modes=400, omega_max=4.0)
     grid = bd.discretize(gauss_ff, 1.0, gs)
-    dens = fgr_check(grid, bd.DotSpec(d=2), 0.05)["weights"][1.0]["density"]
-    # fine-grid density approaches the angular shell integral at the gap
+    # the coupling weight within delta of the gap, per unit frequency,
+    # approaches the angular shell integral at the gap
+    delta = 0.05
+    sel = np.abs(grid.omegas - 1.0) < delta
+    dens = np.sum(grid.weights[sel] * np.abs(grid.couplings[sel]) ** 2) \
+        / (2.0 * delta)
     k = bd.RELATIVISTIC.k_of_omega(1.0)
     shell = 4.0 * np.pi * k ** 2 * abs(gauss_ff.at(k)) ** 2 \
         * bd.RELATIVISTIC.dk_domega(1.0)

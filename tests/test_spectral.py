@@ -316,14 +316,3 @@ def test_lorentzian_constant_stable_under_refinement(gauss_ff):
         vals.append(spectral.lorentzian_constant(grid, 0.1))
     assert vals[0] > 0
     assert abs(vals[1] - vals[0]) < 5e-3 * vals[0]
-
-
-def test_fgr_check_reports_both_scalings(gauss_ff):
-    gs = bd.GridSpec(n_modes=300, omega_max=3.0)
-    grid = bd.discretize(gauss_ff, 1.0, gs)
-    out = spectral.fgr_check(grid, bd.DotSpec(d=3), 0.05)
-    assert out["delta"] == 0.05
-    for gap, row in out["weights"].items():
-        assert row["raw"] >= 0
-        assert row["density"] == pytest.approx(row["raw"] / 0.1, rel=1e-12)
-    assert out["effective"] in (True, False)

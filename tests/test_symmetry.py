@@ -404,11 +404,21 @@ def test_theta_sweep_matches_bundles_factorised_per_theta(spec, observable):
          "non-hermitian": np.array(NON_HERMITIAN[d])}[observable]
     b = make_bundle(*spec, thetas[0], 1.0)
     a = dynamics.dot_observable(b, x)
-    runs, found, _ = dynamics.rte_deviation(b, a, a, T=[50.0, 400.0],
-                                            a_norm=1.0, thetas=thetas)
+    runs, series = dynamics.rte_deviation(b, a, a, T=[50.0, 400.0],
+                                          a_norm=1.0, thetas=thetas)
     assert len(runs) == len(thetas)
     if observable == "projector":
-        assert found == [0]
+        assert list(series.freqs) == [0]
+    # the series of the density sums to the real numbers of each run
+    for theta, run in zip(thetas, runs):
+        phases = np.exp(1j * theta * series.freqs)
+        for coef, key in ((series.limit, "ergodic_limit"),
+                          (series.omega_bb, "omega_bb"),
+                          (series.omega_a, "omega_a")):
+            value = phases @ coef
+            assert value.real == pytest.approx(run[key], rel=1e-12,
+                                               abs=1e-15), key
+            assert abs(value.imag) <= 1e-14
     for n, (theta, run) in enumerate(zip(thetas, runs)):
         assert run.pop("factorised") == (n == 0)
         # a bundle at theta on the blocks of b, and one that factorises its
@@ -430,7 +440,7 @@ def test_theta_sweep_identity_deviation_is_exactly_zero(observable):
     eye = sparse.identity(b.dim, format="csr", dtype=complex)
     bop = eye if observable == "identity" else dynamics.dot_observable(
         b, hop_matrix(3))
-    runs, _, _ = dynamics.rte_deviation(
+    runs, _ = dynamics.rte_deviation(
         b, eye, bop, T=[50.0], a_norm=1.0,
         thetas=[1.3, 0.0, 0.4, 2.0, np.pi, 5.9])
     for run in runs:

@@ -112,8 +112,8 @@ def cases():
             physics={"mu": {"kind": "uniform_theta", "excess": 0.2,
                             "n_theta": 4}},
             solver={"T": [100.0, 1000.0]})),
-        # hop at d=2 is of degree 3 in theta, so 3 angles alias and the
-        # aggregate carries a message
+        # hop at d=2 is of degree 3 in theta: the mean of 3 runs aliases,
+        # and the aggregate is the exact average, 0
         ("rte_uniform_aliased", "rte", _variant(
             physics={"lambda": [0.3],
                      "mu": {"kind": "uniform_theta", "excess": 0.2,
