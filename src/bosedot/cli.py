@@ -564,10 +564,15 @@ def cmd_rte(config, args):
 
     results = _map_bundles(config, args, xis, rc, run)
     payload = {"runs": [r for r, _ in results]}
-    if measure is not None and len(_lambdas(config)) == 1:
+    n_lam = len(_lambdas(config))
+    if measure is not None and n_lam == 1:
         payload["aggregate"] = dynamics.superpose_xi(
             measure, payload["runs"],
             {xi.r: series for xi, (_, series) in zip(xis, results)})
+    elif measure is not None:
+        payload["messages"] = [
+            f"no aggregate: physics.lambda has {n_lam} values, and the "
+            "measure's aggregate is formed for a single lambda"]
     return payload
 
 

@@ -35,10 +35,14 @@ Q); with one, L = e^{i theta Q} L(0) e^{-i theta Q} and the gauged L(0) is one
 block.  A block real up to the rounding of the phases is solved in real
 arithmetic.  The per-block solve is passed in: a dense eigh for the bundle's
 cached factorisation, refused for a block above DENSE_CUTOFF states, or
-spectral's shift-invert for the pairs nearest zero.  No eigh of the whole
-space runs.  Bundles that differ only in theta are gauges of one another, so
-the commands build one bundle per lambda and density r and read every theta
-of the sweep from it (cli._map_bundles).
+spectral's shift-invert for the pairs nearest zero.  The cached factorisation
+does not eigh a real block that the swap maps to itself (sector 0, or the
+gauged L(0)): there P B P = -B puts B in chiral form [[0, X], [X^T, 0]]
+between its P-even and P-odd states, and one SVD of X gives every pair
+(chiral_eigh).  No eigh of the whole space runs.  Bundles that differ only
+in theta are gauges of one another, so the commands build one bundle per
+lambda and density r and read every theta of the sweep from it
+(cli._map_bundles).
 """
 
 from dataclasses import dataclass, field as dfield
@@ -47,7 +51,7 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag, eigh
+from scipy.linalg import block_diag, eigh, svd
 
 from . import dot as dotmod
 from .fock import DimensionCapError, FockBasis, SparseOperator, StateVector
@@ -126,12 +130,14 @@ class BlockedEigensystem:
     pairs nearest zero).  The columns of all blocks, in block order, are the
     columns of the eigensystem: evals is their concatenation.  path is
     "sector" when the blocks are the charge sectors (L conserves Q) and
-    "gauge" when B is the whole gauged L(0).
+    "gauge" when B is the whole gauged L(0).  chiral counts the blocks
+    factorised by chiral_eigh.
     """
 
     blocks: tuple
     gauge: np.ndarray
     path: str
+    chiral: int = 0
     evals: np.ndarray = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -139,26 +145,35 @@ class BlockedEigensystem:
                            np.concatenate([e for _, e, _ in self.blocks]))
 
     @classmethod
-    def of(cls, bundle, solve):
+    def of(cls, bundle, solve, chiral=None):
         """The eigenpairs of the bundle's L that solve(charge, idx, block)
         returns, as (evals, evecs), for each block of symmetry_blocks in
         order; charge is None for the gauged L(0).  The sectors Q < 0 are not
         solved: they are the swap images of Q > 0 (P conj(L) P = -L), the
         pairs (-e, conj(v)) on the rows perm[idx] for the pairs (e, v) of
-        sector Q on idx."""
+        sector Q on idx.  When chiral is given, chiral(idx, block, swap)
+        solves in place of solve every real block that the swap maps to
+        itself (charge 0 or None), swap being the permutation the swap makes
+        of the block's own states."""
         path, gauge, blocks = symmetry_blocks(bundle.L.matrix, bundle.q_diag,
                                               bundle.theta)
         charges = [None if path == "gauge" else int(bundle.q_diag[idx[0]])
                    for idx, _ in blocks]
         perm = bundle.swap
-        solved = {}
+        solved, n_chiral = {}, 0
         for q, (idx, block) in zip(charges, blocks):
-            if q is None or q >= 0:
+            if chiral is not None and not q and not np.iscomplexobj(block):
+                # idx is sorted and closed under the swap
+                e, v = chiral(idx, block, np.searchsorted(idx, perm[idx]))
+                n_chiral += 1
+            elif q is None or q >= 0:
                 e, v = solve(q, idx, block)
-                solved[q] = (idx, e, v)
-                if q:
-                    solved[-q] = (perm[idx], -e, v.conj())
-        return cls(tuple(solved[q] for q in charges), gauge, path)
+            else:
+                continue
+            solved[q] = (idx, e, v)
+            if q:
+                solved[-q] = (perm[idx], -e, v.conj())
+        return cls(tuple(solved[q] for q in charges), gauge, path, n_chiral)
 
     @cached_property
     def clusters(self):
@@ -180,7 +195,8 @@ class BlockedEigensystem:
         sizes = [len(idx) for idx, _, _ in self.blocks]
         return {"path": self.path, "blocks": len(sizes),
                 "largest_block": max(sizes),
-                "real": not any(np.iscomplexobj(v) for _, _, v in self.blocks)}
+                "real": not any(np.iscomplexobj(v) for _, _, v in self.blocks),
+                "chiral": self.chiral}
 
     def vectors(self, cols):
         """Full-length eigenvectors of L for the columns cols, real when
@@ -291,11 +307,13 @@ class OperatorBundle:
         return 0.0 if self.xi is None else self.xi.theta
 
     def eigensystem(self):
-        """Cached BlockedEigensystem of L: a dense eigh of every symmetry
-        block.  A block of more than DENSE_CUTOFF states is refused with
-        DimensionCapError."""
+        """Cached BlockedEigensystem of L: chiral_eigh of every real block
+        that the swap maps to itself and a dense eigh of every other
+        symmetry block.  A block of more than DENSE_CUTOFF states is refused
+        with DimensionCapError."""
         if self._eigensystem is None:
-            self._eigensystem = BlockedEigensystem.of(self, _dense_block)
+            self._eigensystem = BlockedEigensystem.of(self, _dense_block,
+                                                      _chiral_block)
         return self._eigensystem
 
     def full_eigensystem(self):
@@ -334,11 +352,56 @@ class OperatorBundle:
         return out
 
 
-def _dense_block(charge, idx, block):
+def _refuse_above_cutoff(idx):
     if len(idx) > DENSE_CUTOFF:
         raise DimensionCapError(f"symmetry block of {len(idx)} states above "
                                 f"the dense cutoff {DENSE_CUTOFF}")
+
+
+def _dense_block(charge, idx, block):
+    _refuse_above_cutoff(idx)
     return eigh(block.toarray())
+
+
+def _chiral_block(idx, block, swap):
+    _refuse_above_cutoff(idx)
+    return chiral_eigh(block, swap)
+
+
+def chiral_eigh(block, swap):
+    """All eigenpairs of the real symmetric block B, ascending as eigh gives
+    them, for an involution swap with P B P = -B, (P v)[i] = v[swap[i]].
+
+    The P-even states are the fixed states e_f and (e_i + e_Pi)/sqrt2, the
+    P-odd ones (e_i - e_Pi)/sqrt2 (i < Pi), and B couples only even to odd
+    through X.  One full SVD X = W S V^T gives the pairs +-s_k with vectors
+    (W_k (+) +-V_k)/sqrt2 and an exact 0 for each of the trailing columns of
+    W: the odd states are never more than the even ones, so those number
+    the fixed states.  P B P = -B is checked entry by entry first, and a
+    block that breaks it raises ValueError.
+    """
+    if (block[swap][:, swap] + block).count_nonzero():
+        raise ValueError("block does not anticommute with the swap")
+    n = len(swap)
+    states = np.arange(n)
+    fixed = np.flatnonzero(swap == states)
+    a = np.flatnonzero(swap > states)
+    nf, m = len(fixed), len(a)
+    h = np.sqrt(0.5)
+    pair = np.arange(m)
+    # the orthogonal map from the even columns, then the odd ones, to states
+    u = sparse.csr_matrix(
+        (np.r_[np.ones(nf), np.full(3 * m, h), np.full(m, -h)],
+         (np.r_[fixed, a, swap[a], a, swap[a]],
+          np.r_[np.arange(nf), nf + pair, nf + pair, nf + m + pair,
+                nf + m + pair])), shape=(n, n))
+    x = (u[:, :nf + m].T @ block @ u[:, nf + m:]).toarray()
+    w, s, vt = svd(x)
+    v = vt.T
+    evals = np.r_[-s, np.zeros(nf), s[::-1]]
+    even = np.hstack([w[:, :m] * h, w[:, m:], w[:, :m][:, ::-1] * h])
+    odd = np.hstack([-v * h, np.zeros((m, nf)), v[:, ::-1] * h])
+    return evals, u @ np.vstack([even, odd])
 
 
 def _diagonal_operator(diag, label):

@@ -41,6 +41,18 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def record_factorisations(monkeypatch):
+    """A list that gets the shape of the block of every dense factorisation
+    of a symmetry block, of either kind: an eigh or a chiral SVD."""
+    shapes = []
+    for name in ("eigh", "chiral_eigh"):
+        def wrapper(block, *args, _fn=getattr(liouville, name), **kwargs):
+            shapes.append(block.shape)
+            return _fn(block, *args, **kwargs)
+        monkeypatch.setattr(liouville, name, wrapper)
+    return shapes
+
+
 def run_cli(tmp_path, command, cfg, capsys, extra=None):
     cfgpath = write_config(tmp_path, cfg)
     outdir = tmp_path / "out"
@@ -348,7 +360,8 @@ def test_dense_cutoff_applies_to_the_largest_block(tmp_path, capsys):
     run = json.loads((outdir / "rte.json").read_text())["runs"][0]
     assert run["manifest"]["dim"] == 2244 > liouville.DENSE_CUTOFF
     assert run["factorisation"] == {"path": "sector", "blocks": 7,
-                                    "largest_block": 546, "real": True}
+                                    "largest_block": 546, "real": True,
+                                    "chiral": 1}
 
 
 def test_rte_between_largest_block_and_dim_matches_dense(tmp_path, capsys,
@@ -496,8 +509,8 @@ def test_levelshift_sweep(tmp_path, capsys):
 
 
 def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
-    # both phases share one bundle, one dense eigh and one KMS vector
-    counts = {"eigh": 0, "kms_vector": 0}
+    # both phases share one bundle, one factorisation and one KMS vector
+    counts = {"kms_vector": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -505,7 +518,7 @@ def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(liouville, "eigh", counted("eigh", liouville.eigh))
+    factorised = record_factorisations(monkeypatch)
     kms = counted("kms_vector", liouville.kms_vector)
     monkeypatch.setattr(liouville, "kms_vector", kms)
     cfg = base_config()
@@ -514,7 +527,8 @@ def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
                              "n_theta": 2}}
     code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
     assert code == cli.EXIT_OK
-    assert counts == {"eigh": 1, "kms_vector": 1}
+    assert len(factorised) == 1
+    assert counts == {"kms_vector": 1}
     payload = json.loads((outdir / "rte.json").read_text())
     assert len(payload["runs"]) == 2
     for run in payload["runs"]:
@@ -523,6 +537,23 @@ def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
     agg = payload["aggregate"]
     assert agg["aggregate_deviation"] >= 0.0
     assert len(agg["per_xi"]) == 2
+    assert "messages" not in payload
+
+
+def test_rte_measure_over_two_lambdas_says_why_it_has_no_aggregate(
+        tmp_path, capsys):
+    cfg = base_config()
+    cfg["physics"] = {"lambda": [0.01, 0.1],
+                      "mu": {"kind": "uniform_theta", "excess": 0.2,
+                             "n_theta": 2}}
+    code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_OK
+    payload = json.loads((outdir / "rte.json").read_text())
+    assert len(payload["runs"]) == 4
+    assert "aggregate" not in payload
+    assert payload["messages"] == [
+        "no aggregate: physics.lambda has 2 values, and the measure's "
+        "aggregate is formed for a single lambda"]
 
 
 def probe_config(mu, observable=None):
@@ -656,7 +687,7 @@ def test_rte_atoms_aggregate_is_the_weighted_sum_of_its_runs(tmp_path,
 
 def test_rte_kac_sweep_has_one_eigh_and_kms_vector_per_density(
         tmp_path, capsys, monkeypatch):
-    counts = {"eigh": 0, "kms_vector": 0, "build_bundle": 0}
+    counts = {"kms_vector": 0, "build_bundle": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -664,7 +695,7 @@ def test_rte_kac_sweep_has_one_eigh_and_kms_vector_per_density(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(liouville, "eigh", counted("eigh", liouville.eigh))
+    factorised = record_factorisations(monkeypatch)
     monkeypatch.setattr(liouville, "kms_vector",
                         counted("kms_vector", liouville.kms_vector))
     monkeypatch.setattr(cli, "build_bundle",
@@ -675,7 +706,8 @@ def test_rte_kac_sweep_has_one_eigh_and_kms_vector_per_density(
                              "n_theta": 4}}
     code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
     assert code == cli.EXIT_OK
-    assert counts == {"eigh": 2, "kms_vector": 2, "build_bundle": 2}
+    assert len(factorised) == 2
+    assert counts == {"kms_vector": 2, "build_bundle": 2}
     runs = json.loads((outdir / "rte.json").read_text())["runs"]
     assert [r["manifest"]["xi"]["theta"] for r in runs[:4]] == [
         2.0 * 3.141592653589793 * j / 4 for j in range(4)]
@@ -766,13 +798,7 @@ def test_jobs_flag_parallel_spectrum(tmp_path, capsys):
 
 def test_kac_sweep_factorises_once_per_density(tmp_path, capsys,
                                                  monkeypatch):
-    calls, eigh = [], liouville.eigh
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(liouville, "eigh", counted)
+    calls = record_factorisations(monkeypatch)
     cfg = base_config()
     cfg["physics"] = {"lambda": [0.1],
                       "mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 3,
@@ -809,7 +835,8 @@ def cluster_traces(report):
 
 def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
                                                             monkeypatch):
-    # three phases of one density: one bundle, one eigh and one conjugate.
+    # three phases of one density: one bundle, one factorisation and one
+    # conjugate.
     # A run at one phase alone factorises its own L, whose degenerate kernel
     # the eigensolver may rotate, so its rows agree with the sweep's as
     # traces over each cluster, to 1e-12 of the unit scale of a unit
@@ -822,7 +849,7 @@ def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
     cfg["trunc"] = {"n_max": 2}
     cfg["solver"] = {"k_eigs": 12}     # the kernel of 8 and four pairs
     cfg["physics"]["xi"] = [{"excess": 0.2, "theta": t} for t in thetas]
-    counts = dict.fromkeys(("build_bundle", "eigh", "assemble_conjugate"), 0)
+    counts = dict.fromkeys(("build_bundle", "assemble_conjugate"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -830,10 +857,9 @@ def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((cli, "build_bundle"), (liouville, "eigh"),
-                         (cli, "assemble_conjugate")):
-        monkeypatch.setattr(module, name,
-                            counted(name, getattr(module, name)))
+    for name in ("build_bundle", "assemble_conjugate"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    factorised = record_factorisations(monkeypatch)
 
     def run(command, config, sub):
         (tmp_path / sub).mkdir()
@@ -842,7 +868,8 @@ def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
         return json.loads((outdir / f"{command}.json").read_text())
 
     runs = run("spectrum", cfg, "sweep")["runs"]
-    assert counts == {"build_bundle": 1, "eigh": 1, "assemble_conjugate": 1}
+    assert len(factorised) == 1
+    assert counts == {"build_bundle": 1, "assemble_conjugate": 1}
     assert [r["xi"]["theta"] for r in runs] == list(thetas)
     for theta, got in zip(thetas, runs):
         one = {**cfg, "physics": {**cfg["physics"],
@@ -888,10 +915,10 @@ def test_rte_jobs_do_not_change_the_output(tmp_path, capsys):
 
 
 def test_missing_kernel_vectors_exit_3(tmp_path, capsys):
-    # no eigenvalue is below 1e-300, so the kernel reads 0 against the swap
+    # no eigenvalue is below 0, so the kernel reads 0 against the swap
     # index 2 of real L
     cfg = base_config()
-    cfg["solver"] = {"k_eigs": 4, "kernel_tol": 1e-300}
+    cfg["solver"] = {"k_eigs": 4, "kernel_tol": 0}
     code, _, out = run_cli(tmp_path, "spectrum", cfg, capsys)
     assert code == cli.EXIT_SOLVER
     assert out.err.startswith("solver failure: kernel_dim 0 is below the "

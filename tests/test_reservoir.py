@@ -177,6 +177,17 @@ def test_kac_superposition_identity():
     assert 0.0 < rhs <= 1.0
 
 
+@pytest.mark.parametrize("rho_bar", [0.3, 1.0, 3.0])
+def test_kac_superposition_identity_relative_on_order_one_sides(rho_bar):
+    # amplitude 0.1 keeps both sides of order one (0.77, 0.33, 0.027), well
+    # above the radial integrals' absolute tolerance, so the relative gap is
+    # a check of the identity itself
+    f = WeylFunction.gaussian(0.1, 1.0)
+    resid, lhs, rhs = kac_superposition_residual(f, 1.0, rho_bar)
+    assert 0.02 < rhs < 1.0
+    assert resid < 1e-12 * abs(rhs)
+
+
 def test_two_point_clustering_supercritical():
     f = WeylFunction.gaussian(0.8, 1.0)
     g = WeylFunction.gaussian(0.5, 1.3)

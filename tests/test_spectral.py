@@ -123,7 +123,7 @@ def test_dense_kernel_dimension_not_capped_by_k(gauss_ff):
     assert rep.solver == {"path": "dense",
                           "factorisation": {"path": "sector", "blocks": 7,
                                             "largest_block": 42,
-                                            "real": True}}
+                                            "real": True, "chiral": 1}}
     assert any("kernel fills" in m for m in rep.messages)
     # k above the kernel still means "pairs reported", with no message
     rep = spectral.solve_near_zero(b, k=14)
@@ -231,7 +231,7 @@ def test_dense_and_block_paths_report_the_same_signed_pairs(gauss_ff):
 def test_kernel_below_the_swap_index_raises(gauss_ff):
     b = _log_bundle(gauss_ff, 2, 2, 1, 0.1)
     with pytest.raises(SolverConvergenceError, match="below the swap index"):
-        spectral.solve_near_zero(b, k=4, kernel_tol=1e-300)
+        spectral.solve_near_zero(b, k=4, kernel_tol=0)
 
 
 def test_virial_value_real_and_small_for_eigenvectors(gauss_ff):

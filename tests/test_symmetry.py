@@ -18,9 +18,9 @@ import bosedot as bd
 from bosedot import dynamics, spectral
 from bosedot.dot import lower_raise
 from bosedot.liouville import (BlockedEigensystem, antisymmetric_one_body,
-                               assemble_conjugate, build_bundle,
+                               assemble_conjugate, build_bundle, chiral_eigh,
                                condensate_gauge, dilation_one_body,
-                               kernel_index, kms_vector)
+                               kernel_index, kms_vector, symmetry_blocks)
 from test_liouville import swap_conjugation_permutation
 
 RHO_CRIT = bd.critical_density(1.0, bd.RELATIVISTIC)
@@ -169,7 +169,7 @@ def test_gauged_condensate_block_is_real(theta):
     assert abs(gauged - at_zero).max() <= 8 * np.finfo(float).eps * scale
     assert b.eigensystem().telemetry() == {"path": "gauge", "blocks": 1,
                                            "largest_block": b.dim,
-                                           "real": True}
+                                           "real": True, "chiral": 1}
 
 
 def test_factorisation_path_and_dtype(case):
@@ -177,6 +177,9 @@ def test_factorisation_path_and_dtype(case):
     info = b.eigensystem().telemetry()
     assert info["path"] == ("sector" if theta is None else "gauge")
     assert info["real"] == (amplitude.imag == 0)
+    # sector 0 or the gauged L(0) is the one block the swap maps to itself;
+    # a complex form factor leaves it complex, and eigh solves it
+    assert info["chiral"] == (amplitude.imag == 0)
     if theta is None:
         assert info["blocks"] == len(np.unique(b.q_diag))
         assert info["largest_block"] == np.sum(b.q_diag == 0)
@@ -197,6 +200,64 @@ def test_eigenvalues_and_cluster_projectors_match_full_eigh(case):
         vecs = eig.vectors(h)
         np.testing.assert_allclose(vecs @ vecs.conj().T, ref, rtol=0,
                                    atol=1e-10)
+
+
+def self_mapped_blocks(b):
+    """(path, [(block, local swap)]) for the blocks of b's L that the swap
+    maps to itself: sector 0, or the gauged L(0)."""
+    path, _, blocks = symmetry_blocks(b.L.matrix, b.q_diag, b.theta)
+    return path, [(block, np.searchsorted(idx, b.swap[idx]))
+                  for idx, block in blocks
+                  if path == "gauge" or not b.q_diag[idx[0]]]
+
+
+@pytest.mark.parametrize("spec", list(CASES.values())
+                         + [(3, "log", 3, 2, 0.2, 1.1, 1.0)],
+                         ids=list(CASES) + ["d3-log-xi"])
+def test_chiral_factorisation_matches_eigh_of_the_block(spec):
+    b = make_bundle(*spec)
+    path, blocks = self_mapped_blocks(b)
+    assert len(blocks) == 1
+    ((block, swap),) = blocks
+    if np.iscomplexobj(block):
+        assert spec[6].imag != 0
+        assert b.eigensystem().chiral == 0
+        return
+    evals, evecs = sla.eigh(block.toarray())
+    e, v = chiral_eigh(block, swap)
+    norm_l = np.abs(evals).max()
+    np.testing.assert_allclose(e, evals, rtol=0, atol=1e-12 * norm_l)
+    np.testing.assert_allclose(v.T @ v, np.eye(len(e)), rtol=0, atol=1e-12)
+    labels, means = BlockedEigensystem(((swap, evals, evecs),), np.ones(
+        len(swap)), path).clusters
+    mine, mine_means = BlockedEigensystem(((swap, e, v),), np.ones(
+        len(swap)), path).clusters
+    assert len(mine_means) == len(means)
+    for g in range(len(means)):
+        ref, got = evecs[:, labels == g], v[:, mine == g]
+        np.testing.assert_allclose(got @ got.T, ref @ ref.T, rtol=0,
+                                   atol=1e-10)
+    # the fixed states number the exact zeros; on the gauge path they are
+    # the whole space's
+    assert np.count_nonzero(e == 0) == np.count_nonzero(swap == np.arange(
+        len(swap)))
+    if path == "gauge":
+        assert (np.count_nonzero(b.eigensystem().evals == 0)
+                == kernel_index(b.dot_spec, b.trunc))
+
+
+def test_chiral_factorisation_refuses_a_broken_anticommutation():
+    b = make_bundle(2, "log", 3, 2, 0.1, 0.7, 1.0)
+    _, ((block, swap),) = self_mapped_blocks(b)
+    chiral_eigh(block, swap)
+    # one entry and its transpose grow: still symmetric, but P B P != -B
+    coo = block.tocoo()
+    i, j = next((i, j) for i, j in zip(coo.row, coo.col) if i != j)
+    broken = block.tolil()
+    broken[i, j] *= 1.5
+    broken[j, i] *= 1.5
+    with pytest.raises(ValueError, match="anticommute with the swap"):
+        chiral_eigh(broken.tocsr(), swap)
 
 
 def test_equilibrium_vector_is_the_kms_kernel_vector(case):

@@ -1,6 +1,7 @@
 """Snapshot the JSON and CSV outputs of the bosedot CLI on a fixed set of configs.
 
     python3 tools/snapshot_outputs.py SRC OUT
+    python3 tools/snapshot_outputs.py --compare OLD NEW [--rtol R]
 
 runs `python -m bosedot.cli` with the package imported from SRC (a checkout's
 `src/` directory), `--seed 901` and one BLAS thread, once per config below,
@@ -11,9 +12,16 @@ and an rte on a tabulated complex coupling, whose table the tool writes beside
 config.json as form_factor.csv.  Outputs are deterministic, so `diff -r` of
 two snapshots taken from two source trees is a byte-identity check of
 everything the CLI writes.  Exits 1 when a run fails; its stderr is echoed.
+
+--compare walks two snapshot trees and prints every number of a JSON or CSV
+file that moves by more than R relative to the larger of its two values
+(R = 0 by default: any move), with its file and path, and every other
+difference: a string, a key, a length, a file only one tree has.  It exits 1
+when it prints anything, so a rounding-level move is told from a real one.
 """
 
 import copy
+import csv
 import json
 import math
 import os
@@ -147,7 +155,87 @@ def cases():
     return out
 
 
+def _number(value):
+    """value as a float or complex number, or None: a JSON number (not a
+    bool), or a CSV cell that parses as one."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, (int, float)):
+        return value
+    if isinstance(value, str):
+        for kind in (float, complex):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+    return None
+
+
+def _differences(path, old, new, rtol):
+    """The lines that describe how new differs from old below path."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(old.keys() | new.keys()):
+            sub = f"{path}.{key}"
+            if key not in new or key not in old:
+                out.append(f"{sub}: only in {'OLD' if key in old else 'NEW'}")
+            else:
+                out += _differences(sub, old[key], new[key], rtol)
+        return out
+    if isinstance(old, list) and isinstance(new, list):
+        out = ([f"{path}: length {len(old)} -> {len(new)}"]
+               if len(old) != len(new) else [])
+        for i, (a, b) in enumerate(zip(old, new)):
+            out += _differences(f"{path}[{i}]", a, b, rtol)
+        return out
+    a, b = _number(old), _number(new)
+    if a is None or b is None:
+        return [] if old == new else [f"{path}: {old!r} -> {new!r}"]
+    if a == b or (a != a and b != b):
+        return []
+    scale = max(abs(a), abs(b))
+    if abs(a - b) <= rtol * scale:
+        return []
+    return [f"{path}: {old!r} -> {new!r} (relative {abs(a - b) / scale:.2g})"]
+
+
+def _load(path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+    return path.read_bytes()
+
+
+def compare(old, new, rtol):
+    """Print every difference of the snapshot tree new from old; returns the
+    number of lines printed."""
+    files = {p.relative_to(root) for root in (old, new)
+             for p in root.rglob("*") if p.is_file()}
+    count = 0
+    for rel in sorted(files):
+        if not (old / rel).is_file() or not (new / rel).is_file():
+            lines = [f": only in {'OLD' if (old / rel).is_file() else 'NEW'}"]
+        else:
+            lines = _differences("", _load(old / rel), _load(new / rel), rtol)
+        for line in lines:
+            print(f"{rel}{line}")
+        count += len(lines)
+    return count
+
+
 def main(argv):
+    if argv[:1] == ["--compare"]:
+        rest = argv[1:]
+        rtol = 0.0
+        if len(rest) == 4 and rest[2] == "--rtol":
+            rtol, rest = float(rest[3]), rest[:2]
+        if len(rest) != 2:
+            print("usage: python3 tools/snapshot_outputs.py --compare OLD NEW "
+                  "[--rtol R]", file=sys.stderr)
+            return 2
+        return 1 if compare(Path(rest[0]), Path(rest[1]), rtol) else 0
     if len(argv) != 2:
         print("usage: python3 tools/snapshot_outputs.py SRC OUT", file=sys.stderr)
         return 2
