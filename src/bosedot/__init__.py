@@ -7,9 +7,8 @@ from .reservoir import (Dispersion, RELATIVISTIC, NONRELATIVISTIC, FormFactor,
                         TestFunction, GridSpec, ModeGrid, discretize,
                         occupation, planck_density, critical_density,
                         fugacity, ReservoirThermo, kac_density, XiMeasure,
-                        phase, uniform_phase_average, generating_functional,
-                        kac_superposition_residual, two_point_cluster,
-                        QuadratureError)
+                        uniform_phase_average, generating_functional,
+                        kac_superposition_residual, QuadratureError)
 from .fock import (TruncationSpec, FockBasis, SparseOperator, StateVector,
                    DimensionCapError, SolverConvergenceError)
 from .krylov import expm_action

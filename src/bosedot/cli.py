@@ -84,9 +84,18 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "lambda": {"type": "array", "items": {"type": "number"}},
+                "lambda": {"type": "array", "minItems": 1,
+                           "items": {"type": "number"}},
                 "xi": {"type": "array", "items": {"type": "object"}},
-                "mu": {"type": "object"},
+                "mu": {"type": "object", "properties": {
+                    "kind": {"enum": ["uniform_theta", "kac", "atoms"]},
+                    "n_theta": {"type": "integer", "minimum": 1},
+                    "n_r": {"type": "integer", "minimum": 1},
+                    **dict.fromkeys(("r", "excess", "rho_bar"),
+                                    {"type": "number"}),
+                    "atoms": {"type": "array", "items": {
+                        "type": "object", "properties": dict.fromkeys(
+                            ("r", "theta", "weight"), {"type": "number"})}}}},
                 "observable": {"type": "object"},
             },
         },
@@ -135,12 +144,13 @@ def _is_type(value, name):
                               "null": type(None)}[name])
 
 
-# keyword -> whether a value meets it; the bounds apply to numbers only
+# keyword -> whether a value meets it; a value of another type meets a bound
 _KEYWORDS = {
     "type": lambda v, t: any(_is_type(v, n) for n in ([t] if isinstance(t, str) else t)),
     "enum": lambda v, e: v in e,
     "minimum": lambda v, m: not (_is_type(v, "number") and v < m),
     "exclusiveMinimum": lambda v, m: not (_is_type(v, "number") and v <= m),
+    "minItems": lambda v, n: not (isinstance(v, list) and len(v) < n),
 }
 
 
@@ -277,12 +287,12 @@ def _measure(config, rho_crit):
     try:
         if kind == "uniform_theta":
             return res.XiMeasure.uniform_theta(_radius(mu, rho_crit),
-                                               int(mu.get("n_theta", 8)))
+                                               mu.get("n_theta", 8))
         if kind == "kac":
             return res.XiMeasure.kac_theta(
                 config["reservoir"]["beta"], float(mu["rho_bar"]),
-                _dispersion(config), n_r=int(mu.get("n_r", 8)),
-                n_theta=int(mu.get("n_theta", 4)))
+                _dispersion(config), n_r=mu.get("n_r", 8),
+                n_theta=mu.get("n_theta", 4))
         if kind == "atoms":
             pts = tuple((dotmod.CondensatePoint(
                 r=float(a["r"]), theta=float(a.get("theta", 0.0))),

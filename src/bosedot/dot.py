@@ -54,11 +54,6 @@ class DotSpec:
         diffs = {round(float(ei - ej), 12) for i, ei in enumerate(e) for ej in e[:i]}
         return tuple(sorted(diffs))
 
-    def gaps(self):
-        """Distinct gaps between neighboring levels (resonance windows)."""
-        e = self.energy_array
-        return tuple(sorted({round(float(b - a), 12) for a, b in zip(e, e[1:])}))
-
 
 @dataclass(frozen=True)
 class CondensatePoint:

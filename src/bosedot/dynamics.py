@@ -103,7 +103,7 @@ def evolve(bundle, state, t):
     it has one (OperatorBundle.full_eigensystem), else by Krylov."""
     v = _as_array(state)
     if t == 0:
-        return StateVector(amplitudes=v.copy(), label="evolved[0]")
+        return StateVector(amplitudes=v.copy())
     eig = bundle.full_eigensystem()
     if eig is not None:
         rows, cols, vecs, c = eig.support(
@@ -113,7 +113,7 @@ def evolve(bundle, state, t):
             vecs @ (np.exp(-1j * t * eig.evals[cols]) * c))
     else:
         out = expm_action(bundle.L.matrix, v, scale=-1j * t)
-    return StateVector(amplitudes=out, label=f"evolved[{t}]")
+    return StateVector(amplitudes=out)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ entry.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -287,21 +287,19 @@ class FockBasis:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Sparse operator with an exactness-checked Hermiticity flag."""
+    """Hermitian sparse operator, checked exactly against its adjoint."""
 
     matrix: sparse.csr_matrix
-    hermitian: bool = False
     label: str = ""
 
     def __post_init__(self):
         m = self.matrix
         if m.shape[0] != m.shape[1]:
             raise ValueError("operator must be square")
-        if self.hermitian:
-            delta = (m - m.getH()).tocoo()
-            if delta.nnz and np.max(np.abs(delta.data)) != 0.0:
-                raise ValueError(f"operator {self.label!r} flagged Hermitian "
-                                 "but differs from its adjoint")
+        delta = (m - m.getH()).tocoo()
+        if delta.nnz and np.max(np.abs(delta.data)) != 0.0:
+            raise ValueError(f"operator {self.label!r} differs from its "
+                             "adjoint")
 
     @property
     def dim(self):
@@ -320,20 +318,6 @@ class SparseOperator:
 
 @dataclass
 class StateVector:
-    """Vector in the composite dot (x) field basis with a cached norm."""
+    """Vector in the composite dot (x) field basis."""
 
     amplitudes: np.ndarray
-    label: str = ""
-    _norm: float = field(default=None, repr=False)
-
-    @property
-    def norm(self):
-        if self._norm is None:
-            self._norm = float(np.linalg.norm(self.amplitudes))
-        return self._norm
-
-    def normalized(self):
-        n = self.norm
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(amplitudes=self.amplitudes / n, label=self.label)

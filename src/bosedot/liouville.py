@@ -268,7 +268,6 @@ class OperatorBundle:
 
     A: SparseOperator = None
     C1: SparseOperator = None
-    I1: sparse.csr_matrix = None
     conjugate_scheme: str = None
 
     _eigensystem: BlockedEigensystem = dfield(default=None, repr=False)
@@ -406,7 +405,7 @@ def chiral_eigh(block, swap):
 
 def _diagonal_operator(diag, label):
     return SparseOperator(sparse.diags(diag.astype(complex), format="csr"),
-                          hermitian=True, label=label)
+                          label=label)
 
 
 def swap_image(mat, perm):
@@ -484,9 +483,9 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
     bundle = OperatorBundle(
         dot_spec=dot_spec, grid=grid, trunc=trunc, basis=basis, lam=float(lam),
         xi=xi, rho_crit=rho_crit,
-        I_op=SparseOperator(I_mat, hermitian=True, label="I"),
-        K=SparseOperator(K_mat, hermitian=True, label="K"),
-        L=SparseOperator(L_mat, hermitian=True, label="L"),
+        I_op=SparseOperator(I_mat, label="I"),
+        K=SparseOperator(K_mat, label="K"),
+        L=SparseOperator(L_mat, label="L"),
         l0_diag=l0_diag, lambda_diag=lambda_diag, q_diag=q_diag,
         I_first=first, K_left=K_left, swap=swap,
     )
@@ -538,8 +537,7 @@ def assemble_conjugate(bundle, scheme="log_dilation", seed=7):
     A = dGamma(a)_left - dGamma(a)_right for a one-body generator a that is
     i times a real antisymmetric matrix; A is Hermitian and C1 is Hermitian
     with exactly vanishing adjoint residual (it is assembled as N + N* with
-    N = i L A).  I1 = (C1 - Lambda)/lambda is kept for diagnostics when
-    lambda is nonzero.
+    N = i L A).
     """
     if scheme == "log_dilation":
         one_body = dilation_one_body(bundle.grid)
@@ -559,14 +557,10 @@ def assemble_conjugate(bundle, scheme="log_dilation", seed=7):
     n = (1j * (bundle.L.matrix @ a_full)).tocsr()
     c1 = (n + n.getH()).tocsr()
 
-    bundle.A = SparseOperator(a_full, hermitian=True, label=f"A[{scheme}]")
-    bundle.C1 = SparseOperator(c1, hermitian=True, label="C1")
-    if bundle.lam != 0:
-        bundle.I1 = ((c1 - bundle.Lambda.matrix) / bundle.lam).tocsr()
-    else:
-        bundle.I1 = None
+    bundle.A = SparseOperator(a_full, label=f"A[{scheme}]")
+    bundle.C1 = SparseOperator(c1, label="C1")
     bundle.conjugate_scheme = scheme
-    return bundle.A, bundle.C1, bundle.I1
+    return bundle.A, bundle.C1
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +584,7 @@ def kms_vector(bundle):
         raw = expm_action(gen, raw, scale=-0.5 * bundle.beta)
         raw = raw / np.linalg.norm(raw)
     residual = float(np.linalg.norm(bundle.L.matrix @ raw))
-    return StateVector(amplitudes=raw, label="kms"), residual
+    return StateVector(amplitudes=raw), residual
 
 
 def equilibrium_projection(bundle, kernel):
@@ -603,4 +597,4 @@ def equilibrium_projection(bundle, kernel):
     ref, _ = kms_vector(bundle)
     proj = kernel @ (kernel.conj().T @ ref.amplitudes)
     captured = float(np.linalg.norm(proj))
-    return StateVector(amplitudes=proj / captured, label="equilibrium"), captured
+    return StateVector(amplitudes=proj / captured), captured

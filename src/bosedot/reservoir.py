@@ -17,17 +17,16 @@ density K(r) = e^{-(r - rho_crit)/rho0} / rho0 (r > rho_crit,
 rho0 = rho_bar - rho_crit) and theta is uniform on the circle.
 
 Weyl generating functionals are normalized so that a quasi-free gas at
-occupation n gives E(f) = exp[-1/4 <f, (1 + 2 n) f>]; condensates contribute
-either a Bessel J0 factor (after averaging) or a linear phase e^{-i Phi}
-(extremal states).  Test functions are FormFactor profiles read as f, with
-the carried zero-momentum value f(0).  The critical density is a fixed Gauss
-rule; quad, imported where it is called, does the radial integrals and the
-density equation below critical.  A quadrature that quad flags, that misses
-its accuracy target or whose integrand is not integrable at k = 0 raises
-QuadratureError.
+occupation n gives E(f) = exp[-1/4 <f, (1 + 2 n) f>]; a condensate
+contributes a Bessel J0 factor after averaging over theta.  Test functions
+are FormFactor profiles read as f, with the carried zero-momentum value
+f(0).  The critical density is a fixed Gauss rule; quad, imported where it
+is called, does the radial integrals and the density equation below
+critical.  A quadrature that quad flags, that misses its accuracy target
+or whose integrand is not integrable at k = 0 raises QuadratureError.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import functools
 import math
 
@@ -35,7 +34,6 @@ import numpy as np
 
 from .dot import CondensatePoint, PHASE_NORM
 
-EIGHT_PI3 = 8.0 * np.pi ** 3
 FOUR_PI3 = 4.0 * np.pi ** 3
 
 
@@ -86,7 +84,6 @@ class FormFactor:
     profile: object
     g0: complex
     tail_cut: float = 50.0
-    label: str = "custom"
 
     def at(self, k):
         return np.asarray(self.profile(np.asarray(k, dtype=float)), dtype=complex)
@@ -95,7 +92,7 @@ class FormFactor:
     def gaussian(cls, amplitude=1.0, width=1.0):
         a, s = complex(amplitude), float(width)
         return cls(profile=lambda k: a * np.exp(-(k * k) / (2.0 * s * s)),
-                   g0=a, tail_cut=14.0 * s, label="gaussian")
+                   g0=a, tail_cut=14.0 * s)
 
     @staticmethod
     def power_law(amplitude=1.0, exponent=1.0, width=1.0):
@@ -106,7 +103,7 @@ class FormFactor:
         g0 = a if p == 0 else 0.0 + 0.0j
         return FormFactor(profile=lambda k: a * np.power(np.maximum(k, 1e-300), p)
                           * np.exp(-(k * k) / (2.0 * s * s)),
-                          g0=g0, tail_cut=14.0 * s, label="power_law")
+                          g0=g0, tail_cut=14.0 * s)
 
     @staticmethod
     def from_csv(path):
@@ -125,7 +122,7 @@ class FormFactor:
                     + 1j * np.interp(kk, k, im, left=im[0], right=0.0))
 
         return FormFactor(profile=prof, g0=complex(re[0], im[0]) if k[0] == 0 else 0j,
-                          tail_cut=float(k[-1]), label="table")
+                          tail_cut=float(k[-1]))
 
     def norm_sq(self):
         """|| g ||^2 over R^3 (radial measure 4 pi k^2 dk)."""
@@ -308,17 +305,6 @@ def kac_density(r, beta, rho_bar, dispersion=RELATIVISTIC, rho_crit=None):
 # ---------------------------------------------------------------------------
 # condensate phase and measures over xi
 
-def phase(f0, xi, rho_crit):
-    """Linear phase Phi picked up by a Weyl operator on an extremal state:
-
-    Phi = (2 pi)^{-3/2} sqrt(2 (r - rho_crit)) (Re f0 cos theta + Im f0 sin theta).
-    """
-    if xi.r < rho_crit:
-        raise ValueError("extremal state needs r >= rho_crit")
-    amp = PHASE_NORM * math.sqrt(2.0 * (xi.r - rho_crit))
-    return amp * (f0.real * math.cos(xi.theta) + f0.imag * math.sin(xi.theta))
-
-
 def uniform_phase_average(f0, r, rho_crit):
     """Average of e^{-i Phi} over uniform theta, against its Bessel closed form.
 
@@ -356,8 +342,6 @@ class XiMeasure:
     def uniform_theta(r, n_theta):
         """The uniform circle at the radial density r, held as n_theta
         equally spaced phases of equal weight."""
-        if n_theta < 1:
-            raise ValueError("need at least one angle")
         pts = tuple((CondensatePoint(r=r, theta=2.0 * np.pi * j / n_theta),
                      1.0 / n_theta) for j in range(n_theta))
         return XiMeasure(points=pts, uniform_circle=True)
@@ -410,62 +394,20 @@ def _gauss_exponent(f, occ):
     return 0.25 * f.norm_sq() + 0.5 * f.weighted_norm_sq(occ)
 
 
-def generating_functional(f, ensemble, beta=None, dispersion=RELATIVISTIC,
-                          rho_bar=None, rho=None, rho0=None, xi=None,
-                          thermo=None):
-    """Expectation of the Weyl operator W(f) in the requested gas state.
-
-    ensemble:
-      "araki_woods"     quasi-free state at thermal occupation with condensate
-                        density rho0 >= 0; Bessel factor
-                        J0(sqrt(2 (2 pi)^3 rho0) |f0|).
-      "grand_canonical" mean density rho_bar; below critical the fugacity
-                        z solves the density equation, above critical the
-                        condensate factor e^{-4 pi^3 rho0 |f0|^2} appears.
-      "canonical"       density rho; below critical identical to the grand
-                        canonical state, above critical the Araki-Woods state
-                        at rho0 = rho - rho_crit.
-      "extremal"        one condensate point xi: Gaussian factor times the
-                        linear phase e^{-i Phi(f, xi)}.
-
-    Every value has modulus at most one.
+def generating_functional(f, thermo):
+    """Expectation of the Weyl operator W(f) in the grand canonical state of
+    the gas at the ReservoirThermo thermo: below critical the fugacity z
+    solves the density equation, above critical the condensate factor
+    e^{-4 pi^3 rho0 |f0|^2} appears.  The value has modulus at most one.
     """
-    if ensemble == "araki_woods":
-        if rho0 is None or rho0 < 0:
-            raise ValueError("araki_woods needs rho0 >= 0")
-        from scipy.special import j0
-        expo = _gauss_exponent(f, _thermal(beta, dispersion))
-        bessel = j0(math.sqrt(2.0 * (2.0 * np.pi) ** 3 * rho0) * abs(f.f0))
-        return math.exp(-expo) * bessel
-
-    if ensemble == "grand_canonical":
-        th = thermo if thermo is not None else ReservoirThermo.compute(
-            beta, rho_bar, dispersion)
-        if not th.supercritical:
-            z = th.z_inf
-            expo = _gauss_exponent(f, lambda k: _subcritical_occupation(
-                th.beta, z, float(dispersion.omega(k))))
-            return math.exp(-expo)
-        expo = _gauss_exponent(f, _thermal(th.beta, dispersion))
-        return math.exp(-expo) * math.exp(-FOUR_PI3 * th.rho0 * abs(f.f0) ** 2)
-
-    if ensemble == "canonical":
-        th = thermo if thermo is not None else ReservoirThermo.compute(
-            beta, rho if rho_bar is None else rho_bar, dispersion)
-        if not th.supercritical:
-            return generating_functional(f, "grand_canonical", thermo=th,
-                                         dispersion=dispersion)
-        return generating_functional(f, "araki_woods", beta=th.beta,
-                                     dispersion=dispersion, rho0=th.rho0)
-
-    if ensemble == "extremal":
-        if xi is None or beta is None:
-            raise ValueError("extremal needs beta and xi")
-        rc = critical_density(beta, dispersion)
-        expo = _gauss_exponent(f, _thermal(beta, dispersion))
-        return math.exp(-expo) * np.exp(-1j * phase(f.f0, xi, rc))
-
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+    dispersion = thermo.dispersion
+    if not thermo.supercritical:
+        z = thermo.z_inf
+        expo = _gauss_exponent(f, lambda k: _subcritical_occupation(
+            thermo.beta, z, float(dispersion.omega(k))))
+        return math.exp(-expo)
+    expo = _gauss_exponent(f, _thermal(thermo.beta, dispersion))
+    return math.exp(-expo) * math.exp(-FOUR_PI3 * thermo.rho0 * abs(f.f0) ** 2)
 
 
 def kac_superposition_residual(f, beta, rho_bar, dispersion=RELATIVISTIC):
@@ -488,75 +430,8 @@ def kac_superposition_residual(f, beta, rho_bar, dispersion=RELATIVISTIC):
         return math.exp(-s / th.rho0) / th.rho0 * j0(c * math.sqrt(s))
 
     lhs = gauss * excess_integral(integrand, 0.0, th.rho0)
-    rhs = generating_functional(f, "grand_canonical", thermo=th, dispersion=dispersion)
+    rhs = generating_functional(f, th)
     return abs(lhs - rhs), lhs, rhs
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """Spatial clustering of two Weyl operators at separation x."""
-
-    x: float
-    value: complex
-    product: complex
-    ratio: complex
-    condensate_factor: complex
-
-
-def two_point_cluster(f, g, x, beta, rho_bar, dispersion=RELATIVISTIC):
-    """omega(W(f) W(g translated by x)) against the factorized product in the
-    grand canonical state at density rho_bar.
-
-    For radial profiles the translation only enters through 1-D oscillatory
-    overlaps (4 pi / x) int k sin(k x) conj(f) g [n] dk; the zero-momentum
-    values add without any phase, which is what leaves the long-range
-    condensate factor exp[-8 pi^3 rho0 Re(conj(f0) g0)] behind in the
-    supercritical state.  Subcritical states cluster to factor one.
-    """
-    if x <= 0:
-        raise ValueError("separation x must be positive")
-    from scipy.integrate import quad
-    th = ReservoirThermo.compute(beta, rho_bar, dispersion)
-    cut = min(f.tail_cut, g.tail_cut)
-
-    def overlap(weight=None):
-        def base(k):
-            v = np.conj(f.at(k)) * g.at(k) * k
-            if weight is not None:
-                v = v * weight(k)
-            return v
-        re = quad(lambda k: float(np.real(base(k))), 0.0, cut,
-                  weight="sin", wvar=x, limit=400)[0]
-        im = quad(lambda k: float(np.imag(base(k))), 0.0, cut,
-                  weight="sin", wvar=x, limit=400)[0]
-        return (4.0 * np.pi / x) * (re + 1j * im)
-
-    s_plain = overlap()
-    weyl_phase = np.exp(-0.5j * s_plain.imag)
-    f0_tot = f.f0 + g.f0
-
-    if th.supercritical:
-        occ = _thermal(beta, dispersion)
-        factor = complex(math.exp(-EIGHT_PI3 * th.rho0
-                                  * (np.conj(f.f0) * g.f0).real))
-        cond = math.exp(-FOUR_PI3 * th.rho0 * abs(f0_tot) ** 2)
-    else:
-        z = th.z_inf
-        occ = lambda k: _subcritical_occupation(beta, z, float(dispersion.omega(k)))
-        factor = 1.0 + 0.0j
-        cond = 1.0
-    s_th = overlap(occ)
-    cross = 0.5 * s_plain.real + s_th.real
-    value = weyl_phase * math.exp(-(_gauss_exponent(f, occ) + _gauss_exponent(g, occ))
-                                  - cross) * cond
-    product = generating_functional(f, "grand_canonical", thermo=th,
-                                    dispersion=dispersion) \
-        * generating_functional(g, "grand_canonical", thermo=th,
-                                dispersion=dispersion)
-
-    return ClusterReport(x=float(x), value=complex(value), product=complex(product),
-                         ratio=complex(value / product),
-                         condensate_factor=complex(factor))
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +539,7 @@ class ModeGrid:
 
 
 def discretize(form_factor, beta, grid_spec, dispersion=RELATIVISTIC,
-               bohr_frequencies=(), resonance="shift"):
+               bohr_frequencies=()):
     """Reduce the radial one-particle problem to a finite frequency grid.
 
     Midpoint composite rule in omega (linear) or log omega; for dispersion
@@ -675,10 +550,8 @@ def discretize(form_factor, beta, grid_spec, dispersion=RELATIVISTIC,
     which makes w_j |g_j|^2 the three-dimensional shell mass of |g|^2.
 
     Nodes within 1e-9 max(1, omega) of a dot Bohr frequency collide with
-    it.  Colliding nodes are shifted by half a step
-    (resonance="shift", the default, keeping the free-generator kernel at its
-    intended dimension), kept in place (resonance="keep"), or rejected
-    (resonance="reject").
+    it, and are shifted by half a step, which keeps the free-generator
+    kernel at its intended dimension.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -699,16 +572,11 @@ def discretize(form_factor, beta, grid_spec, dispersion=RELATIVISTIC,
     bohr = np.asarray(bohr_frequencies, dtype=float)
     hit = np.any(np.abs(nodes[:, None] - bohr)
                  <= 1e-9 * np.maximum(1.0, nodes)[:, None], axis=1)
-    if resonance == "reject" and hit.any():
-        raise ValueError(
-            f"grid node {nodes[hit][0]} collides with a Bohr frequency")
-    shifted = ()
-    if resonance == "shift":
-        if gs.spacing == "linear":
-            nodes[hit] += 0.5 * step
-        else:
-            nodes[hit] *= math.exp(0.5 * step)
-        shifted = tuple(np.flatnonzero(hit).tolist())
+    if gs.spacing == "linear":
+        nodes[hit] += 0.5 * step
+    else:
+        nodes[hit] *= math.exp(0.5 * step)
+    shifted = tuple(np.flatnonzero(hit).tolist())
 
     k_nodes = dispersion.k_of_omega(nodes)
     jac = dispersion.dk_domega(nodes)

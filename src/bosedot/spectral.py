@@ -3,9 +3,8 @@
 Everything here works on an OperatorBundle: near-zero eigensolves with
 post-hoc residuals, the commutator (virial) identity per eigenvector, the
 kernel-structure overlap against the product of the dot Gibbs projector and a
-low-field-energy cut, the dot-local level-shift matrix with its gap, a
-resolvent-sandwich estimate of that matrix from the full generator, and the
-resonant-coupling effectiveness check for the dot gaps.
+low-field-energy cut, the dot-local level-shift matrix with its gap, and a
+resolvent-sandwich estimate of that matrix from the full generator.
 """
 
 from dataclasses import dataclass, field as dfield

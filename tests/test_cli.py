@@ -168,7 +168,11 @@ PARITY_CASES = (
        _edited(("solver", "kernel_tol"), "1e-9"),
        _edited(("outputs", "formats"), ["csv", "xml"]),
        _edited(("physics", "xi"), [{"theta": 0.3}, 2]),
-       [base_config()]])            # a config that is no object
+       _edited(("physics", "lambda"), []),
+       [base_config()]]             # a config that is no object
+    + [_edited(("physics", "mu"), {"kind": "uniform_theta", "excess": 0.2,
+                                   "n_theta": n_theta})
+       for n_theta in (2.5, True, "3", 2)])
 
 
 def test_validator_agrees_with_jsonschema():
@@ -290,6 +294,32 @@ def test_domain_error_maps_to_config_exit(tmp_path, capsys):
     code, _, out = run_cli(tmp_path, "spectrum", cfg, capsys)
     assert code == cli.EXIT_CONFIG
     assert "validation error" in out.err
+
+
+@pytest.mark.parametrize("n_theta", [2.5, True, "3"],
+                         ids=["fraction", "bool", "string"])
+def test_measure_counts_must_be_integers(tmp_path, capsys, n_theta):
+    # physics.mu's phase and radial counts are integers >= 1; a fraction, a
+    # bool or a numeric string is refused before any run
+    cfg = base_config()
+    cfg["physics"]["mu"] = {"kind": "uniform_theta", "excess": 0.2,
+                            "n_theta": n_theta}
+    code, _, out = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err.startswith("config validation error")
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("command", ["levelshift", "spectrum", "rte"])
+def test_empty_lambda_list_is_config_error(tmp_path, capsys, command):
+    # every command runs at least one coupling: an empty physics.lambda is
+    # refused, not read as no runs or an index past the end
+    cfg = base_config()
+    cfg["physics"]["lambda"] = []
+    code, _, out = run_cli(tmp_path, command, cfg, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err.startswith("config validation error")
+    assert "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("section, key, value", [

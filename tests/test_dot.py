@@ -26,9 +26,7 @@ def test_energy_validation():
 def test_bohr_frequencies_and_gaps():
     spec = DotSpec(d=4)
     assert spec.bohr_frequencies() == (1.0, 2.0, 3.0)
-    assert spec.gaps() == (1.0,)
     skew = DotSpec(d=3, energies=(0.0, 1.0, 2.5))
-    assert skew.gaps() == (1.0, 1.5)
     assert skew.bohr_frequencies() == (1.0, 1.5, 2.5)
 
 

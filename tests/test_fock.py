@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from bosedot import fock, krylov
 from bosedot.fock import (TruncationSpec, FockBasis, SparseOperator,
-                          StateVector, DimensionCapError)
+                          DimensionCapError)
 from bosedot.krylov import expm_action
 
 
@@ -274,12 +274,10 @@ def test_dgamma_and_number_diag_match_occupations(rng, side):
 
 def test_sparse_operator_hermiticity_guard():
     good = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    SparseOperator(matrix=good, hermitian=True, label="ok")
+    SparseOperator(matrix=good, label="ok")
     bad = sparse.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError):
-        SparseOperator(matrix=bad, hermitian=True, label="broken")
-    # without the flag no check runs
-    SparseOperator(matrix=bad, label="unchecked")
+        SparseOperator(matrix=bad, label="broken")
 
 
 def test_sparse_operator_norm_bound(rng):
@@ -287,13 +285,6 @@ def test_sparse_operator_norm_bound(rng):
     m = sparse.csr_matrix(m + m.T)
     op = SparseOperator(matrix=m, label="rand")
     assert op.norm_bound() >= np.linalg.norm(m.toarray(), 2) - 1e-12
-
-
-def test_state_vector_normalized(rng):
-    v = rng.normal(size=5) + 1j * rng.normal(size=5)
-    sv = StateVector(amplitudes=v, label="raw")
-    assert sv.norm == pytest.approx(np.linalg.norm(v))
-    assert sv.normalized().norm == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from scipy.special import zeta
 
 import bosedot as bd
 from bosedot.reservoir import (occupation, planck_density, critical_density,
-                               fugacity, kac_density, phase,
-                               uniform_phase_average, kac_superposition_residual,
-                               generating_functional, two_point_cluster,
-                               ReservoirThermo, TestFunction as WeylFunction)
+                               fugacity, kac_density, uniform_phase_average,
+                               kac_superposition_residual,
+                               generating_functional, ReservoirThermo,
+                               TestFunction as WeylFunction)
 from bosedot.dot import CondensatePoint
 
 
@@ -101,16 +101,6 @@ def test_kac_density_normalization_and_mean():
         kac_density(1.0, beta, rc / 2.0)
 
 
-def test_phase_scaling():
-    rc = 0.1
-    f0 = 0.8 - 0.3j
-    p1 = phase(f0, CondensatePoint(r=rc + 0.04, theta=0.5), rc)
-    p4 = phase(f0, CondensatePoint(r=rc + 0.16, theta=0.5), rc)
-    assert p4 == pytest.approx(2.0 * p1, rel=1e-12)
-    with pytest.raises(ValueError):
-        phase(f0, CondensatePoint(r=rc / 2.0), rc)
-
-
 def test_uniform_phase_average_matches_bessel():
     avg, closed = uniform_phase_average(0.7 + 0.4j, r=0.9, rho_crit=0.1)
     assert abs(avg - closed) < 1e-10
@@ -137,37 +127,40 @@ def test_xi_measures():
 
     with pytest.raises(ValueError):
         bd.XiMeasure(points=((CondensatePoint(r=1.0), 0.5),))
+    with pytest.raises(ValueError, match="at least one point"):
+        bd.XiMeasure.uniform_theta(r=0.5, n_theta=0)
 
 
 def test_generating_functional_bounds_and_identities():
+    # the grand canonical state below and above the critical density
     f = WeylFunction.gaussian(0.6, 1.2)
     beta = 1.0
     rc = critical_density(beta)
+    sub = ReservoirThermo.compute(beta, rc / 3.0)
+    sup = ReservoirThermo.compute(beta, rc + 0.3)
+    for th in (sub, sup):
+        assert 0.0 < generating_functional(f, th) <= 1.0
 
-    aw = generating_functional(f, "araki_woods", beta=beta, rho0=0.0)
-    assert 0.0 < aw <= 1.0
+    def gaussian_factor(occ):
+        # exp[-1/4 <f, (1 + 2 n) f>] for the occupation n = occ(k), with
+        # <f, f> = a^2 pi^{3/2} s^3 for f = a e^{-k^2 / (2 s^2)}
+        thermal = integrate.quad(
+            lambda k: 4.0 * math.pi * k * k * abs(complex(f.at(k))) ** 2
+            * occ(k), 0.0, f.tail_cut, epsabs=1e-13, limit=200)[0]
+        return math.exp(-0.25 * 0.6 ** 2 * math.pi ** 1.5 * 1.2 ** 3
+                        - 0.5 * thermal)
 
-    sup = rc + 0.3
-    gc = generating_functional(f, "grand_canonical", beta=beta, rho_bar=sup)
-    can = generating_functional(f, "canonical", beta=beta, rho=sup)
-    aw_ex = generating_functional(f, "araki_woods", beta=beta, rho0=sup - rc)
-    assert can == pytest.approx(aw_ex, rel=1e-12)
-    assert abs(gc) <= 1.0 and abs(can) <= 1.0
-
-    sub = rc / 3.0
-    assert generating_functional(f, "canonical", beta=beta, rho=sub) == \
-        pytest.approx(generating_functional(f, "grand_canonical", beta=beta,
-                                            rho_bar=sub), rel=1e-12)
-
-    xi = CondensatePoint(r=sup, theta=0.9)
-    ex = generating_functional(f, "extremal", beta=beta, xi=xi)
-    ex0 = generating_functional(f, "extremal", beta=beta,
-                                xi=CondensatePoint(r=sup, theta=2.1))
-    # the extremal phase moves only the argument, never the modulus
-    assert abs(ex) == pytest.approx(abs(ex0), rel=1e-12)
-
-    with pytest.raises(ValueError):
-        generating_functional(f, "no_such_ensemble", beta=beta)
+    # below critical: the occupation z / (e^{beta omega} - z) at the fugacity
+    z = sub.z_inf
+    assert 0.0 < z < 1.0
+    assert generating_functional(f, sub) == pytest.approx(
+        gaussian_factor(lambda k: z / (math.exp(beta * k) - z)), rel=1e-10)
+    # above critical: the Planck occupation times the condensate factor
+    # e^{-4 pi^3 rho0 |f0|^2}
+    condensate = math.exp(-4.0 * math.pi ** 3 * sup.rho0 * abs(f.f0) ** 2)
+    assert condensate < 0.5
+    assert generating_functional(f, sup) == pytest.approx(
+        gaussian_factor(lambda k: occupation(beta, k)) * condensate, rel=1e-10)
 
 
 def test_kac_superposition_identity():
@@ -186,31 +179,6 @@ def test_kac_superposition_identity_relative_on_order_one_sides(rho_bar):
     resid, lhs, rhs = kac_superposition_residual(f, 1.0, rho_bar)
     assert 0.02 < rhs < 1.0
     assert resid < 1e-12 * abs(rhs)
-
-
-def test_two_point_clustering_supercritical():
-    f = WeylFunction.gaussian(0.8, 1.0)
-    g = WeylFunction.gaussian(0.5, 1.3)
-    beta, rho_bar = 1.0, 0.6
-    near = two_point_cluster(f, g, 2.0, beta, rho_bar=rho_bar)
-    far = two_point_cluster(f, g, 40.0, beta, rho_bar=rho_bar)
-    # the connected part dies off; the condensate factor survives
-    assert abs(far.ratio - far.condensate_factor) < \
-        abs(near.ratio - near.condensate_factor)
-    assert abs(far.ratio - far.condensate_factor) < 1e-6
-    assert abs(far.condensate_factor - 1.0) > 1e-3
-
-
-def test_two_point_clustering_subcritical_factorizes():
-    f = WeylFunction.gaussian(0.8, 1.0)
-    beta = 1.0
-    sub = critical_density(beta) / 4.0
-    near = two_point_cluster(f, f, 10.0, beta, rho_bar=sub)
-    far = two_point_cluster(f, f, 40.0, beta, rho_bar=sub)
-    assert far.condensate_factor == 1.0
-    # endpoint of the thermal weight limits the decay to polynomial in x
-    assert abs(far.ratio - 1.0) < 1e-5
-    assert abs(far.ratio - 1.0) < abs(near.ratio - 1.0) / 10.0
 
 
 def test_grid_spec_validation():
@@ -250,31 +218,23 @@ def test_discretize_coupling_mass_matches_shell_norm(gauss_ff):
 def test_discretize_resonance_shift(gauss_ff):
     # 2 cells on [0, 4] put a node exactly on the unit Bohr gap
     gs = bd.GridSpec(n_modes=2, omega_max=4.0)
-    hit = bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=(1.0,),
-                        resonance="keep")
+    hit = bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=())
     assert np.any(np.abs(hit.omegas - 1.0) < 1e-12)
     moved = bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=(1.0,))
     assert np.all(np.abs(moved.omegas - 1.0) > 1e-3)
     assert moved.shifted != ()
-    with pytest.raises(ValueError):
-        bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=(1.0,),
-                      resonance="reject")
 
 
 def test_discretize_resonance_log_grid(gauss_ff):
     # 3 log cells on [0.25, 4] put the middle node on the unit Bohr gap
     gs = bd.GridSpec(n_modes=3, omega_max=4.0, omega_min=0.25, spacing="log")
-    kept = bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=(1.0,),
-                         resonance="keep")
+    kept = bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=())
     assert kept.omegas[1] == pytest.approx(1.0, rel=1e-14)
     assert kept.shifted == ()
     moved = bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=(1.0,))
     assert moved.shifted == (1,)
     assert moved.omegas[1] == kept.omegas[1] * math.exp(0.5 * kept.step)
     np.testing.assert_array_equal(moved.omegas[[0, 2]], kept.omegas[[0, 2]])
-    with pytest.raises(ValueError, match="collides"):
-        bd.discretize(gauss_ff, 1.0, gs, bohr_frequencies=(1.0,),
-                      resonance="reject")
 
 
 def test_smearing_channels_unit_difference(grid2):
