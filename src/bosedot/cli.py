@@ -57,7 +57,12 @@ SCHEMA = {
                 "beta": {"type": "number", "exclusiveMinimum": 0},
                 "rho_bar": {"type": "number", "minimum": 0},
                 "dispersion": {"enum": ["relativistic", "nonrelativistic"]},
-                "form_factor": {"type": "object"},
+                "form_factor": {"type": "object", "additionalProperties": False,
+                                "properties": {
+                    "preset": {"enum": ["gaussian", "power_law"]},
+                    "table": {"type": "string"},
+                    **dict.fromkeys(("amplitude", "width", "exponent"),
+                                    {"type": "number"})}},
             },
         },
         "grid": {
@@ -86,25 +91,33 @@ SCHEMA = {
             "properties": {
                 "lambda": {"type": "array", "minItems": 1,
                            "items": {"type": "number"}},
-                "xi": {"type": "array", "items": {"type": "object"}},
-                "mu": {"type": "object", "properties": {
+                "xi": {"type": "array", "items": {
+                    "type": "object", "additionalProperties": False,
+                    "properties": dict.fromkeys(("r", "excess", "theta"),
+                                                {"type": "number"})}},
+                "mu": {"type": "object", "additionalProperties": False,
+                       "properties": {
                     "kind": {"enum": ["uniform_theta", "kac", "atoms"]},
                     "n_theta": {"type": "integer", "minimum": 1},
                     "n_r": {"type": "integer", "minimum": 1},
                     **dict.fromkeys(("r", "excess", "rho_bar"),
                                     {"type": "number"}),
                     "atoms": {"type": "array", "items": {
-                        "type": "object", "properties": dict.fromkeys(
+                        "type": "object", "additionalProperties": False,
+                        "properties": dict.fromkeys(
                             ("r", "theta", "weight"), {"type": "number"})}}}},
-                "observable": {"type": "object"},
+                "observable": {"type": "object", "additionalProperties": False,
+                               "properties": {
+                    "kind": {"enum": ["hop"]},
+                    "matrix": {"type": "array", "items": {"type": "array", "items": {
+                        "type": ["number", "array"],   # a number or [re, im]
+                        "minItems": 2, "maxItems": 2, "items": {"type": "number"}}}}}},
             },
         },
         "solver": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "kernel_tol": {"type": ["number", "null"]},
                 "k_eigs": {"type": "integer", "minimum": 1},
                 "T": {"type": "array",
                       "items": {"type": "number", "exclusiveMinimum": 0}},
@@ -151,6 +164,7 @@ _KEYWORDS = {
     "minimum": lambda v, m: not (_is_type(v, "number") and v < m),
     "exclusiveMinimum": lambda v, m: not (_is_type(v, "number") and v <= m),
     "minItems": lambda v, n: not (isinstance(v, list) and len(v) < n),
+    "maxItems": lambda v, n: not (isinstance(v, list) and len(v) > n),
 }
 
 
@@ -219,22 +233,17 @@ def _form_factor(config):
             return res.FormFactor.from_csv(ff["table"])
         except OSError as exc:
             raise ValueError(f"form factor table: {exc}") from exc
-    preset = ff.get("preset", "gaussian")
-    if preset == "gaussian":
+    if ff.get("preset", "gaussian") == "gaussian":
         return res.FormFactor.gaussian(ff.get("amplitude", 1.0),
                                        ff.get("width", 1.0))
-    if preset == "power_law":
-        return res.FormFactor.power_law(ff.get("amplitude", 1.0),
-                                        ff.get("exponent", 1.0),
-                                        ff.get("width", 1.0))
-    raise ValueError(f"unknown form factor preset {preset!r}")
+    return res.FormFactor.power_law(ff.get("amplitude", 1.0),
+                                    ff.get("exponent", 1.0),
+                                    ff.get("width", 1.0))
 
 
 def _dot_spec(config):
     dcfg = config["dot"]
-    energies = dcfg.get("energies")
-    return dotmod.DotSpec(d=dcfg["d"],
-                          energies=tuple(energies) if energies else None)
+    return dotmod.DotSpec(d=dcfg["d"], energies=dcfg.get("energies"))
 
 
 def _grid_spec(config):
@@ -252,9 +261,8 @@ def _trunc(config):
 
 
 def _solver(config):
-    return {"tol": 1e-10, "kernel_tol": None, "k_eigs": 10, "T": [100.0],
-            "epsilons": [0.2, 0.1, 0.05], "h_over_eps": 0.02,
-            **config.get("solver", {})}
+    return {"k_eigs": 10, "T": [100.0], "epsilons": [0.2, 0.1, 0.05],
+            "h_over_eps": 0.02, **config.get("solver", {})}
 
 
 def _lambdas(config):
@@ -306,18 +314,13 @@ def _measure(config, rho_crit):
 def _observable_matrix(config, dot_spec):
     obs = config.get("physics", {}).get("observable", {"kind": "hop"})
     if "matrix" in obs:
-        raw = np.asarray(obs["matrix"], dtype=float)
-        if raw.ndim == 3:      # entries as [re, im]
-            x = raw[..., 0] + 1j * raw[..., 1]
-        else:
-            x = raw.astype(complex)
+        x = np.array([[complex(*e) if isinstance(e, list) else e for e in row]
+                      for row in obs["matrix"]], dtype=complex)
         if x.shape != (dot_spec.d, dot_spec.d):
             raise ValueError("observable matrix must be d x d")
         return x
-    if obs.get("kind", "hop") == "hop":
-        gm, gp = dotmod.lower_raise(dot_spec)
-        return (gp + gm).astype(complex)
-    raise ValueError("unknown observable spec")
+    gm, gp = dotmod.lower_raise(dot_spec)
+    return (gp + gm).astype(complex)
 
 
 def _build_grid(config):
@@ -493,9 +496,7 @@ def _spectrum_tasks(config, args):
 
     def run_group(lam, group, bundle):
         _attach(bundle, config, args.seed)
-        report = spectral.solve_near_zero(bundle, solver["k_eigs"],
-                                          tol=solver["tol"],
-                                          kernel_tol=solver["kernel_tol"])
+        report = spectral.solve_near_zero(bundle, solver["k_eigs"])
         spectral.attach_diagnostics(bundle, report)
         return [{"lambda": lam,
                  "xi": None if xi is None else {"r": xi.r, "theta": xi.theta},
@@ -531,7 +532,6 @@ def cmd_levelshift(config, args):
     sweep = []
     ratio = solver["h_over_eps"]
     gcfg = config["grid"]
-    lam = _lambdas(config)[0]
     for eps in solver["epsilons"]:
         omega_min = gcfg.get("omega_min") or gcfg["omega_max"] / 100.0
         span = math.log(gcfg["omega_max"]) - math.log(omega_min)
@@ -541,9 +541,9 @@ def cmd_levelshift(config, args):
         grid = res.discretize(ff, beta, gspec, disp,
                               bohr_frequencies=dspec.bohr_frequencies())
         trunc = dataclasses.replace(_trunc(config), n_modes=n, n_max=1)
-        # the bundle is built in the call, so no two bundles are alive at once
+        # built in the call (no two bundles alive at once); lambda is unread
         rep = spectral.resolvent_sandwich(
-            build_bundle(dspec, grid, trunc, lam), eps)
+            build_bundle(dspec, grid, trunc, 0.0), eps)
         sweep.append({"epsilon": eps, "n_modes": n,
                       "misfit": rep.misfit,
                       "fit_constant": rep.fit_constant,

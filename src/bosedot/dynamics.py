@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import svds
 
 from .fock import StateVector
 from .krylov import expm_action
@@ -85,14 +84,8 @@ def dot_observable(bundle, x):
 
 
 def operator_norm(obs):
-    """Spectral norm, dense up to dimension 600, else the largest singular
-    value by iteration (to 1e-8)."""
-    mat = _as_matrix(obs)
-    n = mat.shape[0]
-    if n <= 600:
-        return float(np.linalg.norm(mat.toarray(), 2))
-    s = svds(mat.astype(complex), k=1, return_singular_vectors=False, tol=1e-8)
-    return float(s[0])
+    """Spectral norm by one dense SVD: deterministic, cubic in the dimension."""
+    return float(np.linalg.norm(_as_matrix(obs).toarray(), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +380,9 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None, thetas=None):
     observable gives zero exactly.  omega is equilibrium_vector, the
     projection of the perturbative thermal vector onto the kernel, and
     finite_T holds one ergodic_mean report per window in T.  The normalized
-    field divides by the spectral norm of A.  factorisation describes the
+    field divides by a_norm, the spectral norm of A; omitted, it costs a
+    dense SVD of A over the whole space (operator_norm), so pass it at large
+    dimension, e.g. ||X|| for a dot observable X.  factorisation describes the
     bundle's blocked eigensystem, and factorised is true for the first phase
     of its density only: the bundle factorises once for all of them.
 

@@ -28,7 +28,7 @@ class SpectralReport:
     kernel_tol: float
     kernel_dim: int
     kernel_index: int            # swap index, liouville.kernel_index
-    kernel_basis: np.ndarray     # columns, orthonormalized
+    kernel_basis: np.ndarray     # orthonormal columns, as solved
     norm_L: float
     solver: dict = dfield(default_factory=dict)   # path and block telemetry
     messages: tuple = ()
@@ -102,6 +102,9 @@ KRYLOV_DEPTH = 5
 MAX_BLOCK_ITERATIONS = 100
 # the block solve stops once every reported residual is below this * ||L||
 RESIDUAL_BOUND = 1e-12
+# what solve_near_zero flags
+RESIDUAL_FLAG = 1e-8    # a residual above this * max(||L||, 1)
+NEAR_DEGENERATE = 1e-9  # a spacing below this of two pairs outside the kernel
 
 
 def _project_out(w, basis):
@@ -266,7 +269,7 @@ def near_zero_eigensystem(bundle, want, norm_l):
                                   if s["charge"]})}
 
 
-def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
+def solve_near_zero(bundle, k):
     """Eigenpairs of L nearest zero, with verified residuals and whole kernel.
 
     At least k pairs are reported, more when the kernel is larger, by |e| and
@@ -275,22 +278,19 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     Otherwise near_zero_eigensystem finds max(k, #zeros of L0) pairs from
     fixed start vectors, so the result does not depend on any seed.
 
-    The kernel is the set of eigenvalues below kernel_tol (default
-    CLUSTER_TOL * max(||L||, 1)); its basis is re-orthonormalized with a
-    pivoted QR and the reported dimension is the numerical rank.  tol sets the verification
-    bound max(tol, 1e-12) * ||L|| * 100 on the residuals and the
-    near-degeneracy flag, which looks only at the pairs outside the kernel; a
-    message also marks a kernel that fills every reported pair, and a kernel
-    of real (gauged) L larger than the swap index.  The index bounds the
-    kernel of real L from below, so a smaller kernel is a certain miss and
-    raises SolverConvergenceError.
+    The kernel is the pairs with |e| < CLUSTER_TOL * max(||L||, 1), and its
+    basis their columns as solved, which eigh, chiral_eigh and the block
+    solve's Rayleigh-Ritz step all return orthonormal.  Messages flag
+    residuals above RESIDUAL_FLAG * max(||L||, 1), pairs outside the kernel
+    spaced below NEAR_DEGENERATE, a kernel filling every reported pair, and a
+    kernel of real (gauged) L larger than the swap index, which bounds it
+    from below: a smaller one is a certain miss, SolverConvergenceError.
     """
     mat = bundle.L.matrix
     if k > mat.shape[0]:
         raise ValueError("more eigenpairs requested than the dimension")
     norm_l = bundle.norm_L()
-    if kernel_tol is None:
-        kernel_tol = CLUSTER_TOL * max(norm_l, 1.0)
+    kernel_tol = CLUSTER_TOL * max(norm_l, 1.0)
 
     eig = bundle.full_eigensystem()
     if eig is not None:
@@ -307,27 +307,18 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     residuals = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
 
     messages = []
-    bad = residuals > max(tol, 1e-12) * max(norm_l, 1.0) * 100
+    bad = residuals > RESIDUAL_FLAG * max(norm_l, 1.0)
     if np.any(bad):
         messages.append(f"{int(bad.sum())} residuals above verification bound")
 
     spacings = np.diff(np.sort(evals[np.abs(evals) >= kernel_tol]))
-    if len(spacings) and np.any((spacings > 0) & (spacings < 10 * tol)):
-        messages.append("near-degenerate pairs: spacing < 10*tol")
+    if len(spacings) and np.any((spacings > 0) & (spacings < NEAR_DEGENERATE)):
+        messages.append(f"near-degenerate pairs: spacing < {NEAR_DEGENERATE:g}")
 
     in_kernel = np.abs(evals) < kernel_tol
     kdim = int(np.sum(in_kernel))
     if kdim == len(evals):
         messages.append(f"kernel fills all {kdim} reported pairs (k = {k})")
-    if kdim:
-        raw = evecs[:, in_kernel]
-        q, r, _ = sla.qr(raw, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        rank = int(np.sum(diag > 1e-10 * max(diag[0], 1e-300)))
-        basis = q[:, :rank]
-        kdim = rank
-    else:
-        basis = np.zeros((mat.shape[0], 0), dtype=complex)
     index = kernel_index(bundle.dot_spec, bundle.trunc)
     if real and kdim < index:
         raise SolverConvergenceError(
@@ -340,7 +331,7 @@ def solve_near_zero(bundle, k, tol=1e-10, kernel_tol=None):
     return SpectralReport(
         eigenvalues=evals, vectors=evecs, residuals=residuals,
         kernel_tol=kernel_tol, kernel_dim=kdim, kernel_index=index,
-        kernel_basis=basis,
+        kernel_basis=evecs[:, in_kernel],
         norm_L=norm_l, solver=solver, messages=tuple(messages))
 
 

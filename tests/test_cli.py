@@ -145,6 +145,41 @@ def _edited(path, value):
     return cfg
 
 
+# configs with a misspelt key, or a key of the wrong type, in physics.xi,
+# physics.mu, reservoir.form_factor or physics.observable: the schema
+# rejects each before anything runs (unchecked, most ran at a default, and
+# some died with a traceback)
+MISTYPED_CASES = {
+    "xi-string-theta": (("physics", "xi"), [{"excess": 0.2, "theta": "0.3"}]),
+    "xi-bool-excess": (("physics", "xi"), [{"excess": True}]),
+    "xi-misspelt-theta": (("physics", "xi"), [{"excess": 0.2, "thta": 1.0}]),
+    "form-factor-string-width": (("reservoir", "form_factor"),
+                                 {"preset": "gaussian", "width": "2"}),
+    "form-factor-misspelt-width": (("reservoir", "form_factor"),
+                                   {"preset": "gaussian", "widht": 2.0}),
+    "form-factor-list-amplitude": (("reservoir", "form_factor"),
+                                   {"amplitude": [1, 2]}),
+    "form-factor-unknown-preset": (("reservoir", "form_factor"),
+                                   {"preset": "lorentzian"}),
+    "form-factor-numeric-table": (("reservoir", "form_factor"),
+                                  {"table": 3}),
+    "observable-bool-matrix": (("physics", "observable"),
+                               {"matrix": [[True, 0], [0, False]]}),
+    "observable-misspelt-matrix": (("physics", "observable"),
+                                   {"kind": "hop", "matrx": [[0, 1], [1, 0]]}),
+    "observable-unknown-kind": (("physics", "observable"), {"kind": "number"}),
+    "observable-one-entry-pairs": (("physics", "observable"),
+                                   {"matrix": [[[1], [0]], [[0], [1]]]}),
+    "observable-three-entry-pairs": (("physics", "observable"),
+                                     {"matrix": [[[0, 0, 1], [1, 0, 0]],
+                                                 [[1, 0, 0], [0, 0, 1]]]}),
+    "mu-misspelt-n-theta": (("physics", "mu"), {"kind": "uniform_theta",
+                                                "excess": 0.2, "n_thta": 4}),
+    "atoms-misspelt-theta": (("physics", "mu"), {
+        "kind": "atoms", "atoms": [{"r": 1.0, "weight": 1.0, "thta": 0.3}]}),
+}
+
+
 PARITY_CASES = (
     [base_config()]
     + [_edited((name,), DELETE) for name in cli.SCHEMA["required"]]
@@ -172,7 +207,15 @@ PARITY_CASES = (
        [base_config()]]             # a config that is no object
     + [_edited(("physics", "mu"), {"kind": "uniform_theta", "excess": 0.2,
                                    "n_theta": n_theta})
-       for n_theta in (2.5, True, "3", 2)])
+       for n_theta in (2.5, True, "3", 2)]
+    + [_edited(path, value) for path, value in MISTYPED_CASES.values()]
+    + [_edited(("solver", "tol"), 1e-10),
+       _edited(("physics", "xi"), [{"r": 1.0, "theta": 0.3}, {"excess": 2}]),
+       _edited(("reservoir", "form_factor"),
+               {"preset": "power_law", "amplitude": 1, "exponent": 0.5,
+                "width": 2.0}),
+       _edited(("physics", "observable"),
+               {"matrix": [[0, [1, 0.5]], [[1, -0.5], 0]]})])
 
 
 def test_validator_agrees_with_jsonschema():
@@ -194,6 +237,46 @@ def test_validator_agrees_with_jsonschema():
         assert accepted == reference.is_valid(cfg), cfg
         verdicts[accepted] += 1
     assert min(verdicts.values()) >= 8
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_CASES))
+def test_mistyped_or_misspelt_object_keys_exit_2(tmp_path, capsys, case):
+    code, _, out = run_cli(tmp_path, "rte", _edited(*MISTYPED_CASES[case]),
+                           capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err.startswith("config validation error")
+
+
+@pytest.mark.parametrize("key, value", [("tol", 1e-10), ("kernel_tol", 1e-9)])
+def test_solver_tolerances_are_not_config_keys(tmp_path, capsys, key, value):
+    # the near-zero solve's tolerances are library constants
+    code, _, out = run_cli(tmp_path, "spectrum",
+                           _edited(("solver", key), value), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err.startswith("config validation error: config.solver: "
+                              f"unknown key {key!r}")
+
+
+def test_observable_entries_may_mix_numbers_and_pairs(tmp_path, capsys):
+    runs = []
+    for matrix in ([[[0.5, 0], [1, 0.5]], [[1, -0.5], [-1, 0]]],
+                   [[0.5, [1, 0.5]], [[1, -0.5], -1]]):
+        sub = tmp_path / str(len(runs))
+        sub.mkdir()
+        code, outdir, _ = run_cli(
+            sub, "rte", _edited(("physics", "observable"), {"matrix": matrix}),
+            capsys)
+        assert code == cli.EXIT_OK
+        runs.append(json.loads((outdir / "rte.json").read_text())["runs"])
+    assert runs[1] == runs[0]
+
+
+def test_empty_dot_energies_exit_2(tmp_path, capsys):
+    # an empty list is no request for the default ladder
+    code, _, out = run_cli(tmp_path, "spectrum",
+                           _edited(("dot", "energies"), []), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err.startswith("validation error: need exactly d energies")
 
 
 @pytest.mark.parametrize("command", ["rte", "spectrum"])
@@ -944,11 +1027,12 @@ def test_rte_jobs_do_not_change_the_output(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-def test_missing_kernel_vectors_exit_3(tmp_path, capsys):
+def test_missing_kernel_vectors_exit_3(tmp_path, capsys, monkeypatch):
     # no eigenvalue is below 0, so the kernel reads 0 against the swap
     # index 2 of real L
+    monkeypatch.setattr(spectral, "CLUSTER_TOL", 0.0)
     cfg = base_config()
-    cfg["solver"] = {"k_eigs": 4, "kernel_tol": 0}
+    cfg["solver"] = {"k_eigs": 4}
     code, _, out = run_cli(tmp_path, "spectrum", cfg, capsys)
     assert code == cli.EXIT_SOLVER
     assert out.err.startswith("solver failure: kernel_dim 0 is below the "

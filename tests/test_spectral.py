@@ -215,23 +215,23 @@ def test_dense_and_block_paths_report_the_same_signed_pairs(gauss_ff):
     # the swap, so the tie |e| = |-e| is exact and both keep -e.
     b = _log_bundle(gauss_ff, 3, 1, 1, 0.3)
     norm_l = b.norm_L()
-    kernel_tol = 1e-9 * norm_l
-    dense = spectral.solve_near_zero(b, 4, kernel_tol=kernel_tol)
+    dense = spectral.solve_near_zero(b, 4)
     assert dense.solver["path"] == "dense"
     dense_e, dense_v = dense.eigenvalues, dense.vectors
     block_e, block_v, _ = _near_zero_pairs(b, 4, norm_l)
     np.testing.assert_allclose(dense_e, block_e, rtol=0, atol=1e-12 * norm_l)
-    outside = np.abs(dense_e) >= kernel_tol
+    outside = np.abs(dense_e) >= dense.kernel_tol
     assert outside.sum() == 1 and dense_e[outside][0] < 0
     assert dense_e[outside][0] == pytest.approx(-1.50016751e-02, rel=1e-8)
     overlap = np.vdot(dense_v[:, outside][:, 0], block_v[:, outside][:, 0])
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_kernel_below_the_swap_index_raises(gauss_ff):
+def test_kernel_below_the_swap_index_raises(gauss_ff, monkeypatch):
     b = _log_bundle(gauss_ff, 2, 2, 1, 0.1)
+    monkeypatch.setattr(spectral, "CLUSTER_TOL", 0.0)
     with pytest.raises(SolverConvergenceError, match="below the swap index"):
-        spectral.solve_near_zero(b, k=4, kernel_tol=0)
+        spectral.solve_near_zero(b, k=4)
 
 
 def test_virial_value_real_and_small_for_eigenvectors(gauss_ff):

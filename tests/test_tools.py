@@ -1,5 +1,6 @@
-"""tools/snapshot_outputs.py --compare on two small snapshot trees, and a
-guard that every definition in src/bosedot serves the program or a check."""
+"""tools/snapshot_outputs.py --compare on two small snapshot trees, a guard
+that every definition in src/bosedot serves the program or a check, and one
+that every config key is typed."""
 
 import ast
 import importlib
@@ -8,6 +9,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from bosedot import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "snapshot_outputs.py"
@@ -212,3 +215,22 @@ def test_every_definition_serves_the_program_or_a_named_check():
     # and every layer the benchmark wraps by name still exists
     for module, attr in layers:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+
+def schema_nodes(node, where="config"):
+    """(path, node) for node and every schema below it."""
+    yield where, node
+    for key, child in node.get("properties", {}).items():
+        yield from schema_nodes(child, f"{where}.{key}")
+    if "items" in node:
+        yield from schema_nodes(node["items"], f"{where}[]")
+
+
+def test_every_config_object_is_closed_and_every_key_typed():
+    # an open object or an untyped key lets a misspelt or mistyped key run
+    # at its default
+    for where, node in schema_nodes(cli.SCHEMA):
+        assert "type" in node or "enum" in node, where
+        if node.get("type") == "object":
+            assert node.get("properties"), where
+            assert node.get("additionalProperties") is False, where
