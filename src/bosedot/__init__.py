@@ -12,9 +12,9 @@ from .reservoir import (Dispersion, RELATIVISTIC, NONRELATIVISTIC, FormFactor,
 from .fock import (TruncationSpec, FockBasis, SparseOperator, StateVector,
                    DimensionCapError, SolverConvergenceError)
 from .krylov import expm_action
-from .liouville import (OperatorBundle, build_bundle, assemble_free,
-                        assemble_interaction, assemble_conjugate, kms_vector,
-                        dilation_one_body, antisymmetric_one_body)
+from .liouville import (FirstParts, OperatorBundle, assemble_first,
+                        build_bundle, assemble_interaction, assemble_conjugate,
+                        kms_vector, dilation_one_body, antisymmetric_one_body)
 from .spectral import (SpectralReport, LevelShiftReport, SandwichReport,
                        solve_near_zero, virial_check, kernel_structure,
                        kms_kernel_vector, orthogonal_kernel_panel,

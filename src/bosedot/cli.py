@@ -27,7 +27,7 @@ from . import dot as dotmod
 from . import reservoir as res
 from . import spectral, dynamics
 from .fock import TruncationSpec, DimensionCapError, SolverConvergenceError
-from .liouville import build_bundle, assemble_conjugate
+from .liouville import assemble_conjugate, assemble_first, build_bundle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,8 +95,8 @@ SCHEMA = {
                     "type": "object", "additionalProperties": False,
                     "properties": dict.fromkeys(("r", "excess", "theta"),
                                                 {"type": "number"})}},
-                "mu": {"type": "object", "additionalProperties": False,
-                       "properties": {
+                "mu": {"type": "object", "required": ["kind"],
+                       "additionalProperties": False, "properties": {
                     "kind": {"enum": ["uniform_theta", "kac", "atoms"]},
                     "n_theta": {"type": "integer", "minimum": 1},
                     "n_r": {"type": "integer", "minimum": 1},
@@ -269,46 +269,53 @@ def _lambdas(config):
     return list(config.get("physics", {}).get("lambda", [0.0]))
 
 
-def _radius(entry, rho_crit):
-    """Radial density of an xi entry or measure: r, or rho_crit + excess."""
-    if "r" in entry:
-        return float(entry["r"])
-    if "excess" in entry:
-        return rho_crit + float(entry["excess"])
-    raise ValueError("condensate point needs r or excess")
+def _radius(entry, rho_crit, where):
+    """Radial density of the xi entry or measure at where: r, or rho_crit +
+    excess.  Exactly one of the two is given, so none goes unread."""
+    given = [key for key in ("r", "excess") if key in entry]
+    if len(given) != 1:
+        raise ValueError(f"{where} gives {given}: give one of r and excess")
+    value = float(entry[given[0]])
+    return value if given == ["r"] else rho_crit + value
 
 
 def _xis(config, rho_crit):
     entries = config.get("physics", {}).get("xi")
     if not entries:
         return [None]
-    return [dotmod.CondensatePoint(r=_radius(e, rho_crit),
+    return [dotmod.CondensatePoint(r=_radius(e, rho_crit, f"physics.xi[{i}]"),
                                    theta=float(e.get("theta", 0.0)))
-            for e in entries]
+            for i, e in enumerate(entries)]
+
+
+# the keys of physics.mu that each measure kind reads, besides kind
+MEASURE_KEYS = {"uniform_theta": {"r", "excess", "n_theta"},
+                "kac": {"rho_bar", "n_r", "n_theta"}, "atoms": {"atoms"}}
 
 
 def _measure(config, rho_crit):
     mu = config.get("physics", {}).get("mu")
     if mu is None:
         return None
-    kind = mu.get("kind")
+    kind = mu["kind"]
+    unread = sorted(mu.keys() - MEASURE_KEYS[kind] - {"kind"})
+    if unread:
+        raise ValueError(f"physics.mu: a {kind} measure reads no {unread[0]!r}")
     try:
         if kind == "uniform_theta":
-            return res.XiMeasure.uniform_theta(_radius(mu, rho_crit),
-                                               mu.get("n_theta", 8))
+            return res.XiMeasure.uniform_theta(
+                _radius(mu, rho_crit, "physics.mu"), mu.get("n_theta", 8))
         if kind == "kac":
             return res.XiMeasure.kac_theta(
                 config["reservoir"]["beta"], float(mu["rho_bar"]),
                 _dispersion(config), n_r=mu.get("n_r", 8),
                 n_theta=mu.get("n_theta", 4))
-        if kind == "atoms":
-            pts = tuple((dotmod.CondensatePoint(
-                r=float(a["r"]), theta=float(a.get("theta", 0.0))),
-                float(a["weight"])) for a in mu["atoms"])
-            return res.XiMeasure(points=pts)
+        pts = tuple((dotmod.CondensatePoint(
+            r=float(a["r"]), theta=float(a.get("theta", 0.0))),
+            float(a["weight"])) for a in mu["atoms"])
+        return res.XiMeasure(points=pts)
     except KeyError as exc:
         raise ValueError(f"{kind} measure needs key {exc}") from None
-    raise ValueError(f"unknown measure kind {kind!r}")
 
 
 def _observable_matrix(config, dot_spec):
@@ -530,26 +537,25 @@ def cmd_levelshift(config, args):
     ls = spectral.level_shift(dspec, beta, shell_weight=shell)
 
     sweep = []
-    ratio = solver["h_over_eps"]
     gcfg = config["grid"]
+    omega_min = gcfg.get("omega_min") or gcfg["omega_max"] / 100.0
+    span = math.log(gcfg["omega_max"]) - math.log(omega_min)
     for eps in solver["epsilons"]:
-        omega_min = gcfg.get("omega_min") or gcfg["omega_max"] / 100.0
-        span = math.log(gcfg["omega_max"]) - math.log(omega_min)
-        n = max(int(math.ceil(span / (ratio * eps))), 8)
+        n = max(int(math.ceil(span / (solver["h_over_eps"] * eps))), 8)
         gspec = res.GridSpec(n_modes=n, omega_max=gcfg["omega_max"],
                              omega_min=omega_min, spacing="log")
         grid = res.discretize(ff, beta, gspec, disp,
                               bohr_frequencies=dspec.bohr_frequencies())
         trunc = dataclasses.replace(_trunc(config), n_modes=n, n_max=1)
-        # built in the call (no two bundles alive at once); lambda is unread
-        rep = spectral.resolvent_sandwich(
-            build_bundle(dspec, grid, trunc, 0.0), eps)
+        # only the parts the sandwich reads, one epsilon's at a time: no
+        # bundle, no lambda
+        rep = spectral.resolvent_sandwich(assemble_first(dspec, grid, trunc),
+                                          eps)
         sweep.append({"epsilon": eps, "n_modes": n,
-                      "misfit": rep.misfit,
-                      "fit_constant": rep.fit_constant,
-                      "oracle_constant": rep.oracle_constant,
-                      "gibbs_overlap": rep.gibbs_overlap,
-                      "messages": list(rep.messages)})
+                      "messages": list(rep.messages),
+                      **{key: getattr(rep, key) for key in (
+                          "misfit", "fit_constant", "oracle_constant",
+                          "gibbs_overlap")}})
     if sweep:
         ls.alignment = sweep[-1]["misfit"]
     return {"level_shift": ls.to_dict(), "sandwich_sweep": sweep}
@@ -560,6 +566,9 @@ def cmd_rte(config, args):
     x = _observable_matrix(config, _dot_spec(config))
     x_norm = float(np.linalg.norm(x, 2))
     measure = _measure(config, rc)
+    if measure is not None and "xi" in config["physics"]:
+        raise ValueError("physics.mu and physics.xi are both given, and rte "
+                         "runs only the measure's points: give one")
     xis = ([p for p, _ in measure.points] if measure is not None
            else _xis(config, rc))
     t_list = _solver(config)["T"]

@@ -240,37 +240,22 @@ class BlockedEigensystem:
 
 
 @dataclass
-class OperatorBundle:
-    """All operators of one run, with shared basis and metadata."""
+class FirstParts:
+    """What a run assembles before lambda and xi enter (assemble_first): all
+    the resolvent sandwich reads, and the base of every OperatorBundle."""
 
     dot_spec: object
     grid: object
     trunc: object
     basis: object
-    lam: float
-    xi: object = None
-    rho_crit: float = None
-
-    I_op: SparseOperator = None
-    K: SparseOperator = None
-    L: SparseOperator = None
-
-    l0_diag: np.ndarray = None
-    lambda_diag: np.ndarray = None
-    q_diag: np.ndarray = None
-
-    I_first: sparse.csr_matrix = None
-    K_left: sparse.csr_matrix = None
+    l0_diag: np.ndarray
+    I_first: sparse.csr_matrix
     # the swap P as a permutation, (P v)[i] = v[swap[i]]: it maps the dot pair
     # (i, j) to (j, i) and exchanges the left and right occupations.
     # P conj(L) P = -L, and P sends charge sector Q to -Q
-    swap: np.ndarray = None
-
-    A: SparseOperator = None
-    C1: SparseOperator = None
-    conjugate_scheme: str = None
-
-    _eigensystem: BlockedEigensystem = dfield(default=None, repr=False)
+    swap: np.ndarray
+    # dGamma(omega) of the left field copy
+    e_left: np.ndarray
 
     @property
     def beta(self):
@@ -287,6 +272,25 @@ class OperatorBundle:
     @property
     def dim(self):
         return self.dot_dim ** 2 * self.field_dim
+
+
+@dataclass
+class OperatorBundle(FirstParts):
+    """All operators of one run, with shared basis and metadata."""
+
+    lam: float
+    xi: object = None
+    rho_crit: float = None
+    I_op: SparseOperator = None
+    K: SparseOperator = None
+    L: SparseOperator = None
+    lambda_diag: np.ndarray = None
+    q_diag: np.ndarray = None
+    K_left: sparse.csr_matrix = None
+    A: SparseOperator = None
+    C1: SparseOperator = None
+    conjugate_scheme: str = None
+    _eigensystem: BlockedEigensystem = dfield(default=None, repr=False)
 
     @property
     def L0(self):
@@ -416,13 +420,6 @@ def swap_image(mat, perm):
                              shape=mat.shape)
 
 
-def assemble_free(dot_spec, field_left, field_right):
-    """Diagonal of the free generator: dot level differences plus the left
-    minus the right field-energy diagonal."""
-    l1 = dotmod.doubled_free_part(dot_spec)
-    return np.add.outer(l1, field_left - field_right).ravel()
-
-
 def assemble_interaction(dot_spec, basis, grid):
     """The interaction's left block, Hermitian: G_plus (x) 1 on the dot pair
     times a(sqrt(1+rho) g)_left + a*(sqrt(rho) conj(g))_right, plus the
@@ -435,31 +432,44 @@ def assemble_interaction(dot_spec, basis, grid):
     return (block + block.getH()).tocsr()
 
 
+def assemble_first(dot_spec, grid, trunc):
+    """The FirstParts of a run: the Fock basis (DimensionCapError above
+    trunc.dim_cap), the swap, the left field energies, the free generator's
+    diagonal (dot level differences plus the left minus the right field
+    energy) and the interaction's left block, checked exactly against its
+    adjoint."""
+    if trunc.n_modes != grid.n_modes:
+        raise ValueError("truncation and grid disagree on the mode count")
+    basis = FockBasis(trunc)
+    field_perm = basis.swap_permutation()
+    pairs = np.arange(dot_spec.d ** 2).reshape(dot_spec.d, dot_spec.d).T.ravel()
+    e_left = basis.energy_diag(grid.omegas, "left")
+    return FirstParts(
+        dot_spec=dot_spec, grid=grid, trunc=trunc, basis=basis,
+        l0_diag=np.add.outer(dotmod.doubled_free_part(dot_spec),
+                             e_left - e_left[field_perm]).ravel(),
+        I_first=SparseOperator(assemble_interaction(dot_spec, basis, grid),
+                               label="I_first").matrix,
+        swap=np.add.outer(pairs * basis.dim, field_perm).ravel(),
+        e_left=e_left)
+
+
 def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
-    """Assemble every operator of a run into one bundle.
+    """Assemble every operator of a run into one bundle, on the parts of
+    assemble_first.
 
     xi = None runs without a condensate term.  When xi is given, rho_crit must
     be supplied (from the reservoir thermodynamics) and xi.r must weakly
     exceed it.
     """
-    if trunc.n_modes != grid.n_modes:
-        raise ValueError("truncation and grid disagree on the mode count")
-    basis = FockBasis(trunc)
-    d2 = dot_spec.d ** 2
-    fd = basis.dim
-    dim = d2 * fd
-    field_perm = basis.swap_permutation()
-    pairs = np.arange(d2).reshape(dot_spec.d, dot_spec.d).T.ravel()
-    swap = np.add.outer(pairs * fd, field_perm).ravel()
-
-    e_left = basis.energy_diag(grid.omegas, "left")
-    e_right = e_left[field_perm]
-    l0_diag = assemble_free(dot_spec, e_left, e_right)
-
-    first = assemble_interaction(dot_spec, basis, grid)
+    parts = assemble_first(dot_spec, grid, trunc)
+    first, swap = parts.I_first, parts.swap
+    d2, fd = dot_spec.d ** 2, parts.field_dim
+    # the dot pair (0, 0) is swap-fixed: the first fd entries are the field swap
+    field_perm = swap[:fd]
     I_mat = first - swap_image(first, swap)
 
-    K_mat = K_left = sparse.csr_matrix((dim, dim), dtype=complex)
+    K_mat = K_left = sparse.csr_matrix((parts.dim, parts.dim), dtype=complex)
     coupling = I_mat    # K is zero without a condensate: not added to L
     if xi is not None:
         if rho_crit is None:
@@ -471,25 +481,21 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
         K_mat = K_left - swap_image(K_left, swap)
         coupling = I_mat + K_mat
 
-    L_mat = (sparse.diags(l0_diag.astype(complex), format="csr")
+    L_mat = (sparse.diags(parts.l0_diag.astype(complex), format="csr")
              + lam * coupling).tocsr()
 
-    lambda_diag = np.tile(e_left + e_right, d2)
+    lambda_diag = np.tile(parts.e_left + parts.e_left[field_perm], d2)
     levels = np.arange(dot_spec.d, dtype=float)
     q_dot = (levels[:, None] - levels[None, :]).ravel()
-    n_left = basis.number_diag("left")
+    n_left = parts.basis.number_diag("left")
     q_diag = np.add.outer(q_dot, n_left - n_left[field_perm]).ravel()
 
-    bundle = OperatorBundle(
-        dot_spec=dot_spec, grid=grid, trunc=trunc, basis=basis, lam=float(lam),
-        xi=xi, rho_crit=rho_crit,
+    return OperatorBundle(
+        **vars(parts), lam=float(lam), xi=xi, rho_crit=rho_crit,
         I_op=SparseOperator(I_mat, label="I"),
         K=SparseOperator(K_mat, label="K"),
         L=SparseOperator(L_mat, label="L"),
-        l0_diag=l0_diag, lambda_diag=lambda_diag, q_diag=q_diag,
-        I_first=first, K_left=K_left, swap=swap,
-    )
-    return bundle
+        lambda_diag=lambda_diag, q_diag=q_diag, K_left=K_left)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Everything here works on an OperatorBundle: near-zero eigensolves with
 post-hoc residuals, the commutator (virial) identity per eigenvector, the
 kernel-structure overlap against the product of the dot Gibbs projector and a
 low-field-energy cut, the dot-local level-shift matrix with its gap, and a
-resolvent-sandwich estimate of that matrix from the full generator.
+resolvent-sandwich estimate of that matrix from the assembled interaction,
+which needs only the bundle's lambda-free parts (liouville.FirstParts).
 """
 
 from dataclasses import dataclass, field as dfield
@@ -79,7 +80,6 @@ class LevelShiftReport:
 @dataclass
 class SandwichReport:
     matrix: np.ndarray
-    epsilon: float
     fit_constant: float
     misfit: float
     gibbs_overlap: float
@@ -514,18 +514,6 @@ def level_shift(dot_spec, beta, shell_weight=1.0):
 # ---------------------------------------------------------------------------
 # resolvent sandwich
 
-def _sector_states(bundle):
-    """Orthonormal basis of (diagonal dot pairs) x (field vacuum)."""
-    d = bundle.dot_dim
-    vac = bundle.basis.vacuum()
-    cols = []
-    for i in range(d):
-        e = np.zeros(d * d)
-        e[i * d + i] = 1.0
-        cols.append(np.kron(e, vac).astype(complex))
-    return cols
-
-
 def lorentzian_constant(grid, epsilon):
     """Independent quadrature oracle for the sandwich proportionality.
 
@@ -538,49 +526,45 @@ def lorentzian_constant(grid, epsilon):
     return float(2.0 * np.sum(dens * lorentz))
 
 
-def resolvent_sandwich(bundle, epsilon):
+def resolvent_sandwich(parts, epsilon):
     """Dot-sector compression epsilon * P I (L0^2+eps^2)^(-1) I P.
 
     P restricts to diagonal dot pairs tensor the field vacuum (any field
-    energy cut below the lowest mode keeps exactly that sector).  Returns the
-    d x d matrix together with its best-fit multiple of the level-shift
-    matrix, the relative Frobenius misfit, the overlap of its minimal
-    eigenvector with the Gibbs vector, and the quadrature oracle for the
-    fitted constant.
+    energy cut below the lowest mode keeps exactly that sector).  Of parts, a
+    liouville.FirstParts or an OperatorBundle, it reads the dot, grid, basis,
+    l0_diag, I_first and swap: c = e_ii (x) vacuum is real and swap-fixed, so
+    I c = h - P conj(h) with h = I_first c, and the two terms have disjoint
+    supports (the dot pairs (i +- 1, i) and (i, i +- 1)), which makes it the
+    full interaction's column bit for bit.  Returns the d x d matrix with its
+    best-fit multiple of the level-shift matrix, the relative Frobenius
+    misfit, the overlap of its minimal eigenvector with the Gibbs vector,
+    and the quadrature oracle for the fitted constant.
     """
-    grid = bundle.grid
     messages = []
-    h_over_eps = grid.step / epsilon
+    h_over_eps = parts.grid.step / epsilon
     if h_over_eps > 0.1:
         messages.append(
             f"Lorentzian under-resolved: h/epsilon = {h_over_eps:.3g}")
 
-    imat = bundle.I_op.matrix
-    inv = 1.0 / (bundle.l0_diag ** 2 + epsilon ** 2)
-    cols = _sector_states(bundle)
-    d = bundle.dot_dim
-
-    half = [imat @ c for c in cols]
-    images = [inv * h for h in half]
-    m = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[i, j] = epsilon * np.vdot(half[i], images[j])
+    inv = 1.0 / (parts.l0_diag ** 2 + epsilon ** 2)
+    d = parts.dot_spec.d
+    # e_ii (x) vacuum is the basis state (i d + i) * field_dim
+    h = parts.I_first[:, np.arange(d) * (d + 1) * parts.basis.dim]
+    h = h.T.toarray(order="C")      # contiguous rows: vdot's summation order
+    half = list(h - h.conj()[:, parts.swap])
+    images = [inv * v for v in half]
+    m = epsilon * np.array([[np.vdot(a, b) for b in images] for a in half])
     m = 0.5 * (m + m.conj().T)
 
-    ls = level_shift(bundle.dot_spec, bundle.beta)
+    ls = level_shift(parts.dot_spec, parts.beta)
     gt = ls.gamma_tilde
     c_fit = float(np.sum(gt * m.real) / np.sum(gt * gt))
-    misfit = float(np.linalg.norm(m - c_fit * gt) / np.linalg.norm(m))
-
     evals, evecs = np.linalg.eigh(m)
     vmin = evecs[:, int(np.argmin(evals))]
-    gibbs = ls.kernel_vector
-    gibbs_overlap = float(abs(np.vdot(vmin, gibbs)))
-
-    oracle = lorentzian_constant(grid, epsilon)
-
     return SandwichReport(
         matrix=m.real if np.allclose(m.imag, 0, atol=1e-13) else m,
-        epsilon=float(epsilon), fit_constant=c_fit, misfit=misfit,
-        gibbs_overlap=gibbs_overlap, oracle_constant=oracle, messages=tuple(messages))
+        fit_constant=c_fit,
+        misfit=float(np.linalg.norm(m - c_fit * gt) / np.linalg.norm(m)),
+        gibbs_overlap=float(abs(np.vdot(vmin, ls.kernel_vector))),
+        oracle_constant=lorentzian_constant(parts.grid, epsilon),
+        messages=tuple(messages))

@@ -175,6 +175,7 @@ MISTYPED_CASES = {
                                                  [[1, 0, 0], [0, 0, 1]]]}),
     "mu-misspelt-n-theta": (("physics", "mu"), {"kind": "uniform_theta",
                                                 "excess": 0.2, "n_thta": 4}),
+    "mu-no-kind": (("physics", "mu"), {"excess": 0.2, "n_theta": 4}),
     "atoms-misspelt-theta": (("physics", "mu"), {
         "kind": "atoms", "atoms": [{"r": 1.0, "weight": 1.0, "thta": 0.3}]}),
 }
@@ -602,11 +603,16 @@ def test_virial_rows_small(tmp_path, capsys):
         assert abs(row["virial_value"]) < 1e-8
 
 
-def test_levelshift_sweep(tmp_path, capsys):
+def levelshift_config():
     cfg = base_config()
     cfg["grid"] = {"n_modes": 2, "omega_max": 3.0, "omega_min": 0.5,
                    "spacing": "log"}
     cfg["solver"] = {"epsilons": [0.4, 0.2], "h_over_eps": 0.05}
+    return cfg
+
+
+def test_levelshift_sweep(tmp_path, capsys):
+    cfg = levelshift_config()
     cfg["physics"] = {"lambda": [1.0]}
     code, outdir, _ = run_cli(tmp_path, "levelshift", cfg, capsys)
     assert code == cli.EXIT_OK
@@ -619,6 +625,68 @@ def test_levelshift_sweep(tmp_path, capsys):
     assert sweep[1]["n_modes"] > sweep[0]["n_modes"]
     for row in sweep:
         assert row["gibbs_overlap"] > 0.99
+
+
+def test_levelshift_builds_no_bundle(tmp_path, capsys, monkeypatch):
+    # the sandwich reads only liouville.assemble_first's parts
+    def refuse(*args, **kwargs):
+        raise AssertionError("levelshift built a bundle")
+
+    monkeypatch.setattr(cli, "build_bundle", refuse)
+    monkeypatch.setattr(liouville, "build_bundle", refuse)
+    code, outdir, out = run_cli(tmp_path, "levelshift", levelshift_config(),
+                                capsys)
+    assert code == cli.EXIT_OK, out.err
+    assert len(json.loads((outdir / "levelshift.json").read_text())
+               ["sandwich_sweep"]) == 2
+
+
+def test_levelshift_over_the_dimension_cap_exits_4(tmp_path, capsys):
+    # epsilon 0.2 at h/epsilon 0.05 asks for 180 modes: 361 field states
+    cfg = levelshift_config()
+    cfg["trunc"]["dim_cap"] = 300
+    code, _, out = run_cli(tmp_path, "levelshift", cfg, capsys)
+    assert code == cli.EXIT_CAP
+    assert "field dimension 361 exceeds cap 300" in out.err
+
+
+def test_rte_refuses_a_measure_beside_xi(tmp_path, capsys):
+    # rte runs the measure's points, so an xi list beside it would go unread
+    cfg = base_config()
+    cfg["physics"]["mu"] = {"kind": "uniform_theta", "excess": 0.2,
+                            "n_theta": 2}
+    cfg["physics"]["xi"] = [{"excess": 0.2, "theta": 0.3}]
+    code, _, out = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err.startswith("validation error")
+    assert "physics.mu" in out.err and "physics.xi" in out.err
+
+
+@pytest.mark.parametrize("command, key, value, named", [
+    ("spectrum", "xi", [{"r": 1.0, "excess": 0.2}], "physics.xi[0]"),
+    ("rte", "xi", [{"excess": 0.2}, {"r": 1.0, "excess": 0.2}],
+     "physics.xi[1]"),
+    ("rte", "mu", {"kind": "uniform_theta", "r": 1.0, "excess": 0.2},
+     "physics.mu"),
+    ("rte", "mu", {"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 2,
+                   "r": 1.0}, "'r'"),
+    ("rte", "mu", {"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 2,
+                   "excess": 0.2}, "'excess'"),
+    ("rte", "mu", {"kind": "atoms", "n_theta": 2,
+                   "atoms": [{"r": 1.0, "weight": 1.0}]}, "'n_theta'"),
+], ids=["xi-r-and-excess", "second-xi-r-and-excess",
+        "uniform_theta-r-and-excess", "kac-r", "kac-excess", "atoms-n_theta"])
+def test_unread_radius_or_measure_key_is_config_error(tmp_path, capsys,
+                                                      command, key, value,
+                                                      named):
+    # an entry with both r and excess would run at r, and a measure kind
+    # reads only its own keys: each is refused, with the key named
+    cfg = base_config()
+    cfg["physics"][key] = value
+    code, _, out = run_cli(tmp_path, command, cfg, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err.startswith("validation error")
+    assert named in out.err and "Traceback" not in out.err
 
 
 def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):

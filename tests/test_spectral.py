@@ -8,7 +8,7 @@ import bosedot as bd
 from bosedot import spectral
 from bosedot.dot import gibbs_vector
 from bosedot.fock import SolverConvergenceError
-from bosedot.liouville import build_bundle
+from bosedot.liouville import assemble_first, build_bundle
 
 
 def test_level_shift_gap_closed_form_d2():
@@ -305,6 +305,30 @@ def test_resolvent_sandwich_basic(gauss_ff):
     assert rep.fit_constant > 0
     assert rep.gibbs_overlap > 0.99
     assert rep.oracle_constant > 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sandwich_from_parts_is_the_bundle_interaction_bit_for_bit(gauss_ff,
+                                                                   d):
+    # the sandwich reads I_first and the swap; its matrix is the one the full
+    # interaction of a bundle gives on the states e_ii (x) vacuum
+    dspec = bd.DotSpec(d=d)
+    gs = bd.GridSpec(n_modes=40, omega_max=3.0, spacing="log", omega_min=0.2)
+    grid = bd.discretize(gauss_ff, 1.0, gs, bd.RELATIVISTIC,
+                         bohr_frequencies=dspec.bohr_frequencies())
+    trunc = bd.TruncationSpec(40, 1)
+    bundle = build_bundle(dspec, grid, trunc, lam=0.3)
+    eps = 0.2
+    inv = 1.0 / (bundle.l0_diag ** 2 + eps ** 2)
+    half = [bundle.I_op.matrix @ np.kron(np.eye(d * d)[i * d + i],
+                                         bundle.basis.vacuum())
+            for i in range(d)]
+    m = eps * np.array([[np.vdot(a, inv * b) for b in half] for a in half])
+    m = 0.5 * (m + m.conj().T)
+    assert np.max(np.abs(m.imag)) < 1e-13
+    for source in (assemble_first(dspec, grid, trunc), bundle):
+        np.testing.assert_array_equal(
+            spectral.resolvent_sandwich(source, eps).matrix, m.real)
 
 
 def test_lorentzian_constant_stable_under_refinement(gauss_ff):
