@@ -35,14 +35,19 @@ Q); with one, L = e^{i theta Q} L(0) e^{-i theta Q} and the gauged L(0) is one
 block.  A block real up to the rounding of the phases is solved in real
 arithmetic.  The per-block solve is passed in: a dense eigh for the bundle's
 cached factorisation, refused for a block above DENSE_CUTOFF states, or
-spectral's shift-invert for the pairs nearest zero.  The cached factorisation
-does not eigh a real block that the swap maps to itself (sector 0, or the
-gauged L(0)): there P B P = -B puts B in chiral form [[0, X], [X^T, 0]]
-between its P-even and P-odd states, and one SVD of X gives every pair
-(chiral_eigh).  No eigh of the whole space runs.  Bundles that differ only
-in theta are gauges of one another, so the commands build one bundle per
-lambda and density r and read every theta of the sweep from it
-(cli._map_bundles).
+spectral's shift-invert for the pairs nearest zero.  A real block that the
+swap maps to itself (sector 0, or the gauged L(0)) gets its own solver on
+both paths: there P B P = -B puts B in chiral form [[0, X], [X^T, 0]]
+between its P-even and P-odd states (chiral_split), with X = [X_F; X_A]
+split by rows into the fixed states and the pairs.  Its kernel comes from
+one sparse LU of X_A^T, the graph frame [I; -X_A^-T X_F^T] over the fixed
+states, Loewdin-orthonormalised (chiral_kernel); the cached factorisation
+takes every nonzero pair from one SVD of X (chiral_eigh), and the
+near-zero solve the pairs nearest zero from the same LU.  So the dense and
+the near-zero path report the same kernel vectors, and no eigh of the whole
+space runs.  Bundles that differ only in theta are gauges of one another,
+so the commands build one bundle per lambda and density r and read every
+theta of the sweep from it (cli._map_bundles).
 """
 
 from dataclasses import dataclass, field as dfield
@@ -52,9 +57,11 @@ from math import comb
 import numpy as np
 from scipy import sparse
 from scipy.linalg import block_diag, eigh, svd
+from scipy.sparse.linalg import splu
 
 from . import dot as dotmod
-from .fock import DimensionCapError, FockBasis, SparseOperator, StateVector
+from .fock import (DimensionCapError, FockBasis, SolverConvergenceError,
+                   SparseOperator, StateVector)
 from .krylov import expm_action
 
 # largest symmetry block that gets a dense eigh, and the largest L that a
@@ -63,6 +70,9 @@ DENSE_CUTOFF = 2000
 # eigenvalues within CLUSTER_TOL * max(||L||, 1) of each other are one
 # cluster, and those within it of zero the kernel
 CLUSTER_TOL = 1e-9
+# a near-zero eigenvector, or a chiral kernel frame, is accepted once its
+# residual is below this * max(||L||, 1)
+RESIDUAL_BOUND = 1e-12
 
 
 def kernel_index(dot_spec, trunc):
@@ -151,8 +161,8 @@ class BlockedEigensystem:
         order; charge is None for the gauged L(0).  The sectors Q < 0 are not
         solved: they are the swap images of Q > 0 (P conj(L) P = -L), the
         pairs (-e, conj(v)) on the rows perm[idx] for the pairs (e, v) of
-        sector Q on idx.  When chiral is given, chiral(idx, block, swap)
-        solves in place of solve every real block that the swap maps to
+        sector Q on idx.  When chiral is given, chiral(charge, idx, block,
+        swap) solves in place of solve every real block that the swap maps to
         itself (charge 0 or None), swap being the permutation the swap makes
         of the block's own states."""
         path, gauge, blocks = symmetry_blocks(bundle.L.matrix, bundle.q_diag,
@@ -164,7 +174,7 @@ class BlockedEigensystem:
         for q, (idx, block) in zip(charges, blocks):
             if chiral is not None and not q and not np.iscomplexobj(block):
                 # idx is sorted and closed under the swap
-                e, v = chiral(idx, block, np.searchsorted(idx, perm[idx]))
+                e, v = chiral(q, idx, block, np.searchsorted(idx, perm[idx]))
                 n_chiral += 1
             elif q is None or q >= 0:
                 e, v = solve(q, idx, block)
@@ -366,22 +376,22 @@ def _dense_block(charge, idx, block):
     return eigh(block.toarray())
 
 
-def _chiral_block(idx, block, swap):
+def _chiral_block(charge, idx, block, swap):
     _refuse_above_cutoff(idx)
     return chiral_eigh(block, swap)
 
 
-def chiral_eigh(block, swap):
-    """All eigenpairs of the real symmetric block B, ascending as eigh gives
-    them, for an involution swap with P B P = -B, (P v)[i] = v[swap[i]].
+def chiral_split(block, swap):
+    """(u, x): the chiral form of the real symmetric block B for an
+    involution swap with P B P = -B, (P v)[i] = v[swap[i]].
 
     The P-even states are the fixed states e_f and (e_i + e_Pi)/sqrt2, the
-    P-odd ones (e_i - e_Pi)/sqrt2 (i < Pi), and B couples only even to odd
-    through X.  One full SVD X = W S V^T gives the pairs +-s_k with vectors
-    (W_k (+) +-V_k)/sqrt2 and an exact 0 for each of the trailing columns of
-    W: the odd states are never more than the even ones, so those number
-    the fixed states.  P B P = -B is checked entry by entry first, and a
-    block that breaks it raises ValueError.
+    P-odd ones (e_i - e_Pi)/sqrt2 (i < Pi).  u is the orthogonal map from the
+    even columns, then the odd ones, to states, and u^T B u =
+    [[0, x], [x^T, 0]] with x = [X_F; X_A] sparse: its first nf = x.shape[0]
+    - x.shape[1] rows are the fixed states, the rest the pairs.  P B P = -B
+    is checked entry by entry first, and a block that breaks it raises
+    ValueError.
     """
     if (block[swap][:, swap] + block).count_nonzero():
         raise ValueError("block does not anticommute with the swap")
@@ -392,15 +402,71 @@ def chiral_eigh(block, swap):
     nf, m = len(fixed), len(a)
     h = np.sqrt(0.5)
     pair = np.arange(m)
-    # the orthogonal map from the even columns, then the odd ones, to states
     u = sparse.csr_matrix(
         (np.r_[np.ones(nf), np.full(3 * m, h), np.full(m, -h)],
          (np.r_[fixed, a, swap[a], a, swap[a]],
           np.r_[np.arange(nf), nf + pair, nf + pair, nf + m + pair,
                 nf + m + pair])), shape=(n, n))
-    x = (u[:, :nf + m].T @ block @ u[:, nf + m:]).toarray()
+    return u, (u[:, :nf + m].T @ block @ u[:, nf + m:]).tocsr()
+
+
+def chiral_kernel(x, scale):
+    """(frame, lu, info): the kernel of x^T from one sparse LU, for the x of
+    chiral_split, and the factor that made it.
+
+    lu factors the square pair x pair part X_A^T (minimum-degree ordering
+    on A + A^T).  When X_A is nonsingular the kernel is exactly one vector
+    per fixed state, the graph frame G = [I; -X_A^-T X_F^T], and frame is
+    its Loewdin orthonormalisation G (G^T G)^-1/2, formed as the polar
+    factor Q U of a thin QR G = Q R with R = U H, so that its columns are
+    orthonormal to rounding.  info holds kernel_residual, the largest
+    ||x^T k|| over its columns k (= ||B k|| for the even vector k), and
+    overlap_sigma_min, the smallest singular value of the frame's fixed
+    rows (G^T G)^-1/2.  A singular X_A, or a kernel_residual above
+    RESIDUAL_BOUND * scale, raises SolverConvergenceError.
+    """
+    m = x.shape[1]
+    nf = x.shape[0] - m
+    try:
+        lu = splu(x[nf:].T.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverConvergenceError(
+            f"pair x pair part of the chiral coupling: {exc}") from exc
+    graph = np.vstack([np.eye(nf), -lu.solve(x[:nf].T.toarray())])
+    q, r = np.linalg.qr(graph)
+    w, sigma, vt = svd(r)
+    frame = q @ (w @ vt)
+    residual = float(np.max(np.linalg.norm(x.T @ frame, axis=0), initial=0))
+    if residual > RESIDUAL_BOUND * scale:
+        raise SolverConvergenceError(
+            f"kernel frame residual {residual:.3g} above "
+            f"{RESIDUAL_BOUND * scale:.3g}")
+    return frame, lu, {"kernel_residual": residual,
+                       "overlap_sigma_min": float(1 / sigma[0])}
+
+
+def chiral_eigh(block, swap):
+    """All eigenpairs of the real symmetric block B, ascending as eigh gives
+    them, for an involution swap with P B P = -B (chiral_split).
+
+    B couples only even to odd states through x.  One full SVD x = W S V^T
+    gives the pairs +-s_k with vectors (W_k (+) +-V_k)/sqrt2 and an exact 0
+    for each of the trailing columns of W: the odd states are never more
+    than the even ones, so those number the fixed states.  Their vectors
+    are chiral_kernel's frame, the one the near-zero solve reports, and the
+    trailing columns of W only where X_A is singular or the frame misses
+    RESIDUAL_BOUND * max(||B||, 1).
+    """
+    u, x_sparse = chiral_split(block, swap)
+    x = x_sparse.toarray()
+    nf, m = x.shape[0] - x.shape[1], x.shape[1]
     w, s, vt = svd(x)
+    try:
+        w[:, m:] = chiral_kernel(x_sparse, max(np.max(s, initial=0), 1.0))[0]
+    except SolverConvergenceError:
+        pass
     v = vt.T
+    h = np.sqrt(0.5)
     evals = np.r_[-s, np.zeros(nf), s[::-1]]
     even = np.hstack([w[:, :m] * h, w[:, m:], w[:, :m][:, ::-1] * h])
     odd = np.hstack([-v * h, np.zeros((m, nf)), v[:, ::-1] * h])

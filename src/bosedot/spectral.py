@@ -17,7 +17,8 @@ from scipy.sparse.linalg import splu
 
 from . import dot as dotmod
 from .fock import SolverConvergenceError
-from .liouville import (CLUSTER_TOL, BlockedEigensystem, equilibrium_projection,
+from .liouville import (CLUSTER_TOL, RESIDUAL_BOUND, BlockedEigensystem,
+                        chiral_kernel, chiral_split, equilibrium_projection,
                         kernel_index)
 
 
@@ -29,7 +30,7 @@ class SpectralReport:
     kernel_tol: float
     kernel_dim: int
     kernel_index: int            # swap index, liouville.kernel_index
-    kernel_basis: np.ndarray     # orthonormal columns, as solved
+    kernel_basis: np.ndarray     # orthonormal columns; chiral blocks' frame
     norm_L: float
     solver: dict = dfield(default_factory=dict)   # path and block telemetry
     messages: tuple = ()
@@ -100,8 +101,6 @@ BLOCK_GUARDS = 6
 # applications of (L - shift)^-1 per block iteration
 KRYLOV_DEPTH = 5
 MAX_BLOCK_ITERATIONS = 100
-# the block solve stops once every reported residual is below this * ||L||
-RESIDUAL_BOUND = 1e-12
 # what solve_near_zero flags
 RESIDUAL_FLAG = 1e-8    # a residual above this * max(||L||, 1)
 NEAR_DEGENERATE = 1e-9  # a spacing below this of two pairs outside the kernel
@@ -148,11 +147,23 @@ def _start_block(l0_diag, width, dtype):
     return block
 
 
+@dataclass
+class ShiftInvertFactor:
+    """The state of block_shift_invert on one matrix: mat, the sparse LU of
+    mat - shift, the scale max(||L||, 1) of the shift and the residual
+    bound, and ritz, the block the last call ended with (its pairs, then its
+    guard Ritz vectors), from which the next call starts."""
+
+    mat: sparse.csr_matrix
+    lu: object
+    scale: float
+    ritz: np.ndarray = None
+
+
 def shift_invert_factor(mat, norm_l):
-    """(mat, lu, scale) for block_shift_invert: mat in real arithmetic when
-    it has no imaginary part, the sparse LU of mat - shift (MMD ordering on
-    A + A^T) and the scale max(||L||, 1) of the shift and the residual bound.
-    One factor serves every call on the same matrix."""
+    """The ShiftInvertFactor of mat: mat in real arithmetic when it has no
+    imaginary part, the LU with an MMD ordering on A + A^T.  One factor
+    serves every call on the same matrix."""
     if not np.any(mat.data.imag):
         mat = mat.real
     scale = max(norm_l, 1.0)
@@ -163,7 +174,7 @@ def shift_invert_factor(mat, norm_l):
     except RuntimeError as exc:
         raise SolverConvergenceError(
             f"shift-invert factorisation: {exc}") from exc
-    return mat, lu, scale
+    return ShiftInvertFactor(mat, lu, scale)
 
 
 def block_shift_invert(factor, k, l0_diag):
@@ -177,15 +188,21 @@ def block_shift_invert(factor, k, l0_diag):
     wanted span is then Rayleigh-Ritz refined with mat itself, which removes
     the error the locked vectors pass on to the rest.  Stops once every
     reported residual is below RESIDUAL_BOUND * ||L||.  The start block is
-    fixed by l0_diag, so the result depends on no seed.  Returns
-    (eigenvalues by increasing |e|, eigenvectors, iterations).
+    fixed by l0_diag, so the result depends on no seed; after an earlier
+    call on the same factor, its Ritz block (factor.ritz) leads the start
+    block in place of as many indicator columns, so a sector's doubled
+    pair count starts from the pairs and guard vectors found before.
+    Returns (eigenvalues by increasing |e|, eigenvectors, iterations).
     """
-    mat, lu, scale = factor
+    mat, lu = factor.mat, factor.lu
     n = mat.shape[0]
-    bound = RESIDUAL_BOUND * scale
+    bound = RESIDUAL_BOUND * factor.scale
     want = min(max(k, int(np.sum(l0_diag == 0))), n)
     width = min(want + BLOCK_GUARDS, n - 1)
     block = _start_block(l0_diag, width, mat.dtype)
+    if factor.ritz is not None:
+        block = np.hstack([factor.ritz,
+                           block[:, factor.ritz.shape[1]:]])[:, :width + 1]
     locked = np.zeros((n, 0), dtype=mat.dtype)
     for iteration in range(1, MAX_BLOCK_ITERATIONS + 1):
         basis, images = [], []
@@ -214,7 +231,9 @@ def block_shift_invert(factor, k, l0_diag):
         residuals = np.linalg.norm(image @ c - (span @ c) * evals, axis=0)
         if np.all(residuals <= bound):
             order = np.argsort(np.abs(evals), kind="stable")
-            return evals[order], (span @ c)[:, order], iteration
+            vecs = (span @ c)[:, order]
+            factor.ritz = np.hstack([vecs, ritz[:, active:]])
+            return evals[order], vecs, iteration
 
         # lock the leading pairs that are well inside the bound
         fresh = image[:, locked.shape[1]:]
@@ -228,20 +247,112 @@ def block_shift_invert(factor, k, l0_diag):
         f"{MAX_BLOCK_ITERATIONS} iterations")
 
 
-def near_zero_eigensystem(bundle, want, norm_l):
-    """The BlockedEigensystem of the pairs of L nearest zero, by
-    block_shift_invert on each symmetry block's own (real where the gauged
-    entries are) matrix, one LU per block.
+def chiral_singular_triplets(x, frame, lu, p, scale):
+    """The p smallest singular triplets (s, w, v) of the chiral coupling x =
+    [X_F; X_A] of chiral_split, X v = s w and X^T w = s v, for (frame, lu)
+    = chiral_kernel(x, scale).
 
-    Sector 0, and the gauged L(0) of a condensate, ask for all want pairs;
-    every other sector starts at max(1, its own L0 zeros) pairs and doubles
-    that number while its farthest pair found is nearer zero than the
-    want-th smallest |e| found so far (its mirror and the earlier sectors'
-    included), until the sector is exhausted.  Returns the eigensystem and
-    the solver entry: the path, per block solve its charge, size, pairs and
-    iterations, and the number of mirrored sectors.
+    X has full column rank, and the triplets are the largest of its
+    pseudo-inverse: a block iteration on X+ X+^T with the one LU.
+    X+^T v is [0; X_A^-T v] with the kernel frame projected out (the
+    least-norm solution of X^T y = v), and X+ of a vector y in the range of
+    X is X_A^-1 y_A.  Each iteration applies X+ X+^T KRYLOV_DEPTH times to the
+    block, each image scaled to unit columns so that the pivoted QR ranks
+    them by their relative remainder, and Rayleigh-Ritz refines the span
+    with X itself, by one SVD of X Q.  The left vectors are then X+^T v
+    normalised, not X v / s: that keeps the rounding of v along the large
+    singular directions, amplified by s_j^2 / s in X^T X v / s, out of the
+    residual.  Stops once every pair +-s_k has a residual of the block at
+    most RESIDUAL_BOUND * scale.  The start block is _start_block of the
+    diagonal of X_A (L0 on the pair states), so no seed enters.  Returns
+    (s ascending, w, v, iterations).
+    """
+    m = x.shape[1]
+    nf = x.shape[0] - m
+    if p == 0:
+        return np.zeros(0), np.zeros((nf + m, 0)), np.zeros((m, 0)), 0
+    bound = RESIDUAL_BOUND * scale
+    width = min(p + BLOCK_GUARDS, m - 1)
+    block = _start_block(x[nf:].diagonal(), width, float)
+    none = np.zeros((m, 0))
+
+    def pinv_t(v):      # X+^T v
+        return _project_out(np.vstack([np.zeros((nf, v.shape[1])),
+                                       lu.solve(v)]), frame)
+
+    for iteration in range(1, MAX_BLOCK_ITERATIONS + 1):
+        basis = [_orthonormalize(block, none)]
+        for _ in range(KRYLOV_DEPTH - 1):
+            image = lu.solve(np.ascontiguousarray(pinv_t(basis[-1])[nf:]),
+                             trans="T")
+            basis.append(_orthonormalize(
+                image / np.linalg.norm(image, axis=0), np.hstack(basis)))
+        q = np.hstack(basis)
+        _, s, vt = sla.svd(x @ q, full_matrices=False)
+        if len(s) < p:
+            raise SolverConvergenceError(
+                f"start block reaches {len(s)} of {p} singular values")
+        s, v = s[::-1][:p], q @ vt[::-1][:p].T
+        w = pinv_t(v)
+        w /= np.linalg.norm(w, axis=0)
+        residuals = np.hypot(np.linalg.norm(x @ v - w * s, axis=0),
+                             np.linalg.norm(x.T @ w - v * s, axis=0))
+        if np.all(residuals * np.sqrt(0.5) <= bound):
+            return s, w, v, iteration
+        block = q @ vt[::-1][:width + 1].T
+    raise SolverConvergenceError(
+        f"chiral singular triplets: residuals above {bound:.3g} after "
+        f"{MAX_BLOCK_ITERATIONS} iterations")
+
+
+def near_zero_eigensystem(bundle, want, norm_l):
+    """The BlockedEigensystem of the pairs of L nearest zero, one symmetry
+    block at a time, one sparse LU per block.
+
+    A real block that the swap maps to itself (sector 0, or the gauged L(0)
+    of a condensate) is chiral (liouville.chiral_split): its kernel is
+    chiral_kernel's graph frame, one exact zero per fixed state, and its
+    nonzero pairs +-s come from the ceil((want - |F|) / 2) smallest singular
+    triplets of its coupling (chiral_singular_triplets), on the same LU.  A
+    singular X_A, or a frame above the residual bound, raises
+    SolverConvergenceError naming the block.  Every other block goes
+    through block_shift_invert on its own (real where the gauged entries
+    are) matrix: it starts at max(1, its own L0 zeros) pairs (all want pairs
+    for a complex gauged L(0)) and, in a sector Q != 0, doubles that number
+    while its farthest pair found is nearer zero than the want-th smallest
+    |e| found so far (its mirror and the earlier sectors' included), until
+    the sector is exhausted; each doubling starts from the Ritz block found
+    before it, on the same LU.  Returns the eigensystem and the solver
+    entry: the path, per block solve its charge, path, size, pairs and
+    iterations (and for a chiral block its fixed states, singular values,
+    kernel residual and the smallest singular value of the frame's fixed
+    rows), and the number of mirrored sectors.
     """
     found, solves = [], []      # |e| of every pair so far, mirrors included
+    scale = max(norm_l, 1.0)
+
+    def chiral(charge, idx, block, swap):
+        u, x = chiral_split(block, swap)
+        nf = x.shape[0] - x.shape[1]
+        try:
+            frame, lu, info = chiral_kernel(x, scale)
+        except SolverConvergenceError as exc:
+            name = ("the gauged L(0)" if charge is None
+                    else f"charge sector {charge}")
+            raise SolverConvergenceError(
+                f"chiral kernel of {name} ({len(idx)} states): {exc}") from exc
+        p = min(max(0, (want - nf + 1) // 2), x.shape[1])
+        s, w, v, iterations = chiral_singular_triplets(x, frame, lu, p, scale)
+        h = np.sqrt(0.5)
+        evals = np.r_[np.zeros(nf), -s, s]
+        even = np.hstack([frame, w * h, w * h])
+        odd = np.hstack([np.zeros((x.shape[1], nf)), -v * h, v * h])
+        solves.append({"charge": charge, "path": "chiral-lu",
+                       "size": len(idx), "fixed": nf, "pairs": len(evals),
+                       "singular_values": p, "iterations": iterations,
+                       **info})
+        found.append(np.abs(evals))
+        return evals, u @ np.vstack([even, odd])
 
     def solve(charge, idx, block):
         l0 = bundle.l0_diag[idx]
@@ -249,8 +360,9 @@ def near_zero_eigensystem(bundle, want, norm_l):
         pairs = want if not charge else max(1, int(np.sum(l0 == 0)))
         while True:
             evals, vecs, iterations = block_shift_invert(factor, pairs, l0)
-            solves.append({"charge": charge, "size": len(idx),
-                           "pairs": len(evals), "iterations": iterations})
+            solves.append({"charge": charge, "path": "shift-invert",
+                           "size": len(idx), "pairs": len(evals),
+                           "iterations": iterations})
             if not charge or len(evals) == len(idx):
                 break
             # the sector's own pairs count twice: once more for their mirrors
@@ -262,7 +374,7 @@ def near_zero_eigensystem(bundle, want, norm_l):
         found.extend([np.abs(evals)] * (2 if charge else 1))
         return evals, vecs
 
-    eig = BlockedEigensystem.of(bundle, solve)
+    eig = BlockedEigensystem.of(bundle, solve, chiral)
     return eig, {"path": f"{eig.path}-shift-invert",
                  "real": eig.telemetry()["real"], "blocks": solves,
                  "mirrored": len({s["charge"] for s in solves
@@ -279,8 +391,14 @@ def solve_near_zero(bundle, k):
     fixed start vectors, so the result does not depend on any seed.
 
     The kernel is the pairs with |e| < CLUSTER_TOL * max(||L||, 1), and its
-    basis their columns as solved, which eigh, chiral_eigh and the block
-    solve's Rayleigh-Ritz step all return orthonormal.  Messages flag
+    basis their columns, orthonormal on every path.  On a real block that
+    the swap maps to itself (sector 0, or the gauged L(0)) they are the one
+    graph frame of liouville.chiral_kernel, one exact zero per fixed state,
+    whichever path solved it: chiral_eigh in the full eigensystem, or the
+    chiral LU of near_zero_eigensystem, so both report the same kernel
+    vectors.  Elsewhere (complex blocks, accidental zeros of other sectors)
+    they are the columns eigh or the block solve's Rayleigh-Ritz step
+    returns, fixed only up to a rotation of the kernel.  Messages flag
     residuals above RESIDUAL_FLAG * max(||L||, 1), pairs outside the kernel
     spaced below NEAR_DEGENERATE, a kernel filling every reported pair, and a
     kernel of real (gauged) L larger than the swap index, which bounds it

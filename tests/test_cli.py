@@ -181,6 +181,10 @@ MISTYPED_CASES = {
 }
 
 
+SPECTRUM_WITH_MEASURE = _edited(("physics", "mu"), {
+    "kind": "uniform_theta", "excess": 0.2, "n_theta": 3})
+
+
 PARITY_CASES = (
     [base_config()]
     + [_edited((name,), DELETE) for name in cli.SCHEMA["required"]]
@@ -216,7 +220,9 @@ PARITY_CASES = (
                {"preset": "power_law", "amplitude": 1, "exponent": 0.5,
                 "width": 2.0}),
        _edited(("physics", "observable"),
-               {"matrix": [[0, [1, 0.5]], [[1, -0.5], 0]]})])
+               {"matrix": [[0, [1, 0.5]], [[1, -0.5], 0]]}),
+       # valid, and refused by spectrum and virial, which read no measure
+       SPECTRUM_WITH_MEASURE])
 
 
 def test_validator_agrees_with_jsonschema():
@@ -500,6 +506,49 @@ def test_rte_between_largest_block_and_dim_matches_dense(tmp_path, capsys,
     assert texts[0] == texts[1]
 
 
+def kernel_rows(report):
+    """The diagnostics rows of a spectrum report's kernel, in report order,
+    each flattened to {key: number} with the panel entries as panel.<name>."""
+    return [{**{k: v for k, v in row.items() if k != "panel"},
+             **{f"panel.{k}": v for k, v in row["panel"].items()}}
+            for row in report["diagnostics"]
+            if abs(row["eigenvalue"]) < report["kernel_tol"]]
+
+
+@pytest.mark.parametrize("xi", [None, [{"excess": 0.2, "theta": 0.7}]],
+                         ids=["sector-0", "gauged-condensate"])
+def test_dense_and_block_paths_report_the_same_kernel_rows(tmp_path, capsys,
+                                                           monkeypatch, xi):
+    # dim 112: the dense factorisation, and the block path with the cutoff
+    # below the dimension, give the kernel the one LU frame of the chiral
+    # block (sector 0, or the gauged L(0)), so every kernel row agrees, not
+    # only the rotation-free traces
+    cfg = base_config()
+    cfg["grid"] = {"n_modes": 3, "omega_min": 0.35, "omega_max": 2.3,
+                   "spacing": "log"}
+    cfg["trunc"] = {"n_max": 2}
+    cfg["solver"] = {"k_eigs": 12}
+    if xi is not None:
+        cfg["physics"]["xi"] = xi
+    reports = []
+    for cutoff in (liouville.DENSE_CUTOFF, 10):
+        monkeypatch.setattr(liouville, "DENSE_CUTOFF", cutoff)
+        sub = tmp_path / str(cutoff)
+        sub.mkdir()
+        code, outdir, out = run_cli(sub, "spectrum", cfg, capsys)
+        assert code == cli.EXIT_OK, out.err
+        (run,) = json.loads((outdir / "spectrum.json").read_text())["runs"]
+        reports.append(run["report"])
+    dense, block = reports
+    assert dense["solver"]["path"] == "dense"
+    assert block["solver"]["blocks"][0]["path"] == "chiral-lu"
+    assert dense["kernel_dim"] == block["kernel_dim"] == 8
+    for want, got in zip(*map(kernel_rows, reports), strict=True):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=0, abs=1e-10), key
+
+
 def test_block_above_the_dense_cutoff_exits_4(tmp_path, capsys, monkeypatch):
     # dim 20, largest charge sector 6
     monkeypatch.setattr(liouville, "DENSE_CUTOFF", 5)
@@ -660,6 +709,17 @@ def test_rte_refuses_a_measure_beside_xi(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert out.err.startswith("validation error")
     assert "physics.mu" in out.err and "physics.xi" in out.err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "virial"])
+def test_spectrum_and_virial_refuse_a_measure(tmp_path, capsys, command):
+    # they run the physics.xi points; a measure without xi ran condensate-free
+    code, outdir, out = run_cli(tmp_path, command, SPECTRUM_WITH_MEASURE,
+                                capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err.startswith("validation error: physics.mu is read only by "
+                              "rte")
+    assert not (outdir / f"{command}.json").exists()
 
 
 @pytest.mark.parametrize("command, key, value, named", [
@@ -935,6 +995,11 @@ def sparse_config():
     return cfg
 
 
+# the solver entry of a chiral block beyond those of every block solve
+CHIRAL_KEYS = {"fixed", "singular_values", "kernel_residual",
+               "overlap_sigma_min"}
+
+
 def test_spectrum_above_dense_cutoff_ignores_seed(tmp_path, capsys):
     cfg = sparse_config()
     texts = []
@@ -951,12 +1016,16 @@ def test_spectrum_above_dense_cutoff_ignores_seed(tmp_path, capsys):
     # diagonal dot pairs times the vacuum and the 7 matched one-quantum pairs
     assert run["kernel_dim"] == run["report"]["kernel_index"] == 2 * (1 + 7)
     assert len(run["report"]["eigenvalues"]) == 20
-    # sectors 0..4 solved, -1..-4 mirrored; no wall times in the output
+    # sectors 0..4 solved, -1..-4 mirrored; sector 0 by its chiral LU, the
+    # rest by shift-invert; no wall times in the output
     blocks = run["report"]["solver"]["blocks"]
     assert sorted({b["charge"] for b in blocks}) == [0, 1, 2, 3, 4]
     assert run["report"]["solver"]["mirrored"] == 4
-    assert all(set(b) == {"charge", "size", "pairs", "iterations"}
-               for b in blocks)
+    keys = {"charge", "path", "size", "pairs", "iterations"}
+    assert set(blocks[0]) == keys | CHIRAL_KEYS
+    assert blocks[0]["path"] == "chiral-lu"
+    assert all(set(b) == keys and b["path"] == "shift-invert"
+               for b in blocks[1:])
 
 
 def test_sparse_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -964,6 +1033,27 @@ def test_sparse_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     code, _, out = run_cli(tmp_path, "spectrum", sparse_config(), capsys)
     assert code == cli.EXIT_SOLVER
     assert "solver failure" in out.err
+
+
+@pytest.mark.parametrize("xi, block", [
+    (None, "charge sector 0 (506 states)"),
+    ([{"excess": 0.2, "theta": 0.7}], "the gauged L(0) (2720 states)")])
+def test_singular_chiral_pair_block_exits_3(tmp_path, capsys, monkeypatch,
+                                            xi, block):
+    # the block path takes the chiral kernel from one LU of X_A^T; a
+    # singular X_A is a solver failure that names the block
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(liouville, "splu", singular)
+    cfg = sparse_config()
+    if xi is not None:
+        cfg["physics"]["xi"] = xi
+    code, _, out = run_cli(tmp_path, "spectrum", cfg, capsys)
+    assert code == cli.EXIT_SOLVER
+    assert out.err == (f"solver failure: chiral kernel of {block}: pair x "
+                       "pair part of the chiral coupling: Factor is exactly "
+                       "singular\n")
 
 
 def test_jobs_flag_parallel_spectrum(tmp_path, capsys):

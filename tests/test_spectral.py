@@ -8,7 +8,8 @@ import bosedot as bd
 from bosedot import spectral
 from bosedot.dot import gibbs_vector
 from bosedot.fock import SolverConvergenceError
-from bosedot.liouville import assemble_first, build_bundle
+from bosedot.liouville import (assemble_first, build_bundle, kernel_index,
+                               symmetry_blocks)
 
 
 def test_level_shift_gap_closed_form_d2():
@@ -207,6 +208,58 @@ def test_block_shift_invert_matches_dense(n_modes, n_max, lam, xi,
                for s in solver["blocks"])
     _assert_near_zero_pairs(b, evals, evecs,
                             ref[np.lexsort((ref, np.abs(ref)))[:want]])
+
+
+@pytest.mark.parametrize("xi", [None, 0.7], ids=["sector-0", "gauged"])
+def test_chiral_block_entry(gauss_ff, xi):
+    # sector 0, or the gauged L(0), is solved by its chiral LU: its kernel is
+    # one frame vector per fixed state, and its nonzero pairs are the
+    # ceil((want - |F|) / 2) smallest singular values of the coupling, +-s
+    b = _log_bundle(gauss_ff, 2, 4, 2, 0.1, xi)
+    norm_l = b.norm_L()
+    nf = kernel_index(b.dot_spec, b.trunc)
+    want = 15
+    eig, solver = spectral.near_zero_eigensystem(b, want, norm_l)
+    entry = solver["blocks"][0]
+    (at,) = [i for i, (idx, _, _) in enumerate(eig.blocks)
+             if xi is not None or b.q_diag[idx[0]] == 0]
+    idx, evals, vecs = eig.blocks[at]
+    assert entry["path"] == "chiral-lu"
+    assert entry["charge"] == (0 if xi is None else None)
+    assert entry["size"] == len(idx) == (b.dim if xi is not None
+                                         else np.sum(b.q_diag == 0))
+    assert entry["fixed"] == nf == 10
+    assert entry["singular_values"] == 3
+    assert entry["pairs"] == nf + 6
+    assert 1 <= entry["iterations"] <= spectral.MAX_BLOCK_ITERATIONS
+    assert 0 < entry["kernel_residual"] <= spectral.RESIDUAL_BOUND * norm_l
+    np.testing.assert_array_equal(evals[:nf], 0.0)
+    np.testing.assert_array_equal(evals[nf + 3:], -evals[nf:nf + 3])
+    fixed = b.swap[idx] == idx
+    assert entry["overlap_sigma_min"] == pytest.approx(np.linalg.svd(
+        vecs[fixed][:, :nf], compute_uv=False).min(), rel=1e-12)
+    full = eig.vectors(np.arange(eig.offsets[at], eig.offsets[at + 1]))
+    residuals = np.linalg.norm(b.L.matrix @ full - full * evals, axis=0)
+    assert residuals.max() <= spectral.RESIDUAL_BOUND * norm_l
+
+
+def test_doubling_starts_from_the_ritz_block_found_before(gauss_ff):
+    # sector 1 of a dim-660 bundle: the doublings 1, 2, 4 on one factor
+    # against a cold 4-pair solve on a fresh one
+    b = _log_bundle(gauss_ff, 2, 4, 3, 0.1)
+    norm_l = b.norm_L()
+    _, _, blocks = symmetry_blocks(b.L.matrix, b.q_diag, b.theta)
+    idx, block = next(blk for blk in blocks if b.q_diag[blk[0][0]] == 1)
+    l0 = b.l0_diag[idx]
+    factor = spectral.shift_invert_factor(block, norm_l)
+    warm = [spectral.block_shift_invert(factor, k, l0) for k in (1, 2, 4)]
+    cold = spectral.block_shift_invert(
+        spectral.shift_invert_factor(block, norm_l), 4, l0)
+    assert [w[2] for w in warm] == [2, 1, 1] and cold[2] == 3
+    np.testing.assert_allclose(warm[-1][0], cold[0], rtol=0,
+                               atol=1e-12 * norm_l)
+    np.testing.assert_allclose(warm[-1][1] @ warm[-1][1].T,
+                               cold[1] @ cold[1].T, rtol=0, atol=1e-10)
 
 
 def test_dense_and_block_paths_report_the_same_signed_pairs(gauss_ff):

@@ -17,10 +17,13 @@ from scipy import sparse
 import bosedot as bd
 from bosedot import dynamics, spectral
 from bosedot.dot import lower_raise
+from bosedot import liouville
+from bosedot.fock import SolverConvergenceError
 from bosedot.liouville import (BlockedEigensystem, antisymmetric_one_body,
                                assemble_conjugate, build_bundle, chiral_eigh,
-                               condensate_gauge, dilation_one_body,
-                               kernel_index, kms_vector, symmetry_blocks)
+                               chiral_kernel, chiral_split, condensate_gauge,
+                               dilation_one_body, kernel_index, kms_vector,
+                               symmetry_blocks)
 from test_liouville import swap_conjugation_permutation
 
 RHO_CRIT = bd.critical_density(1.0, bd.RELATIVISTIC)
@@ -258,6 +261,70 @@ def test_chiral_factorisation_refuses_a_broken_anticommutation():
     broken[j, i] *= 1.5
     with pytest.raises(ValueError, match="anticommute with the swap"):
         chiral_eigh(broken.tocsr(), swap)
+
+
+REAL_SPECS = {name: spec for name, spec in CASES.items()
+              if spec[6].imag == 0}
+
+
+@pytest.mark.parametrize("spec", list(REAL_SPECS.values()),
+                         ids=list(REAL_SPECS))
+def test_chiral_kernel_is_the_loewdin_graph_frame(spec):
+    # the kernel of x^T as the graph [I; -X_A^-T X_F^T] over the fixed
+    # states, orthonormalised by G (G^T G)^-1/2, formed here densely
+    b = make_bundle(*spec)
+    _, ((block, swap),) = self_mapped_blocks(b)
+    u, x = chiral_split(block, swap)
+    nf = x.shape[0] - x.shape[1]
+    assert nf == np.count_nonzero(swap == np.arange(len(swap)))
+    dense = x.toarray()
+    graph = np.vstack([np.eye(nf),
+                       -np.linalg.solve(dense[nf:].T, dense[:nf].T)])
+    ev, vec = np.linalg.eigh(graph.T @ graph)
+    loewdin = graph @ (vec / np.sqrt(ev)) @ vec.T
+    frame, _, info = chiral_kernel(x, 1.0)
+    np.testing.assert_allclose(frame, loewdin, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(frame.T @ frame, np.eye(nf), rtol=0,
+                               atol=1e-14)
+    assert info["kernel_residual"] == pytest.approx(
+        np.max(np.linalg.norm(dense.T @ frame, axis=0)), rel=0, abs=1e-15)
+    assert info["overlap_sigma_min"] == pytest.approx(
+        np.linalg.svd(frame[:nf], compute_uv=False).min(), rel=1e-12)
+    # and chiral_eigh's exact zeros are that frame, on the even states
+    e, v = chiral_eigh(block, swap)
+    zero = np.flatnonzero(e == 0)
+    assert len(zero) == nf
+    np.testing.assert_array_equal(
+        v[:, zero], u @ np.vstack([frame, np.zeros((x.shape[1], nf))]))
+
+
+def test_singular_pair_block_keeps_the_svd_kernel(monkeypatch):
+    # at lambda = 0 a linear grid puts L0 zeros on pair states, so X_A is
+    # singular: chiral_kernel refuses, and chiral_eigh keeps its SVD columns
+    b = make_bundle(2, "linear", 3, 4, 0.0, None, 1.0)
+    _, ((block, swap),) = self_mapped_blocks(b)
+    _, x = chiral_split(block, swap)
+    with pytest.raises(SolverConvergenceError, match="pair x pair part"):
+        chiral_kernel(x, 1.0)
+    e, v = chiral_eigh(block, swap)
+    evals = sla.eigh(block.toarray(), eigvals_only=True)
+    np.testing.assert_allclose(e, evals, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.T @ v, np.eye(len(e)), rtol=0, atol=1e-12)
+    assert np.linalg.norm(block @ v - v * e, axis=0).max() < 1e-12
+    # a frame above the residual bound is refused the same way
+    b = make_bundle(2, "log", 3, 2, 0.1, None, 1.0)
+    _, ((block, swap),) = self_mapped_blocks(b)
+    want = chiral_eigh(block, swap)
+    monkeypatch.setattr(liouville, "RESIDUAL_BOUND", 0.0)
+    with pytest.raises(SolverConvergenceError, match="frame residual"):
+        chiral_kernel(chiral_split(block, swap)[1], 1.0)
+    e, v = chiral_eigh(block, swap)
+    np.testing.assert_array_equal(e, want[0])
+    zero = e == 0
+    assert np.linalg.norm(v[:, zero] - want[1][:, zero]) > 1e-3
+    np.testing.assert_allclose(v[:, zero] @ v[:, zero].T,
+                               want[1][:, zero] @ want[1][:, zero].T,
+                               rtol=0, atol=1e-12)
 
 
 def test_equilibrium_vector_is_the_kms_kernel_vector(case):
