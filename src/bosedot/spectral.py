@@ -147,17 +147,42 @@ def _start_block(l0_diag, width, dtype):
     return block
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShiftInvertFactor:
-    """The state of block_shift_invert on one matrix: mat, the sparse LU of
-    mat - shift, the scale max(||L||, 1) of the shift and the residual
-    bound, and ritz, the block the last call ended with (its pairs, then its
-    guard Ritz vectors), from which the next call starts."""
+    """What block_iteration iterates with on one matrix: mat, inverse,
+    whose solve(v) applies (mat - shift)^-1 to a block of columns (the
+    sparse LU of mat - shift, or a ChiralInverse), and the scale
+    max(||L||, 1) of the shift and the residual bound."""
 
     mat: sparse.csr_matrix
-    lu: object
+    inverse: object
     scale: float
-    ritz: np.ndarray = None
+
+
+class ChiralInverse:
+    """The pseudo-inverse B+ of a chiral block B = u [[0, X], [X^T, 0]] u^T
+    (liouville.chiral_split), for block_iteration at shift 0, from the
+    kernel frame and the LU of X_A^T that liouville.chiral_kernel made.
+
+    B+ maps the even and odd parts (a, b) of u^T v to (X+^T b, X+ a), and
+    the kernel to zero.  With a' = a less its kernel part, which is in the
+    range of X, X+ a = X_A^-1 a'_A; X+^T b is [0; X_A^-T b] less its kernel
+    part, the least-norm solution of X^T y = b.  The pairs +-s have inverses
+    +-1/s of one modulus.
+    """
+
+    def __init__(self, u, frame, lu):
+        self.u, self.frame, self.lu = u, frame, lu
+
+    def solve(self, v):
+        w = self.u.T @ v
+        nf, even = self.frame.shape[1], self.frame.shape[0]
+        a = _project_out(w[:even], self.frame)
+        y = np.zeros((even, w.shape[1]))
+        y[nf:] = self.lu.solve(np.ascontiguousarray(w[even:]))
+        return self.u @ np.vstack([
+            _project_out(y, self.frame),
+            self.lu.solve(np.ascontiguousarray(a[nf:]), trans="T")])
 
 
 def shift_invert_factor(mat, norm_l):
@@ -179,37 +204,49 @@ def shift_invert_factor(mat, norm_l):
 
 def block_shift_invert(factor, k, l0_diag):
     """The max(k, #zeros of l0_diag) eigenpairs of Hermitian mat nearest zero,
-    for factor = shift_invert_factor(mat, norm_l).
+    for factor = shift_invert_factor(mat, norm_l): block_iteration from its
+    fixed start block.  Returns (eigenvalues by increasing |e|,
+    eigenvectors, iterations)."""
+    want = min(max(k, int(np.sum(l0_diag == 0))), len(l0_diag))
+    return block_iteration(factor, want, l0_diag)[:3]
 
-    The one LU of the factor serves every iteration.  Each iteration
-    applies the inverse KRYLOV_DEPTH times to the active block, takes the
-    Ritz pairs of the inverse with the largest |mu| (e = shift + 1/mu), and
-    locks the leading pairs whose residual is below a tenth of the bound; the
-    wanted span is then Rayleigh-Ritz refined with mat itself, which removes
-    the error the locked vectors pass on to the rest.  Stops once every
+
+def block_iteration(factor, want, l0_diag, start=None):
+    """The want eigenpairs of Hermitian mat whose inverses under the factor
+    have the largest modulus (nearest the shift), and the Ritz block the
+    iteration ended with.
+
+    The one inverse of the factor serves every iteration.  Each iteration
+    applies it KRYLOV_DEPTH times to the active block, takes the Ritz pairs
+    of the inverse with the largest |mu| (e = shift + 1/mu), and locks the
+    leading pairs whose residual is below a tenth of the bound; the wanted
+    span is then Rayleigh-Ritz refined with mat itself, which removes the
+    error the locked vectors pass on to the rest.  Stops once every
     reported residual is below RESIDUAL_BOUND * ||L||.  The start block is
-    fixed by l0_diag, so the result depends on no seed; after an earlier
-    call on the same factor, its Ritz block (factor.ritz) leads the start
-    block in place of as many indicator columns, so a sector's doubled
-    pair count starts from the pairs and guard vectors found before.
-    Returns (eigenvalues by increasing |e|, eigenvectors, iterations).
+    _start_block of l0_diag, so the result depends on no seed; start, the
+    Ritz block of an earlier call on the same factor, leads it in place of
+    as many indicator columns.  Returns (eigenvalues by increasing |e|,
+    eigenvectors, iterations, Ritz block): the Ritz block is the reported
+    pairs, then the guard Ritz vectors, the start of a later call that asks
+    for more pairs.
     """
-    mat, lu = factor.mat, factor.lu
+    mat, inverse = factor.mat, factor.inverse
     n = mat.shape[0]
+    if want == 0:
+        none = np.zeros((n, 0), dtype=mat.dtype)
+        return np.zeros(0), none, 0, none
     bound = RESIDUAL_BOUND * factor.scale
-    want = min(max(k, int(np.sum(l0_diag == 0))), n)
     width = min(want + BLOCK_GUARDS, n - 1)
     block = _start_block(l0_diag, width, mat.dtype)
-    if factor.ritz is not None:
-        block = np.hstack([factor.ritz,
-                           block[:, factor.ritz.shape[1]:]])[:, :width + 1]
+    if start is not None:
+        block = np.hstack([start, block[:, start.shape[1]:]])[:, :width + 1]
     locked = np.zeros((n, 0), dtype=mat.dtype)
     for iteration in range(1, MAX_BLOCK_ITERATIONS + 1):
         basis, images = [], []
         v = _orthonormalize(block, locked)
         for depth in range(KRYLOV_DEPTH):
             basis.append(v)
-            images.append(lu.solve(v))
+            images.append(inverse.solve(v))
             if depth + 1 < KRYLOV_DEPTH:
                 v = _orthonormalize(images[-1], np.hstack([locked] + basis))
         b = np.hstack(basis)
@@ -232,8 +269,8 @@ def block_shift_invert(factor, k, l0_diag):
         if np.all(residuals <= bound):
             order = np.argsort(np.abs(evals), kind="stable")
             vecs = (span @ c)[:, order]
-            factor.ritz = np.hstack([vecs, ritz[:, active:]])
-            return evals[order], vecs, iteration
+            return (evals[order], vecs, iteration,
+                    np.hstack([vecs, ritz[:, active:]]))
 
         # lock the leading pairs that are well inside the bound
         fresh = image[:, locked.shape[1]:]
@@ -247,119 +284,65 @@ def block_shift_invert(factor, k, l0_diag):
         f"{MAX_BLOCK_ITERATIONS} iterations")
 
 
-def chiral_singular_triplets(x, frame, lu, p, scale):
-    """The p smallest singular triplets (s, w, v) of the chiral coupling x =
-    [X_F; X_A] of chiral_split, X v = s w and X^T w = s v, for (frame, lu)
-    = chiral_kernel(x, scale).
-
-    X has full column rank, and the triplets are the largest of its
-    pseudo-inverse: a block iteration on X+ X+^T with the one LU.
-    X+^T v is [0; X_A^-T v] with the kernel frame projected out (the
-    least-norm solution of X^T y = v), and X+ of a vector y in the range of
-    X is X_A^-1 y_A.  Each iteration applies X+ X+^T KRYLOV_DEPTH times to the
-    block, each image scaled to unit columns so that the pivoted QR ranks
-    them by their relative remainder, and Rayleigh-Ritz refines the span
-    with X itself, by one SVD of X Q.  The left vectors are then X+^T v
-    normalised, not X v / s: that keeps the rounding of v along the large
-    singular directions, amplified by s_j^2 / s in X^T X v / s, out of the
-    residual.  Stops once every pair +-s_k has a residual of the block at
-    most RESIDUAL_BOUND * scale.  The start block is _start_block of the
-    diagonal of X_A (L0 on the pair states), so no seed enters.  Returns
-    (s ascending, w, v, iterations).
-    """
-    m = x.shape[1]
-    nf = x.shape[0] - m
-    if p == 0:
-        return np.zeros(0), np.zeros((nf + m, 0)), np.zeros((m, 0)), 0
-    bound = RESIDUAL_BOUND * scale
-    width = min(p + BLOCK_GUARDS, m - 1)
-    block = _start_block(x[nf:].diagonal(), width, float)
-    none = np.zeros((m, 0))
-
-    def pinv_t(v):      # X+^T v
-        return _project_out(np.vstack([np.zeros((nf, v.shape[1])),
-                                       lu.solve(v)]), frame)
-
-    for iteration in range(1, MAX_BLOCK_ITERATIONS + 1):
-        basis = [_orthonormalize(block, none)]
-        for _ in range(KRYLOV_DEPTH - 1):
-            image = lu.solve(np.ascontiguousarray(pinv_t(basis[-1])[nf:]),
-                             trans="T")
-            basis.append(_orthonormalize(
-                image / np.linalg.norm(image, axis=0), np.hstack(basis)))
-        q = np.hstack(basis)
-        _, s, vt = sla.svd(x @ q, full_matrices=False)
-        if len(s) < p:
-            raise SolverConvergenceError(
-                f"start block reaches {len(s)} of {p} singular values")
-        s, v = s[::-1][:p], q @ vt[::-1][:p].T
-        w = pinv_t(v)
-        w /= np.linalg.norm(w, axis=0)
-        residuals = np.hypot(np.linalg.norm(x @ v - w * s, axis=0),
-                             np.linalg.norm(x.T @ w - v * s, axis=0))
-        if np.all(residuals * np.sqrt(0.5) <= bound):
-            return s, w, v, iteration
-        block = q @ vt[::-1][:width + 1].T
-    raise SolverConvergenceError(
-        f"chiral singular triplets: residuals above {bound:.3g} after "
-        f"{MAX_BLOCK_ITERATIONS} iterations")
-
-
 def near_zero_eigensystem(bundle, want, norm_l):
     """The BlockedEigensystem of the pairs of L nearest zero, one symmetry
-    block at a time, one sparse LU per block.
+    block at a time, by block_iteration on each block's own (real where the
+    gauged entries are) matrix, one sparse LU per block.
 
     A real block that the swap maps to itself (sector 0, or the gauged L(0)
     of a condensate) is chiral (liouville.chiral_split): its kernel is
-    chiral_kernel's graph frame, one exact zero per fixed state, and its
-    nonzero pairs +-s come from the ceil((want - |F|) / 2) smallest singular
-    triplets of its coupling (chiral_singular_triplets), on the same LU.  A
-    singular X_A, or a frame above the residual bound, raises
-    SolverConvergenceError naming the block.  Every other block goes
-    through block_shift_invert on its own (real where the gauged entries
-    are) matrix: it starts at max(1, its own L0 zeros) pairs (all want pairs
-    for a complex gauged L(0)) and, in a sector Q != 0, doubles that number
-    while its farthest pair found is nearer zero than the want-th smallest
-    |e| found so far (its mirror and the earlier sectors' included), until
-    the sector is exhausted; each doubling starts from the Ritz block found
-    before it, on the same LU.  Returns the eigensystem and the solver
+    chiral_kernel's graph frame, one exact zero per fixed state, and the
+    rest of its want pairs, rounded up to whole pairs +-s, come from the
+    iteration on its pseudo-inverse (ChiralInverse), which uses the LU of
+    X_A^T that made the frame and maps the frame to zero.  Where
+    chiral_kernel refuses the frame (a singular X_A, or a frame above the
+    residual bound) the block is solved like a complex gauged L(0), by
+    shift-invert on its own LU for all want pairs, as chiral_eigh keeps its
+    SVD columns there.  A sector Q != 0 starts at max(1, its own L0 zeros)
+    pairs and doubles that number while its farthest pair found is nearer
+    zero than the want-th smallest |e| found so far (its mirror and the
+    earlier sectors' included), until the sector is exhausted; each
+    doubling starts from the Ritz block the one before it ended with, on
+    the same LU.  Returns the eigensystem and the solver
     entry: the path, per block solve its charge, path, size, pairs and
-    iterations (and for a chiral block its fixed states, singular values,
-    kernel residual and the smallest singular value of the frame's fixed
-    rows), and the number of mirrored sectors.
+    iterations (for a chiral block also its fixed states, kernel residual
+    and the smallest singular value of the frame's fixed rows, and for a
+    refused frame the reason), and the number of mirrored sectors.
     """
     found, solves = [], []      # |e| of every pair so far, mirrors included
-    scale = max(norm_l, 1.0)
 
     def chiral(charge, idx, block, swap):
         u, x = chiral_split(block, swap)
-        nf = x.shape[0] - x.shape[1]
         try:
-            frame, lu, info = chiral_kernel(x, scale)
+            frame, lu, info = chiral_kernel(x, max(norm_l, 1.0))
         except SolverConvergenceError as exc:
-            name = ("the gauged L(0)" if charge is None
-                    else f"charge sector {charge}")
-            raise SolverConvergenceError(
-                f"chiral kernel of {name} ({len(idx)} states): {exc}") from exc
-        p = min(max(0, (want - nf + 1) // 2), x.shape[1])
-        s, w, v, iterations = chiral_singular_triplets(x, frame, lu, p, scale)
-        h = np.sqrt(0.5)
-        evals = np.r_[np.zeros(nf), -s, s]
-        even = np.hstack([frame, w * h, w * h])
-        odd = np.hstack([np.zeros((x.shape[1], nf)), -v * h, v * h])
+            evals, vecs = solve(charge, idx, block)
+            solves[-1]["frame_refused"] = str(exc)
+            return evals, vecs
+        nf = frame.shape[1]
+        kernel = u[:, :x.shape[0]] @ frame
+        # the nonzero pairs, whole: +-s have inverses of one modulus
+        nonzero = max(want, int(np.sum(bundle.l0_diag[idx] == 0))) - nf
+        evals, vecs, iterations, _ = block_iteration(
+            ShiftInvertFactor(block, ChiralInverse(u, frame, lu),
+                              max(norm_l, 1.0)),
+            min(nonzero + nonzero % 2, 2 * x.shape[1]), bundle.l0_diag[idx])
+        evals = np.r_[np.zeros(nf), evals]
         solves.append({"charge": charge, "path": "chiral-lu",
                        "size": len(idx), "fixed": nf, "pairs": len(evals),
-                       "singular_values": p, "iterations": iterations,
-                       **info})
+                       "iterations": iterations, **info})
         found.append(np.abs(evals))
-        return evals, u @ np.vstack([even, odd])
+        return evals, np.hstack([kernel, vecs])
 
     def solve(charge, idx, block):
         l0 = bundle.l0_diag[idx]
         factor = shift_invert_factor(block, norm_l)
         pairs = want if not charge else max(1, int(np.sum(l0 == 0)))
+        ritz = None
         while True:
-            evals, vecs, iterations = block_shift_invert(factor, pairs, l0)
+            # pairs is never below the block's own L0 zeros
+            evals, vecs, iterations, ritz = block_iteration(
+                factor, min(pairs, len(idx)), l0, start=ritz)
             solves.append({"charge": charge, "path": "shift-invert",
                            "size": len(idx), "pairs": len(evals),
                            "iterations": iterations})
@@ -396,8 +379,9 @@ def solve_near_zero(bundle, k):
     graph frame of liouville.chiral_kernel, one exact zero per fixed state,
     whichever path solved it: chiral_eigh in the full eigensystem, or the
     chiral LU of near_zero_eigensystem, so both report the same kernel
-    vectors.  Elsewhere (complex blocks, accidental zeros of other sectors)
-    they are the columns eigh or the block solve's Rayleigh-Ritz step
+    vectors.  Elsewhere (complex blocks, accidental zeros of other sectors,
+    and a chiral block whose frame chiral_kernel refuses) they are the
+    columns eigh, the chiral SVD or the block solve's Rayleigh-Ritz step
     returns, fixed only up to a rotation of the kernel.  Messages flag
     residuals above RESIDUAL_FLAG * max(||L||, 1), pairs outside the kernel
     spaced below NEAR_DEGENERATE, a kernel filling every reported pair, and a

@@ -996,8 +996,7 @@ def sparse_config():
 
 
 # the solver entry of a chiral block beyond those of every block solve
-CHIRAL_KEYS = {"fixed", "singular_values", "kernel_residual",
-               "overlap_sigma_min"}
+CHIRAL_KEYS = {"fixed", "kernel_residual", "overlap_sigma_min"}
 
 
 def test_spectrum_above_dense_cutoff_ignores_seed(tmp_path, capsys):
@@ -1035,25 +1034,73 @@ def test_sparse_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "solver failure" in out.err
 
 
-@pytest.mark.parametrize("xi, block", [
-    (None, "charge sector 0 (506 states)"),
-    ([{"excess": 0.2, "theta": 0.7}], "the gauged L(0) (2720 states)")])
-def test_singular_chiral_pair_block_exits_3(tmp_path, capsys, monkeypatch,
-                                            xi, block):
-    # the block path takes the chiral kernel from one LU of X_A^T; a
-    # singular X_A is a solver failure that names the block
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(liouville, "splu", singular)
+@pytest.mark.parametrize("xi", [None, [{"excess": 0.2, "theta": 0.7}]],
+                         ids=["sector-0", "gauged-condensate"])
+def test_singular_chiral_pair_block_falls_back_to_shift_invert(
+        tmp_path, capsys, monkeypatch, xi):
+    # the block path takes the chiral kernel from one LU of X_A^T; where
+    # that LU is singular, the block is solved by shift-invert on its own LU
+    # (spectral's splu), and the pairs and the kernel dimension stay
     cfg = sparse_config()
     if xi is not None:
         cfg["physics"]["xi"] = xi
-    code, _, out = run_cli(tmp_path, "spectrum", cfg, capsys)
-    assert code == cli.EXIT_SOLVER
-    assert out.err == (f"solver failure: chiral kernel of {block}: pair x "
-                       "pair part of the chiral coupling: Factor is exactly "
-                       "singular\n")
+    reports = []
+    for patched in (False, True):
+        if patched:
+            def singular(*args, **kwargs):
+                raise RuntimeError("Factor is exactly singular")
+
+            monkeypatch.setattr(liouville, "splu", singular)
+        sub = tmp_path / str(patched)
+        sub.mkdir()
+        code, outdir, out = run_cli(sub, "spectrum", cfg, capsys)
+        assert code == cli.EXIT_OK, out.err
+        (run,) = json.loads((outdir / "spectrum.json").read_text())["runs"]
+        reports.append(run["report"])
+    frame, refused = (r["solver"]["blocks"][0] for r in reports)
+    assert frame["path"] == "chiral-lu" and "frame_refused" not in frame
+    assert refused["path"] == "shift-invert"
+    assert refused["frame_refused"] == ("pair x pair part of the chiral "
+                                        "coupling: Factor is exactly singular")
+    assert reports[0]["kernel_dim"] == reports[1]["kernel_dim"] > 0
+    # a pair +-e may come in either order: its |e| differ by rounding
+    want, got = (sorted(row["eigenvalue"] for row in r["diagnostics"])
+                 for r in reports)
+    assert got == pytest.approx(want, rel=0,
+                                abs=1e-12 * reports[0]["norm_L"])
+
+
+def test_linear_grid_at_lambda_0_solves_on_both_paths(tmp_path, capsys,
+                                                      monkeypatch):
+    # the default spacing and lambda: from n_max 4 a linear grid puts L0
+    # zeros on pair states (omega_1 + omega_3 = 2 omega_2), and at lambda 0
+    # nothing couples them, so X_A is singular (dim 840).  The dense path
+    # keeps chiral_eigh's SVD columns, the block path solves the block by
+    # shift-invert; both run and find the same kernel
+    cfg = base_config()
+    cfg["grid"] = {"n_modes": 3, "omega_max": 2.2, "spacing": "linear"}
+    cfg["trunc"] = {"n_max": 4}
+    cfg["physics"] = {"lambda": [0.0]}
+    cfg["solver"] = {"k_eigs": 12}
+    reports = []
+    for cutoff in (liouville.DENSE_CUTOFF, 10):
+        monkeypatch.setattr(liouville, "DENSE_CUTOFF", cutoff)
+        sub = tmp_path / str(cutoff)
+        sub.mkdir()
+        code, outdir, out = run_cli(sub, "spectrum", cfg, capsys)
+        assert code == cli.EXIT_OK, out.err
+        (run,) = json.loads((outdir / "spectrum.json").read_text())["runs"]
+        reports.append(run["report"])
+    dense, block = reports
+    assert dense["solver"]["path"] == "dense"
+    entry = block["solver"]["blocks"][0]
+    assert entry["path"] == "shift-invert"
+    assert entry["frame_refused"].startswith("pair x pair part of the "
+                                             "chiral coupling")
+    assert dense["kernel_dim"] == block["kernel_dim"] > 0
+    want, got = ([row["eigenvalue"] for row in r["diagnostics"]]
+                 for r in reports)
+    assert sorted(got) == pytest.approx(sorted(want), rel=0, abs=1e-12)
 
 
 def test_jobs_flag_parallel_spectrum(tmp_path, capsys):
