@@ -39,13 +39,12 @@ spectral's shift-invert for the pairs nearest zero.  A real block that the
 swap maps to itself (sector 0, or the gauged L(0)) gets its own solver on
 both paths: there P B P = -B puts B in chiral form [[0, X], [X^T, 0]]
 between its P-even and P-odd states (chiral_split), with X = [X_F; X_A]
-split by rows into the fixed states and the pairs.  Its kernel comes from
-one sparse LU of X_A^T, the graph frame [I; -X_A^-T X_F^T] over the fixed
-states, Loewdin-orthonormalised (chiral_kernel); the cached factorisation
-takes every nonzero pair from one SVD of X (chiral_eigh), and the
-near-zero solve the pairs nearest zero from the same LU.  So the dense and
-the near-zero path report the same kernel vectors, and no eigh of the whole
-space runs.  Bundles that differ only in theta are gauges of one another,
+split by rows into the fixed states and the pairs.  The cached
+factorisation takes every pair from one SVD of X (chiral_eigh), so no eigh
+of the whole space runs; the near-zero solve takes the kernel from one
+sparse LU of X_A^T (chiral_kernel) and the pairs nearest zero from the same
+LU.  Which kernel basis gets reported is decided by spectral.solve_near_zero
+alone.  Bundles that differ only in theta are gauges of one another,
 so the commands build one bundle per lambda and density r and read every
 theta of the sweep from it (cli._map_bundles).
 """
@@ -70,7 +69,7 @@ DENSE_CUTOFF = 2000
 # eigenvalues within CLUSTER_TOL * max(||L||, 1) of each other are one
 # cluster, and those within it of zero the kernel
 CLUSTER_TOL = 1e-9
-# a near-zero eigenvector, or a chiral kernel frame, is accepted once its
+# a near-zero eigenvector, or a chiral kernel basis, is accepted once its
 # residual is below this * max(||L||, 1)
 RESIDUAL_BOUND = 1e-12
 
@@ -411,19 +410,16 @@ def chiral_split(block, swap):
 
 
 def chiral_kernel(x, scale):
-    """(frame, lu, info): the kernel of x^T from one sparse LU, for the x of
+    """(basis, lu, info): the kernel of x^T from one sparse LU, for the x of
     chiral_split, and the factor that made it.
 
     lu factors the square pair x pair part X_A^T (minimum-degree ordering
     on A + A^T).  When X_A is nonsingular the kernel is exactly one vector
-    per fixed state, the graph frame G = [I; -X_A^-T X_F^T], and frame is
-    its Loewdin orthonormalisation G (G^T G)^-1/2, formed as the polar
-    factor Q U of a thin QR G = Q R with R = U H, so that its columns are
-    orthonormal to rounding.  info holds kernel_residual, the largest
-    ||x^T k|| over its columns k (= ||B k|| for the even vector k), and
-    overlap_sigma_min, the smallest singular value of the frame's fixed
-    rows (G^T G)^-1/2.  A singular X_A, or a kernel_residual above
-    RESIDUAL_BOUND * scale, raises SolverConvergenceError.
+    per fixed state, the graph G = [I; -X_A^-T X_F^T], and basis is the Q
+    of its thin QR, orthonormal to rounding.  info holds kernel_residual,
+    the largest ||x^T k|| over its columns k (= ||B k|| for the even vector
+    k).  A singular X_A, or a kernel_residual above RESIDUAL_BOUND * scale,
+    raises SolverConvergenceError.
     """
     m = x.shape[1]
     nf = x.shape[0] - m
@@ -432,17 +428,14 @@ def chiral_kernel(x, scale):
     except RuntimeError as exc:
         raise SolverConvergenceError(
             f"pair x pair part of the chiral coupling: {exc}") from exc
-    graph = np.vstack([np.eye(nf), -lu.solve(x[:nf].T.toarray())])
-    q, r = np.linalg.qr(graph)
-    w, sigma, vt = svd(r)
-    frame = q @ (w @ vt)
-    residual = float(np.max(np.linalg.norm(x.T @ frame, axis=0), initial=0))
+    basis = np.linalg.qr(np.vstack([np.eye(nf),
+                                    -lu.solve(x[:nf].T.toarray())]))[0]
+    residual = float(np.max(np.linalg.norm(x.T @ basis, axis=0), initial=0))
     if residual > RESIDUAL_BOUND * scale:
         raise SolverConvergenceError(
             f"kernel frame residual {residual:.3g} above "
             f"{RESIDUAL_BOUND * scale:.3g}")
-    return frame, lu, {"kernel_residual": residual,
-                       "overlap_sigma_min": float(1 / sigma[0])}
+    return basis, lu, {"kernel_residual": residual}
 
 
 def chiral_eigh(block, swap):
@@ -452,19 +445,12 @@ def chiral_eigh(block, swap):
     B couples only even to odd states through x.  One full SVD x = W S V^T
     gives the pairs +-s_k with vectors (W_k (+) +-V_k)/sqrt2 and an exact 0
     for each of the trailing columns of W: the odd states are never more
-    than the even ones, so those number the fixed states.  Their vectors
-    are chiral_kernel's frame, the one the near-zero solve reports, and the
-    trailing columns of W only where X_A is singular or the frame misses
-    RESIDUAL_BOUND * max(||B||, 1).
+    than the even ones, so those number the fixed states.
     """
-    u, x_sparse = chiral_split(block, swap)
-    x = x_sparse.toarray()
+    u, x = chiral_split(block, swap)
+    x = x.toarray()
     nf, m = x.shape[0] - x.shape[1], x.shape[1]
     w, s, vt = svd(x)
-    try:
-        w[:, m:] = chiral_kernel(x_sparse, max(np.max(s, initial=0), 1.0))[0]
-    except SolverConvergenceError:
-        pass
     v = vt.T
     h = np.sqrt(0.5)
     evals = np.r_[-s, np.zeros(nf), s[::-1]]

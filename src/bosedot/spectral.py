@@ -30,7 +30,7 @@ class SpectralReport:
     kernel_tol: float
     kernel_dim: int
     kernel_index: int            # swap index, liouville.kernel_index
-    kernel_basis: np.ndarray     # orthonormal columns; chiral blocks' frame
+    kernel_basis: np.ndarray     # orthonormal columns, solve_near_zero's frame
     norm_L: float
     solver: dict = dfield(default_factory=dict)   # path and block telemetry
     messages: tuple = ()
@@ -115,16 +115,18 @@ def _project_out(w, basis):
 def _orthonormalize(w, basis):
     """Orthonormal columns spanning w with its part in span(basis) removed.
 
-    Two projection passes before and after a pivoted QR.  Only a column whose
-    remainder is below 1e-13 times its own norm is dropped: the small but real
-    remainders of nearly converged vectors are their corrections.  The second
-    projection repairs the orthogonality the QR of small remainders loses; the
-    columns are then orthonormal to a few parts in 1e3 at worst, and a
-    Cholesky QR restores them.
+    Two projection passes before and after a pivoted QR of the columns
+    scaled to unit norm, so the pivots come in the order of the test: only a
+    column whose remainder is below 1e-13 times its own norm is dropped.
+    The small but real remainders of nearly converged vectors are their
+    corrections.  The second projection repairs the orthogonality the QR of
+    small remainders loses; the columns are then orthonormal to a few parts
+    in 1e3 at worst, and a Cholesky QR restores them.
     """
     norms = np.linalg.norm(w, axis=0)
-    q, r, piv = sla.qr(_project_out(w, basis), mode="economic", pivoting=True)
-    keep = np.abs(np.diag(r)) > 1e-13 * norms[piv]
+    q, r, _ = sla.qr(_project_out(w / np.where(norms > 0, norms, 1), basis),
+                     mode="economic", pivoting=True)
+    keep = np.abs(np.diag(r)) > 1e-13
     q = _project_out(q[:, :int(np.cumprod(keep).sum())], basis)
     r = sla.cholesky(q.conj().T @ q)
     return sla.solve_triangular(r, q.T, trans="T").T
@@ -162,7 +164,7 @@ class ShiftInvertFactor:
 class ChiralInverse:
     """The pseudo-inverse B+ of a chiral block B = u [[0, X], [X^T, 0]] u^T
     (liouville.chiral_split), for block_iteration at shift 0, from the
-    kernel frame and the LU of X_A^T that liouville.chiral_kernel made.
+    kernel basis and the LU of X_A^T that liouville.chiral_kernel made.
 
     B+ maps the even and odd parts (a, b) of u^T v to (X+^T b, X+ a), and
     the kernel to zero.  With a' = a less its kernel part, which is in the
@@ -171,17 +173,17 @@ class ChiralInverse:
     +-1/s of one modulus.
     """
 
-    def __init__(self, u, frame, lu):
-        self.u, self.frame, self.lu = u, frame, lu
+    def __init__(self, u, kernel, lu):
+        self.u, self.kernel, self.lu = u, kernel, lu
 
     def solve(self, v):
         w = self.u.T @ v
-        nf, even = self.frame.shape[1], self.frame.shape[0]
-        a = _project_out(w[:even], self.frame)
+        even, nf = self.kernel.shape
+        a = _project_out(w[:even], self.kernel)
         y = np.zeros((even, w.shape[1]))
         y[nf:] = self.lu.solve(np.ascontiguousarray(w[even:]))
         return self.u @ np.vstack([
-            _project_out(y, self.frame),
+            _project_out(y, self.kernel),
             self.lu.solve(np.ascontiguousarray(a[nf:]), trans="T")])
 
 
@@ -200,15 +202,6 @@ def shift_invert_factor(mat, norm_l):
         raise SolverConvergenceError(
             f"shift-invert factorisation: {exc}") from exc
     return ShiftInvertFactor(mat, lu, scale)
-
-
-def block_shift_invert(factor, k, l0_diag):
-    """The max(k, #zeros of l0_diag) eigenpairs of Hermitian mat nearest zero,
-    for factor = shift_invert_factor(mat, norm_l): block_iteration from its
-    fixed start block.  Returns (eigenvalues by increasing |e|,
-    eigenvectors, iterations)."""
-    want = min(max(k, int(np.sum(l0_diag == 0))), len(l0_diag))
-    return block_iteration(factor, want, l0_diag)[:3]
 
 
 def block_iteration(factor, want, l0_diag, start=None):
@@ -291,40 +284,38 @@ def near_zero_eigensystem(bundle, want, norm_l):
 
     A real block that the swap maps to itself (sector 0, or the gauged L(0)
     of a condensate) is chiral (liouville.chiral_split): its kernel is
-    chiral_kernel's graph frame, one exact zero per fixed state, and the
-    rest of its want pairs, rounded up to whole pairs +-s, come from the
-    iteration on its pseudo-inverse (ChiralInverse), which uses the LU of
-    X_A^T that made the frame and maps the frame to zero.  Where
-    chiral_kernel refuses the frame (a singular X_A, or a frame above the
-    residual bound) the block is solved like a complex gauged L(0), by
-    shift-invert on its own LU for all want pairs, as chiral_eigh keeps its
-    SVD columns there.  A sector Q != 0 starts at max(1, its own L0 zeros)
+    chiral_kernel's, one exact zero per fixed state, and the rest of its
+    want pairs, rounded up to whole pairs +-s, come from the iteration on
+    its pseudo-inverse (ChiralInverse), which uses the LU of X_A^T that made
+    the kernel and maps the kernel to zero.  Where chiral_kernel refuses (a
+    singular X_A, or a kernel above the residual bound) the block is solved
+    like a complex gauged L(0), by shift-invert on its own LU for all want
+    pairs.  A sector Q != 0 starts at max(1, its own L0 zeros)
     pairs and doubles that number while its farthest pair found is nearer
     zero than the want-th smallest |e| found so far (its mirror and the
     earlier sectors' included), until the sector is exhausted; each
     doubling starts from the Ritz block the one before it ended with, on
     the same LU.  Returns the eigensystem and the solver
     entry: the path, per block solve its charge, path, size, pairs and
-    iterations (for a chiral block also its fixed states, kernel residual
-    and the smallest singular value of the frame's fixed rows, and for a
-    refused frame the reason), and the number of mirrored sectors.
+    iterations (for a chiral block also its fixed states and kernel
+    residual, and for a refused kernel the reason), and the number of
+    mirrored sectors.
     """
     found, solves = [], []      # |e| of every pair so far, mirrors included
 
     def chiral(charge, idx, block, swap):
         u, x = chiral_split(block, swap)
         try:
-            frame, lu, info = chiral_kernel(x, max(norm_l, 1.0))
+            kernel, lu, info = chiral_kernel(x, max(norm_l, 1.0))
         except SolverConvergenceError as exc:
             evals, vecs = solve(charge, idx, block)
             solves[-1]["frame_refused"] = str(exc)
             return evals, vecs
-        nf = frame.shape[1]
-        kernel = u[:, :x.shape[0]] @ frame
+        nf = kernel.shape[1]
         # the nonzero pairs, whole: +-s have inverses of one modulus
         nonzero = max(want, int(np.sum(bundle.l0_diag[idx] == 0))) - nf
         evals, vecs, iterations, _ = block_iteration(
-            ShiftInvertFactor(block, ChiralInverse(u, frame, lu),
+            ShiftInvertFactor(block, ChiralInverse(u, kernel, lu),
                               max(norm_l, 1.0)),
             min(nonzero + nonzero % 2, 2 * x.shape[1]), bundle.l0_diag[idx])
         evals = np.r_[np.zeros(nf), evals]
@@ -332,7 +323,7 @@ def near_zero_eigensystem(bundle, want, norm_l):
                        "size": len(idx), "fixed": nf, "pairs": len(evals),
                        "iterations": iterations, **info})
         found.append(np.abs(evals))
-        return evals, np.hstack([kernel, vecs])
+        return evals, np.hstack([u[:, :x.shape[0]] @ kernel, vecs])
 
     def solve(charge, idx, block):
         l0 = bundle.l0_diag[idx]
@@ -373,20 +364,21 @@ def solve_near_zero(bundle, k):
     Otherwise near_zero_eigensystem finds max(k, #zeros of L0) pairs from
     fixed start vectors, so the result does not depend on any seed.
 
-    The kernel is the pairs with |e| < CLUSTER_TOL * max(||L||, 1), and its
-    basis their columns, orthonormal on every path.  On a real block that
-    the swap maps to itself (sector 0, or the gauged L(0)) they are the one
-    graph frame of liouville.chiral_kernel, one exact zero per fixed state,
-    whichever path solved it: chiral_eigh in the full eigensystem, or the
-    chiral LU of near_zero_eigensystem, so both report the same kernel
-    vectors.  Elsewhere (complex blocks, accidental zeros of other sectors,
-    and a chiral block whose frame chiral_kernel refuses) they are the
-    columns eigh, the chiral SVD or the block solve's Rayleigh-Ritz step
-    returns, fixed only up to a rotation of the kernel.  Messages flag
-    residuals above RESIDUAL_FLAG * max(||L||, 1), pairs outside the kernel
-    spaced below NEAR_DEGENERATE, a kernel filling every reported pair, and a
-    kernel of real (gauged) L larger than the swap index, which bounds it
-    from below: a smaller one is a certain miss, SolverConvergenceError.
+    The kernel is the pairs with |e| < CLUSTER_TOL * max(||L||, 1), reported
+    as 0.0 with the residual ||L k||.  Its basis is formed here, on every
+    path, from the solved orthonormal kernel columns N alone: with the full
+    SVD N_F^H = U S V^H of N's rows at the swap-fixed states F, it is
+    N [U_1 V^H, U_2] (U_1 the first |F| columns of U), whose first |F|
+    columns are the Loewdin frame of the projections of the e_F onto the
+    kernel and do not depend on the rotation N came in; the rest, the
+    kernel's accidental zeros, still do.  Where the kernel is smaller than
+    |F| it is N U.  solver.overlap_sigma_min is the smallest of S.
+
+    Messages flag residuals above RESIDUAL_FLAG * max(||L||, 1), pairs
+    outside the kernel spaced below NEAR_DEGENERATE, a kernel filling every
+    reported pair, and a kernel of real (gauged) L larger than the swap
+    index, which bounds it from below: a smaller one is a certain miss,
+    SolverConvergenceError.
     """
     mat = bundle.L.matrix
     if k > mat.shape[0]:
@@ -406,6 +398,15 @@ def solve_near_zero(bundle, k):
     real = eig.telemetry()["real"]
     del eig     # near-zero blocks are not kept past the selection
 
+    # the kernel leads the selection, by |e|
+    kdim = int(np.sum(np.abs(evals) < kernel_tol))
+    fixed = np.flatnonzero(bundle.swap == np.arange(len(bundle.swap)))
+    rot, s, vh = sla.svd(evecs[fixed, :kdim].conj().T)
+    if kdim >= len(fixed):
+        rot[:, :len(fixed)] = rot[:, :len(fixed)] @ vh
+    evecs[:, :kdim] = evecs[:, :kdim] @ rot
+    evals[:kdim] = 0.0
+    solver["overlap_sigma_min"] = float(s.min()) if kdim else 0.0
     residuals = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
 
     messages = []
@@ -413,12 +414,10 @@ def solve_near_zero(bundle, k):
     if np.any(bad):
         messages.append(f"{int(bad.sum())} residuals above verification bound")
 
-    spacings = np.diff(np.sort(evals[np.abs(evals) >= kernel_tol]))
+    spacings = np.diff(np.sort(evals[kdim:]))
     if len(spacings) and np.any((spacings > 0) & (spacings < NEAR_DEGENERATE)):
         messages.append(f"near-degenerate pairs: spacing < {NEAR_DEGENERATE:g}")
 
-    in_kernel = np.abs(evals) < kernel_tol
-    kdim = int(np.sum(in_kernel))
     if kdim == len(evals):
         messages.append(f"kernel fills all {kdim} reported pairs (k = {k})")
     index = kernel_index(bundle.dot_spec, bundle.trunc)
@@ -433,7 +432,7 @@ def solve_near_zero(bundle, k):
     return SpectralReport(
         eigenvalues=evals, vectors=evecs, residuals=residuals,
         kernel_tol=kernel_tol, kernel_dim=kdim, kernel_index=index,
-        kernel_basis=evecs[:, in_kernel],
+        kernel_basis=evecs[:, :kdim],
         norm_L=norm_l, solver=solver, messages=tuple(messages))
 
 

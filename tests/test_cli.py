@@ -15,13 +15,17 @@ from bosedot import reservoir as res
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def benchmark_workloads():
-    """The benchmark's four workloads, name -> Workload (command, config)."""
-    spec = importlib.util.spec_from_file_location(
-        "workloads", ROOT / "perfbench" / "workloads.py")
+def load_module(path):
+    """The Python file at path, imported as a module."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
+
+
+def benchmark_workloads():
+    """The benchmark's four workloads, name -> Workload (command, config)."""
+    return load_module(ROOT / "perfbench" / "workloads.py").WORKLOADS
 
 
 def base_config():
@@ -506,6 +510,25 @@ def test_rte_between_largest_block_and_dim_matches_dense(tmp_path, capsys,
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("xi", [None, [{"excess": 0.2, "theta": 0.7}]],
+                         ids=["sector-0", "gauged-condensate"])
+def test_rte_runs_no_lu(tmp_path, capsys, monkeypatch, xi):
+    # the dense factorisation takes a chiral block's pairs and kernel from
+    # one SVD: rte, which reads only its clusters, factors no LU
+    def no_lu(*args, **kwargs):
+        raise AssertionError("an LU was factored")
+
+    monkeypatch.setattr(liouville, "splu", no_lu)
+    monkeypatch.setattr(spectral, "splu", no_lu)
+    cfg = base_config()
+    if xi is not None:
+        cfg["physics"]["xi"] = xi
+    code, outdir, out = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_OK, out.err
+    (run,) = json.loads((outdir / "rte.json").read_text())["runs"]
+    assert run["factorisation"]["chiral"] == 1
+
+
 def kernel_rows(report):
     """The diagnostics rows of a spectrum report's kernel, in report order,
     each flattened to {key: number} with the panel entries as panel.<name>."""
@@ -515,14 +538,21 @@ def kernel_rows(report):
             if abs(row["eigenvalue"]) < report["kernel_tol"]]
 
 
-@pytest.mark.parametrize("xi", [None, [{"excess": 0.2, "theta": 0.7}]],
-                         ids=["sector-0", "gauged-condensate"])
-def test_dense_and_block_paths_report_the_same_kernel_rows(tmp_path, capsys,
-                                                           monkeypatch, xi):
+@pytest.mark.parametrize("xi, table, first", [
+    (None, False, "chiral-lu"),
+    ([{"excess": 0.2, "theta": 0.7}], False, "chiral-lu"),
+    (None, True, "shift-invert"),
+    ([{"excess": 0.2, "theta": 0.7}], True, "shift-invert")],
+    ids=["sector-0", "gauged-condensate", "complex-table",
+         "complex-table-condensate"])
+def test_dense_and_block_paths_report_the_same_kernel_rows(
+        tmp_path, capsys, monkeypatch, xi, table, first):
     # dim 112: the dense factorisation, and the block path with the cutoff
-    # below the dimension, give the kernel the one LU frame of the chiral
-    # block (sector 0, or the gauged L(0)), so every kernel row agrees, not
-    # only the rotation-free traces
+    # below the dimension, report the one kernel frame that solve_near_zero
+    # forms from either path's kernel columns, so every kernel row agrees,
+    # not only the rotation-free traces.  The complex tabulated coupling
+    # makes sector 0, or the gauged L(0), a complex block, which the block
+    # path shift-inverts
     cfg = base_config()
     cfg["grid"] = {"n_modes": 3, "omega_min": 0.35, "omega_max": 2.3,
                    "spacing": "log"}
@@ -530,6 +560,11 @@ def test_dense_and_block_paths_report_the_same_kernel_rows(tmp_path, capsys,
     cfg["solver"] = {"k_eigs": 12}
     if xi is not None:
         cfg["physics"]["xi"] = xi
+    if table:
+        path = tmp_path / "form_factor.csv"
+        path.write_text(load_module(
+            ROOT / "tools" / "snapshot_outputs.py").complex_table())
+        cfg["reservoir"]["form_factor"] = {"table": str(path)}
     reports = []
     for cutoff in (liouville.DENSE_CUTOFF, 10):
         monkeypatch.setattr(liouville, "DENSE_CUTOFF", cutoff)
@@ -541,7 +576,7 @@ def test_dense_and_block_paths_report_the_same_kernel_rows(tmp_path, capsys,
         reports.append(run["report"])
     dense, block = reports
     assert dense["solver"]["path"] == "dense"
-    assert block["solver"]["blocks"][0]["path"] == "chiral-lu"
+    assert block["solver"]["blocks"][0]["path"] == first
     assert dense["kernel_dim"] == block["kernel_dim"] == 8
     for want, got in zip(*map(kernel_rows, reports), strict=True):
         assert got.keys() == want.keys()
@@ -996,7 +1031,7 @@ def sparse_config():
 
 
 # the solver entry of a chiral block beyond those of every block solve
-CHIRAL_KEYS = {"fixed", "kernel_residual", "overlap_sigma_min"}
+CHIRAL_KEYS = {"fixed", "kernel_residual"}
 
 
 def test_spectrum_above_dense_cutoff_ignores_seed(tmp_path, capsys):
@@ -1025,6 +1060,7 @@ def test_spectrum_above_dense_cutoff_ignores_seed(tmp_path, capsys):
     assert blocks[0]["path"] == "chiral-lu"
     assert all(set(b) == keys and b["path"] == "shift-invert"
                for b in blocks[1:])
+    assert 0 < run["report"]["solver"]["overlap_sigma_min"] <= 1
 
 
 def test_sparse_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -1075,8 +1111,8 @@ def test_linear_grid_at_lambda_0_solves_on_both_paths(tmp_path, capsys,
     # the default spacing and lambda: from n_max 4 a linear grid puts L0
     # zeros on pair states (omega_1 + omega_3 = 2 omega_2), and at lambda 0
     # nothing couples them, so X_A is singular (dim 840).  The dense path
-    # keeps chiral_eigh's SVD columns, the block path solves the block by
-    # shift-invert; both run and find the same kernel
+    # takes chiral_eigh's SVD columns, the block path solves the block by
+    # shift-invert; both run, find the same kernel and report one frame
     cfg = base_config()
     cfg["grid"] = {"n_modes": 3, "omega_max": 2.2, "spacing": "linear"}
     cfg["trunc"] = {"n_max": 4}
@@ -1101,6 +1137,15 @@ def test_linear_grid_at_lambda_0_solves_on_both_paths(tmp_path, capsys,
     want, got = ([row["eigenvalue"] for row in r["diagnostics"]]
                  for r in reports)
     assert sorted(got) == pytest.approx(sorted(want), rel=0, abs=1e-12)
+    # the kernel is larger than the swap index here, and its first
+    # kernel_index rows, the frame of the fixed states, agree
+    index = dense["kernel_index"]
+    assert dense["kernel_dim"] > index == block["kernel_index"]
+    for want, got in zip(*(kernel_rows(r)[:index] for r in reports),
+                         strict=True):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=0, abs=1e-10), key
 
 
 def test_jobs_flag_parallel_spectrum(tmp_path, capsys):
@@ -1197,8 +1242,14 @@ def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
         assert got["kernel_dim"] == want["kernel_dim"]
         got, want = got["report"], want["report"]
         assert got.keys() == want.keys()
-        for key in ("kernel_dim", "kernel_index", "solver", "messages"):
+        for key in ("kernel_dim", "kernel_index", "messages"):
             assert got[key] == want[key], key
+        # the one float of the solver entry is formed from each bundle's
+        # own kernel columns
+        sigma = want["solver"].pop("overlap_sigma_min")
+        assert got["solver"].pop("overlap_sigma_min") == pytest.approx(
+            sigma, rel=1e-12)
+        assert got["solver"] == want["solver"]
         for key in ("kernel_tol", "norm_L"):
             assert got[key] == pytest.approx(want[key], rel=1e-12), key
         for g, w in zip(*map(cluster_traces, (got, want)), strict=True):

@@ -120,11 +120,16 @@ def test_dense_kernel_dimension_not_capped_by_k(gauss_ff):
     assert rep.kernel_dim == 10
     assert len(rep.eigenvalues) == 10
     # dot-pair charges -1..1 plus field charges -2..2 (n_max 2): seven
-    # charge sectors, the largest the charge-zero one
+    # charge sectors, the largest the charge-zero one; and the smallest
+    # singular value of the kernel basis at the swap-fixed states
+    fixed = b.swap == np.arange(b.dim)
     assert rep.solver == {"path": "dense",
                           "factorisation": {"path": "sector", "blocks": 7,
                                             "largest_block": 42,
-                                            "real": True, "chiral": 1}}
+                                            "real": True, "chiral": 1},
+                          "overlap_sigma_min": pytest.approx(np.linalg.svd(
+                              rep.kernel_basis[fixed],
+                              compute_uv=False).min(), rel=1e-12)}
     assert any("kernel fills" in m for m in rep.messages)
     # k above the kernel still means "pairs reported", with no message
     rep = spectral.solve_near_zero(b, k=14)
@@ -190,8 +195,8 @@ def test_block_shift_invert_matches_dense(n_modes, n_max, lam, xi,
     want = max(k, int(np.sum(b.l0_diag == 0)))
 
     # the whole-space call: the reference for the per-block primitive
-    evals, evecs, iterations = spectral.block_shift_invert(
-        spectral.shift_invert_factor(b.L.matrix, norm_l), k, b.l0_diag)
+    evals, evecs, iterations = spectral.block_iteration(
+        spectral.shift_invert_factor(b.L.matrix, norm_l), want, b.l0_diag)[:3]
     assert iterations <= spectral.MAX_BLOCK_ITERATIONS
     assert len(evals) == want
     shift = spectral.SHIFT * norm_l
@@ -210,10 +215,23 @@ def test_block_shift_invert_matches_dense(n_modes, n_max, lam, xi,
                             ref[np.lexsort((ref, np.abs(ref)))[:want]])
 
 
+def test_orthonormalize_keeps_a_small_column_behind_a_spent_large_one():
+    # a column of norm 1e8 whose remainder off the basis e_0 is 1e-15 of its
+    # norm, set ahead of a genuine column of norm 1e-9: the large one is
+    # dropped, and the small one is kept all the same
+    eye = np.eye(6)
+    w = np.column_stack([1e8 * (eye[:, 0] + 1e-15 * eye[:, 1]),
+                         1e-9 * eye[:, 2]])
+    q = spectral._orthonormalize(w, eye[:, :1])
+    assert q.shape == (6, 1)
+    np.testing.assert_allclose(np.abs(q[:, 0]), eye[:, 2], rtol=0,
+                               atol=1e-15)
+
+
 @pytest.mark.parametrize("xi", [None, 0.7], ids=["sector-0", "gauged"])
 def test_chiral_block_entry(gauss_ff, xi):
     # sector 0, or the gauged L(0), is solved by its chiral LU: its kernel is
-    # one frame vector per fixed state, and its nonzero pairs come whole,
+    # one orthonormal vector per fixed state, and its nonzero pairs come whole,
     # +-s, by the block iteration on the block's pseudo-inverse
     b = _log_bundle(gauss_ff, 2, 4, 2, 0.1, xi)
     norm_l = b.norm_L()
@@ -232,14 +250,14 @@ def test_chiral_block_entry(gauss_ff, xi):
     assert entry["pairs"] == len(evals) == nf + 6
     assert 1 <= entry["iterations"] <= spectral.MAX_BLOCK_ITERATIONS
     assert 0 < entry["kernel_residual"] <= spectral.RESIDUAL_BOUND * norm_l
+    assert "overlap_sigma_min" not in entry
     np.testing.assert_array_equal(evals[:nf], 0.0)
     nonzero = np.sort(evals[nf:])
     np.testing.assert_allclose(nonzero, -nonzero[::-1], rtol=0,
                                atol=1e-12 * norm_l)
     assert np.abs(nonzero).min() > 1e-3
-    fixed = b.swap[idx] == idx
-    assert entry["overlap_sigma_min"] == pytest.approx(np.linalg.svd(
-        vecs[fixed][:, :nf], compute_uv=False).min(), rel=1e-12)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(len(evals)), rtol=0,
+                               atol=1e-12)
     full = eig.vectors(np.arange(eig.offsets[at], eig.offsets[at + 1]))
     residuals = np.linalg.norm(b.L.matrix @ full - full * evals, axis=0)
     assert residuals.max() <= spectral.RESIDUAL_BOUND * norm_l
@@ -259,7 +277,8 @@ def test_doubling_starts_from_the_ritz_block_found_before(gauss_ff):
     for k in (1, 2, 4):
         *pairs, ritz = spectral.block_iteration(factor, k, l0, start=ritz)
         warm.append(pairs)
-    cold = spectral.block_shift_invert(factor, 4, l0)
+    cold = spectral.block_iteration(factor, max(4, int(np.sum(l0 == 0))),
+                                    l0)[:3]
     assert [w[2] for w in warm] == [2, 1, 1] and cold[2] == 3
     np.testing.assert_allclose(warm[-1][0], cold[0], rtol=0,
                                atol=1e-12 * norm_l)

@@ -269,38 +269,52 @@ REAL_SPECS = {name: spec for name, spec in CASES.items()
 
 @pytest.mark.parametrize("spec", list(REAL_SPECS.values()),
                          ids=list(REAL_SPECS))
-def test_chiral_kernel_is_the_loewdin_graph_frame(spec):
+def test_chiral_kernel_is_the_loewdin_graph_frame(spec, monkeypatch):
     # the kernel of x^T as the graph [I; -X_A^-T X_F^T] over the fixed
-    # states, orthonormalised by G (G^T G)^-1/2, formed here densely
+    # states, orthonormalised by G (G^T G)^-1/2, formed here densely: the
+    # kernel basis that both paths report starts with it, one column per
+    # fixed state, and chiral_kernel's basis spans it
     b = make_bundle(*spec)
-    _, ((block, swap),) = self_mapped_blocks(b)
-    u, x = chiral_split(block, swap)
+    path, gauge, blocks = symmetry_blocks(b.L.matrix, b.q_diag, b.theta)
+    ((idx, block),) = [(idx, block) for idx, block in blocks
+                       if path == "gauge" or not b.q_diag[idx[0]]]
+    u, x = chiral_split(block, np.searchsorted(idx, b.swap[idx]))
     nf = x.shape[0] - x.shape[1]
-    assert nf == np.count_nonzero(swap == np.arange(len(swap)))
+    assert nf == kernel_index(b.dot_spec, b.trunc)
     dense = x.toarray()
     graph = np.vstack([np.eye(nf),
                        -np.linalg.solve(dense[nf:].T, dense[:nf].T)])
     ev, vec = np.linalg.eigh(graph.T @ graph)
     loewdin = graph @ (vec / np.sqrt(ev)) @ vec.T
-    frame, _, info = chiral_kernel(x, 1.0)
-    np.testing.assert_allclose(frame, loewdin, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(frame.T @ frame, np.eye(nf), rtol=0,
+    basis, _, info = chiral_kernel(x, 1.0)
+    np.testing.assert_allclose(basis @ basis.T, loewdin @ loewdin.T, rtol=0,
+                               atol=1e-11)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(nf), rtol=0,
                                atol=1e-14)
-    assert info["kernel_residual"] == pytest.approx(
-        np.max(np.linalg.norm(dense.T @ frame, axis=0)), rel=0, abs=1e-15)
-    assert info["overlap_sigma_min"] == pytest.approx(
-        np.linalg.svd(frame[:nf], compute_uv=False).min(), rel=1e-12)
-    # and chiral_eigh's exact zeros are that frame, on the even states
-    e, v = chiral_eigh(block, swap)
-    zero = np.flatnonzero(e == 0)
-    assert len(zero) == nf
-    np.testing.assert_array_equal(
-        v[:, zero], u @ np.vstack([frame, np.zeros((x.shape[1], nf))]))
+    assert info == {"kernel_residual": pytest.approx(
+        np.max(np.linalg.norm(dense.T @ basis, axis=0)), rel=0, abs=1e-15)}
+    frame = np.zeros((b.dim, nf), dtype=gauge.dtype)
+    frame[idx] = u[:, :x.shape[0]] @ loewdin
+    frame *= gauge[:, None]
+    fixed = b.swap == np.arange(b.dim)
+    sigma_min = np.linalg.svd(frame[fixed], compute_uv=False).min()
+    # the block path first: the dense one caches the bundle's eigensystem
+    for cutoff in (10, liouville.DENSE_CUTOFF):
+        monkeypatch.setattr(liouville, "DENSE_CUTOFF", cutoff)
+        rep = spectral.solve_near_zero(b, k=nf + 2)
+        assert rep.solver["path"] == ("dense" if cutoff > b.dim else
+                                      f"{path}-shift-invert")
+        assert rep.kernel_dim >= nf
+        np.testing.assert_allclose(rep.kernel_basis[:, :nf], frame, rtol=0,
+                                   atol=1e-12)
+        assert rep.solver["overlap_sigma_min"] == pytest.approx(sigma_min,
+                                                                rel=1e-12)
 
 
 def test_singular_pair_block_keeps_the_svd_kernel(monkeypatch):
     # at lambda = 0 a linear grid puts L0 zeros on pair states, so X_A is
-    # singular: chiral_kernel refuses, and chiral_eigh keeps its SVD columns
+    # singular: chiral_kernel refuses, and chiral_eigh, which needs no LU,
+    # still gives every pair
     b = make_bundle(2, "linear", 3, 4, 0.0, None, 1.0)
     _, ((block, swap),) = self_mapped_blocks(b)
     _, x = chiral_split(block, swap)
@@ -311,20 +325,12 @@ def test_singular_pair_block_keeps_the_svd_kernel(monkeypatch):
     np.testing.assert_allclose(e, evals, rtol=0, atol=1e-12)
     np.testing.assert_allclose(v.T @ v, np.eye(len(e)), rtol=0, atol=1e-12)
     assert np.linalg.norm(block @ v - v * e, axis=0).max() < 1e-12
-    # a frame above the residual bound is refused the same way
+    # a kernel above the residual bound is refused the same way
     b = make_bundle(2, "log", 3, 2, 0.1, None, 1.0)
     _, ((block, swap),) = self_mapped_blocks(b)
-    want = chiral_eigh(block, swap)
     monkeypatch.setattr(liouville, "RESIDUAL_BOUND", 0.0)
     with pytest.raises(SolverConvergenceError, match="frame residual"):
         chiral_kernel(chiral_split(block, swap)[1], 1.0)
-    e, v = chiral_eigh(block, swap)
-    np.testing.assert_array_equal(e, want[0])
-    zero = e == 0
-    assert np.linalg.norm(v[:, zero] - want[1][:, zero]) > 1e-3
-    np.testing.assert_allclose(v[:, zero] @ v[:, zero].T,
-                               want[1][:, zero] @ want[1][:, zero].T,
-                               rtol=0, atol=1e-12)
 
 
 def test_equilibrium_vector_is_the_kms_kernel_vector(case):

@@ -94,9 +94,6 @@ KEPT = {
         "C8; test_liouville.py::test_conjugate_commutator_identity",
     "liouville.OperatorBundle.Q": "C8",
     "liouville._diagonal_operator": "builds L0, Q and Lambda; C8",
-    "spectral.block_shift_invert": "block_iteration's pairs from its fixed "
-        "start, without the Ritz block; "
-        "test_spectral.py::test_block_shift_invert_matches_dense",
     "spectral.kms_kernel_vector": "C3, C4",
     "spectral.orthogonal_kernel_panel": "C4",
 }

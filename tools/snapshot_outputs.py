@@ -7,11 +7,12 @@ runs `python -m bosedot.cli` with the package imported from SRC (a checkout's
 `src/` directory), `--seed 901` and one BLAS thread, once per config below,
 and writes each run's config and outputs to OUT/<name>/.  The configs are the
 benchmark workloads of perfbench/workloads.py at both sizes, one or two small
-configs per subcommand, one rte above liouville.DENSE_CUTOFF, and a spectrum
-and an rte on a tabulated complex coupling, whose table the tool writes beside
-config.json as form_factor.csv.  Outputs are deterministic, so `diff -r` of
-two snapshots taken from two source trees is a byte-identity check of
-everything the CLI writes.  Exits 1 when a run fails; its stderr is echoed.
+configs per subcommand, one rte above liouville.DENSE_CUTOFF, and two spectra
+(one above the cutoff) and an rte on a tabulated complex coupling, whose table
+the tool writes beside config.json as form_factor.csv.  Outputs are
+deterministic, so `diff -r` of two snapshots taken from two source trees is a
+byte-identity check of everything the CLI writes.  Exits 1 when a run fails;
+its stderr is echoed.
 
 --compare walks two snapshot trees and prints every number of a JSON or CSV
 file that moves by more than R relative to the larger of its two values
@@ -104,6 +105,13 @@ def cases():
                             for theta in (0.0, 0.7, 2.9)]},
             solver={"k_eigs": 8})),
         ("spectrum_complex_table", "spectrum", _variant(
+            reservoir={"form_factor": {"table": TABLE}},
+            physics={"xi": [{"excess": 0.2, "theta": 0.7}]},
+            solver={"k_eigs": 8})),
+        # dim 2720 above the cutoff: the gauged L(0) is one complex block,
+        # shift-inverted
+        ("spectrum_complex_table_sparse", "spectrum", _variant(
+            grid={"n_modes": 7}, trunc={"n_max": 3},
             reservoir={"form_factor": {"table": TABLE}},
             physics={"xi": [{"excess": 0.2, "theta": 0.7}]},
             solver={"k_eigs": 8})),
