@@ -100,15 +100,13 @@ SCHEMA = {
                     "kind": {"enum": ["uniform_theta", "kac", "atoms"]},
                     "n_theta": {"type": "integer", "minimum": 1},
                     "n_r": {"type": "integer", "minimum": 1},
-                    **dict.fromkeys(("r", "excess", "rho_bar"),
-                                    {"type": "number"}),
+                    **dict.fromkeys(("r", "excess"), {"type": "number"}),
                     "atoms": {"type": "array", "items": {
                         "type": "object", "additionalProperties": False,
                         "properties": dict.fromkeys(
                             ("r", "theta", "weight"), {"type": "number"})}}}},
                 "observable": {"type": "object", "additionalProperties": False,
                                "properties": {
-                    "kind": {"enum": ["hop"]},
                     "matrix": {"type": "array", "items": {"type": "array", "items": {
                         "type": ["number", "array"],   # a number or [re, im]
                         "minItems": 2, "maxItems": 2, "items": {"type": "number"}}}}}},
@@ -290,7 +288,7 @@ def _xis(config, rho_crit):
 
 # the keys of physics.mu that each measure kind reads, besides kind
 MEASURE_KEYS = {"uniform_theta": {"r", "excess", "n_theta"},
-                "kac": {"rho_bar", "n_r", "n_theta"}, "atoms": {"atoms"}}
+                "kac": {"n_r", "n_theta"}, "atoms": {"atoms"}}
 
 
 def _measure(config, rho_crit):
@@ -306,8 +304,11 @@ def _measure(config, rho_crit):
             return res.XiMeasure.uniform_theta(
                 _radius(mu, rho_crit, "physics.mu"), mu.get("n_theta", 8))
         if kind == "kac":
+            rho_bar = config["reservoir"].get("rho_bar")
+            if rho_bar is None:
+                raise ValueError("a kac measure needs reservoir.rho_bar")
             return res.XiMeasure.kac_theta(
-                config["reservoir"]["beta"], float(mu["rho_bar"]),
+                config["reservoir"]["beta"], float(rho_bar),
                 _dispersion(config), n_r=mu.get("n_r", 8),
                 n_theta=mu.get("n_theta", 4))
         pts = tuple((dotmod.CondensatePoint(
@@ -319,7 +320,7 @@ def _measure(config, rho_crit):
 
 
 def _observable_matrix(config, dot_spec):
-    obs = config.get("physics", {}).get("observable", {"kind": "hop"})
+    obs = config.get("physics", {}).get("observable", {})
     if "matrix" in obs:
         x = np.array([[complex(*e) if isinstance(e, list) else e for e in row]
                       for row in obs["matrix"]], dtype=complex)

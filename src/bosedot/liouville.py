@@ -33,20 +33,13 @@ symmetry_blocks: without a condensate L conserves the charge Q and each charge
 sector is one block, of which only Q >= 0 are solved (the swap gives -Q from
 Q); with one, L = e^{i theta Q} L(0) e^{-i theta Q} and the gauged L(0) is one
 block.  A block real up to the rounding of the phases is solved in real
-arithmetic.  The per-block solve is passed in: a dense eigh for the bundle's
-cached factorisation, refused for a block above DENSE_CUTOFF states, or
-spectral's shift-invert for the pairs nearest zero.  A real block that the
-swap maps to itself (sector 0, or the gauged L(0)) gets its own solver on
-both paths: there P B P = -B puts B in chiral form [[0, X], [X^T, 0]]
-between its P-even and P-odd states (chiral_split), with X = [X_F; X_A]
-split by rows into the fixed states and the pairs.  The cached
-factorisation takes every pair from one SVD of X (chiral_eigh), so no eigh
-of the whole space runs; the near-zero solve takes the kernel from one
-sparse LU of X_A^T (chiral_kernel) and the pairs nearest zero from the same
-LU.  Which kernel basis gets reported is decided by spectral.solve_near_zero
-alone.  Bundles that differ only in theta are gauges of one another,
-so the commands build one bundle per lambda and density r and read every
-theta of the sweep from it (cli._map_bundles).
+arithmetic.  The per-block solve is one hook (BlockedEigensystem.of), handed
+the block's own swap permutation when the block is real and the swap maps it
+to itself (sector 0, or the gauged L(0)), where P B P = -B makes the block
+chiral (chiral_split, solved by chiral_eigh or chiral_kernel).  Bundles that
+differ only in theta are gauges of one another, so the commands build one
+bundle per lambda and density r and read every theta of the sweep from it
+(cli._map_bundles).
 """
 
 from dataclasses import dataclass, field as dfield
@@ -140,7 +133,7 @@ class BlockedEigensystem:
     columns of the eigensystem: evals is their concatenation.  path is
     "sector" when the blocks are the charge sectors (L conserves Q) and
     "gauge" when B is the whole gauged L(0).  chiral counts the blocks
-    factorised by chiral_eigh.
+    solved with their swap (the chiral ones).
     """
 
     blocks: tuple
@@ -154,16 +147,15 @@ class BlockedEigensystem:
                            np.concatenate([e for _, e, _ in self.blocks]))
 
     @classmethod
-    def of(cls, bundle, solve, chiral=None):
-        """The eigenpairs of the bundle's L that solve(charge, idx, block)
-        returns, as (evals, evecs), for each block of symmetry_blocks in
-        order; charge is None for the gauged L(0).  The sectors Q < 0 are not
-        solved: they are the swap images of Q > 0 (P conj(L) P = -L), the
-        pairs (-e, conj(v)) on the rows perm[idx] for the pairs (e, v) of
-        sector Q on idx.  When chiral is given, chiral(charge, idx, block,
-        swap) solves in place of solve every real block that the swap maps to
-        itself (charge 0 or None), swap being the permutation the swap makes
-        of the block's own states."""
+    def of(cls, bundle, solve):
+        """The eigenpairs of the bundle's L that solve(charge, idx, block,
+        swap) returns, as (evals, evecs), for each block of symmetry_blocks
+        in order; charge is None for the gauged L(0).  swap is the
+        permutation the swap makes of the block's own states when the block
+        is real and the swap maps it to itself (charge 0 or None), and None
+        for every other block.  The sectors Q < 0 are not solved: they are
+        the swap images of Q > 0 (P conj(L) P = -L), the pairs (-e, conj(v))
+        on the rows perm[idx] for the pairs (e, v) of sector Q on idx."""
         path, gauge, blocks = symmetry_blocks(bundle.L.matrix, bundle.q_diag,
                                               bundle.theta)
         charges = [None if path == "gauge" else int(bundle.q_diag[idx[0]])
@@ -171,14 +163,14 @@ class BlockedEigensystem:
         perm = bundle.swap
         solved, n_chiral = {}, 0
         for q, (idx, block) in zip(charges, blocks):
-            if chiral is not None and not q and not np.iscomplexobj(block):
-                # idx is sorted and closed under the swap
-                e, v = chiral(q, idx, block, np.searchsorted(idx, perm[idx]))
-                n_chiral += 1
-            elif q is None or q >= 0:
-                e, v = solve(q, idx, block)
-            else:
+            if q is not None and q < 0:
                 continue
+            swap = None
+            if not q and not np.iscomplexobj(block):
+                # idx is sorted and closed under the swap
+                swap = np.searchsorted(idx, perm[idx])
+                n_chiral += 1
+            e, v = solve(q, idx, block, swap)
             solved[q] = (idx, e, v)
             if q:
                 solved[-q] = (perm[idx], -e, v.conj())
@@ -324,8 +316,7 @@ class OperatorBundle(FirstParts):
         symmetry block.  A block of more than DENSE_CUTOFF states is refused
         with DimensionCapError."""
         if self._eigensystem is None:
-            self._eigensystem = BlockedEigensystem.of(self, _dense_block,
-                                                      _chiral_block)
+            self._eigensystem = BlockedEigensystem.of(self, _factorise_block)
         return self._eigensystem
 
     def full_eigensystem(self):
@@ -364,19 +355,12 @@ class OperatorBundle(FirstParts):
         return out
 
 
-def _refuse_above_cutoff(idx):
+def _factorise_block(charge, idx, block, swap):
     if len(idx) > DENSE_CUTOFF:
         raise DimensionCapError(f"symmetry block of {len(idx)} states above "
                                 f"the dense cutoff {DENSE_CUTOFF}")
-
-
-def _dense_block(charge, idx, block):
-    _refuse_above_cutoff(idx)
-    return eigh(block.toarray())
-
-
-def _chiral_block(charge, idx, block, swap):
-    _refuse_above_cutoff(idx)
+    if swap is None:
+        return eigh(block.toarray())
     return chiral_eigh(block, swap)
 
 
@@ -409,20 +393,54 @@ def chiral_split(block, swap):
     return u, (u[:, :nf + m].T @ block @ u[:, nf + m:]).tocsr()
 
 
-def chiral_kernel(x, scale):
-    """(basis, lu, info): the kernel of x^T from one sparse LU, for the x of
-    chiral_split, and the factor that made it.
+def _project_out(w, basis):
+    for _ in range(2):
+        w = w - basis @ (basis.conj().T @ w)
+    return w
 
-    lu factors the square pair x pair part X_A^T (minimum-degree ordering
-    on A + A^T).  When X_A is nonsingular the kernel is exactly one vector
-    per fixed state, the graph G = [I; -X_A^-T X_F^T], and basis is the Q
-    of its thin QR, orthonormal to rounding.  info holds kernel_residual,
-    the largest ||x^T k|| over its columns k (= ||B k|| for the even vector
-    k).  A singular X_A, or a kernel_residual above RESIDUAL_BOUND * scale,
-    raises SolverConvergenceError.
+
+class ChiralInverse:
+    """The pseudo-inverse B+ of a chiral block B = u [[0, X], [X^T, 0]] u^T
+    (chiral_split), from the kernel basis of x^T and the LU of X_A^T that
+    chiral_kernel made; its solve(v) applies B+ to a block of columns.
+
+    B+ maps the even and odd parts (a, b) of u^T v to (X+^T b, X+ a), and
+    the kernel to zero.  With a' = a less its kernel part, which is in the
+    range of X, X+ a = X_A^-1 a'_A; X+^T b is [0; X_A^-T b] less its kernel
+    part, the least-norm solution of X^T y = b.  The pairs +-s have inverses
+    +-1/s of one modulus.
     """
-    m = x.shape[1]
-    nf = x.shape[0] - m
+
+    def __init__(self, u, kernel, lu):
+        self.u, self.kernel, self.lu = u, kernel, lu
+
+    def solve(self, v):
+        w = self.u.T @ v
+        even, nf = self.kernel.shape
+        a = _project_out(w[:even], self.kernel)
+        y = np.zeros((even, w.shape[1]))
+        y[nf:] = self.lu.solve(np.ascontiguousarray(w[even:]))
+        return self.u @ np.vstack([
+            _project_out(y, self.kernel),
+            self.lu.solve(np.ascontiguousarray(a[nf:]), trans="T")])
+
+
+def chiral_kernel(block, swap, scale):
+    """(kernel, inverse, residual) of the real symmetric block B for an
+    involution swap with P B P = -B, from one sparse LU of the X_A^T of
+    chiral_split (minimum-degree ordering on A + A^T).
+
+    When X_A is nonsingular the kernel of x^T is exactly one vector per
+    fixed state, the graph G = [I; -X_A^-T X_F^T], and kernel is the Q of
+    its thin QR, orthonormal to rounding, taken to the block's own states.
+    inverse is the ChiralInverse of the same LU, B's pseudo-inverse.
+    residual is the largest ||x^T k|| over the kernel columns k (= ||B k||).
+    A singular X_A, or a residual above RESIDUAL_BOUND * scale, raises
+    SolverConvergenceError.
+    """
+    u, x = chiral_split(block, swap)
+    even, m = x.shape
+    nf = even - m
     try:
         lu = splu(x[nf:].T.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -435,7 +453,7 @@ def chiral_kernel(x, scale):
         raise SolverConvergenceError(
             f"kernel frame residual {residual:.3g} above "
             f"{RESIDUAL_BOUND * scale:.3g}")
-    return basis, lu, {"kernel_residual": residual}
+    return u[:, :even] @ basis, ChiralInverse(u, basis, lu), residual
 
 
 def chiral_eigh(block, swap):

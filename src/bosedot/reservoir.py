@@ -240,6 +240,8 @@ def fugacity(beta, rho_bar, dispersion=RELATIVISTIC):
     """Solve rho_bar = (2 pi)^{-3} int d^3k z/(e^{beta omega} - z) for z.
 
     Returns z in (0, 1) below critical density and exactly 1.0 at or above it.
+    Its density integrals are checked as _radial's are, and a density that
+    the integrals do not bracket in z raises QuadratureError as well.
     """
     if rho_bar < 0:
         raise ValueError("density must be nonnegative")
@@ -249,18 +251,22 @@ def fugacity(beta, rho_bar, dispersion=RELATIVISTIC):
     if rho_bar >= rc:
         return 1.0
 
-    from scipy.integrate import quad
     from scipy.optimize import brentq
     split = 1.0 / beta if dispersion.kind == "relativistic" else 1.0 / math.sqrt(beta)
 
     def dens(z):
         fn = lambda k: k * k * _subcritical_occupation(beta, z, dispersion.omega(k))
         return (2.0 * np.pi) ** (-3) * 4.0 * np.pi * sum(
-            quad(fn, a, b, epsabs=1e-13, epsrel=1e-11)[0]
+            _radial(fn, a, b, "density equation")
             for a, b in ((0.0, split), (split, np.inf)))
 
-    return brentq(lambda z: dens(z) - rho_bar, 1e-300, 1.0 - 1e-13,
-                  xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    try:
+        return brentq(lambda z: dens(z) - rho_bar, 1e-300, 1.0 - 1e-13,
+                      xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    except ValueError:
+        raise QuadratureError("density equation: rho_bar is above the density "
+                              "at fugacity 1 - 1e-13, the largest solved "
+                              "for.") from None
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from scipy.sparse.linalg import splu
 from . import dot as dotmod
 from .fock import SolverConvergenceError
 from .liouville import (CLUSTER_TOL, RESIDUAL_BOUND, BlockedEigensystem,
-                        chiral_kernel, chiral_split, equilibrium_projection,
+                        _project_out, chiral_kernel, equilibrium_projection,
                         kernel_index)
 
 
@@ -106,12 +106,6 @@ RESIDUAL_FLAG = 1e-8    # a residual above this * max(||L||, 1)
 NEAR_DEGENERATE = 1e-9  # a spacing below this of two pairs outside the kernel
 
 
-def _project_out(w, basis):
-    for _ in range(2):
-        w = w - basis @ (basis.conj().T @ w)
-    return w
-
-
 def _orthonormalize(w, basis):
     """Orthonormal columns spanning w with its part in span(basis) removed.
 
@@ -153,7 +147,7 @@ def _start_block(l0_diag, width, dtype):
 class ShiftInvertFactor:
     """What block_iteration iterates with on one matrix: mat, inverse,
     whose solve(v) applies (mat - shift)^-1 to a block of columns (the
-    sparse LU of mat - shift, or a ChiralInverse), and the scale
+    sparse LU of mat - shift, or a liouville.ChiralInverse), and the scale
     max(||L||, 1) of the shift and the residual bound."""
 
     mat: sparse.csr_matrix
@@ -161,38 +155,9 @@ class ShiftInvertFactor:
     scale: float
 
 
-class ChiralInverse:
-    """The pseudo-inverse B+ of a chiral block B = u [[0, X], [X^T, 0]] u^T
-    (liouville.chiral_split), for block_iteration at shift 0, from the
-    kernel basis and the LU of X_A^T that liouville.chiral_kernel made.
-
-    B+ maps the even and odd parts (a, b) of u^T v to (X+^T b, X+ a), and
-    the kernel to zero.  With a' = a less its kernel part, which is in the
-    range of X, X+ a = X_A^-1 a'_A; X+^T b is [0; X_A^-T b] less its kernel
-    part, the least-norm solution of X^T y = b.  The pairs +-s have inverses
-    +-1/s of one modulus.
-    """
-
-    def __init__(self, u, kernel, lu):
-        self.u, self.kernel, self.lu = u, kernel, lu
-
-    def solve(self, v):
-        w = self.u.T @ v
-        even, nf = self.kernel.shape
-        a = _project_out(w[:even], self.kernel)
-        y = np.zeros((even, w.shape[1]))
-        y[nf:] = self.lu.solve(np.ascontiguousarray(w[even:]))
-        return self.u @ np.vstack([
-            _project_out(y, self.kernel),
-            self.lu.solve(np.ascontiguousarray(a[nf:]), trans="T")])
-
-
 def shift_invert_factor(mat, norm_l):
-    """The ShiftInvertFactor of mat: mat in real arithmetic when it has no
-    imaginary part, the LU with an MMD ordering on A + A^T.  One factor
-    serves every call on the same matrix."""
-    if not np.any(mat.data.imag):
-        mat = mat.real
+    """The ShiftInvertFactor of mat, the LU with an MMD ordering on A + A^T.
+    One factor serves every call on the same matrix."""
     scale = max(norm_l, 1.0)
     shifted = mat - SHIFT * scale * sparse.identity(
         mat.shape[0], dtype=mat.dtype, format="csr")
@@ -283,59 +248,51 @@ def near_zero_eigensystem(bundle, want, norm_l):
     gauged entries are) matrix, one sparse LU per block.
 
     A real block that the swap maps to itself (sector 0, or the gauged L(0)
-    of a condensate) is chiral (liouville.chiral_split): its kernel is
-    chiral_kernel's, one exact zero per fixed state, and the rest of its
-    want pairs, rounded up to whole pairs +-s, come from the iteration on
-    its pseudo-inverse (ChiralInverse), which uses the LU of X_A^T that made
-    the kernel and maps the kernel to zero.  Where chiral_kernel refuses (a
-    singular X_A, or a kernel above the residual bound) the block is solved
-    like a complex gauged L(0), by shift-invert on its own LU for all want
-    pairs.  A sector Q != 0 starts at max(1, its own L0 zeros)
-    pairs and doubles that number while its farthest pair found is nearer
-    zero than the want-th smallest |e| found so far (its mirror and the
-    earlier sectors' included), until the sector is exhausted; each
-    doubling starts from the Ritz block the one before it ended with, on
-    the same LU.  Returns the eigensystem and the solver
-    entry: the path, per block solve its charge, path, size, pairs and
-    iterations (for a chiral block also its fixed states and kernel
-    residual, and for a refused kernel the reason), and the number of
-    mirrored sectors.
+    of a condensate) is chiral: its kernel is liouville.chiral_kernel's, one
+    exact zero per fixed state, and the rest of its want pairs, rounded up
+    to whole pairs +-s, come from the iteration on its pseudo-inverse, which
+    uses the LU that made the kernel and maps the kernel to zero.  Where
+    chiral_kernel refuses (a singular X_A, or a kernel above the residual
+    bound) the block is solved like a complex gauged L(0), by shift-invert on
+    its own LU for all want pairs.  A sector Q != 0 starts at max(1, its own
+    L0 zeros) pairs and doubles that number while its farthest pair found is
+    nearer zero than the want-th smallest |e| found so far (its mirror and
+    the earlier sectors' included), until the sector is exhausted; each
+    doubling starts from the Ritz block the one before it ended with, on the
+    same LU.  Returns the eigensystem and the solver entry: the path, per
+    block solve its charge, path, size, pairs and iterations (for a chiral
+    block also its fixed states and kernel residual, and for a refused
+    kernel the reason), and the number of mirrored sectors.
     """
     found, solves = [], []      # |e| of every pair so far, mirrors included
+    scale = max(norm_l, 1.0)
 
-    def chiral(charge, idx, block, swap):
-        u, x = chiral_split(block, swap)
-        try:
-            kernel, lu, info = chiral_kernel(x, max(norm_l, 1.0))
-        except SolverConvergenceError as exc:
-            evals, vecs = solve(charge, idx, block)
-            solves[-1]["frame_refused"] = str(exc)
-            return evals, vecs
-        nf = kernel.shape[1]
-        # the nonzero pairs, whole: +-s have inverses of one modulus
-        nonzero = max(want, int(np.sum(bundle.l0_diag[idx] == 0))) - nf
-        evals, vecs, iterations, _ = block_iteration(
-            ShiftInvertFactor(block, ChiralInverse(u, kernel, lu),
-                              max(norm_l, 1.0)),
-            min(nonzero + nonzero % 2, 2 * x.shape[1]), bundle.l0_diag[idx])
-        evals = np.r_[np.zeros(nf), evals]
-        solves.append({"charge": charge, "path": "chiral-lu",
-                       "size": len(idx), "fixed": nf, "pairs": len(evals),
-                       "iterations": iterations, **info})
-        found.append(np.abs(evals))
-        return evals, np.hstack([u[:, :x.shape[0]] @ kernel, vecs])
-
-    def solve(charge, idx, block):
+    def solve(charge, idx, block, swap):
         l0 = bundle.l0_diag[idx]
-        factor = shift_invert_factor(block, norm_l)
-        pairs = want if not charge else max(1, int(np.sum(l0 == 0)))
+        entry = {"charge": charge, "path": "shift-invert", "size": len(idx)}
+        kernel, factor = np.zeros((len(idx), 0)), None
+        if swap is not None:
+            try:
+                kernel, inverse, residual = chiral_kernel(block, swap, scale)
+            except SolverConvergenceError as exc:
+                entry["frame_refused"] = str(exc)
+            else:
+                nf = kernel.shape[1]
+                factor = ShiftInvertFactor(block, inverse, scale)
+                # the nonzero pairs, whole: +-s have inverses of one modulus
+                pairs = max(want, int(np.sum(l0 == 0))) - nf
+                pairs = min(pairs + pairs % 2, len(idx) - nf)
+                entry.update(path="chiral-lu", fixed=nf,
+                             kernel_residual=residual)
+        if factor is None:
+            factor = shift_invert_factor(block, norm_l)
+            pairs = want if not charge else max(1, int(np.sum(l0 == 0)))
         ritz = None
         while True:
             # pairs is never below the block's own L0 zeros
             evals, vecs, iterations, ritz = block_iteration(
                 factor, min(pairs, len(idx)), l0, start=ritz)
-            solves.append({"charge": charge, "path": "shift-invert",
-                           "size": len(idx), "pairs": len(evals),
+            solves.append({**entry, "pairs": kernel.shape[1] + len(evals),
                            "iterations": iterations})
             if not charge or len(evals) == len(idx):
                 break
@@ -345,10 +302,11 @@ def near_zero_eigensystem(bundle, want, norm_l):
                     and np.max(np.abs(evals)) >= found_abs[want - 1]):
                 break
             pairs *= 2
+        evals = np.r_[np.zeros(kernel.shape[1]), evals]
         found.extend([np.abs(evals)] * (2 if charge else 1))
-        return evals, vecs
+        return evals, np.hstack([kernel, vecs])
 
-    eig = BlockedEigensystem.of(bundle, solve, chiral)
+    eig = BlockedEigensystem.of(bundle, solve)
     return eig, {"path": f"{eig.path}-shift-invert",
                  "real": eig.telemetry()["real"], "blocks": solves,
                  "mirrored": len({s["charge"] for s in solves

@@ -172,6 +172,8 @@ MISTYPED_CASES = {
     "observable-misspelt-matrix": (("physics", "observable"),
                                    {"kind": "hop", "matrx": [[0, 1], [1, 0]]}),
     "observable-unknown-kind": (("physics", "observable"), {"kind": "number"}),
+    "observable-hop-and-matrix": (("physics", "observable"),
+                                  {"kind": "hop", "matrix": [[0, 0], [0, 1]]}),
     "observable-one-entry-pairs": (("physics", "observable"),
                                    {"matrix": [[[1], [0]], [[0], [1]]]}),
     "observable-three-entry-pairs": (("physics", "observable"),
@@ -180,6 +182,8 @@ MISTYPED_CASES = {
     "mu-misspelt-n-theta": (("physics", "mu"), {"kind": "uniform_theta",
                                                 "excess": 0.2, "n_thta": 4}),
     "mu-no-kind": (("physics", "mu"), {"excess": 0.2, "n_theta": 4}),
+    "kac-own-rho_bar": (("physics", "mu"), {"kind": "kac", "rho_bar": 0.4,
+                                            "n_r": 2, "n_theta": 2}),
     "atoms-misspelt-theta": (("physics", "mu"), {
         "kind": "atoms", "atoms": [{"r": 1.0, "weight": 1.0, "thta": 0.3}]}),
 }
@@ -357,6 +361,27 @@ def test_flagged_radial_integral_is_named_in_one_sentence(tmp_path, capsys):
     assert ". " not in sentence and len(sentence.split()) > 6
 
 
+@pytest.mark.parametrize("beta, below, named", [
+    (1.0, 1e-6, "radial integral (density equation): "),
+    (100.0, 1e-12, "density equation: rho_bar is above the density at "
+                   "fugacity 1 - 1e-13"),
+], ids=["flagged-integral", "no-bracket"])
+def test_flagged_density_equation_exits_3(tmp_path, capsys, beta, below,
+                                          named):
+    # every command solves the density equation for its manifest's
+    # fugacity; just below the critical density a flagged integral, or a
+    # density that no fugacity up to 1 - 1e-13 reaches, is a solver failure
+    # named on one line
+    cfg = base_config()
+    cfg["reservoir"] = {"beta": beta, "dispersion": "nonrelativistic",
+                        "rho_bar": (1 - below) * res.critical_density(
+                            beta, res.NONRELATIVISTIC)}
+    code, _, out = run_cli(tmp_path, "manifest", cfg, capsys)
+    assert code == cli.EXIT_SOLVER
+    assert out.err.startswith("solver failure: " + named)
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+
+
 def test_schema_rejects_missing_section(tmp_path, capsys):
     cfg = base_config()
     del cfg["trunc"]
@@ -416,19 +441,22 @@ def test_empty_lambda_list_is_config_error(tmp_path, capsys, command):
     assert "Traceback" not in out.err
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("physics", "mu", {"kind": "uniform_theta"}),
-    ("physics", "mu", {"kind": "kac"}),
-    ("physics", "mu", {"kind": "atoms", "atoms": [{"r": 0.5}]}),
-    ("reservoir", "form_factor", {"table": "absent.csv"}),
+@pytest.mark.parametrize("edits", [
+    {("physics", "mu"): {"kind": "uniform_theta"}},
+    {("physics", "mu"): {"kind": "kac"}, ("reservoir", "rho_bar"): DELETE},
+    {("physics", "mu"): {"kind": "atoms", "atoms": [{"r": 0.5}]}},
+    {("reservoir", "form_factor"): {"table": "absent.csv"}},
 ], ids=["uniform_theta-no-radius", "kac-no-rho_bar", "atoms-no-weight",
         "missing-table"])
-def test_malformed_measure_or_table_is_config_error(tmp_path, capsys, section,
-                                                    key, value):
+def test_malformed_measure_or_table_is_config_error(tmp_path, capsys, edits):
     cfg = base_config()
-    if key == "form_factor":
-        value = {"table": str(tmp_path / value["table"])}
-    cfg[section][key] = value
+    for (section, key), value in edits.items():
+        if value is DELETE:
+            del cfg[section][key]
+        elif key == "form_factor":
+            cfg[section][key] = {"table": str(tmp_path / value["table"])}
+        else:
+            cfg[section][key] = value
     code, _, out = run_cli(tmp_path, "rte", cfg, capsys)
     assert code == cli.EXIT_CONFIG
     assert out.err.startswith("validation error")
@@ -763,10 +791,9 @@ def test_spectrum_and_virial_refuse_a_measure(tmp_path, capsys, command):
      "physics.xi[1]"),
     ("rte", "mu", {"kind": "uniform_theta", "r": 1.0, "excess": 0.2},
      "physics.mu"),
-    ("rte", "mu", {"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 2,
-                   "r": 1.0}, "'r'"),
-    ("rte", "mu", {"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 2,
-                   "excess": 0.2}, "'excess'"),
+    ("rte", "mu", {"kind": "kac", "n_r": 2, "n_theta": 2, "r": 1.0}, "'r'"),
+    ("rte", "mu", {"kind": "kac", "n_r": 2, "n_theta": 2, "excess": 0.2},
+     "'excess'"),
     ("rte", "mu", {"kind": "atoms", "n_theta": 2,
                    "atoms": [{"r": 1.0, "weight": 1.0}]}, "'n_theta'"),
 ], ids=["xi-r-and-excess", "second-xi-r-and-excess",
@@ -838,6 +865,8 @@ def probe_config(mu, observable=None):
                    "spacing": "log"}
     cfg["trunc"] = {"n_max": 2}
     cfg["physics"] = {"lambda": [0.3], "mu": mu}
+    if mu["kind"] == "kac":
+        cfg["reservoir"]["rho_bar"] = 0.4     # the density the measure reads
     if observable is not None:
         cfg["physics"]["observable"] = {"matrix": observable}
     return cfg
@@ -888,8 +917,8 @@ def test_rte_exact_theta_limit(tmp_path, capsys, n_theta):
 
 
 @pytest.mark.parametrize("mu", [
-    {"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 2},
-    {"kind": "kac", "rho_bar": 0.4, "n_r": 2, "n_theta": 3},
+    {"kind": "kac", "n_r": 2, "n_theta": 2},
+    {"kind": "kac", "n_r": 2, "n_theta": 3},
     {"kind": "atoms", "atoms": [{"r": 0.5, "theta": 0.0, "weight": 0.5},
                                 {"r": 0.5, "theta": 3.0, "weight": 0.5}]}],
     ids=["kac-2", "kac-3", "atoms"])
@@ -924,7 +953,7 @@ def d3_non_hermitian(mu):
 
 @pytest.mark.parametrize("make, mu, n_thetas", [
     (probe_config, {"kind": "uniform_theta", "excess": 0.2}, [1, 2, 3, 4, 7]),
-    (probe_config, {"kind": "kac", "rho_bar": 0.4, "n_r": 2}, [2, 3]),
+    (probe_config, {"kind": "kac", "n_r": 2}, [2, 3]),
     (d3_non_hermitian, {"kind": "uniform_theta", "excess": 0.2},
      [1, 2, 3, 4, 7])], ids=["uniform-hop", "kac-hop", "d3-non-hermitian"])
 def test_rte_theta_aggregate_does_not_depend_on_n_theta(tmp_path, capsys,
@@ -977,8 +1006,9 @@ def test_rte_kac_sweep_has_one_eigh_and_kms_vector_per_density(
     monkeypatch.setattr(cli, "build_bundle",
                         counted("build_bundle", cli.build_bundle))
     cfg = base_config()
+    cfg["reservoir"]["rho_bar"] = 0.4
     cfg["physics"] = {"lambda": [0.1],
-                      "mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 2,
+                      "mu": {"kind": "kac", "n_r": 2,
                              "n_theta": 4}}
     code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
     assert code == cli.EXIT_OK
@@ -987,6 +1017,20 @@ def test_rte_kac_sweep_has_one_eigh_and_kms_vector_per_density(
     runs = json.loads((outdir / "rte.json").read_text())["runs"]
     assert [r["manifest"]["xi"]["theta"] for r in runs[:4]] == [
         2.0 * 3.141592653589793 * j / 4 for j in range(4)]
+
+
+def test_kac_measure_reads_the_manifest_rho0(tmp_path, capsys):
+    # the Kac measure's densities are rho_crit + rho0 x_i on the Laguerre
+    # nodes x_i, with the rho0 the manifest derives from reservoir.rho_bar
+    code, outdir, _ = run_cli(tmp_path, "rte", probe_config(
+        {"kind": "kac", "n_r": 2, "n_theta": 1}), capsys)
+    assert code == cli.EXIT_OK
+    derived = json.loads((outdir / "manifest.json").read_text())["derived"]
+    assert derived["rho0"] == 0.4 - derived["rho_crit"]
+    runs = json.loads((outdir / "rte.json").read_text())["runs"]
+    nodes = np.polynomial.laguerre.laggauss(2)[0]
+    assert [run["manifest"]["xi"]["r"] for run in runs] == [
+        derived["rho_crit"] + derived["rho0"] * x for x in nodes]
 
 
 def test_manifest_is_deterministic(tmp_path, capsys):
@@ -1163,8 +1207,9 @@ def test_kac_sweep_factorises_once_per_density(tmp_path, capsys,
                                                  monkeypatch):
     calls = record_factorisations(monkeypatch)
     cfg = base_config()
+    cfg["reservoir"]["rho_bar"] = 0.4
     cfg["physics"] = {"lambda": [0.1],
-                      "mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 3,
+                      "mu": {"kind": "kac", "n_r": 3,
                              "n_theta": 4}}
     code, outdir, _ = run_cli(tmp_path, "rte", cfg, capsys)
     assert code == cli.EXIT_OK
@@ -1269,8 +1314,9 @@ def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
 
 def test_rte_jobs_do_not_change_the_output(tmp_path, capsys):
     cfg = base_config()
+    cfg["reservoir"]["rho_bar"] = 0.4
     cfg["physics"] = {"lambda": [0.1],
-                      "mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 3,
+                      "mu": {"kind": "kac", "n_r": 3,
                              "n_theta": 2}}
     texts = []
     for jobs in ("1", "2"):

@@ -214,6 +214,31 @@ def self_mapped_blocks(b):
                   if path == "gauge" or not b.q_diag[idx[0]]]
 
 
+@pytest.mark.parametrize("spec", list(CASES.values()), ids=list(CASES))
+def test_solve_hook_gets_the_swap_of_the_real_self_mapped_block_alone(spec):
+    # one hook solves every block; only a real block that the swap maps to
+    # itself (sector 0, or the gauged L(0)) is handed its swap, and there it
+    # is the permutation the swap makes of the block's own states
+    b = make_bundle(*spec)
+    handed = []
+
+    def solve(charge, idx, block, swap):
+        handed.append((charge, idx, np.iscomplexobj(block), swap))
+        return sla.eigh(block.toarray())
+
+    eig = BlockedEigensystem.of(b, solve)
+    chiral = [(charge, idx, swap) for charge, idx, cplx, swap in handed
+              if not charge and not cplx]
+    assert len(chiral) == eig.chiral == (spec[6].imag == 0)
+    for charge, idx, cplx, swap in handed:
+        assert charge is None or charge >= 0
+        if not charge and not cplx:
+            np.testing.assert_array_equal(np.sort(swap), np.arange(len(idx)))
+            np.testing.assert_array_equal(idx[swap], b.swap[idx])
+        else:
+            assert swap is None
+
+
 @pytest.mark.parametrize("spec", list(CASES.values())
                          + [(3, "log", 3, 2, 0.2, 1.1, 1.0)],
                          ids=list(CASES) + ["d3-log-xi"])
@@ -271,30 +296,32 @@ REAL_SPECS = {name: spec for name, spec in CASES.items()
                          ids=list(REAL_SPECS))
 def test_chiral_kernel_is_the_loewdin_graph_frame(spec, monkeypatch):
     # the kernel of x^T as the graph [I; -X_A^-T X_F^T] over the fixed
-    # states, orthonormalised by G (G^T G)^-1/2, formed here densely: the
-    # kernel basis that both paths report starts with it, one column per
-    # fixed state, and chiral_kernel's basis spans it
+    # states, orthonormalised by G (G^T G)^-1/2, formed here densely and
+    # taken to the block's states: the kernel basis that both paths report
+    # starts with it, one column per fixed state, and chiral_kernel's
+    # kernel spans it
     b = make_bundle(*spec)
     path, gauge, blocks = symmetry_blocks(b.L.matrix, b.q_diag, b.theta)
     ((idx, block),) = [(idx, block) for idx, block in blocks
                        if path == "gauge" or not b.q_diag[idx[0]]]
-    u, x = chiral_split(block, np.searchsorted(idx, b.swap[idx]))
+    swap = np.searchsorted(idx, b.swap[idx])
+    u, x = chiral_split(block, swap)
     nf = x.shape[0] - x.shape[1]
     assert nf == kernel_index(b.dot_spec, b.trunc)
     dense = x.toarray()
     graph = np.vstack([np.eye(nf),
                        -np.linalg.solve(dense[nf:].T, dense[:nf].T)])
     ev, vec = np.linalg.eigh(graph.T @ graph)
-    loewdin = graph @ (vec / np.sqrt(ev)) @ vec.T
-    basis, _, info = chiral_kernel(x, 1.0)
-    np.testing.assert_allclose(basis @ basis.T, loewdin @ loewdin.T, rtol=0,
-                               atol=1e-11)
-    np.testing.assert_allclose(basis.T @ basis, np.eye(nf), rtol=0,
+    loewdin = u[:, :x.shape[0]] @ (graph @ (vec / np.sqrt(ev)) @ vec.T)
+    kernel, _, residual = chiral_kernel(block, swap, 1.0)
+    np.testing.assert_allclose(kernel @ kernel.T, loewdin @ loewdin.T,
+                               rtol=0, atol=1e-11)
+    np.testing.assert_allclose(kernel.T @ kernel, np.eye(nf), rtol=0,
                                atol=1e-14)
-    assert info == {"kernel_residual": pytest.approx(
-        np.max(np.linalg.norm(dense.T @ basis, axis=0)), rel=0, abs=1e-15)}
+    assert residual == pytest.approx(
+        np.max(np.linalg.norm(block @ kernel, axis=0)), rel=0, abs=1e-15)
     frame = np.zeros((b.dim, nf), dtype=gauge.dtype)
-    frame[idx] = u[:, :x.shape[0]] @ loewdin
+    frame[idx] = loewdin
     frame *= gauge[:, None]
     fixed = b.swap == np.arange(b.dim)
     sigma_min = np.linalg.svd(frame[fixed], compute_uv=False).min()
@@ -317,9 +344,8 @@ def test_singular_pair_block_keeps_the_svd_kernel(monkeypatch):
     # still gives every pair
     b = make_bundle(2, "linear", 3, 4, 0.0, None, 1.0)
     _, ((block, swap),) = self_mapped_blocks(b)
-    _, x = chiral_split(block, swap)
     with pytest.raises(SolverConvergenceError, match="pair x pair part"):
-        chiral_kernel(x, 1.0)
+        chiral_kernel(block, swap, 1.0)
     e, v = chiral_eigh(block, swap)
     evals = sla.eigh(block.toarray(), eigvals_only=True)
     np.testing.assert_allclose(e, evals, rtol=0, atol=1e-12)
@@ -330,7 +356,7 @@ def test_singular_pair_block_keeps_the_svd_kernel(monkeypatch):
     _, ((block, swap),) = self_mapped_blocks(b)
     monkeypatch.setattr(liouville, "RESIDUAL_BOUND", 0.0)
     with pytest.raises(SolverConvergenceError, match="frame residual"):
-        chiral_kernel(chiral_split(block, swap)[1], 1.0)
+        chiral_kernel(block, swap, 1.0)
 
 
 def test_equilibrium_vector_is_the_kms_kernel_vector(case):

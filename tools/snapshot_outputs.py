@@ -147,8 +147,8 @@ def cases():
                             "n_theta": 5}},
             solver={"T": [100.0, 1000.0]})),
         ("rte_kac", "rte", _variant(
-            physics={"mu": {"kind": "kac", "rho_bar": 0.4, "n_r": 2,
-                            "n_theta": 2}},
+            reservoir={"rho_bar": 0.4},
+            physics={"mu": {"kind": "kac", "n_r": 2, "n_theta": 2}},
             solver={"T": [100.0]})),
         # dim 2244: its largest charge sector holds 546 states
         ("rte_above_dense_cutoff", "rte", _variant(
