@@ -33,10 +33,9 @@ symmetry_blocks: without a condensate L conserves the charge Q and each charge
 sector is one block, of which only Q >= 0 are solved (the swap gives -Q from
 Q); with one, L = e^{i theta Q} L(0) e^{-i theta Q} and the gauged L(0) is one
 block.  A block real up to the rounding of the phases is solved in real
-arithmetic.  The per-block solve is one hook (BlockedEigensystem.of), handed
-the block's own swap permutation when the block is real and the swap maps it
-to itself (sector 0, or the gauged L(0)), where P B P = -B makes the block
-chiral (chiral_split, solved by chiral_eigh or chiral_kernel).  Bundles that
+arithmetic.  A real block that the swap maps to itself (sector 0, or the
+gauged L(0)) is chiral, P B P = -B (chiral_split, chiral_eigh,
+chiral_kernel), and the one per-block hook gets its swap.  Bundles that
 differ only in theta are gauges of one another, so the commands build one
 bundle per lambda and density r and read every theta of the sweep from it
 (cli._map_bundles).
@@ -400,29 +399,44 @@ def _project_out(w, basis):
 
 
 class ChiralInverse:
-    """The pseudo-inverse B+ of a chiral block B = u [[0, X], [X^T, 0]] u^T
-    (chiral_split), from the kernel basis of x^T and the LU of X_A^T that
-    chiral_kernel made; its solve(v) applies B+ to a block of columns.
-
-    B+ maps the even and odd parts (a, b) of u^T v to (X+^T b, X+ a), and
-    the kernel to zero.  With a' = a less its kernel part, which is in the
-    range of X, X+ a = X_A^-1 a'_A; X+^T b is [0; X_A^-T b] less its kernel
-    part, the least-norm solution of X^T y = b.  The pairs +-s have inverses
-    +-1/s of one modulus.
+    """The odd half of a chiral block B = u [[0, X], [X^T, 0]] u^T
+    (chiral_split) as block_iteration's factor, mat = X, on chiral_kernel's
+    kernel and LU of X_A^T.  left(v) = X+^T v, the least-norm y with
+    X^T y = v, is [0; X_A^-T v] less its kernel part; solve applies
+    X+ X+^T = (X^T X)^-1, X_A^-1 of left's pair rows.  pairs(v, s) gives,
+    for unit odd columns v, s = w^T X v if not given, the unit w along
+    X+^T v, and the residual in B of the pairs +-s, u (w; +-v) / sqrt2, that
+    lift makes (w = X v / s would put v's error in it times ||X||^2 / s).
+    rayleigh_ritz takes s and v from the SVD of X V, so s is not squared.
+    odd @ |diag| is sqrt2 |diag| on the odd states, for diag odd under P.
     """
 
-    def __init__(self, u, kernel, lu):
-        self.u, self.kernel, self.lu = u, kernel, lu
+    def __init__(self, u, x, kernel, lu, scale):
+        self.u, self.mat, self.kernel, self.lu = u, x, kernel, lu
+        self.scale, self.odd = scale, abs(u[:, len(kernel):]).T
+
+    def left(self, v):
+        y = np.zeros((len(self.kernel), v.shape[1]))
+        y[self.kernel.shape[1]:] = self.lu.solve(np.ascontiguousarray(v))
+        return _project_out(y, self.kernel)
 
     def solve(self, v):
-        w = self.u.T @ v
-        even, nf = self.kernel.shape
-        a = _project_out(w[:even], self.kernel)
-        y = np.zeros((even, w.shape[1]))
-        y[nf:] = self.lu.solve(np.ascontiguousarray(w[even:]))
-        return self.u @ np.vstack([
-            _project_out(y, self.kernel),
-            self.lu.solve(np.ascontiguousarray(a[nf:]), trans="T")])
+        return self.lu.solve(self.left(v)[self.kernel.shape[1]:], trans="T")
+
+    def pairs(self, v, s=None):
+        w = self.left(v)
+        w, xv = w / np.linalg.norm(w, axis=0), self.mat @ v
+        s = np.einsum("ij,ij->j", w, xv) if s is None else s
+        return s, w, np.sqrt(0.5) * np.linalg.norm(
+            np.vstack([xv - w * s, self.mat.T @ w - v * s]), axis=0)
+
+    def rayleigh_ritz(self, span):
+        s, zt = np.linalg.svd(self.mat @ span, full_matrices=False)[1:]
+        return s, span @ zt.T, self.pairs(span @ zt.T, s)[2]
+
+    def lift(self, s, vecs):
+        w, v = np.sqrt(0.5) * self.pairs(vecs, s)[1], np.sqrt(0.5) * vecs
+        return np.r_[-s, s], self.u @ np.block([[w, w], [-v, v]])
 
 
 def chiral_kernel(block, swap, scale):
@@ -430,13 +444,11 @@ def chiral_kernel(block, swap, scale):
     involution swap with P B P = -B, from one sparse LU of the X_A^T of
     chiral_split (minimum-degree ordering on A + A^T).
 
-    When X_A is nonsingular the kernel of x^T is exactly one vector per
-    fixed state, the graph G = [I; -X_A^-T X_F^T], and kernel is the Q of
-    its thin QR, orthonormal to rounding, taken to the block's own states.
-    inverse is the ChiralInverse of the same LU, B's pseudo-inverse.
-    residual is the largest ||x^T k|| over the kernel columns k (= ||B k||).
-    A singular X_A, or a residual above RESIDUAL_BOUND * scale, raises
-    SolverConvergenceError.
+    When X_A is nonsingular the kernel of x^T is one vector per fixed state,
+    the graph G = [I; -X_A^-T X_F^T]; kernel is the Q of its thin QR in the
+    block's states, inverse B's odd half on the same LU (ChiralInverse),
+    residual the largest ||B k|| of its columns.  A singular X_A, or a
+    residual above RESIDUAL_BOUND * scale, raises SolverConvergenceError.
     """
     u, x = chiral_split(block, swap)
     even, m = x.shape
@@ -453,7 +465,8 @@ def chiral_kernel(block, swap, scale):
         raise SolverConvergenceError(
             f"kernel frame residual {residual:.3g} above "
             f"{RESIDUAL_BOUND * scale:.3g}")
-    return u[:, :even] @ basis, ChiralInverse(u, basis, lu), residual
+    return (u[:, :even] @ basis, ChiralInverse(u, x, basis, lu, scale),
+            residual)
 
 
 def chiral_eigh(block, swap):

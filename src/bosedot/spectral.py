@@ -104,18 +104,17 @@ MAX_BLOCK_ITERATIONS = 100
 # what solve_near_zero flags
 RESIDUAL_FLAG = 1e-8    # a residual above this * max(||L||, 1)
 NEAR_DEGENERATE = 1e-9  # a spacing below this of two pairs outside the kernel
+OVERLAP_FLOOR = 1e-3    # an overlap_sigma_min below this
 
 
 def _orthonormalize(w, basis):
     """Orthonormal columns spanning w with its part in span(basis) removed.
 
     Two projection passes before and after a pivoted QR of the columns
-    scaled to unit norm, so the pivots come in the order of the test: only a
-    column whose remainder is below 1e-13 times its own norm is dropped.
-    The small but real remainders of nearly converged vectors are their
-    corrections.  The second projection repairs the orthogonality the QR of
-    small remainders loses; the columns are then orthonormal to a few parts
-    in 1e3 at worst, and a Cholesky QR restores them.
+    scaled to unit norm: only a column whose remainder is below 1e-13 of
+    its own norm is dropped (the small remainders of nearly converged
+    vectors are their corrections).  A Cholesky QR then restores the
+    orthonormality the QR of small remainders loses.
     """
     norms = np.linalg.norm(w, axis=0)
     q, r, _ = sla.qr(_project_out(w / np.where(norms > 0, norms, 1), basis),
@@ -130,9 +129,8 @@ def _start_block(l0_diag, width, dtype):
     """Indicator columns of the states with smallest |L0|, plus a dense probe.
 
     The indicators of the L0 kernel come first.  The probe column has weight
-    on every state of the matrix, and a pair near zero that the indicators
-    miss grows out of it; the near-zero solve hands each symmetry block its
-    own matrix, so the probe reaches only that block.
+    on every state of the block, and a pair near zero that the indicators
+    miss grows out of it.
     """
     n = len(l0_diag)
     states = np.argsort(np.abs(l0_diag), kind="stable")[:width]
@@ -145,14 +143,26 @@ def _start_block(l0_diag, width, dtype):
 
 @dataclass(frozen=True)
 class ShiftInvertFactor:
-    """What block_iteration iterates with on one matrix: mat, inverse,
-    whose solve(v) applies (mat - shift)^-1 to a block of columns (the
-    sparse LU of mat - shift, or a liouville.ChiralInverse), and the scale
-    max(||L||, 1) of the shift and the residual bound."""
+    """block_iteration's factor of mat: solve applies (mat - shift)^-1 by a
+    sparse LU, scale = max(||L||, 1) sets the shift and the residual bound,
+    rayleigh_ritz gives mat's Ritz pairs on a span with their residual
+    norms, and pairs(v) each column's Rayleigh quotient, v and residual."""
 
     mat: sparse.csr_matrix
-    inverse: object
+    solve: object
     scale: float
+
+    def rayleigh_ritz(self, span):
+        image = self.mat @ span
+        g = span.conj().T @ image
+        evals, c = np.linalg.eigh(0.5 * (g + g.conj().T))
+        return (evals, span @ c,
+                np.linalg.norm(image @ c - (span @ c) * evals, axis=0))
+
+    def pairs(self, vecs):
+        image = self.mat @ vecs
+        rq = np.real(np.einsum("ij,ij->j", vecs.conj(), image))
+        return rq, vecs, np.linalg.norm(image - vecs * rq, axis=0)
 
 
 def shift_invert_factor(mat, norm_l):
@@ -166,45 +176,38 @@ def shift_invert_factor(mat, norm_l):
     except RuntimeError as exc:
         raise SolverConvergenceError(
             f"shift-invert factorisation: {exc}") from exc
-    return ShiftInvertFactor(mat, lu, scale)
+    return ShiftInvertFactor(mat, lu.solve, scale)
 
 
 def block_iteration(factor, want, l0_diag, start=None):
-    """The want eigenpairs of Hermitian mat whose inverses under the factor
-    have the largest modulus (nearest the shift), and the Ritz block the
-    iteration ended with.
-
-    The one inverse of the factor serves every iteration.  Each iteration
-    applies it KRYLOV_DEPTH times to the active block, takes the Ritz pairs
-    of the inverse with the largest |mu| (e = shift + 1/mu), and locks the
-    leading pairs whose residual is below a tenth of the bound; the wanted
-    span is then Rayleigh-Ritz refined with mat itself, which removes the
-    error the locked vectors pass on to the rest.  Stops once every
-    reported residual is below RESIDUAL_BOUND * ||L||.  The start block is
-    _start_block of l0_diag, so the result depends on no seed; start, the
-    Ritz block of an earlier call on the same factor, leads it in place of
-    as many indicator columns.  Returns (eigenvalues by increasing |e|,
-    eigenvectors, iterations, Ritz block): the Ritz block is the reported
-    pairs, then the guard Ritz vectors, the start of a later call that asks
-    for more pairs.
+    """The want pairs of the factor nearest its shift: eigenpairs of mat
+    for a ShiftInvertFactor, singular pairs (s, v) of X, a chiral block's
+    odd half, for a liouville.ChiralInverse.  Each iteration applies
+    factor.solve KRYLOV_DEPTH times to the active block, keeps the Ritz
+    pairs of the inverse with the largest |mu|, locks the leading ones whose
+    factor.pairs residuals are below a tenth of the bound, and refines the
+    rest by factor.rayleigh_ritz, until every residual is below
+    RESIDUAL_BOUND * factor.scale.  It starts from _start_block(l0_diag)
+    (no seed), led by start, an earlier call's Ritz block.  Returns (values
+    by increasing modulus, vectors, iterations, Ritz block: the pairs, then
+    the guard Ritz vectors).
     """
-    mat, inverse = factor.mat, factor.inverse
-    n = mat.shape[0]
+    n = len(l0_diag)
     if want == 0:
-        none = np.zeros((n, 0), dtype=mat.dtype)
+        none = np.zeros((n, 0), dtype=factor.mat.dtype)
         return np.zeros(0), none, 0, none
     bound = RESIDUAL_BOUND * factor.scale
     width = min(want + BLOCK_GUARDS, n - 1)
-    block = _start_block(l0_diag, width, mat.dtype)
+    block = _start_block(l0_diag, width, factor.mat.dtype)
     if start is not None:
         block = np.hstack([start, block[:, start.shape[1]:]])[:, :width + 1]
-    locked = np.zeros((n, 0), dtype=mat.dtype)
+    locked = np.zeros((n, 0), dtype=factor.mat.dtype)
     for iteration in range(1, MAX_BLOCK_ITERATIONS + 1):
         basis, images = [], []
         v = _orthonormalize(block, locked)
         for depth in range(KRYLOV_DEPTH):
             basis.append(v)
-            images.append(inverse.solve(v))
+            images.append(factor.solve(v))
             if depth + 1 < KRYLOV_DEPTH:
                 v = _orthonormalize(images[-1], np.hstack([locked] + basis))
         b = np.hstack(basis)
@@ -219,21 +222,15 @@ def block_iteration(factor, want, l0_diag, start=None):
                 f"{want} pairs")
 
         wanted = ritz[:, :active]
-        span = np.hstack([locked, wanted])
-        image = mat @ span
-        g = span.conj().T @ image
-        evals, c = np.linalg.eigh(0.5 * (g + g.conj().T))
-        residuals = np.linalg.norm(image @ c - (span @ c) * evals, axis=0)
+        evals, vecs, residuals = factor.rayleigh_ritz(
+            np.hstack([locked, wanted]))
         if np.all(residuals <= bound):
             order = np.argsort(np.abs(evals), kind="stable")
-            vecs = (span @ c)[:, order]
-            return (evals[order], vecs, iteration,
-                    np.hstack([vecs, ritz[:, active:]]))
+            return (evals[order], vecs[:, order], iteration,
+                    np.hstack([vecs[:, order], ritz[:, active:]]))
 
         # lock the leading pairs that are well inside the bound
-        fresh = image[:, locked.shape[1]:]
-        rq = np.real(np.einsum("ij,ij->j", wanted.conj(), fresh))
-        done = np.linalg.norm(fresh - wanted * rq, axis=0) <= 0.1 * bound
+        done = factor.pairs(wanted)[2] <= 0.1 * bound
         nlock = int(np.cumprod(done).sum())
         locked = np.hstack([locked, ritz[:, :nlock]])
         block = ritz[:, nlock:]
@@ -243,45 +240,48 @@ def block_iteration(factor, want, l0_diag, start=None):
 
 
 def near_zero_eigensystem(bundle, want, norm_l):
-    """The BlockedEigensystem of the pairs of L nearest zero, one symmetry
-    block at a time, by block_iteration on each block's own (real where the
-    gauged entries are) matrix, one sparse LU per block.
-
-    A real block that the swap maps to itself (sector 0, or the gauged L(0)
-    of a condensate) is chiral: its kernel is liouville.chiral_kernel's, one
-    exact zero per fixed state, and the rest of its want pairs, rounded up
-    to whole pairs +-s, come from the iteration on its pseudo-inverse, which
-    uses the LU that made the kernel and maps the kernel to zero.  Where
-    chiral_kernel refuses (a singular X_A, or a kernel above the residual
-    bound) the block is solved like a complex gauged L(0), by shift-invert on
-    its own LU for all want pairs.  A sector Q != 0 starts at max(1, its own
-    L0 zeros) pairs and doubles that number while its farthest pair found is
-    nearer zero than the want-th smallest |e| found so far (its mirror and
-    the earlier sectors' included), until the sector is exhausted; each
-    doubling starts from the Ritz block the one before it ended with, on the
-    same LU.  Returns the eigensystem and the solver entry: the path, per
-    block solve its charge, path, size, pairs and iterations (for a chiral
-    block also its fixed states and kernel residual, and for a refused
-    kernel the reason), and the number of mirrored sectors.
-    """
+    """The BlockedEigensystem of the pairs of L nearest zero, by
+    block_iteration on each symmetry block's own (real where the gauged
+    entries are) matrix.  A real block that the swap maps to itself is
+    chiral: its kernel is liouville.chiral_kernel's, and each s of its odd
+    half gives the pairs +-s (shift-invert where the kernel is refused).  A
+    sector Q != 0 and its mirror are skipped when Weyl's bound min|L0| -
+    max row sum |B_Q - diag(L0)| is past the want-th smallest |e| found,
+    which only shrinks; else it doubles its pairs from max(1, its L0 zeros),
+    each time from the Ritz block before, while its farthest is nearer zero
+    than that |e|.  Returns the eigensystem and the solver entry: the path,
+    per block solve its charge, path, size, pairs and iterations (a chiral
+    block's fixed states and kernel residual, a refused kernel's reason, a
+    skipped sector's bound), and the number of mirrored sectors."""
     found, solves = [], []      # |e| of every pair so far, mirrors included
     scale = max(norm_l, 1.0)
+
+    def kth(*more):     # the want-th smallest |e| of found and more, or inf
+        found_abs = np.sort(np.concatenate(found + list(more)))
+        return found_abs[want - 1] if len(found_abs) >= want else np.inf
 
     def solve(charge, idx, block, swap):
         l0 = bundle.l0_diag[idx]
         entry = {"charge": charge, "path": "shift-invert", "size": len(idx)}
-        kernel, factor = np.zeros((len(idx), 0)), None
+        if charge:
+            # Weyl: no |e| of the sector is below bound
+            bound = float(np.min(np.abs(l0)) - np.max(
+                abs(block - sparse.diags(l0)).sum(axis=1)))
+            if bound > kth() + CLUSTER_TOL * scale:
+                solves.append({**entry, "path": "skipped", "bound": bound,
+                               "pairs": 0, "iterations": 0})
+                return np.zeros(0), np.zeros((len(idx), 0), block.dtype)
+        kernel, factor, lift = np.zeros((len(idx), 0)), None, lambda *p: p
         if swap is not None:
             try:
-                kernel, inverse, residual = chiral_kernel(block, swap, scale)
+                kernel, factor, residual = chiral_kernel(block, swap, scale)
             except SolverConvergenceError as exc:
                 entry["frame_refused"] = str(exc)
             else:
-                nf = kernel.shape[1]
-                factor = ShiftInvertFactor(block, inverse, scale)
-                # the nonzero pairs, whole: +-s have inverses of one modulus
-                pairs = max(want, int(np.sum(l0 == 0))) - nf
-                pairs = min(pairs + pairs % 2, len(idx) - nf)
+                nf, lift = kernel.shape[1], factor.lift
+                # the nonzero pairs, whole: a singular value s gives +-s
+                pairs = -(-(max(want, int(np.sum(l0 == 0))) - nf) // 2)
+                l0 = factor.odd @ np.abs(l0)
                 entry.update(path="chiral-lu", fixed=nf,
                              kernel_residual=residual)
         if factor is None:
@@ -291,15 +291,13 @@ def near_zero_eigensystem(bundle, want, norm_l):
         while True:
             # pairs is never below the block's own L0 zeros
             evals, vecs, iterations, ritz = block_iteration(
-                factor, min(pairs, len(idx)), l0, start=ritz)
+                factor, min(pairs, len(l0)), l0, start=ritz)
+            evals, vecs = lift(evals, vecs)
             solves.append({**entry, "pairs": kernel.shape[1] + len(evals),
                            "iterations": iterations})
-            if not charge or len(evals) == len(idx):
-                break
             # the sector's own pairs count twice: once more for their mirrors
-            found_abs = np.sort(np.concatenate(found + [np.abs(evals)] * 2))
-            if (len(found_abs) >= want
-                    and np.max(np.abs(evals)) >= found_abs[want - 1]):
+            if (not charge or len(evals) == len(idx)
+                    or np.max(np.abs(evals)) >= kth(*[np.abs(evals)] * 2)):
                 break
             pairs *= 2
         evals = np.r_[np.zeros(kernel.shape[1]), evals]
@@ -316,27 +314,23 @@ def near_zero_eigensystem(bundle, want, norm_l):
 def solve_near_zero(bundle, k):
     """Eigenpairs of L nearest zero, with verified residuals and whole kernel.
 
-    At least k pairs are reported, more when the kernel is larger, by |e| and
-    then by e.  From the bundle's full_eigensystem, when it has one, the
-    kernel is counted over the whole spectrum: max(k, kernel_dim) pairs.
-    Otherwise near_zero_eigensystem finds max(k, #zeros of L0) pairs from
-    fixed start vectors, so the result does not depend on any seed.
+    At least k pairs are reported, by |e| and then by e: max(k, kernel_dim)
+    from the bundle's full_eigensystem when it has one, otherwise the
+    max(k, #zeros of L0) of near_zero_eigensystem, which uses no seed.
 
     The kernel is the pairs with |e| < CLUSTER_TOL * max(||L||, 1), reported
-    as 0.0 with the residual ||L k||.  Its basis is formed here, on every
-    path, from the solved orthonormal kernel columns N alone: with the full
-    SVD N_F^H = U S V^H of N's rows at the swap-fixed states F, it is
-    N [U_1 V^H, U_2] (U_1 the first |F| columns of U), whose first |F|
-    columns are the Loewdin frame of the projections of the e_F onto the
-    kernel and do not depend on the rotation N came in; the rest, the
-    kernel's accidental zeros, still do.  Where the kernel is smaller than
-    |F| it is N U.  solver.overlap_sigma_min is the smallest of S.
+    as 0.0 with the residual ||L k||.  Its basis is formed from the solved
+    orthonormal kernel columns N alone: with the full SVD N_F^H = U S V^H of
+    N's rows at the swap-fixed states F, it is N [U_1 V^H, U_2], whose first
+    |F| columns, the Loewdin frame of the e_F projected onto the kernel, are
+    free of N's rotation; the rest, accidental zeros, are not (N U where the
+    kernel is smaller than |F|).  solver.overlap_sigma_min is min S.
 
-    Messages flag residuals above RESIDUAL_FLAG * max(||L||, 1), pairs
-    outside the kernel spaced below NEAR_DEGENERATE, a kernel filling every
-    reported pair, and a kernel of real (gauged) L larger than the swap
-    index, which bounds it from below: a smaller one is a certain miss,
-    SolverConvergenceError.
+    Messages flag residuals above RESIDUAL_FLAG * max(||L||, 1), an
+    overlap_sigma_min below OVERLAP_FLOOR, pairs outside the kernel spaced
+    below NEAR_DEGENERATE, a kernel filling every reported pair, and a
+    kernel of real (gauged) L larger than the swap index, which bounds it
+    from below: a smaller one is a certain miss, SolverConvergenceError.
     """
     mat = bundle.L.matrix
     if k > mat.shape[0]:
@@ -364,13 +358,16 @@ def solve_near_zero(bundle, k):
         rot[:, :len(fixed)] = rot[:, :len(fixed)] @ vh
     evecs[:, :kdim] = evecs[:, :kdim] @ rot
     evals[:kdim] = 0.0
-    solver["overlap_sigma_min"] = float(s.min()) if kdim else 0.0
+    sigma = solver["overlap_sigma_min"] = float(s.min()) if kdim else 0.0
     residuals = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
 
     messages = []
     bad = residuals > RESIDUAL_FLAG * max(norm_l, 1.0)
     if np.any(bad):
         messages.append(f"{int(bad.sum())} residuals above verification bound")
+    if kdim and sigma < OVERLAP_FLOOR:
+        messages.append(f"overlap_sigma_min {sigma:.3g} < {OVERLAP_FLOOR:g}: "
+                        "ill-conditioned fixed-state labels")
 
     spacings = np.diff(np.sort(evals[kdim:]))
     if len(spacings) and np.any((spacings > 0) & (spacings < NEAR_DEGENERATE)):

@@ -1094,17 +1094,46 @@ def test_spectrum_above_dense_cutoff_ignores_seed(tmp_path, capsys):
     # diagonal dot pairs times the vacuum and the 7 matched one-quantum pairs
     assert run["kernel_dim"] == run["report"]["kernel_index"] == 2 * (1 + 7)
     assert len(run["report"]["eigenvalues"]) == 20
-    # sectors 0..4 solved, -1..-4 mirrored; sector 0 by its chiral LU, the
-    # rest by shift-invert; no wall times in the output
+    # sectors 0..2 solved, 3 and 4 skipped (Weyl's bound on their |e| lies
+    # past the 20th pair found), -1..-4 mirrored; sector 0 by its chiral LU,
+    # the rest by shift-invert; no wall times in the output
     blocks = run["report"]["solver"]["blocks"]
-    assert sorted({b["charge"] for b in blocks}) == [0, 1, 2, 3, 4]
+    assert [b["charge"] for b in blocks] == [0, 1, 2, 3, 4]
     assert run["report"]["solver"]["mirrored"] == 4
     keys = {"charge", "path", "size", "pairs", "iterations"}
     assert set(blocks[0]) == keys | CHIRAL_KEYS
     assert blocks[0]["path"] == "chiral-lu"
     assert all(set(b) == keys and b["path"] == "shift-invert"
-               for b in blocks[1:])
+               for b in blocks[1:3])
+    largest = max(abs(e) for e in run["report"]["eigenvalues"])
+    assert all(set(b) == keys | {"bound"} and b["path"] == "skipped"
+               and b["pairs"] == b["iterations"] == 0
+               and b["bound"] > largest for b in blocks[3:])
     assert 0 < run["report"]["solver"]["overlap_sigma_min"] <= 1
+
+
+def test_spectrum_sparse_block_solves():
+    # the benchmark's spectrum_sparse bundle: sector 0's nonzero pairs take
+    # at most 3 iterations in the odd half of its chiral block, Q = 1's
+    # doublings 2, 1, 1, Q = 2 and 3 take 3 and 4, and Weyl's bound puts
+    # Q = 4 and 5 past the 40th pair, so they are not solved
+    cfg = benchmark_workloads()["spectrum_sparse"].config
+    dspec, grid = cli._build_grid(cfg)
+    b = liouville.build_bundle(dspec, grid, cli._trunc(cfg),
+                               cfg["physics"]["lambda"][0])
+    rep = spectral.solve_near_zero(b, cfg["solver"]["k_eigs"])
+    blocks = rep.solver["blocks"]
+    assert [(e["charge"], e["path"]) for e in blocks] == (
+        [(0, "chiral-lu")] + [(1, "shift-invert")] * 3
+        + [(2, "shift-invert"), (3, "shift-invert"), (4, "skipped"),
+           (5, "skipped")])
+    assert 1 <= blocks[0]["iterations"] <= 3
+    assert [e["iterations"] for e in blocks[1:]] == [2, 1, 1, 3, 4, 0, 0]
+    assert all(e["bound"] > np.abs(rep.eigenvalues).max()
+               for e in blocks[-2:])
+    assert rep.solver["mirrored"] == 5
+    assert rep.kernel_dim == rep.kernel_index == 33
+    assert rep.residuals.max() <= spectral.RESIDUAL_BOUND * rep.norm_L
 
 
 def test_sparse_solver_failure_exits_3(tmp_path, capsys, monkeypatch):

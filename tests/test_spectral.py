@@ -96,6 +96,22 @@ def test_solve_near_zero_sparse_path_self_consistent(gauss_ff):
                                kernel @ kernel.T, rtol=0, atol=1e-9)
 
 
+def test_overlap_below_the_floor_gets_a_message(gauss_ff, monkeypatch):
+    # the fixed-state labels of the kernel frame are flagged once
+    # overlap_sigma_min is below spectral.OVERLAP_FLOOR: not at this
+    # bundle's reading, and with the floor raised above it
+    b = _log_bundle(gauss_ff, 2, 4, 2, 0.1)
+    rep = spectral.solve_near_zero(b, k=12)
+    sigma = rep.solver["overlap_sigma_min"]
+    assert sigma > spectral.OVERLAP_FLOOR
+    assert not any("overlap_sigma_min" in m for m in rep.messages)
+    monkeypatch.setattr(spectral, "OVERLAP_FLOOR", 2 * sigma)
+    rep = spectral.solve_near_zero(b, k=12)
+    assert [m for m in rep.messages if "overlap_sigma_min" in m] == [
+        f"overlap_sigma_min {sigma:.3g} < {2 * sigma:g}: ill-conditioned "
+        "fixed-state labels"]
+
+
 def _log_bundle(gauss_ff, d, n_modes, n_max, lam, xi=None):
     dspec = bd.DotSpec(d=d)
     grid = bd.discretize(gauss_ff, 1.0,

@@ -359,6 +359,62 @@ def test_singular_pair_block_keeps_the_svd_kernel(monkeypatch):
         chiral_kernel(block, swap, 1.0)
 
 
+@pytest.mark.parametrize("spec", list(REAL_SPECS.values()),
+                         ids=list(REAL_SPECS))
+def test_odd_half_pairs_are_the_chiral_svd_pairs(spec):
+    # the chiral block's nonzero pairs come from the block iteration on
+    # (X^T X)^-1 over the odd states, lifted to +-s: the same pairs as the
+    # full SVD of chiral_eigh
+    b = make_bundle(*spec)
+    norm_l = b.norm_L()
+    nf = kernel_index(b.dot_spec, b.trunc)
+    eig, solver = spectral.near_zero_eigensystem(b, nf + 6, norm_l)
+    (entry,) = [e for e in solver["blocks"] if not e["charge"]]
+    assert entry["path"] == "chiral-lu" and entry["fixed"] == nf
+    (at,) = [i for i, (idx, _, _) in enumerate(eig.blocks)
+             if eig.path == "gauge" or not b.q_diag[idx[0]]]
+    idx, evals, vecs = eig.blocks[at]
+    assert entry["pairs"] == len(evals) >= nf + 6
+    np.testing.assert_array_equal(evals[:nf], 0.0)
+    nonzero = np.sort(evals[nf:])
+    np.testing.assert_array_equal(nonzero, -nonzero[::-1])
+    _, ((block, swap),) = self_mapped_blocks(b)
+    ref_e, ref_v = chiral_eigh(block, swap)
+    near = np.argsort(np.abs(ref_e), kind="stable")[nf:len(evals)]
+    np.testing.assert_allclose(nonzero, np.sort(ref_e[near]), rtol=0,
+                               atol=1e-12 * norm_l)
+    for e, v in zip(evals[nf:], vecs[:, nf:].T):
+        # each pair alone: its eigenvalue is apart from every other one
+        ((j,),) = np.nonzero(np.abs(ref_e - e) < 1e-9 * norm_l)
+        np.testing.assert_allclose(np.outer(v, v),
+                                   np.outer(ref_v[:, j], ref_v[:, j]),
+                                   rtol=0, atol=1e-9)
+    residuals = np.linalg.norm(block @ vecs - vecs * evals, axis=0)
+    assert residuals.max() <= spectral.RESIDUAL_BOUND * norm_l
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(len(evals)), rtol=0,
+                               atol=1e-12)
+
+
+def test_lift_takes_w_along_the_least_norm_solve():
+    # an odd vector v_k of X's smallest pair with an error delta along the
+    # largest: lifted with w along X+^T v, the pair +s is off by less than
+    # delta, where w = X v / s would carry the error times s_max / s_k
+    b = make_bundle(*CASES["d2-log-xi"])
+    _, ((block, swap),) = self_mapped_blocks(b)
+    _, half, _ = chiral_kernel(block, swap, 1.0)
+    w, s, vt = np.linalg.svd(half.mat.toarray(), full_matrices=False)
+    assert s[0] / s[-1] > 10
+    delta = 1e-8
+    v = (vt[-1] + delta * vt[0])[:, None] / np.hypot(1, delta)
+    evals, vecs = half.lift(s[-1:], v)
+    assert evals.tolist() == [-s[-1], s[-1]]
+    u, _ = chiral_split(block, swap)
+    exact = u @ np.r_[w[:, -1], vt[-1]] / np.sqrt(2)
+    assert np.linalg.norm(vecs[:, 1] - exact) < delta
+    residual = np.linalg.norm(block @ vecs[:, 1] - s[-1] * vecs[:, 1])
+    assert half.pairs(v, s[-1:])[2][0] == pytest.approx(residual, rel=1e-6)
+
+
 def test_equilibrium_vector_is_the_kms_kernel_vector(case):
     # one projection: onto the eigensystem's zero cluster and onto the
     # near-zero report's kernel basis
