@@ -497,9 +497,9 @@ def _spectrum_tasks(config, args):
     the conjugate A commutes with Q; the lambda weight and the structure
     overlap, diagonal weights of |psi|; and every panel entry, which lies in
     one charge sector.  So each phase gets the group's report with its own
-    xi.  Nothing is factorised that the report does not ask for (a spectrum
-    above DENSE_CUTOFF solves near zero).  They run the points of
-    physics.xi, so a physics.mu, which only rte reads, is refused."""
+    xi.  Nothing is factorised: the report is a near-zero solve at every
+    size.  They run the points of physics.xi, so a physics.mu, which only
+    rte reads, is refused."""
     if "mu" in config.get("physics", {}):
         raise ValueError("physics.mu is read only by rte: spectrum and "
                          "virial run the points of physics.xi")

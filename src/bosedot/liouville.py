@@ -320,12 +320,14 @@ class OperatorBundle(FirstParts):
 
     def full_eigensystem(self):
         """The eigensystem when it is cached or dim <= DENSE_CUTOFF, else
-        None, for consumers that have a sparse path."""
+        None, for norm_L and dynamics.evolve, which have a sparse path."""
         if self._eigensystem is None and self.dim > DENSE_CUTOFF:
             return None
         return self.eigensystem()
 
     def norm_L(self):
+        """||L|| exactly, the largest |e| of full_eigensystem where it has
+        one (C2's bound reads it), else L's row-sum bound."""
         eig = self.full_eigensystem()
         if eig is None:
             return self.L.norm_bound()

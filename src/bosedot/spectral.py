@@ -101,6 +101,8 @@ BLOCK_GUARDS = 6
 # applications of (L - shift)^-1 per block iteration
 KRYLOV_DEPTH = 5
 MAX_BLOCK_ITERATIONS = 100
+# iterations in which a block's largest unlocked residual has to halve
+STAGNATION_WINDOW = 5
 # what solve_near_zero flags
 RESIDUAL_FLAG = 1e-8    # a residual above this * max(||L||, 1)
 NEAR_DEGENERATE = 1e-9  # a spacing below this of two pairs outside the kernel
@@ -187,10 +189,11 @@ def block_iteration(factor, want, l0_diag, start=None):
     pairs of the inverse with the largest |mu|, locks the leading ones whose
     factor.pairs residuals are below a tenth of the bound, and refines the
     rest by factor.rayleigh_ritz, until every residual is below
-    RESIDUAL_BOUND * factor.scale.  It starts from _start_block(l0_diag)
-    (no seed), led by start, an earlier call's Ritz block.  Returns (values
-    by increasing modulus, vectors, iterations, Ritz block: the pairs, then
-    the guard Ritz vectors).
+    RESIDUAL_BOUND * factor.scale, or raises SolverConvergenceError once the
+    largest unlocked residual has not halved in STAGNATION_WINDOW iterations.
+    It starts from _start_block(l0_diag) (no seed), led by start, an earlier
+    call's Ritz block.  Returns (values by increasing modulus, vectors,
+    iterations, Ritz block: the pairs, then the guard Ritz vectors).
     """
     n = len(l0_diag)
     if want == 0:
@@ -202,6 +205,7 @@ def block_iteration(factor, want, l0_diag, start=None):
     if start is not None:
         block = np.hstack([start, block[:, start.shape[1]:]])[:, :width + 1]
     locked = np.zeros((n, 0), dtype=factor.mat.dtype)
+    worst = []      # the largest unlocked residual of each iteration
     for iteration in range(1, MAX_BLOCK_ITERATIONS + 1):
         basis, images = [], []
         v = _orthonormalize(block, locked)
@@ -229,8 +233,16 @@ def block_iteration(factor, want, l0_diag, start=None):
             return (evals[order], vecs[:, order], iteration,
                     np.hstack([vecs[:, order], ritz[:, active:]]))
 
+        unlocked = factor.pairs(wanted)[2]
+        worst.append(unlocked.max())
+        if (len(worst) > STAGNATION_WINDOW
+                and worst[-1] > 0.5 * worst[-1 - STAGNATION_WINDOW]):
+            raise SolverConvergenceError(
+                f"block iteration: largest residual {worst[-1]:.3g} above "
+                f"{bound:.3g} has not halved in {STAGNATION_WINDOW} "
+                "iterations")
         # lock the leading pairs that are well inside the bound
-        done = factor.pairs(wanted)[2] <= 0.1 * bound
+        done = unlocked <= 0.1 * bound
         nlock = int(np.cumprod(done).sum())
         locked = np.hstack([locked, ritz[:, :nlock]])
         block = ritz[:, nlock:]
@@ -249,7 +261,8 @@ def near_zero_eigensystem(bundle, want, norm_l):
     max row sum |B_Q - diag(L0)| is past the want-th smallest |e| found,
     which only shrinks; else it doubles its pairs from max(1, its L0 zeros),
     each time from the Ritz block before, while its farthest is nearer zero
-    than that |e|.  Returns the eigensystem and the solver entry: the path,
+    than that |e|.  A shift-inverted block's kernel columns get one more
+    solve and a QR.  Returns the eigensystem and the solver entry: the path,
     per block solve its charge, path, size, pairs and iterations (a chiral
     block's fixed states and kernel residual, a refused kernel's reason, a
     skipped sector's bound), and the number of mirrored sectors."""
@@ -300,6 +313,11 @@ def near_zero_eigensystem(bundle, want, norm_l):
                     or np.max(np.abs(evals)) >= kth(*[np.abs(evals)] * 2)):
                 break
             pairs *= 2
+        zero = np.abs(evals) < CLUSTER_TOL * scale
+        if entry["path"] == "shift-invert" and zero.any():
+            # one more inverse step: shift-invert stops with its kernel
+            # columns only about as accurate as the residual bound
+            vecs[:, zero] = np.linalg.qr(factor.solve(vecs[:, zero]))[0]
         evals = np.r_[np.zeros(kernel.shape[1]), evals]
         found.extend([np.abs(evals)] * (2 if charge else 1))
         return evals, np.hstack([kernel, vecs])
@@ -314,9 +332,9 @@ def near_zero_eigensystem(bundle, want, norm_l):
 def solve_near_zero(bundle, k):
     """Eigenpairs of L nearest zero, with verified residuals and whole kernel.
 
-    At least k pairs are reported, by |e| and then by e: max(k, kernel_dim)
-    from the bundle's full_eigensystem when it has one, otherwise the
-    max(k, #zeros of L0) of near_zero_eigensystem, which uses no seed.
+    At least k pairs are reported, by |e| and then by e: the max(k, #zeros
+    of L0) of near_zero_eigensystem, at every dimension, with no seed and
+    no dense factorisation.  ||L|| is L's row-sum bound.
 
     The kernel is the pairs with |e| < CLUSTER_TOL * max(||L||, 1), reported
     as 0.0 with the residual ||L k||.  Its basis is formed from the solved
@@ -335,16 +353,10 @@ def solve_near_zero(bundle, k):
     mat = bundle.L.matrix
     if k > mat.shape[0]:
         raise ValueError("more eigenpairs requested than the dimension")
-    norm_l = bundle.norm_L()
+    norm_l = bundle.L.norm_bound()
     kernel_tol = CLUSTER_TOL * max(norm_l, 1.0)
-
-    eig = bundle.full_eigensystem()
-    if eig is not None:
-        want = max(k, int(np.sum(np.abs(eig.evals) < kernel_tol)))
-        solver = {"path": "dense", "factorisation": eig.telemetry()}
-    else:
-        want = max(k, int(np.sum(bundle.l0_diag == 0)))
-        eig, solver = near_zero_eigensystem(bundle, want, norm_l)
+    want = max(k, int(np.sum(bundle.l0_diag == 0)))
+    eig, solver = near_zero_eigensystem(bundle, want, norm_l)
     order = np.lexsort((eig.evals, np.abs(eig.evals)))[:want]
     evals, evecs = eig.evals[order], eig.vectors(order)
     real = eig.telemetry()["real"]

@@ -557,6 +557,26 @@ def test_rte_runs_no_lu(tmp_path, capsys, monkeypatch, xi):
     assert run["factorisation"]["chiral"] == 1
 
 
+def spectrum_reports(tmp_path, capsys, monkeypatch, cfg):
+    """The spectrum report of cfg's single run, from the near-zero block
+    solve and then, the reference, with solve_near_zero selecting its pairs
+    from the bundle's dense factorisation, bundle.eigensystem()."""
+    reports = []
+    for sub in ("block", "dense"):
+        with monkeypatch.context() as patch:
+            if sub == "dense":
+                patch.setattr(spectral, "near_zero_eigensystem",
+                              lambda bundle, want, norm_l:
+                              (bundle.eigensystem(), {"path": "eigensystem"}))
+            (tmp_path / sub).mkdir()
+            code, outdir, out = run_cli(tmp_path / sub, "spectrum", cfg,
+                                        capsys)
+        assert code == cli.EXIT_OK, out.err
+        (run,) = json.loads((outdir / "spectrum.json").read_text())["runs"]
+        reports.append(run["report"])
+    return reports
+
+
 def kernel_rows(report):
     """The diagnostics rows of a spectrum report's kernel, in report order,
     each flattened to {key: number} with the panel entries as panel.<name>."""
@@ -566,21 +586,10 @@ def kernel_rows(report):
             if abs(row["eigenvalue"]) < report["kernel_tol"]]
 
 
-@pytest.mark.parametrize("xi, table, first", [
-    (None, False, "chiral-lu"),
-    ([{"excess": 0.2, "theta": 0.7}], False, "chiral-lu"),
-    (None, True, "shift-invert"),
-    ([{"excess": 0.2, "theta": 0.7}], True, "shift-invert")],
-    ids=["sector-0", "gauged-condensate", "complex-table",
-         "complex-table-condensate"])
-def test_dense_and_block_paths_report_the_same_kernel_rows(
-        tmp_path, capsys, monkeypatch, xi, table, first):
-    # dim 112: the dense factorisation, and the block path with the cutoff
-    # below the dimension, report the one kernel frame that solve_near_zero
-    # forms from either path's kernel columns, so every kernel row agrees,
-    # not only the rotation-free traces.  The complex tabulated coupling
-    # makes sector 0, or the gauged L(0), a complex block, which the block
-    # path shift-inverts
+def dim112_config(tmp_path, xi, table):
+    """A spectrum of k_eigs 12 at dim 112 on a log grid, with the
+    condensate points xi, and with snapshot_outputs' complex tabulated form
+    factor (written to tmp_path) if table."""
     cfg = base_config()
     cfg["grid"] = {"n_modes": 3, "omega_min": 0.35, "omega_max": 2.3,
                    "spacing": "log"}
@@ -593,20 +602,48 @@ def test_dense_and_block_paths_report_the_same_kernel_rows(
         path.write_text(load_module(
             ROOT / "tools" / "snapshot_outputs.py").complex_table())
         cfg["reservoir"]["form_factor"] = {"table": str(path)}
-    reports = []
-    for cutoff in (liouville.DENSE_CUTOFF, 10):
-        monkeypatch.setattr(liouville, "DENSE_CUTOFF", cutoff)
-        sub = tmp_path / str(cutoff)
-        sub.mkdir()
-        code, outdir, out = run_cli(sub, "spectrum", cfg, capsys)
-        assert code == cli.EXIT_OK, out.err
-        (run,) = json.loads((outdir / "spectrum.json").read_text())["runs"]
-        reports.append(run["report"])
-    dense, block = reports
-    assert dense["solver"]["path"] == "dense"
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["spectrum", "virial"])
+@pytest.mark.parametrize("xi, table", [
+    (None, False), ([{"excess": 0.2, "theta": 0.7}], False), (None, True)],
+    ids=["sector-0", "gauged-condensate", "complex-table"])
+def test_spectrum_and_virial_never_factorise(tmp_path, capsys, monkeypatch,
+                                             command, xi, table):
+    # below the dense cutoff too, the near-zero solve is the only eigensolve
+    # of spectrum and virial: no symmetry block gets a dense eigh or a
+    # chiral SVD
+    def no_factorisation(*args, **kwargs):
+        raise AssertionError("a symmetry block was factorised")
+
+    monkeypatch.setattr(liouville, "eigh", no_factorisation)
+    monkeypatch.setattr(liouville, "chiral_eigh", no_factorisation)
+    code, _, out = run_cli(tmp_path, command,
+                           dim112_config(tmp_path, xi, table), capsys)
+    assert code == cli.EXIT_OK, out.err
+
+
+@pytest.mark.parametrize("xi, table, first", [
+    (None, False, "chiral-lu"),
+    ([{"excess": 0.2, "theta": 0.7}], False, "chiral-lu"),
+    (None, True, "shift-invert"),
+    ([{"excess": 0.2, "theta": 0.7}], True, "shift-invert")],
+    ids=["sector-0", "gauged-condensate", "complex-table",
+         "complex-table-condensate"])
+def test_dense_and_block_paths_report_the_same_kernel_rows(
+        tmp_path, capsys, monkeypatch, xi, table, first):
+    # dim 112: the block path and the dense factorisation's pairs give the
+    # one kernel frame that solve_near_zero forms from any kernel columns,
+    # so every kernel row agrees, not only the rotation-free traces.  The
+    # complex tabulated coupling makes sector 0, or the gauged L(0), a
+    # complex block, which the block path shift-inverts
+    cfg = dim112_config(tmp_path, xi, table)
+    block, dense = spectrum_reports(tmp_path, capsys, monkeypatch, cfg)
     assert block["solver"]["blocks"][0]["path"] == first
+    assert dense["solver"]["path"] == "eigensystem"
     assert dense["kernel_dim"] == block["kernel_dim"] == 8
-    for want, got in zip(*map(kernel_rows, reports), strict=True):
+    for want, got in zip(kernel_rows(dense), kernel_rows(block), strict=True):
         assert got.keys() == want.keys()
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=0, abs=1e-10), key
@@ -1183,25 +1220,16 @@ def test_linear_grid_at_lambda_0_solves_on_both_paths(tmp_path, capsys,
                                                       monkeypatch):
     # the default spacing and lambda: from n_max 4 a linear grid puts L0
     # zeros on pair states (omega_1 + omega_3 = 2 omega_2), and at lambda 0
-    # nothing couples them, so X_A is singular (dim 840).  The dense path
-    # takes chiral_eigh's SVD columns, the block path solves the block by
-    # shift-invert; both run, find the same kernel and report one frame
+    # nothing couples them, so X_A is singular (dim 840).  The block path
+    # solves the block by shift-invert and finds the kernel of the dense
+    # factorisation's chiral_eigh SVD columns, in the one frame
     cfg = base_config()
     cfg["grid"] = {"n_modes": 3, "omega_max": 2.2, "spacing": "linear"}
     cfg["trunc"] = {"n_max": 4}
     cfg["physics"] = {"lambda": [0.0]}
     cfg["solver"] = {"k_eigs": 12}
-    reports = []
-    for cutoff in (liouville.DENSE_CUTOFF, 10):
-        monkeypatch.setattr(liouville, "DENSE_CUTOFF", cutoff)
-        sub = tmp_path / str(cutoff)
-        sub.mkdir()
-        code, outdir, out = run_cli(sub, "spectrum", cfg, capsys)
-        assert code == cli.EXIT_OK, out.err
-        (run,) = json.loads((outdir / "spectrum.json").read_text())["runs"]
-        reports.append(run["report"])
-    dense, block = reports
-    assert dense["solver"]["path"] == "dense"
+    block, dense = spectrum_reports(tmp_path, capsys, monkeypatch, cfg)
+    reports = dense, block
     entry = block["solver"]["blocks"][0]
     assert entry["path"] == "shift-invert"
     assert entry["frame_refused"].startswith("pair x pair part of the "
@@ -1272,9 +1300,9 @@ def cluster_traces(report):
 
 def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
                                                             monkeypatch):
-    # three phases of one density: one bundle, one factorisation and one
-    # conjugate.
-    # A run at one phase alone factorises its own L, whose degenerate kernel
+    # three phases of one density: one bundle, one conjugate and no
+    # factorisation.
+    # A run at one phase alone solves its own L, whose degenerate kernel
     # the eigensolver may rotate, so its rows agree with the sweep's as
     # traces over each cluster, to 1e-12 of the unit scale of a unit
     # vector's weights; eigenvalues, residuals and virial values are
@@ -1305,7 +1333,7 @@ def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
         return json.loads((outdir / f"{command}.json").read_text())
 
     runs = run("spectrum", cfg, "sweep")["runs"]
-    assert len(factorised) == 1
+    assert factorised == []
     assert counts == {"build_bundle": 1, "assemble_conjugate": 1}
     assert [r["xi"]["theta"] for r in runs] == list(thetas)
     for theta, got in zip(thetas, runs):
@@ -1318,17 +1346,22 @@ def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
         assert got.keys() == want.keys()
         for key in ("kernel_dim", "kernel_index", "messages"):
             assert got[key] == want[key], key
-        # the one float of the solver entry is formed from each bundle's
-        # own kernel columns
+        # the floats of the solver entry are formed from each bundle's own
+        # kernel columns: overlap_sigma_min, and the chiral block's kernel
+        # residual, rounding noise like the residuals below
         sigma = want["solver"].pop("overlap_sigma_min")
         assert got["solver"].pop("overlap_sigma_min") == pytest.approx(
             sigma, rel=1e-12)
+        bound = 1e-12 * want["norm_L"]
+        for g, w in zip(got["solver"]["blocks"], want["solver"]["blocks"],
+                        strict=True):
+            assert g.pop("kernel_residual", 0.0) == pytest.approx(
+                w.pop("kernel_residual", 0.0), rel=0, abs=bound)
         assert got["solver"] == want["solver"]
         for key in ("kernel_tol", "norm_L"):
             assert got[key] == pytest.approx(want[key], rel=1e-12), key
         for g, w in zip(*map(cluster_traces, (got, want)), strict=True):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
-        bound = 1e-12 * want["norm_L"]
         for key in ("eigenvalues", "residuals"):
             assert np.allclose(sorted(got[key]), sorted(want[key]),
                                rtol=0, atol=bound), key

@@ -129,23 +129,29 @@ def _log_bundle(gauss_ff, d, n_modes, n_max, lam, xi=None):
 
 def test_dense_kernel_dimension_not_capped_by_k(gauss_ff):
     # vacuum and 4 matched one-quantum pairs per diagonal dot pair: the kernel
-    # is 10-dimensional, and k = 6 must not cut it
+    # is 10-dimensional, as in the dense factorisation, and k = 6 must not
+    # cut it
     b = _log_bundle(gauss_ff, 2, 4, 2, 0.1)
     assert b.dim == 180
     rep = spectral.solve_near_zero(b, k=6)
-    assert rep.kernel_dim == 10
+    assert rep.kernel_dim == 10 == np.sum(
+        np.abs(b.eigensystem().evals) < rep.kernel_tol)
     assert len(rep.eigenvalues) == 10
-    # dot-pair charges -1..1 plus field charges -2..2 (n_max 2): seven
-    # charge sectors, the largest the charge-zero one; and the smallest
-    # singular value of the kernel basis at the swap-fixed states
+    # dot-pair charges -1..1 plus field charges -2..2 (n_max 2): sector 0,
+    # the largest, by its chiral LU with one kernel vector per fixed state,
+    # sectors 1 and 2 by shift-invert, and sector 3 past Weyl's bound; and
+    # the smallest singular value of the kernel basis at the swap-fixed
+    # states
     fixed = b.swap == np.arange(b.dim)
-    assert rep.solver == {"path": "dense",
-                          "factorisation": {"path": "sector", "blocks": 7,
-                                            "largest_block": 42,
-                                            "real": True, "chiral": 1},
-                          "overlap_sigma_min": pytest.approx(np.linalg.svd(
-                              rep.kernel_basis[fixed],
-                              compute_uv=False).min(), rel=1e-12)}
+    assert rep.solver["path"] == "sector-shift-invert"
+    assert [(e["charge"], e["path"]) for e in rep.solver["blocks"]] == [
+        (0, "chiral-lu"), (1, "shift-invert"), (2, "shift-invert"),
+        (3, "skipped")]
+    assert rep.solver["blocks"][0]["size"] == 42
+    assert rep.solver["blocks"][0]["fixed"] == 10
+    assert rep.solver["mirrored"] == 3
+    assert rep.solver["overlap_sigma_min"] == pytest.approx(np.linalg.svd(
+        rep.kernel_basis[fixed], compute_uv=False).min(), rel=1e-12)
     assert any("kernel fills" in m for m in rep.messages)
     # k above the kernel still means "pairs reported", with no message
     rep = spectral.solve_near_zero(b, k=14)
@@ -170,11 +176,13 @@ def _assert_near_zero_pairs(b, evals, evecs, reference):
     assert np.all(residuals <= spectral.RESIDUAL_BOUND * norm_l)
     np.testing.assert_allclose(np.sort(evals), np.sort(reference),
                                rtol=0, atol=1e-10 * norm_l)
-    dense = spectral.solve_near_zero(b, k=len(evals))
-    in_kernel = np.abs(evals) < dense.kernel_tol
-    assert int(in_kernel.sum()) == dense.kernel_dim
+    eig = b.eigensystem()
+    kernel_tol = spectral.CLUSTER_TOL * max(norm_l, 1.0)
+    zero = np.flatnonzero(np.abs(eig.evals) < kernel_tol)
+    in_kernel = np.abs(evals) < kernel_tol
+    assert int(in_kernel.sum()) == len(zero)
     block_kernel = evecs[:, in_kernel]
-    dense_kernel = dense.kernel_basis
+    dense_kernel = eig.vectors(zero)
     np.testing.assert_allclose(block_kernel @ block_kernel.conj().T,
                                dense_kernel @ dense_kernel.conj().T,
                                rtol=0, atol=1e-9)
@@ -220,7 +228,7 @@ def test_block_shift_invert_matches_dense(n_modes, n_max, lam, xi,
     _assert_near_zero_pairs(b, evals, evecs,
                             ref[np.argsort(np.abs(ref - shift))[:want]])
 
-    # the per-block driver of the path above DENSE_CUTOFF
+    # the per-block driver that solve_near_zero runs
     evals, evecs, solver = _near_zero_pairs(b, k, norm_l)
     assert len(evals) == want
     assert solver["path"] == ("sector" if xi is None else "gauge") + \
@@ -303,21 +311,64 @@ def test_doubling_starts_from_the_ritz_block_found_before(gauss_ff):
                                cold[1] @ cold[1].T, rtol=0, atol=1e-10)
 
 
+class FloorFactor(spectral.ShiftInvertFactor):
+    """A shift-invert factor whose residuals never fall below three times
+    the bound."""
+
+    def rayleigh_ritz(self, span):
+        evals, vecs, residuals = super().rayleigh_ritz(span)
+        return evals, vecs, residuals + 3 * spectral.RESIDUAL_BOUND * self.scale
+
+    def pairs(self, vecs):
+        rq, vecs, residuals = super().pairs(vecs)
+        return rq, vecs, residuals + 3 * spectral.RESIDUAL_BOUND * self.scale
+
+
+def test_block_iteration_stops_when_its_residuals_stall(gauss_ff):
+    # sector 1 of a dim-660 bundle, from the Ritz block of its converged
+    # pairs: with a residual floor above the bound, the largest unlocked
+    # residual stops falling at once, and the iteration gives up after
+    # STAGNATION_WINDOW + 1 iterations, not MAX_BLOCK_ITERATIONS
+    b = _log_bundle(gauss_ff, 2, 4, 3, 0.1)
+    norm_l = b.L.norm_bound()
+    _, _, blocks = symmetry_blocks(b.L.matrix, b.q_diag, b.theta)
+    idx, block = next(blk for blk in blocks if b.q_diag[blk[0][0]] == 1)
+    l0 = b.l0_diag[idx]
+    factor = spectral.shift_invert_factor(block, norm_l)
+    ritz = spectral.block_iteration(factor, 4, l0)[3]
+    solves = []
+
+    def solve(v):
+        solves.append(v.shape[1])
+        return factor.solve(v)
+
+    bound = spectral.RESIDUAL_BOUND * factor.scale
+    with pytest.raises(SolverConvergenceError,
+                       match=f"above {bound:.3g} has not halved in "
+                       f"{spectral.STAGNATION_WINDOW} iterations"):
+        spectral.block_iteration(FloorFactor(block, solve, factor.scale), 4,
+                                 l0, start=ritz)
+    assert (len(solves) == spectral.KRYLOV_DEPTH
+            * (spectral.STAGNATION_WINDOW + 1))
+
+
 def test_dense_and_block_paths_report_the_same_signed_pairs(gauss_ff):
     # d = 3, one mode, n_max 1 (dim 27): k = 4 cuts between the pair +-e of
-    # the sectors Q = +-1.  Both paths take sector -1 from sector 1 through
-    # the swap, so the tie |e| = |-e| is exact and both keep -e.
+    # the sectors Q = +-1.  The block path and the dense factorisation both
+    # take sector -1 from sector 1 through the swap, so the tie |e| = |-e|
+    # is exact and both keep -e.
     b = _log_bundle(gauss_ff, 3, 1, 1, 0.3)
     norm_l = b.norm_L()
-    dense = spectral.solve_near_zero(b, 4)
-    assert dense.solver["path"] == "dense"
-    dense_e, dense_v = dense.eigenvalues, dense.vectors
-    block_e, block_v, _ = _near_zero_pairs(b, 4, norm_l)
-    np.testing.assert_allclose(dense_e, block_e, rtol=0, atol=1e-12 * norm_l)
-    outside = np.abs(dense_e) >= dense.kernel_tol
+    rep = spectral.solve_near_zero(b, 4)
+    eig = b.eigensystem()
+    order = np.lexsort((eig.evals, np.abs(eig.evals)))[:4]
+    dense_e, dense_v = eig.evals[order], eig.vectors(order)
+    np.testing.assert_allclose(rep.eigenvalues, dense_e, rtol=0,
+                               atol=1e-12 * norm_l)
+    outside = np.abs(dense_e) >= rep.kernel_tol
     assert outside.sum() == 1 and dense_e[outside][0] < 0
     assert dense_e[outside][0] == pytest.approx(-1.50016751e-02, rel=1e-8)
-    overlap = np.vdot(dense_v[:, outside][:, 0], block_v[:, outside][:, 0])
+    overlap = np.vdot(dense_v[:, outside][:, 0], rep.vectors[:, outside][:, 0])
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -294,11 +294,11 @@ REAL_SPECS = {name: spec for name, spec in CASES.items()
 
 @pytest.mark.parametrize("spec", list(REAL_SPECS.values()),
                          ids=list(REAL_SPECS))
-def test_chiral_kernel_is_the_loewdin_graph_frame(spec, monkeypatch):
+def test_chiral_kernel_is_the_loewdin_graph_frame(spec):
     # the kernel of x^T as the graph [I; -X_A^-T X_F^T] over the fixed
     # states, orthonormalised by G (G^T G)^-1/2, formed here densely and
-    # taken to the block's states: the kernel basis that both paths report
-    # starts with it, one column per fixed state, and chiral_kernel's
+    # taken to the block's states: the kernel basis that solve_near_zero
+    # reports starts with it, one column per fixed state, and chiral_kernel's
     # kernel spans it
     b = make_bundle(*spec)
     path, gauge, blocks = symmetry_blocks(b.L.matrix, b.q_diag, b.theta)
@@ -325,17 +325,13 @@ def test_chiral_kernel_is_the_loewdin_graph_frame(spec, monkeypatch):
     frame *= gauge[:, None]
     fixed = b.swap == np.arange(b.dim)
     sigma_min = np.linalg.svd(frame[fixed], compute_uv=False).min()
-    # the block path first: the dense one caches the bundle's eigensystem
-    for cutoff in (10, liouville.DENSE_CUTOFF):
-        monkeypatch.setattr(liouville, "DENSE_CUTOFF", cutoff)
-        rep = spectral.solve_near_zero(b, k=nf + 2)
-        assert rep.solver["path"] == ("dense" if cutoff > b.dim else
-                                      f"{path}-shift-invert")
-        assert rep.kernel_dim >= nf
-        np.testing.assert_allclose(rep.kernel_basis[:, :nf], frame, rtol=0,
-                                   atol=1e-12)
-        assert rep.solver["overlap_sigma_min"] == pytest.approx(sigma_min,
-                                                                rel=1e-12)
+    rep = spectral.solve_near_zero(b, k=nf + 2)
+    assert rep.solver["path"] == f"{path}-shift-invert"
+    assert rep.kernel_dim >= nf
+    np.testing.assert_allclose(rep.kernel_basis[:, :nf], frame, rtol=0,
+                               atol=1e-12)
+    assert rep.solver["overlap_sigma_min"] == pytest.approx(sigma_min,
+                                                            rel=1e-12)
 
 
 def test_singular_pair_block_keeps_the_svd_kernel(monkeypatch):
@@ -413,6 +409,19 @@ def test_lift_takes_w_along_the_least_norm_solve():
     assert np.linalg.norm(vecs[:, 1] - exact) < delta
     residual = np.linalg.norm(block @ vecs[:, 1] - s[-1] * vecs[:, 1])
     assert half.pairs(v, s[-1:])[2][0] == pytest.approx(residual, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["d2-log", "d2-log-xi", "d2-log-complex",
+                                  "d2-log-xi-complex"])
+def test_near_zero_solve_reaches_the_whole_spectrum(name):
+    # k = dim: the block path reports every eigenvalue of L, the kernel as
+    # 0.0, as the multiset of a complex eigvalsh of the whole space
+    b = make_bundle(*CASES[name])
+    evals = sla.eigvalsh(b.L.matrix.toarray())
+    rep = spectral.solve_near_zero(b, k=b.dim)
+    assert len(rep.eigenvalues) == b.dim
+    np.testing.assert_allclose(np.sort(rep.eigenvalues), evals, rtol=0,
+                               atol=1e-12 * np.abs(evals).max())
 
 
 def test_equilibrium_vector_is_the_kms_kernel_vector(case):
