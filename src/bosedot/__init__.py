@@ -16,7 +16,7 @@ from .liouville import (FirstParts, OperatorBundle, assemble_first,
                         build_bundle, assemble_interaction, assemble_conjugate,
                         kms_vector, dilation_one_body, antisymmetric_one_body)
 from .spectral import (SpectralReport, LevelShiftReport, SandwichReport,
-                       solve_near_zero, virial_check, kernel_structure,
+                       solve_near_zero, kernel_structure,
                        kms_kernel_vector, orthogonal_kernel_panel,
                        attach_diagnostics, level_shift, resolvent_sandwich,
                        lorentzian_constant)

@@ -223,20 +223,28 @@ def _dispersion(config):
     return res.Dispersion(config["reservoir"].get("dispersion", "relativistic"))
 
 
+# the keys of reservoir.form_factor that each source reads, besides preset
+FORM_FACTOR_KEYS = {"gaussian": {"amplitude", "width"},
+                    "power_law": {"amplitude", "exponent", "width"},
+                    "table": {"table"}}
+
+
 def _form_factor(config):
-    ff = config["reservoir"].get("form_factor",
-                                 {"preset": "gaussian"})
-    if "table" in ff:
+    ff = dict(config["reservoir"].get("form_factor", {}))
+    source = "table" if "table" in ff else ff.pop("preset", "gaussian")
+    unread = sorted(ff.keys() - FORM_FACTOR_KEYS[source])
+    if unread:
+        raise ValueError(f"reservoir.form_factor: a {source} form factor "
+                         f"reads no {unread[0]!r}")
+    if source == "table":
         try:
             return res.FormFactor.from_csv(ff["table"])
         except OSError as exc:
             raise ValueError(f"form factor table: {exc}") from exc
-    if ff.get("preset", "gaussian") == "gaussian":
-        return res.FormFactor.gaussian(ff.get("amplitude", 1.0),
-                                       ff.get("width", 1.0))
-    return res.FormFactor.power_law(ff.get("amplitude", 1.0),
-                                    ff.get("exponent", 1.0),
-                                    ff.get("width", 1.0))
+    # the library holds the defaults of the keys the config leaves out
+    if source == "gaussian":
+        return res.FormFactor.gaussian(**ff)
+    return res.FormFactor.power_law(**ff)
 
 
 def _dot_spec(config):
@@ -299,18 +307,19 @@ def _measure(config, rho_crit):
     unread = sorted(mu.keys() - MEASURE_KEYS[kind] - {"kind"})
     if unread:
         raise ValueError(f"physics.mu: a {kind} measure reads no {unread[0]!r}")
+    # the library holds the defaults of the counts the config leaves out
+    counts = {key: mu[key] for key in ("n_r", "n_theta") if key in mu}
     try:
         if kind == "uniform_theta":
             return res.XiMeasure.uniform_theta(
-                _radius(mu, rho_crit, "physics.mu"), mu.get("n_theta", 8))
+                _radius(mu, rho_crit, "physics.mu"), **counts)
         if kind == "kac":
             rho_bar = config["reservoir"].get("rho_bar")
             if rho_bar is None:
                 raise ValueError("a kac measure needs reservoir.rho_bar")
             return res.XiMeasure.kac_theta(
                 config["reservoir"]["beta"], float(rho_bar),
-                _dispersion(config), n_r=mu.get("n_r", 8),
-                n_theta=mu.get("n_theta", 4))
+                _dispersion(config), **counts)
         pts = tuple((dotmod.CondensatePoint(
             r=float(a["r"]), theta=float(a.get("theta", 0.0))),
             float(a["weight"])) for a in mu["atoms"])

@@ -345,7 +345,7 @@ class XiMeasure:
             raise ValueError("weights must sum to one")
 
     @staticmethod
-    def uniform_theta(r, n_theta):
+    def uniform_theta(r, n_theta=8):
         """The uniform circle at the radial density r, held as n_theta
         equally spaced phases of equal weight."""
         pts = tuple((CondensatePoint(r=r, theta=2.0 * np.pi * j / n_theta),
@@ -353,7 +353,7 @@ class XiMeasure:
         return XiMeasure(points=pts, uniform_circle=True)
 
     @staticmethod
-    def kac_theta(beta, rho_bar, dispersion=RELATIVISTIC, n_r=24, n_theta=16):
+    def kac_theta(beta, rho_bar, dispersion=RELATIVISTIC, n_r=8, n_theta=4):
         """Product measure: Gauss-Laguerre in the radial excess, the uniform
         circle in theta, held as n_theta phases per radial node.
 

@@ -1,9 +1,9 @@
 """Eigenanalysis of the assembled generator and its structural diagnostics.
 
 Everything here works on an OperatorBundle: near-zero eigensolves with
-post-hoc residuals, the commutator (virial) identity per eigenvector, the
-kernel-structure overlap against the product of the dot Gibbs projector and a
-low-field-energy cut, the dot-local level-shift matrix with its gap, and a
+post-hoc residuals, the per-vector diagnostics of all reported eigenvectors
+at once (virial value, lambda weight, structure overlap and a fixed panel),
+the dot-local level-shift matrix with its gap, and a
 resolvent-sandwich estimate of that matrix from the assembled interaction,
 which needs only the bundle's lambda-free parts (liouville.FirstParts).
 """
@@ -19,7 +19,7 @@ from . import dot as dotmod
 from .fock import SolverConvergenceError
 from .liouville import (CLUSTER_TOL, RESIDUAL_BOUND, BlockedEigensystem,
                         _project_out, chiral_kernel, equilibrium_projection,
-                        kernel_index)
+                        kernel_index, real_if_exact)
 
 
 @dataclass
@@ -406,24 +406,9 @@ def solve_near_zero(bundle, k):
 # ---------------------------------------------------------------------------
 # per-vector diagnostics
 
-def virial_check(bundle, psi, e=None):
-    """Commutator expectation and low-frequency weight of one eigenvector.
-
-    For an exact eigenvector the expectation of C1 = i[L, A] vanishes
-    identically; the attached value is pure floating-point noise.  The
-    lambda_weight reports || Lambda^(1/2) psi ||.
-    """
-    if bundle.C1 is None:
-        raise ValueError("attach a conjugate operator first")
-    psi = np.asarray(psi, dtype=complex)
-    val = np.vdot(psi, bundle.C1.matrix @ psi)
-    lam_w = float(np.sqrt(np.sum(bundle.lambda_diag * np.abs(psi) ** 2)))
-    return {"virial_value": float(val.real), "lambda_weight": lam_w,
-            "eigenvalue": None if e is None else float(e)}
-
-
 def _default_panel(bundle):
-    """Fixed low-excitation test vectors for weak-overlap tables.
+    """Fixed low-excitation test vectors for weak-overlap tables: their names
+    and the matrix whose columns they are.
 
     Besides the thermal and bare dot entries, the panel carries
     charge-neutral mixed entries (an off-diagonal dot pair compensated by one
@@ -434,28 +419,50 @@ def _default_panel(bundle):
     d = bundle.dot_dim
     gibbs = dotmod.gibbs_vector(bundle.dot_spec, bundle.beta)
     vac = bundle.basis.vacuum()
-    pairs = np.eye(d * d)  # row i * d + j is the dot pair (i, j)
+    pair = np.eye(d * d)  # row i * d + j is the dot pair (i, j)
+    offdiag = [((0, 1), "left"), ((1, 0), "right")] if d >= 2 else []
     modes = range(min(2, bundle.grid.n_modes))
     quanta = {}
     for side in ("left", "right"):
         for m in modes:
             one = bundle.basis.ladder(m, side, create=True) @ vac
-            nrm = np.linalg.norm(one)
-            if nrm > 0:
-                quanta[side, m] = one / nrm
-    panel = [("gibbs*vac", np.kron(gibbs, vac))]
-    for (i, j) in [(0, 1), (1, 0)]:
-        if i < d and j < d:
-            panel.append((f"offdiag({i},{j})*vac", np.kron(pairs[i * d + j], vac)))
+            if np.linalg.norm(one) > 0:
+                quanta[side, m] = one / np.linalg.norm(one)
+    panel = {"gibbs*vac": np.kron(gibbs, vac)}
+    for (i, j), _ in offdiag:
+        panel[f"offdiag({i},{j})*vac"] = np.kron(pair[i * d + j], vac)
     for (side, m), one in quanta.items():
-        panel.append((f"gibbs*{side}_quantum[{m}]", np.kron(gibbs, one)))
-    if d >= 2:
-        for m in modes:
-            for (i, j), side in [((0, 1), "left"), ((1, 0), "right")]:
-                if (side, m) in quanta:
-                    panel.append((f"offdiag({i},{j})*{side}_quantum[{m}]",
-                                  np.kron(pairs[i * d + j], quanta[side, m])))
-    return [(name, v.astype(complex)) for name, v in panel]
+        panel[f"gibbs*{side}_quantum[{m}]"] = np.kron(gibbs, one)
+    for m in modes:
+        for (i, j), side in offdiag:
+            if (side, m) in quanta:
+                panel[f"offdiag({i},{j})*{side}_quantum[{m}]"] = np.kron(
+                    pair[i * d + j], quanta[side, m])
+    return list(panel), np.column_stack(list(panel.values()))
+
+
+def _column_diagnostics(bundle, vecs):
+    """Every per-vector diagnostic of every column psi of vecs at once: the
+    panel names and, over the columns, structure_overlap
+    || P_gibbs P(Lambda <= |lam|) psi ||, P_gibbs projecting the dot pair on
+    the Gibbs purification vector at beta; panel <chi, psi>, a row per entry;
+    and with C1 = i[L, A] attached, virial_value Re <psi, C1 psi> (rounding
+    noise for an exact eigenvector) and lambda_weight || Lambda^(1/2) psi ||.
+    """
+    names, panel = _default_panel(bundle)
+    # Lambda acts on the field alone: the cut keeps field states
+    keep = bundle.lambda_diag[:bundle.field_dim] <= abs(bundle.lam)
+    low = vecs.reshape(bundle.dot_dim ** 2, bundle.field_dim, -1)[:, keep]
+    gibbs = dotmod.gibbs_vector(bundle.dot_spec, bundle.beta)
+    cols = {"structure_overlap": np.linalg.norm(
+                np.tensordot(gibbs.conj(), low, axes=1), axis=0),
+            "panel": panel.conj().T @ vecs}
+    if bundle.C1 is not None:
+        image = real_if_exact(bundle.C1.matrix) @ vecs
+        cols["virial_value"] = np.einsum("ij,ij->j", vecs.conj(), image).real
+        cols["lambda_weight"] = np.sqrt(np.real(np.einsum(
+            "i,ij,ij->j", bundle.lambda_diag, vecs.conj(), vecs)))
+    return names, cols
 
 
 @dataclass
@@ -465,28 +472,15 @@ class KernelStructure:
     panel: dict
 
 
-def kernel_structure(bundle, psi, panel=None):
-    """Structure overlap || P_gibbs P(Lambda <= |lam|) psi || and a panel table.
-
-    P_gibbs projects the dot pair factor on the thermal purification vector
-    at the bundle's beta; the field-energy cut at the bundle's |lambda| is a
-    diagonal indicator.  The panel overlaps (default: the fixed panel) are the
-    weak-convergence diagnostics for kernel vectors orthogonal to the
-    equilibrium vector.
-    """
-    psi = psi.amplitudes if hasattr(psi, "amplitudes") else np.asarray(psi, dtype=complex)
-    cut = abs(bundle.lam)
-    keep = (bundle.lambda_diag <= cut).astype(float)
-    low = (keep * psi).reshape(bundle.dot_dim ** 2, bundle.field_dim)
-    gibbs = dotmod.gibbs_vector(bundle.dot_spec, bundle.beta)
-    comp = gibbs.conj() @ low          # field vector left after dot projection
-    overlap = float(np.linalg.norm(comp))
-
-    table = {}
-    for name, chi in (panel if panel is not None else _default_panel(bundle)):
-        table[name] = complex(np.vdot(chi, psi))
-
-    return KernelStructure(overlap=overlap, cut=cut, panel=table)
+def kernel_structure(bundle, psi):
+    """_column_diagnostics of the one vector psi: its structure overlap, the
+    cut |lambda| and the panel overlaps <chi, psi>, weak-convergence
+    diagnostics for kernel vectors orthogonal to the equilibrium vector."""
+    names, cols = _column_diagnostics(
+        bundle, np.asarray(getattr(psi, "amplitudes", psi))[:, None])
+    return KernelStructure(overlap=float(cols["structure_overlap"][0]),
+                           cut=abs(bundle.lam),
+                           panel=dict(zip(names, cols["panel"][:, 0].tolist())))
 
 
 def kms_kernel_vector(bundle, report):
@@ -513,28 +507,23 @@ def orthogonal_kernel_panel(bundle, report, psi):
     charge-neutral mixed entries track the coupling-induced dressing.
     """
     basis = report.kernel_basis.conj().T
-    names, chis = zip(*_default_panel(bundle))
-    coords = basis @ np.column_stack(chis)
+    names, panel = _default_panel(bundle)
+    coords = basis @ panel
     p = basis @ getattr(psi, "amplitudes", psi)
     comp = coords - np.outer(p, p.conj() @ coords)
     return dict(zip(names, np.linalg.norm(comp, axis=0).tolist()))
 
 
 def attach_diagnostics(bundle, report):
-    """Fill the per-vector diagnostics table of a SpectralReport."""
-    panel = _default_panel(bundle)
-    rows = []
-    for i in range(len(report.eigenvalues)):
-        psi = report.vectors[:, i]
-        row = {"eigenvalue": float(report.eigenvalues[i]),
-               "residual": float(report.residuals[i])}
-        if bundle.C1 is not None:
-            row.update(virial_check(bundle, psi, report.eigenvalues[i]))
-        ks = kernel_structure(bundle, psi, panel=panel)
-        row["structure_overlap"] = ks.overlap
-        row["panel"] = {k: abs(v) for k, v in ks.panel.items()}
-        rows.append(row)
-    report.diagnostics = rows
+    """Fill the per-vector diagnostics table of a SpectralReport: one row per
+    reported pair, from one _column_diagnostics of all its vectors."""
+    names, cols = _column_diagnostics(bundle, report.vectors)
+    panel = np.abs(cols.pop("panel")).T.tolist()
+    report.diagnostics = [
+        {"eigenvalue": float(e), "residual": float(r),
+         **{key: float(v[i]) for key, v in cols.items()},
+         "panel": dict(zip(names, panel[i]))}
+        for i, (e, r) in enumerate(zip(report.eigenvalues, report.residuals))]
     return report
 
 

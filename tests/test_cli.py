@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosedot import cli, liouville, spectral
+from bosedot import cli, krylov, liouville, spectral
 from bosedot import reservoir as res
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -493,6 +493,33 @@ def test_infrared_norm_log_divergence_is_solver_error(tmp_path, capsys,
         assert 0.0 < norm < float("inf")
 
 
+@pytest.mark.parametrize("beta", [1.0, 2.5])
+def test_thermo_nonrelativistic_critical_density(tmp_path, capsys, beta):
+    # with omega = k^2 the critical density is zeta(3/2) (4 pi beta)^(-3/2)
+    cfg = base_config()
+    cfg["reservoir"].update(beta=beta, dispersion="nonrelativistic")
+    code, outdir, _ = run_cli(tmp_path, "thermo", cfg, capsys)
+    assert code == cli.EXIT_OK
+    rows = {r["name"]: r
+            for r in json.loads((outdir / "thermo.json").read_text())["rows"]}
+    row = rows["critical_density"]
+    assert row["reference"] == pytest.approx(
+        2.612375348685488 * (4.0 * np.pi * beta) ** -1.5, rel=1e-14)
+    assert row["value"] == res.critical_density(beta, res.NONRELATIVISTIC)
+    assert row["residual"] < 1e-10
+
+
+def test_unstable_krylov_action_exits_3(tmp_path, capsys, monkeypatch):
+    # the KMS weight is a krylov.expm_action; with no segment halving
+    # allowed it cannot verify itself, and rte exits 3
+    monkeypatch.setattr(krylov, "MAX_REFINE", 0)
+    code, outdir, out = run_cli(tmp_path, "rte", base_config(), capsys)
+    assert code == cli.EXIT_SOLVER
+    assert out.err == ("solver failure: matrix exponential action did not "
+                       "stabilize under segment halving\n")
+    assert not (outdir / "rte.json").exists()
+
+
 def test_dimension_cap_exit(tmp_path, capsys):
     cfg = base_config()
     cfg["grid"]["n_modes"] = 6
@@ -846,6 +873,49 @@ def test_unread_radius_or_measure_key_is_config_error(tmp_path, capsys,
     assert code == cli.EXIT_CONFIG
     assert out.err.startswith("validation error")
     assert named in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("command", ["thermo", "spectrum"])
+@pytest.mark.parametrize("form_factor, named", [
+    ({"preset": "gaussian", "exponent": 3.0}, "a gaussian form factor reads "
+     "no 'exponent'"),
+    ({"exponent": 3.0}, "a gaussian form factor reads no 'exponent'"),
+    ({"table": "g.csv", "width": 2.0}, "a table form factor reads no "
+     "'width'"),
+    ({"table": "g.csv", "preset": "power_law"}, "a table form factor reads "
+     "no 'preset'"),
+    ({"table": "g.csv", "amplitude": 2.0, "exponent": 0.5}, "a table form "
+     "factor reads no 'amplitude'"),
+], ids=["gaussian-exponent", "default-exponent", "table-width",
+        "table-preset", "table-amplitude"])
+def test_unread_form_factor_key_is_config_error(tmp_path, capsys, command,
+                                                form_factor, named):
+    # gaussian reads amplitude and width, power_law also exponent, and a
+    # table only its path: any other key would be dropped, so it is refused
+    cfg = base_config()
+    cfg["reservoir"]["form_factor"] = form_factor
+    code, outdir, out = run_cli(tmp_path, command, cfg, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err == f"validation error: reservoir.form_factor: {named}\n"
+    assert not (outdir / f"{command}.json").exists()
+
+
+def test_measure_counts_default_in_the_library():
+    # the CLI passes only the counts a config gives, so a measure without
+    # them is the library's default one: kac_theta's 8 densities and 4
+    # phases, uniform_theta's 8 phases
+    cfg = base_config()
+    rc = res.critical_density(1.0)
+    kac = res.XiMeasure.kac_theta(1.0, 0.3)
+    assert len(kac.points) == 8 * 4
+    for mu, want in [({"kind": "kac"}, kac),
+                     ({"kind": "kac", "n_theta": 3},
+                      res.XiMeasure.kac_theta(1.0, 0.3, n_theta=3)),
+                     ({"kind": "uniform_theta", "excess": 0.2},
+                      res.XiMeasure.uniform_theta(rc + 0.2))]:
+        cfg["physics"]["mu"] = mu
+        assert cli._measure(cfg, rc) == want
+    assert len(want.points) == 8
 
 
 def test_rte_with_measure_aggregate(tmp_path, capsys, monkeypatch):
@@ -1302,11 +1372,13 @@ def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
                                                             monkeypatch):
     # three phases of one density: one bundle, one conjugate and no
     # factorisation.
-    # A run at one phase alone solves its own L, whose degenerate kernel
-    # the eigensolver may rotate, so its rows agree with the sweep's as
-    # traces over each cluster, to 1e-12 of the unit scale of a unit
-    # vector's weights; eigenvalues, residuals and virial values are
-    # rounding noise in the kernel and agree to 1e-12 ||L||
+    # A run at one phase alone solves its own L.  Its kernel (8, the swap
+    # index) is reported in the Loewdin frame of the swap-fixed states,
+    # which no rotation of the solved kernel moves, so its kernel rows
+    # agree with the sweep's row by row, and all rows as traces over each
+    # cluster, to 1e-12 of the unit scale of a unit vector's weights;
+    # eigenvalues, residuals and virial values are rounding noise in the
+    # kernel and agree to 1e-12 ||L||
     thetas = (0.0, 0.7, 2.9)
     cfg = base_config()
     cfg["grid"] = {"n_modes": 3, "omega_min": 0.35, "omega_max": 2.3,
@@ -1362,6 +1434,14 @@ def test_spectrum_theta_sweep_builds_one_bundle_per_density(tmp_path, capsys,
             assert got[key] == pytest.approx(want[key], rel=1e-12), key
         for g, w in zip(*map(cluster_traces, (got, want)), strict=True):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
+        kdim = want["kernel_dim"]
+        assert kdim == want["kernel_index"] == 8
+        for g, w in zip(got["diagnostics"][:kdim], want["diagnostics"][:kdim],
+                        strict=True):
+            assert g["eigenvalue"] == w["eigenvalue"] == 0.0
+            for key in ("lambda_weight", "structure_overlap"):
+                assert g[key] == pytest.approx(w[key], rel=0, abs=1e-12), key
+            assert g["panel"] == pytest.approx(w["panel"], rel=0, abs=1e-12)
         for key in ("eigenvalues", "residuals"):
             assert np.allclose(sorted(got[key]), sorted(want[key]),
                                rtol=0, atol=bound), key

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import sparse
 
 import bosedot as bd
-from bosedot import spectral
+from bosedot import liouville, spectral
 from bosedot.dot import gibbs_vector
 from bosedot.fock import SolverConvergenceError
 from bosedot.liouville import (assemble_first, build_bundle, kernel_index,
@@ -166,6 +167,55 @@ def test_degenerate_kernel_is_not_flagged_near_degenerate(gauss_ff):
     rep = spectral.solve_near_zero(b, k=12)
     assert rep.kernel_dim == 10
     assert not any("near-degenerate" in m for m in rep.messages)
+
+
+def test_near_degenerate_pairs_get_a_message(gauss_ff):
+    # at lambda = 1e-12 the degenerate eigenvalues of L0 split only at
+    # order lambda, so pairs outside the kernel come closer than
+    # spectral.NEAR_DEGENERATE
+    b = _log_bundle(gauss_ff, 2, 3, 2, 1e-12)
+    rep = spectral.solve_near_zero(b, k=30)
+    spacings = np.diff(np.sort(rep.eigenvalues[rep.kernel_dim:]))
+    assert np.any((spacings > 0) & (spacings < spectral.NEAR_DEGENERATE))
+    assert (f"near-degenerate pairs: spacing < {spectral.NEAR_DEGENERATE:g}"
+            in rep.messages)
+
+
+def test_residual_above_the_flag_gets_a_message(bundle2, monkeypatch):
+    # one solved column pushed off its eigenvector: its residual ||(L - e)v||
+    # is reported and flagged, and no other is
+    solved = spectral.near_zero_eigensystem
+
+    def perturbed(bundle, want, norm_l):
+        eig, solver = solved(bundle, want, norm_l)
+        blocks = list(eig.blocks)
+        j = next(j for j, (_, e, _) in enumerate(blocks)
+                 if np.any(np.abs(e) > 1e-3))
+        idx, e, v = blocks[j]
+        col = int(np.argmax(np.abs(e)))
+        v = v.copy()
+        v[:, col] += 1e-3 * np.eye(len(idx))[:, 0]
+        v[:, col] /= np.linalg.norm(v[:, col])
+        blocks[j] = (idx, e, v)
+        return liouville.BlockedEigensystem(tuple(blocks), eig.gauge,
+                                            eig.path, eig.chiral), solver
+
+    clean = spectral.solve_near_zero(bundle2, k=8)
+    assert not any("verification bound" in m for m in clean.messages)
+    monkeypatch.setattr(spectral, "near_zero_eigensystem", perturbed)
+    rep = spectral.solve_near_zero(bundle2, k=8)
+    flag = spectral.RESIDUAL_FLAG * max(rep.norm_L, 1.0)
+    assert int(np.sum(rep.residuals > flag)) == 1
+    assert "1 residuals above verification bound" in rep.messages
+
+
+def test_shift_invert_factor_of_a_singular_matrix_raises():
+    # the shift is relative to max(||L||, 1): a diagonal with SHIFT itself
+    # on it is exactly singular once shifted
+    mat = sparse.diags([spectral.SHIFT, 1.0, 2.0], format="csr")
+    with pytest.raises(SolverConvergenceError,
+                       match="shift-invert factorisation"):
+        spectral.shift_invert_factor(mat, 0.5)
 
 
 def _assert_near_zero_pairs(b, evals, evecs, reference):
@@ -389,10 +439,11 @@ def test_virial_value_real_and_small_for_eigenvectors(gauss_ff):
     rep = spectral.solve_near_zero(b, k=6)
     from bosedot.liouville import assemble_conjugate
     assemble_conjugate(b, scheme="log_dilation")
-    for i in range(6):
-        out = spectral.virial_check(b, rep.vectors[:, i], rep.eigenvalues[i])
-        assert isinstance(out["virial_value"], float)
-        assert abs(out["virial_value"]) < 1e-12
+    spectral.attach_diagnostics(b, rep)
+    assert len(rep.diagnostics) == 6
+    for row in rep.diagnostics:
+        assert isinstance(row["virial_value"], float)
+        assert abs(row["virial_value"]) < 1e-12
 
 
 def test_kms_kernel_vector_is_captured(bundle2):

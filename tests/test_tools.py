@@ -77,7 +77,7 @@ KEPT = {
     "dynamics.dyson_truncated":
         "C10; test_dynamics.py::test_dyson_truncated_tracks_exact_at_weak_coupling",
     "dynamics.ergodic_mean": "C6; LAYER_FUNCTIONS",
-    "dynamics.evolve": "ROADMAP item 4; "
+    "dynamics.evolve": "ROADMAP item 5; "
                        "test_dynamics.py::test_evolve_matches_dense_exponential",
     "dynamics.heisenberg_exact":
         "C10; test_dynamics.py::test_heisenberg_exact_properties",
@@ -95,6 +95,8 @@ KEPT = {
     "liouville.OperatorBundle.Q": "C8",
     "liouville._diagonal_operator": "builds L0, Q and Lambda; C8",
     "spectral.kms_kernel_vector": "C3, C4",
+    "spectral.KernelStructure": "what kernel_structure returns; C4",
+    "spectral.kernel_structure": "C4",
     "spectral.orthogonal_kernel_panel": "C4",
 }
 
