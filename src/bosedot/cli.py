@@ -219,8 +219,15 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)!r}")
 
 
+def _given(entry, *keys):
+    """The keys of a config entry that it gives: the library holds the
+    defaults of the ones it leaves out."""
+    return {key: entry[key] for key in keys if key in entry}
+
+
 def _dispersion(config):
-    return res.Dispersion(config["reservoir"].get("dispersion", "relativistic"))
+    kind = config["reservoir"].get("dispersion")
+    return res.Dispersion() if kind is None else res.Dispersion(kind)
 
 
 # the keys of reservoir.form_factor that each source reads, besides preset
@@ -255,15 +262,13 @@ def _dot_spec(config):
 def _grid_spec(config):
     g = config["grid"]
     return res.GridSpec(n_modes=g["n_modes"], omega_max=g["omega_max"],
-                        omega_min=g.get("omega_min"),
-                        spacing=g.get("spacing", "linear"))
+                        **_given(g, "omega_min", "spacing"))
 
 
 def _trunc(config):
     t = config["trunc"]
     return TruncationSpec(n_modes=config["grid"]["n_modes"],
-                          n_max=t["n_max"],
-                          dim_cap=t.get("dim_cap", 200_000))
+                          n_max=t["n_max"], **_given(t, "dim_cap"))
 
 
 def _solver(config):
@@ -290,7 +295,7 @@ def _xis(config, rho_crit):
     if not entries:
         return [None]
     return [dotmod.CondensatePoint(r=_radius(e, rho_crit, f"physics.xi[{i}]"),
-                                   theta=float(e.get("theta", 0.0)))
+                                   **_given(e, "theta"))
             for i, e in enumerate(entries)]
 
 
@@ -307,8 +312,7 @@ def _measure(config, rho_crit):
     unread = sorted(mu.keys() - MEASURE_KEYS[kind] - {"kind"})
     if unread:
         raise ValueError(f"physics.mu: a {kind} measure reads no {unread[0]!r}")
-    # the library holds the defaults of the counts the config leaves out
-    counts = {key: mu[key] for key in ("n_r", "n_theta") if key in mu}
+    counts = _given(mu, "n_r", "n_theta")
     try:
         if kind == "uniform_theta":
             return res.XiMeasure.uniform_theta(
@@ -320,9 +324,9 @@ def _measure(config, rho_crit):
             return res.XiMeasure.kac_theta(
                 config["reservoir"]["beta"], float(rho_bar),
                 _dispersion(config), **counts)
-        pts = tuple((dotmod.CondensatePoint(
-            r=float(a["r"]), theta=float(a.get("theta", 0.0))),
-            float(a["weight"])) for a in mu["atoms"])
+        pts = tuple((dotmod.CondensatePoint(r=float(a["r"]),
+                                            **_given(a, "theta")),
+                     float(a["weight"])) for a in mu["atoms"])
         return res.XiMeasure(points=pts)
     except KeyError as exc:
         raise ValueError(f"{kind} measure needs key {exc}") from None
@@ -551,13 +555,14 @@ def cmd_levelshift(config, args):
     ls = spectral.level_shift(dspec, beta, shell_weight=shell)
 
     sweep = []
+    # a log grid on the config's window, whatever its spacing and n_modes
     gcfg = config["grid"]
-    omega_min = gcfg.get("omega_min") or gcfg["omega_max"] / 100.0
-    span = math.log(gcfg["omega_max"]) - math.log(omega_min)
+    window = res.GridSpec(n_modes=1, omega_max=gcfg["omega_max"],
+                          **_given(gcfg, "omega_min"), spacing="log")
+    span = math.log(window.omega_max) - math.log(window.omega_min)
     for eps in solver["epsilons"]:
         n = max(int(math.ceil(span / (solver["h_over_eps"] * eps))), 8)
-        gspec = res.GridSpec(n_modes=n, omega_max=gcfg["omega_max"],
-                             omega_min=omega_min, spacing="log")
+        gspec = dataclasses.replace(window, n_modes=n)
         grid = res.discretize(ff, beta, gspec, disp,
                               bohr_frequencies=dspec.bohr_frequencies())
         trunc = dataclasses.replace(_trunc(config), n_modes=n, n_max=1)

@@ -67,6 +67,8 @@ class CondensatePoint:
     theta: float = 0.0
 
     def __post_init__(self):
+        # a config's integer phase is written back as the float it stands for
+        object.__setattr__(self, "theta", float(self.theta))
         if not np.isfinite(self.r) or self.r < 0:
             raise ValueError("condensate density r must be finite and nonnegative")
         if not np.isfinite(self.theta):
@@ -77,7 +79,7 @@ class CondensatePoint:
         """Build the point with density rho_crit + excess."""
         if excess < 0:
             raise ValueError("density excess above critical must be nonnegative")
-        return CondensatePoint(r=float(rho_crit) + float(excess), theta=float(theta))
+        return CondensatePoint(r=float(rho_crit) + float(excess), theta=theta)
 
 
 def lower_raise(spec):

@@ -5,11 +5,12 @@ average of e^{it(e-e')} over [0, T] has the closed form (e^{iTx}-1)/(iTx), so
 no time stepping enters and the T -> infinity limit is an exact spectral sum
 over clusters of equal eigenvalues.  The deviation of that limit from the
 product of equilibrium expectations is the weak-coupling return-to-equilibrium
-figure of merit.  Everything here reads the bundle's blocked eigensystem
-(liouville.BlockedEigensystem) and the clusters it forms once; nothing here
-factorises L or clusters a spectrum.  The equilibrium vector is the KMS vector
-projected onto the eigensystem's cluster nearest zero, by the projection
-spectral.kms_kernel_vector applies to a report's kernel basis.
+figure of merit.  Every ergodic quantity reads the bundle's blocked
+eigensystem (liouville.BlockedEigensystem) and the clusters it forms once;
+nothing here factorises L or clusters a spectrum.  Propagation (evolve) is
+the Lanczos action and reads no eigensystem.  The equilibrium vector is the
+KMS vector projected onto the eigensystem's cluster nearest zero, by the
+projection spectral.kms_kernel_vector applies to a report's kernel basis.
 
 One spectral pass per condensate density serves every phase theta of it:
 L(theta) = e^{i theta Q} L(0) e^{-i theta Q} and omega(theta) =
@@ -92,21 +93,13 @@ def operator_norm(obs):
 # propagation
 
 def evolve(bundle, state, t):
-    """e^{-i t L} applied to a state: in the bundle's full eigensystem when
-    it has one (OperatorBundle.full_eigensystem), else by Krylov."""
+    """e^{-i t L} applied to a state by the Lanczos action
+    (krylov.expm_action) at every dimension; it never factorises L."""
     v = _as_array(state)
     if t == 0:
         return StateVector(amplitudes=v.copy())
-    eig = bundle.full_eigensystem()
-    if eig is not None:
-        rows, cols, vecs, c = eig.support(
-            real_if_exact(np.conj(eig.gauge) * v))
-        out = np.zeros(len(v), dtype=complex)
-        out[rows] = eig.gauge[rows] * (
-            vecs @ (np.exp(-1j * t * eig.evals[cols]) * c))
-    else:
-        out = expm_action(bundle.L.matrix, v, scale=-1j * t)
-    return StateVector(amplitudes=out)
+    return StateVector(amplitudes=expm_action(bundle.L.matrix, v,
+                                              scale=-1j * t))
 
 
 # ---------------------------------------------------------------------------

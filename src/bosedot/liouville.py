@@ -48,15 +48,15 @@ from math import comb
 import numpy as np
 from scipy import sparse
 from scipy.linalg import block_diag, eigh, svd
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh, splu
 
 from . import dot as dotmod
 from .fock import (DimensionCapError, FockBasis, SolverConvergenceError,
                    SparseOperator, StateVector)
 from .krylov import expm_action
 
-# largest symmetry block that gets a dense eigh, and the largest L that a
-# consumer with a sparse path factorises when nothing else has
+# largest symmetry block that eigensystem() factorises (DimensionCapError
+# above it)
 DENSE_CUTOFF = 2000
 # eigenvalues within CLUSTER_TOL * max(||L||, 1) of each other are one
 # cluster, and those within it of zero the kernel
@@ -313,25 +313,22 @@ class OperatorBundle(FirstParts):
         """Cached BlockedEigensystem of L: chiral_eigh of every real block
         that the swap maps to itself and a dense eigh of every other
         symmetry block.  A block of more than DENSE_CUTOFF states is refused
-        with DimensionCapError."""
+        with DimensionCapError.  Only rte (dynamics.equilibrium_vector and
+        the ergodic pass) and C10's dynamics.heisenberg_exact read it."""
         if self._eigensystem is None:
             self._eigensystem = BlockedEigensystem.of(self, _factorise_block)
         return self._eigensystem
 
-    def full_eigensystem(self):
-        """The eigensystem when it is cached or dim <= DENSE_CUTOFF, else
-        None, for norm_L and dynamics.evolve, which have a sparse path."""
-        if self._eigensystem is None and self.dim > DENSE_CUTOFF:
-            return None
-        return self.eigensystem()
-
     def norm_L(self):
-        """||L|| exactly, the largest |e| of full_eigensystem where it has
-        one (C2's bound reads it), else L's row-sum bound."""
-        eig = self.full_eigensystem()
-        if eig is None:
-            return self.L.norm_bound()
-        return float(np.max(np.abs(eig.evals)))
+        """||L|| exactly (C2's bound reads it), by one Lanczos call that
+        reads no factorisation: P conj(L) P = -L makes the spectrum
+        symmetric, so the largest eigenvalue is the largest |e|.  An L with
+        no nonzero entry (every dim-1 bundle), which ARPACK refuses, is 0."""
+        if not self.L.matrix.count_nonzero():
+            return 0.0
+        return float(eigsh(self.L.matrix, k=1, which="LA",
+                           v0=np.ones(self.dim),
+                           return_eigenvectors=False)[0])
 
     def free_equilibrium(self):
         """Product vector: dot Gibbs purification times field vacuum."""

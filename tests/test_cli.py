@@ -817,6 +817,18 @@ def test_levelshift_builds_no_bundle(tmp_path, capsys, monkeypatch):
                ["sandwich_sweep"]) == 2
 
 
+@pytest.mark.parametrize("command", ["levelshift", "spectrum"])
+def test_log_grid_with_omega_min_zero_exits_2(tmp_path, capsys, command):
+    # levelshift's grids are log spaced whatever grid.spacing says, so a
+    # given omega_min of 0 is refused as on any log grid, not replaced
+    cfg = levelshift_config()
+    cfg["grid"]["omega_min"] = 0.0
+    code, outdir, out = run_cli(tmp_path, command, cfg, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err == "validation error: log spacing needs omega_min > 0\n"
+    assert not (outdir / f"{command}.json").exists()
+
+
 def test_levelshift_over_the_dimension_cap_exits_4(tmp_path, capsys):
     # epsilon 0.2 at h/epsilon 0.05 asks for 180 modes: 361 field states
     cfg = levelshift_config()

@@ -107,6 +107,8 @@ def test_condensate_term_doubled_structure():
 def test_condensate_point_from_excess():
     xi = CondensatePoint.from_excess(0.25, 0.5, theta=2.0)
     assert xi.r == pytest.approx(0.75)
+    # a config's integer phase is held, and written, as a float
+    assert type(CondensatePoint(r=0.5, theta=1).theta) is float
     with pytest.raises(ValueError):
         CondensatePoint.from_excess(-0.1, 0.5)
     with pytest.raises(ValueError):

@@ -66,13 +66,15 @@ def test_ergodic_mean_against_time_quadrature(bundle2):
     T = 20.0
     rep = dynamics.ergodic_mean(bundle2, a, b, omega, T)
 
-    # independent oracle: propagate B omega and Simpson-integrate the
-    # expectation on a fine grid
-    v = b @ omega.amplitudes
+    # independent oracle: propagate B omega step by step,
+    # w(t_{i+1}) = evolve(w(t_i), dt), and Simpson-integrate the expectation
+    # on a fine grid
+    w = b @ omega.amplitudes
     ts = np.linspace(0.0, T, 1601)
     samples = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        w = dynamics.evolve(bundle2, v, t).amplitudes
+    for i in range(len(ts)):
+        if i:
+            w = dynamics.evolve(bundle2, w, ts[i] - ts[i - 1]).amplitudes
         samples[i] = np.vdot(w, a @ w).real
     brute = simpson(samples, x=ts) / T
     assert rep.finite_mean == pytest.approx(brute, abs=2e-8)

@@ -518,6 +518,43 @@ def test_evolve_matches_full_eigh(case, rng):
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(v)
 
 
+def test_norm_L_is_the_same_before_and_after_the_factorisation():
+    # dim 2244, above the dense cutoff; its largest charge sector holds 546
+    b = make_bundle(2, "log", 16, 2, 0.3, None, 1.0)
+    assert b.dim == 2244
+    before = b.norm_L()
+    norm_l = np.abs(b.eigensystem().evals).max()
+    assert b.norm_L() == before
+    assert before == pytest.approx(norm_l, rel=1e-12)
+
+
+@pytest.fixture
+def no_factorisation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symmetry block was factorised")
+
+    monkeypatch.setattr(liouville, "eigh", refuse)
+    monkeypatch.setattr(liouville, "chiral_eigh", refuse)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_norm_L_and_evolve_never_factorise(no_factorisation, rng, name):
+    b = make_bundle(*CASES[name])
+    assert b.dim <= liouville.DENSE_CUTOFF
+    assert b.norm_L() > 0
+    v = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
+    dynamics.evolve(b, v, 1.3)
+    assert b._eigensystem is None
+
+
+def test_norm_L_of_the_zero_generator_is_zero(no_factorisation):
+    # d = 1 and n_max = 0: dim 1, and L has no nonzero entry, which ARPACK
+    # refuses
+    b = make_bundle(1, "log", 1, 0, 0.3, None, 1.0)
+    assert b.dim == 1 and b.L.matrix.count_nonzero() == 0
+    assert b.norm_L() == 0.0
+
+
 def test_hop_reaches_only_the_unit_charge_sectors():
     b = make_bundle(*CASES["d2-log"])
     omega = dynamics.equilibrium_vector(b)[0].amplitudes
