@@ -210,12 +210,6 @@ def manifest_hash(config):
 def _json_default(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     raise TypeError(f"not serializable: {type(obj)!r}")
 
 
@@ -700,7 +694,9 @@ def main(argv=None):
     except DimensionCapError as exc:
         print(f"dimension cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (SolverConvergenceError, res.QuadratureError) as exc:
+    # LinAlgError subclasses ValueError: a LAPACK failure is the solver's
+    except (SolverConvergenceError, res.QuadratureError,
+            np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

@@ -363,7 +363,7 @@ def equilibrium_vector(bundle):
     return state, float(means[zero]), captured
 
 
-def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None, thetas=None):
+def rte_deviation(bundle, a_obs, b_obs, T=(), *, a_norm, thetas=None):
     """Deviation of the ergodic limit from the equilibrium product.
 
     deviation = | lim_T (1/T) int <B omega, sigma_t(A) B omega> dt
@@ -373,11 +373,11 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None, thetas=None):
     observable gives zero exactly.  omega is equilibrium_vector, the
     projection of the perturbative thermal vector onto the kernel, and
     finite_T holds one ergodic_mean report per window in T.  The normalized
-    field divides by a_norm, the spectral norm of A; omitted, it costs a
-    dense SVD of A over the whole space (operator_norm), so pass it at large
-    dimension, e.g. ||X|| for a dot observable X.  factorisation describes the
-    bundle's blocked eigensystem, and factorised is true for the first phase
-    of its density only: the bundle factorises once for all of them.
+    field divides by a_norm, the spectral norm of A, which the caller holds:
+    ||X|| for a dot observable X, since ||X (x) 1|| = ||X||.  factorisation
+    describes the bundle's blocked eigensystem, and factorised is true for
+    the first phase of its density only: the bundle factorises once for all
+    of them.
 
     Without thetas this is one run, at the bundle's own condensate phase.
     With a list thetas of phases, the bundle stands for every bundle that
@@ -395,8 +395,6 @@ def rte_deviation(bundle, a_obs, b_obs, T=(), a_norm=None, thetas=None):
     at_thetas = [bundle.theta] if thetas is None else thetas
     runs, series = _ergodic_pass(eig, bundle.q_diag, a_mat, b_mat, w,
                                  at_thetas, T)
-    if a_norm is None:
-        a_norm = operator_norm(a_mat)
 
     manifest = bundle.manifest()
     out = []

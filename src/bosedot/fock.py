@@ -272,18 +272,6 @@ class FockBasis:
         return sparse.csr_matrix((x[j, m] * amp, (self.lookup(moved), state)),
                                  shape=(self.dim, self.dim), dtype=complex)
 
-    def number_diag(self, side=None):
-        """Total quantum number diagonal, per copy or for both copies."""
-        if side is None:
-            return self.totals.astype(float)
-        return self.dgamma_diag(np.ones(self.trunc.n_modes), side)
-
-    def energy_diag(self, omegas, side=None):
-        """dGamma(omega) diagonal for one copy, or the sum over both copies."""
-        if side is not None:
-            return self.dgamma_diag(omegas, side)
-        return self.dgamma_diag(omegas, "left") + self.dgamma_diag(omegas, "right")
-
 
 @dataclass(frozen=True)
 class SparseOperator:
@@ -300,10 +288,6 @@ class SparseOperator:
         if delta.nnz and np.max(np.abs(delta.data)) != 0.0:
             raise ValueError(f"operator {self.label!r} differs from its "
                              "adjoint")
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
     @property
     def nnz(self):

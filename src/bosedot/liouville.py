@@ -525,7 +525,7 @@ def assemble_first(dot_spec, grid, trunc):
     basis = FockBasis(trunc)
     field_perm = basis.swap_permutation()
     pairs = np.arange(dot_spec.d ** 2).reshape(dot_spec.d, dot_spec.d).T.ravel()
-    e_left = basis.energy_diag(grid.omegas, "left")
+    e_left = basis.dgamma_diag(grid.omegas, "left")
     return FirstParts(
         dot_spec=dot_spec, grid=grid, trunc=trunc, basis=basis,
         l0_diag=np.add.outer(dotmod.doubled_free_part(dot_spec),
@@ -569,7 +569,7 @@ def build_bundle(dot_spec, grid, trunc, lam, xi=None, rho_crit=None):
     lambda_diag = np.tile(parts.e_left + parts.e_left[field_perm], d2)
     levels = np.arange(dot_spec.d, dtype=float)
     q_dot = (levels[:, None] - levels[None, :]).ravel()
-    n_left = parts.basis.number_diag("left")
+    n_left = parts.basis.dgamma_diag(np.ones(trunc.n_modes), "left")
     q_diag = np.add.outer(q_dot, n_left - n_left[field_perm]).ravel()
 
     return OperatorBundle(

@@ -463,6 +463,47 @@ def test_malformed_measure_or_table_is_config_error(tmp_path, capsys, edits):
     assert out.err.count("\n") == 1 and "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("command, edits, message", [
+    ("rte", {("physics", "observable"): {"matrix": np.eye(3).tolist()}},
+     "observable matrix must be d x d"),
+    ("thermo", {("reservoir", "form_factor"): {"preset": "power_law",
+                                               "exponent": -2.0}},
+     "exponent must exceed -3/2 for square integrability"),
+    ("thermo", {("reservoir", "form_factor"): {"table": "0,1\n1,0.5\n"}},
+     "form factor table needs columns k, Re g, Im g"),
+    ("thermo", {("reservoir", "form_factor"): {
+        "table": "0,1,0\n2,0.5,0\n1,0.2,0\n"}},
+     "table nodes must be nonnegative and strictly increasing"),
+    ("rte", {("physics", "mu"): {"kind": "atoms", "atoms": [
+        {"r": 0.5, "weight": 1.5}, {"r": 0.6, "weight": -0.5}]}},
+     "weights must be nonnegative"),
+    ("rte", {("physics", "mu"): {"kind": "kac"},
+             ("reservoir", "rho_bar"): 0.01},
+     "Kac measure needs a supercritical density"),
+    ("spectrum", {("solver", "k_eigs"): 100000},
+     "more eigenpairs requested than the dimension"),
+    ("spectrum", {("physics", "xi"): [{"excess": 0.2,
+                                       "theta": float("inf")}]},
+     "theta must be finite"),
+], ids=["observable-3x3", "power-law-exponent", "table-two-columns",
+        "table-k-decreasing", "atoms-negative-weight", "kac-subcritical",
+        "k-eigs-above-dim", "theta-infinite"])
+def test_domain_errors_exit_2_with_their_message(tmp_path, capsys, command,
+                                                 edits, message):
+    # each passes the schema and is refused by the library's own check; a
+    # "table" value here is the file's text, written beside the config
+    cfg = base_config()
+    for (section, key), value in edits.items():
+        if key == "form_factor" and "table" in value:
+            path = tmp_path / "table.csv"
+            path.write_text(value["table"])
+            value = {"table": str(path)}
+        cfg[section][key] = value
+    code, _, out = run_cli(tmp_path, command, cfg, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err == f"validation error: {message}\n"
+
+
 def test_divergent_infrared_norm_is_solver_error(tmp_path, capsys):
     # g / sqrt(omega) with g ~ k^-1.4 is not square integrable at k = 0
     cfg = base_config()
@@ -517,6 +558,24 @@ def test_unstable_krylov_action_exits_3(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_SOLVER
     assert out.err == ("solver failure: matrix exponential action did not "
                        "stabilize under segment halving\n")
+    assert not (outdir / "rte.json").exists()
+
+
+@pytest.mark.parametrize("name, xi", [
+    ("eigh", None), ("svd", [{"excess": 0.2, "theta": 0.7}])],
+    ids=["eigh", "chiral-svd"])
+def test_lapack_failure_exits_3(tmp_path, capsys, monkeypatch, name, xi):
+    # np.linalg.LinAlgError subclasses ValueError, yet a factorisation that
+    # LAPACK cannot finish is a solver failure, not a config error
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    monkeypatch.setattr(liouville, name, fail)
+    cfg = base_config()
+    if xi:
+        cfg["physics"]["xi"] = xi
+    code, outdir, out = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_SOLVER
+    assert out.err == "solver failure: eigenvalues did not converge\n"
     assert not (outdir / "rte.json").exists()
 
 

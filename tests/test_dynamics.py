@@ -168,7 +168,8 @@ def test_short_window_share_ignores_basis_inside_a_cluster(bundle2, rng):
 def test_rte_deviation_windows_match_ergodic_mean(bundle2):
     a = dynamics.dot_observable(bundle2, np.diag([0.0, 1.0]))
     b = dynamics.dot_observable(bundle2, hop_matrix(2))
-    out = dynamics.rte_deviation(bundle2, a, b, T=[40.0, 300.0])
+    out = dynamics.rte_deviation(bundle2, a, b, T=[40.0, 300.0],
+                                 a_norm=1.0)
     omega, _, _ = dynamics.equilibrium_vector(bundle2)
     assert [f["T"] for f in out["finite_T"]] == [40.0, 300.0]
     for entry, T in zip(out["finite_T"], (40.0, 300.0)):
@@ -197,7 +198,7 @@ def test_rte_deviation_identity_is_exactly_zero(bundle2):
 def test_rte_deviation_fields(bundle2):
     a = dynamics.dot_observable(bundle2, np.diag([0.0, 1.0]))
     b = dynamics.dot_observable(bundle2, hop_matrix(2))
-    out = dynamics.rte_deviation(bundle2, a, b, T=[300.0])
+    out = dynamics.rte_deviation(bundle2, a, b, T=[300.0], a_norm=1.0)
     for key in ("deviation", "deviation_normalized", "ergodic_limit",
                 "omega_bb", "omega_a", "a_norm", "lambda", "manifest",
                 "finite_T"):
@@ -264,7 +265,7 @@ def test_superpose_xi_rejects_mixed_manifests(gauss_ff):
     for b in (b0, b1):
         a = dynamics.dot_observable(b, np.diag([0.0, 1.0]))
         bb = dynamics.dot_observable(b, hop_matrix(2))
-        res.append(dynamics.rte_deviation(b, a, bb))
+        res.append(dynamics.rte_deviation(b, a, bb, a_norm=1.0))
     with pytest.raises(ValueError):
         dynamics.superpose_xi(measure, res, {})
     with pytest.raises(ValueError):

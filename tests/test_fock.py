@@ -245,30 +245,28 @@ def test_dgamma_diag_matches_dense_one_body(rng):
     assert abs((big - big.conj().T)).max() == 0.0
 
 
-def test_number_and_energy_diagonals():
+def test_totals_and_dgamma_diag_per_copy():
     basis = FockBasis(TruncationSpec(2, 2))
     omegas = np.array([0.5, 1.25])
-    n_all = basis.number_diag()
-    e_left = basis.energy_diag(omegas, side="left")
-    e_right = basis.energy_diag(omegas, side="right")
-    e_both = basis.energy_diag(omegas)
-    np.testing.assert_allclose(e_both, e_left + e_right, atol=0.0)
+    e_left = basis.dgamma_diag(omegas, side="left")
+    e_right = basis.dgamma_diag(omegas, side="right")
     for i in range(basis.dim):
         occ = basis.occupation_vector(i)
-        assert n_all[i] == occ.sum()
+        assert basis.totals[i] == occ.sum()
         assert e_left[i] == pytest.approx(occ[:2] @ omegas)
+        assert e_right[i] == pytest.approx(occ[2:] @ omegas)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_dgamma_and_number_diag_match_occupations(rng, side):
+def test_dgamma_diag_and_totals_match_occupations(rng, side):
     basis = FockBasis(TruncationSpec(3, 3))
     vals = rng.normal(size=3)
     occs = np.array([basis.occupation_vector(i) for i in range(basis.dim)])
     copy = occs[:, :3] if side == "left" else occs[:, 3:]
     np.testing.assert_allclose(basis.dgamma_diag(vals, side), copy @ vals,
                                rtol=1e-14, atol=1e-14)
-    np.testing.assert_array_equal(basis.number_diag(side), copy.sum(axis=1))
-    np.testing.assert_array_equal(basis.number_diag(), occs.sum(axis=1))
+    np.testing.assert_array_equal(basis.dgamma_diag(np.ones(3), side),
+                                  copy.sum(axis=1))
     np.testing.assert_array_equal(basis.totals, occs.sum(axis=1))
 
 

@@ -113,7 +113,9 @@ def test_eigensystem_is_cached(bundle2):
 
 
 def test_lambda_diag_matches_field_energy(bundle2):
-    fe = bundle2.basis.energy_diag(bundle2.grid.omegas)
+    omegas = bundle2.grid.omegas
+    fe = (bundle2.basis.dgamma_diag(omegas, "left")
+          + bundle2.basis.dgamma_diag(omegas, "right"))
     np.testing.assert_array_equal(bundle2.lambda_diag, np.tile(fe, 4))
     assert np.all(bundle2.lambda_diag >= 0)
 

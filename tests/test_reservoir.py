@@ -215,6 +215,28 @@ def test_discretize_coupling_mass_matches_shell_norm(gauss_ff):
     assert target - short.coupling_mass() == pytest.approx(tail, rel=1e-4)
 
 
+@pytest.mark.parametrize("spacing, omega_min, order, bound", [
+    ("log", 0.05, 2.0, 2e-5), ("linear", 0.0, 1.5, 3e-4)])
+def test_discretize_nonrelativistic_coupling_mass_converges(
+        gauss_ff, spacing, omega_min, order, bound):
+    # with omega = k^2 the grid carries dk/domega = 1 / (2 sqrt(omega)); the
+    # mass on [omega_min, 3] is int 4 pi k^2 |g|^2 dk over [sqrt(omega_min),
+    # sqrt(3)].  The log grid's midpoint rule is of order 2; on the linear
+    # grid from 0 the sqrt(omega) of the integrand leaves order 1.5
+    target = integrate.quad(
+        lambda k: 4.0 * np.pi * k * k * abs(complex(gauss_ff.at(k))) ** 2,
+        math.sqrt(omega_min), math.sqrt(3.0), epsabs=0.0, epsrel=1e-13)[0]
+    errors = []
+    for n in (40, 80, 160):
+        grid = bd.discretize(gauss_ff, 1.0,
+                             bd.GridSpec(n, 3.0, omega_min, spacing),
+                             bd.NONRELATIVISTIC)
+        errors.append(abs(grid.coupling_mass() - target) / target)
+    rates = np.log2(np.array(errors[:-1]) / errors[1:])
+    np.testing.assert_allclose(rates, order, atol=0.02)
+    assert errors[-1] < bound
+
+
 def test_discretize_resonance_shift(gauss_ff):
     # 2 cells on [0, 4] put a node exactly on the unit Bohr gap
     gs = bd.GridSpec(n_modes=2, omega_max=4.0)

@@ -96,6 +96,10 @@ def cases():
         # ((m, 1), (m', 1)) sorts before ((m, 2),)
         ("spectrum_deep_shells", "spectrum", _variant(
             grid={"n_modes": 2}, trunc={"n_max": 4}, solver={"k_eigs": 8})),
+        # omega = k^2: the grid's couplings carry dk/domega = 1/(2 sqrt(omega))
+        ("spectrum_nonrel", "spectrum", _variant(
+            reservoir={"dispersion": "nonrelativistic"},
+            solver={"k_eigs": 8})),
         ("spectrum_xi", "spectrum", _variant(
             physics={"xi": [{"excess": 0.2, "theta": 0.7}]},
             solver={"k_eigs": 8})),
