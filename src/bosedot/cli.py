@@ -281,7 +281,9 @@ def _radius(entry, rho_crit, where):
     if len(given) != 1:
         raise ValueError(f"{where} gives {given}: give one of r and excess")
     value = float(entry[given[0]])
-    return value if given == ["r"] else rho_crit + value
+    if given == ["r"]:
+        return value
+    return dotmod.CondensatePoint.from_excess(value, rho_crit).r
 
 
 def _xis(config, rho_crit):
@@ -488,7 +490,7 @@ def _map_bundles(config, args, xis, rho_crit, per_group):
         return per_group(lam, [tasks[i][1] for i in members], bundle)
 
     results = [None] * len(tasks)
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         for members, out in zip(groups.values(),
                                 pool.map(run, groups.values())):
             for i, result in zip(members, out):
@@ -673,6 +675,10 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--format", choices=["json", "csv"], default=None)
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print(f"config error: --jobs must be at least 1, got {args.jobs}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         config = load_config(args.config)

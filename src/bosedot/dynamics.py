@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import expm
 
 from .fock import StateVector
 from .krylov import expm_action
@@ -183,7 +184,8 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
     sin and one cos of each window T serve every frequency.
     A window is flagged when more than 1e-2 of sum |S_gh| sits on distinct
     clusters g, h with gap * T < 10, whose phases have not yet averaged out;
-    S_gh = <P_g v, A P_h v> is the block sum of W over the two clusters and,
+    S_gh = <P_g v, A P_h v> is the block sum of W over the two clusters,
+    ind^T W ind with the cluster indicator ind, and,
     unlike the entries of W, does not depend on the basis eigh picks inside
     a cluster.  n_clusters and min_cluster_gap are those of the whole
     spectrum of eig.
@@ -219,12 +221,13 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
     n_p = len(present)
     n_c = len(cols)
     a_rows = {p: real_if_exact(a[rows][:, rows]) for p, a in a_parts.items()}
+    # the cluster indicator: ind_jg = 1 where column j lies in cluster g
+    ind = sparse.csr_matrix((np.ones(n_c), (np.arange(n_c), lab)),
+                            shape=(n_c, n_p))
     # P_g u_k on the rows the u_k reach, one column per cluster present:
-    # vecs C with C_jg = c_jk where column j lies in cluster g; the limit and
-    # omega_bb add the same products in the same order, so A = 1 cancels
-    proj = [vecs @ sparse.csr_matrix((c[:, i], (np.arange(n_c), lab)),
-                                     shape=(n_c, n_p))
-            for i in range(len(ks))]
+    # vecs diag(c_k) ind; the limit and omega_bb add the same products in
+    # the same order, so A = 1 cancels
+    proj = [vecs @ ind.multiply(c[:, [i]]) for i in range(len(ks))]
     limit = np.zeros(len(freqs), dtype=complex)
     omega_bb = np.zeros(len(freqs), dtype=complex)
     for j, k_j in enumerate(ks):
@@ -254,7 +257,6 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
     plus = np.empty((len(found), len(dx)), dtype=dtype)
     minus = np.empty((len(nonzero), len(dx)), dtype=dtype)
     trace = np.zeros(len(freqs), dtype=complex)
-    pair = (lab[:, None] * n_p + lab).ravel()
     blocks = []
     for n, f in enumerate(found):
         weight = None
@@ -266,13 +268,7 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
             else:
                 weight += term
         trace[at[f]] = np.trace(weight)
-        # S_gh from one bincount per part of W over the pairs of the
-        # clusters present
-        block = np.bincount(pair, weight.real.ravel(), n_p * n_p)
-        if np.iscomplexobj(weight):
-            block = block + 1j * np.bincount(pair, weight.imag.ravel(),
-                                             n_p * n_p)
-        blocks.append(block.reshape(n_p, n_p))
+        blocks.append(ind.T @ weight @ ind)
         upper_w, lower_w = weight[upper], weight.T[upper]
         del weight
         np.conjugate(lower_w, out=lower_w)
@@ -280,7 +276,7 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
         if f:
             np.subtract(upper_w, lower_w, out=minus[nonzero[f]])
         del upper_w, lower_w
-    del pair, m_parts, upper
+    del ind, m_parts, upper
 
     # per window, the coefficients of the means over [0, T] and [0, 2T];
     # the kernels are formed one slice of pairs at a time
@@ -514,12 +510,12 @@ def dyson_truncated(bundle, a_full, t, order=4, n_steps=256):
 
 
 def heisenberg_exact(bundle, a_full, t):
+    """e^{itL} A e^{-itL}, the exact propagator of dyson_comparison, from
+    one dense expm of the whole L: it reads no eigensystem."""
     a = np.asarray(a_full.toarray() if sparse.issparse(a_full) else a_full,
                    dtype=complex)
-    evals, evecs = bundle.eigensystem().dense()
-    ph = np.exp(1j * t * evals)
-    inner = evecs.conj().T @ a @ evecs
-    return evecs @ ((ph[:, None] * inner) * np.conj(ph)[None, :]) @ evecs.conj().T
+    u = expm(1j * t * bundle.L.matrix.toarray())
+    return u @ a @ u.conj().T
 
 
 def dyson_comparison(make_bundle, a_of_bundle, lam, t, halvings=2, order=4,

@@ -211,12 +211,6 @@ class BlockedEigensystem:
                 out[np.ix_(idx, sel)] = vecs[:, cols[sel] - offsets[b]]
         return self.gauge[:, None] * out
 
-    def dense(self):
-        """(evals, evecs) of the whole space in ascending order, as eigh of
-        the full L would give them; for callers that need the full matrix."""
-        order = np.argsort(self.evals, kind="stable")
-        return self.evals[order], self.vectors(order)
-
     def support(self, gv):
         """The blocks on which the gauged-frame vector gv, or any column of
         the matrix gv, does not vanish exactly; gv = conj(gauge) v for a
@@ -314,7 +308,7 @@ class OperatorBundle(FirstParts):
         that the swap maps to itself and a dense eigh of every other
         symmetry block.  A block of more than DENSE_CUTOFF states is refused
         with DimensionCapError.  Only rte (dynamics.equilibrium_vector and
-        the ergodic pass) and C10's dynamics.heisenberg_exact read it."""
+        the ergodic pass) reads it."""
         if self._eigensystem is None:
             self._eigensystem = BlockedEigensystem.of(self, _factorise_block)
         return self._eigensystem

@@ -946,6 +946,26 @@ def test_unread_radius_or_measure_key_is_config_error(tmp_path, capsys,
     assert named in out.err and "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("excess", [-0.05, -1.0],
+                         ids=["above-zero-density", "below-zero-density"])
+@pytest.mark.parametrize("command, key, entry", [
+    ("spectrum", "xi", lambda excess: [{"excess": excess, "theta": 0.3}]),
+    ("rte", "mu", lambda excess: {"kind": "uniform_theta", "excess": excess,
+                                  "n_theta": 2}),
+], ids=["xi", "uniform_theta"])
+def test_negative_excess_is_config_error(tmp_path, capsys, command, key,
+                                         entry, excess):
+    # rho_crit is 0.12 here: the excess is refused as the excess it is,
+    # whether rho_crit + excess is a density below rho_crit or below 0
+    cfg = base_config()
+    cfg["physics"][key] = entry(excess)
+    code, outdir, out = run_cli(tmp_path, command, cfg, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out.err == ("validation error: density excess above critical "
+                       "must be nonnegative\n")
+    assert not (outdir / f"{command}.json").exists()
+
+
 @pytest.mark.parametrize("command", ["thermo", "spectrum"])
 @pytest.mark.parametrize("form_factor, named", [
     ({"preset": "gaussian", "exponent": 3.0}, "a gaussian form factor reads "
@@ -1540,6 +1560,15 @@ def test_rte_jobs_do_not_change_the_output(tmp_path, capsys):
         assert code == cli.EXIT_OK
         texts.append((outdir / "rte.json").read_bytes())
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
+    code, outdir, out = run_cli(tmp_path, "spectrum", base_config(), capsys,
+                                extra=["--jobs", jobs])
+    assert code == cli.EXIT_CONFIG
+    assert out.err == f"config error: --jobs must be at least 1, got {jobs}\n"
+    assert not (outdir / "spectrum.json").exists()
 
 
 def test_missing_kernel_vectors_exit_3(tmp_path, capsys, monkeypatch):

@@ -94,8 +94,8 @@ def test_ergodic_mean_converges_to_closed_form(bundle2):
 
 
 def test_ergodic_mean_on_exact_eigenvector(bundle2):
-    evals, evecs = bundle2.eigensystem().dense()
-    psi = evecs[:, 3]
+    eig = bundle2.eigensystem()
+    psi = eig.vectors(np.argsort(eig.evals, kind="stable")[[3]])[:, 0]
     a = dynamics.dot_observable(bundle2, hop_matrix(2))
     eye = sparse.identity(bundle2.dim, format="csr", dtype=complex)
     rep = dynamics.ergodic_mean(bundle2, a, eye, psi, 50.0)

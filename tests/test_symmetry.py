@@ -539,12 +539,27 @@ def no_factorisation(monkeypatch):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_norm_L_and_evolve_never_factorise(no_factorisation, rng, name):
+    # nor do C10's exact propagator and its Dyson comparison: only rte
+    # reads the factorisation
+    d, spacing, n_modes, n_max, lam, theta, amplitude = CASES[name]
     b = make_bundle(*CASES[name])
     assert b.dim <= liouville.DENSE_CUTOFF
     assert b.norm_L() > 0
     v = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
     dynamics.evolve(b, v, 1.3)
-    assert b._eigensystem is None
+    x = np.diag(np.arange(d, dtype=float))
+    dynamics.heisenberg_exact(b, dynamics.dot_observable(b, x), 1.3)
+    bundles = [b]
+
+    def at(coupling):
+        bundles.append(make_bundle(d, spacing, n_modes, n_max, coupling,
+                                   theta, amplitude))
+        return bundles[-1]
+
+    dynamics.dyson_comparison(at, lambda c: dynamics.dot_observable(c, x),
+                              lam, 0.5, halvings=1, order=1, n_steps=4)
+    assert len(bundles) == 3
+    assert all(c._eigensystem is None for c in bundles)
 
 
 def test_norm_L_of_the_zero_generator_is_zero(no_factorisation):

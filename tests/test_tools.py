@@ -68,8 +68,6 @@ def test_compare_reports_moves_beyond_rtol_and_every_other_difference(
 # each with what keeps it: an acceptance criterion (Cn), a test
 # (file::name) or a layer that perfbench/spans.py wraps (LAYER_FUNCTIONS)
 KEPT = {
-    "dot.CondensatePoint.from_excess":
-        "C9; test_dot.py::test_condensate_point_from_excess",
     "dynamics._as_array": "the state argument of evolve and ergodic_mean; C6",
     "dynamics._comm": "the commutator of dyson_truncated; C10",
     "dynamics._phase_conjugate": "the free frame of dyson_truncated; C10",
@@ -89,8 +87,6 @@ KEPT = {
         "test_fock.py::test_dgamma_diag_and_totals_match_occupations",
     "fock.FockBasis.states":
         "C8; test_fock.py::test_array_basis_matches_tuple_oracle",
-    "liouville.BlockedEigensystem.dense":
-        "the full eigensystem of heisenberg_exact; C10",
     "liouville.OperatorBundle.L0": "C8",
     "liouville.OperatorBundle.Lambda":
         "C8; test_liouville.py::test_conjugate_commutator_identity",

@@ -154,6 +154,11 @@ def cases():
             reservoir={"rho_bar": 0.4},
             physics={"mu": {"kind": "kac", "n_r": 2, "n_theta": 2}},
             solver={"T": [100.0]})),
+        # no condensate, and X has the charge parts -1, 0 and 1: the pass
+        # spans the three charge sectors that B omega reaches
+        ("rte_sector_mixed", "rte", _variant(
+            physics={"observable": {"matrix": [[0.3, 1.0], [1.0, -0.7]]}},
+            solver={"T": [100.0, 1000.0]})),
         # dim 2244: its largest charge sector holds 546 states
         ("rte_above_dense_cutoff", "rte", _variant(
             grid={"n_modes": 16},
