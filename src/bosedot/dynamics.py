@@ -44,9 +44,11 @@ class ErgodicReport:
     min_cluster_gap: float
     n_clusters: int
     messages: tuple = ()
+    share: float = 0.0  # on cluster pairs with gap * T < 10; not written
 
     def to_dict(self):
-        return {**asdict(self), "messages": list(self.messages)}
+        return {k: v for k, v in asdict(self).items() if k != "share"} | {
+            "messages": list(self.messages)}
 
 
 class ThetaSeries(NamedTuple):
@@ -106,8 +108,8 @@ def evolve(bundle, state, t):
 # ---------------------------------------------------------------------------
 # one spectral pass shared by the ergodic formulas
 
-# eigenvalue pairs per slice of the window kernels, which keeps their
-# temporaries small beside the weights
+# entries of W's rows per slice of whole clusters, which bounds every array
+# of the pass but M_p
 WINDOW_SLICE = 1 << 15
 
 
@@ -176,19 +178,22 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
     cancels exactly; omega_a = <w, A w> / <w, w>.  Only the symmetry blocks
     that some u_k reaches enter.  Over their eigenvectors U, with
     c_k = U^H u_k and M_p = U^H A_p U, the weight of the frequency f is
-    W_f = sum conj(c_k) M_p c_k' over k - p - k' = f, formed once for every
-    phase and freed once folded.  The mean over [0, T] is
-    sum_jk W_jk phi(T (e_j - e_k)); as phi(-x) = conj(phi(x)) it is tr W plus
-    the window of the upper triangle of W + W^H (its real part) and that of
-    W - W^H against -i phi (its imaginary part, needed for f != 0 only); one
-    sin and one cos of each window T serve every frequency.
+    W_f = sum conj(c_k) M_p c_k' over k - p - k' = f.  The mean over [0, T]
+    is sum_jk W_jk phi(T (e_j - e_k)); as phi(-x) = conj(phi(x)) it is tr W
+    plus the window of the pairs j < k of W_jk + conj(W_kj) (its real part)
+    and that of W_jk - conj(W_kj) against -i phi (its imaginary part, needed
+    for f != 0 only); A need not be Hermitian, so W_{-f} is not W_f^H.
     A window is flagged when more than 1e-2 of sum |S_gh| sits on distinct
     clusters g, h with gap * T < 10, whose phases have not yet averaged out;
-    S_gh = <P_g v, A P_h v> is the block sum of W over the two clusters,
-    ind^T W ind with the cluster indicator ind, and,
-    unlike the entries of W, does not depend on the basis eigh picks inside
-    a cluster.  n_clusters and min_cluster_gap are those of the whole
-    spectrum of eig.
+    S_gh = <P_g v, A P_h v> is the block sum of W over the two clusters
+    and, unlike the entries of W, does not depend on the basis eigh picks
+    inside a cluster.
+    n_clusters and min_cluster_gap are those of the whole spectrum of eig.
+    Only M_p has n_c^2 entries: the columns are walked in slices J of whole
+    clusters, about WINDOW_SLICE entries of W's rows each, first for the
+    projections P_g u_k, then, with M_p, for W_f[J, :] and W_f[:, J] and
+    their share of the trace, the windows (the pairs j < k, j in J) and
+    sum |S_gh| (the rows of S_f for J's clusters).
 
     Returns (runs, series): one (limit, omega_bb, omega_a, [ErgodicReport
     per window T]) per phase, and the ThetaSeries of the limit, omega_bb and
@@ -196,8 +201,7 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
     Fourier sums are the real parts each run reports.
     """
     labels, means = eig.clusters
-    n_g = len(means)
-    gap = float(np.diff(means).min()) if n_g > 1 else np.inf
+    gap = float(np.diff(means).min()) if len(means) > 1 else np.inf
 
     w = real_if_exact(np.conj(eig.gauge) * omega)
     a_parts = _charge_parts(a_mat, q_diag)
@@ -218,27 +222,30 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
     phases = np.exp(1j * np.outer(thetas, freqs))
 
     present, lab = np.unique(labels[cols], return_inverse=True)
-    n_p = len(present)
-    n_c = len(cols)
+    n_p, n_c = len(present), len(cols)
     a_rows = {p: real_if_exact(a[rows][:, rows]) for p, a in a_parts.items()}
-    # the cluster indicator: ind_jg = 1 where column j lies in cluster g
-    ind = sparse.csr_matrix((np.ones(n_c), (np.arange(n_c), lab)),
-                            shape=(n_c, n_p))
-    # P_g u_k on the rows the u_k reach, one column per cluster present:
-    # vecs diag(c_k) ind; the limit and omega_bb add the same products in
-    # the same order, so A = 1 cancels
-    proj = [vecs @ ind.multiply(c[:, [i]]) for i in range(len(ks))]
+    # the columns by cluster, from edges on; slices of whole clusters own of
+    # about WINDOW_SLICE entries of W's rows, their columns J and starts in J
+    order = np.argsort(lab, kind="stable")
+    edges = np.r_[0, np.cumsum(np.bincount(lab, minlength=n_p))]
+    cuts = np.unique(np.searchsorted(edges, np.r_[np.arange(
+        0, n_c, WINDOW_SLICE / max(n_c, 1)), n_c]))
+    slices = [(order[edges[g]:edges[h]], np.arange(g, h),
+               edges[g:h] - edges[g]) for g, h in zip(cuts, cuts[1:])]
+    # P_g u_k on the rows the u_k reach, a column per cluster of a slice; the
+    # limit and omega_bb add the same products in the same order: A = 1 cancels
     limit = np.zeros(len(freqs), dtype=complex)
     omega_bb = np.zeros(len(freqs), dtype=complex)
-    for j, k_j in enumerate(ks):
-        for i, k_i in enumerate(ks):
-            omega_bb[at[k_i - k_j]] += np.vdot(proj[i], proj[j])
-        for p, a in a_rows.items():
-            a_proj = a @ proj[j]
+    for J, _, starts in slices:
+        proj = [np.add.reduceat(vecs[:, J] * c[J, i], starts, axis=1)
+                for i in range(len(ks))]
+        for j, k_j in enumerate(ks):
             for i, k_i in enumerate(ks):
-                limit[at[k_i - p - k_j]] += np.vdot(proj[i], a_proj)
-            del a_proj
-    del proj
+                omega_bb[at[k_i - k_j]] += np.vdot(proj[i], proj[j])
+            for p, a in a_rows.items():
+                a_proj = a @ proj[j]
+                for i, k_i in enumerate(ks):
+                    limit[at[k_i - p - k_j]] += np.vdot(proj[i], a_proj)
     omega_a = np.zeros(len(freqs), dtype=complex)
     for p, a in a_parts.items():
         omega_a[at[-p]] += np.vdot(w, a @ w)
@@ -246,82 +253,69 @@ def _ergodic_pass(eig, q_diag, a_mat, b_mat, omega, thetas, t_list):
 
     m_parts = {p: real_if_exact(vecs.conj().T @ (a @ vecs))
                for p, a in a_rows.items()}
-    # sum_{j<k} W_jk phi + W_kj conj(phi) over the upper triangle: its real
-    # part is the window of W_jk + conj(W_kj), its imaginary part that of
-    # W_jk - conj(W_kj) against -i phi, needed for f != 0 only
-    upper = np.triu(np.ones((n_c, n_c), dtype=bool), 1)
-    evals = eig.evals[cols]
-    dx = np.subtract.outer(evals, evals)[upper]
-    nonzero = {f: n for n, f in enumerate(f for f in found if f)}
-    dtype = np.result_type(c, *m_parts.values())
-    plus = np.empty((len(found), len(dx)), dtype=dtype)
-    minus = np.empty((len(nonzero), len(dx)), dtype=dtype)
+
+    def weight(f, r, s):
+        """W_f on the rows r and the columns s of the support."""
+        return sum(np.einsum("j,jk,k->jk", np.conj(c[r, i]),
+                             m_parts[p][r][:, s], c[s, j])
+                   for i, p, j in terms[f])
+
+    evals, mean_p = eig.evals[cols], means[present]
+    nonzero = [f for f in found if f]
     trace = np.zeros(len(freqs), dtype=complex)
-    blocks = []
-    for n, f in enumerate(found):
-        weight = None
-        for i, p, j in terms[f]:
-            term = np.einsum("j,jk,k->jk", np.conj(c[:, i]), m_parts[p],
-                             c[:, j])
-            if weight is None:
-                weight = term.astype(dtype, copy=False)
-            else:
-                weight += term
-        trace[at[f]] = np.trace(weight)
-        blocks.append(ind.T @ weight @ ind)
-        upper_w, lower_w = weight[upper], weight.T[upper]
-        del weight
-        np.conjugate(lower_w, out=lower_w)
-        np.add(upper_w, lower_w, out=plus[n])
-        if f:
-            np.subtract(upper_w, lower_w, out=minus[nonzero[f]])
-        del upper_w, lower_w
-    del ind, m_parts, upper
-
-    # per window, the coefficients of the means over [0, T] and [0, 2T];
-    # the kernels are formed one slice of pairs at a time
-    windows = []
-    for T in t_list:
-        re, im = np.zeros((2, len(found))), np.zeros((2, len(nonzero)))
-        for start in range(0, len(dx), WINDOW_SLICE):
-            part = slice(start, start + WINDOW_SLICE)
-            kernels = _kernels(T * dx[part])
-            re += _window(plus[:, part], kernels)
+    # per window, the sums of the means over [0, T] and [0, 2T]; per phase,
+    # sum |S_gh| in all and on the pairs with gap * T < 10 per window
+    re = np.zeros((len(t_list), 2, len(found)))
+    im = np.zeros((len(t_list), 2, len(nonzero)))
+    total, short = np.zeros(len(thetas)), np.zeros((len(thetas), len(t_list)))
+    for J, own, starts in slices:
+        upper = np.arange(n_c) > J[:, None]
+        blocks, plus, minus = [], [], []
+        for f in found:
+            rows_w = weight(f, J, slice(None))
+            lower = np.conj(weight(f, slice(None), J).T[upper])
+            trace[at[f]] += rows_w[np.arange(len(J)), J].sum()
+            blocks.append(np.add.reduceat(np.add.reduceat(
+                rows_w, starts)[:, order], edges[:-1], axis=1))
+            plus.append(rows_w[upper] + lower)
+            if f:
+                minus.append(rows_w[upper] - lower)
+        dist = np.abs(mean_p[own, None] - mean_p)
+        dist[own - own[0], own] = np.inf
+        for n, e in enumerate(phases):
+            # |S_gh| at a phase; with one frequency it is the same at all
+            block = np.abs(blocks[0] if len(found) == 1 else sum(
+                e[at[f]] * s for f, s in zip(found, blocks)))
+            total[n] += block.sum()
+            short[n] += [block[T * dist < 10].sum() for T in t_list]
+        dx = np.subtract.outer(evals[J], evals)[upper]
+        plus, minus = np.array(plus), np.reshape(minus, (len(minus), len(dx)))
+        del rows_w, lower, blocks, block, upper
+        for t, T in enumerate(t_list):
+            kernels = _kernels(T * dx)
+            re[t] += _window(plus, kernels)
             # Re sum w (-i phi) = Re sum (-i w) phi
-            im += _window(-1j * minus[:, part], kernels)
-        coef = []
-        for m_re, m_im in zip(re, im):
-            x = trace.copy()
-            x[[at[f] for f in found]] += m_re
-            x[[at[f] for f in nonzero]] += 1j * m_im
-            coef.append(x)
-        windows.append(coef)
-    del plus, minus, dx
+            im[t] += _window(-1j * minus, kernels)
+            del kernels
+    coef = np.zeros((len(t_list), 2, len(freqs)), dtype=complex) + trace
+    coef[..., [at[f] for f in found]] += re
+    coef[..., [at[f] for f in nonzero]] += 1j * im
 
-    dist = np.abs(means[present][:, None] - means[present])
-    np.fill_diagonal(dist, np.inf)
-    short = [T * dist < 10 for T in t_list]
-    del dist
-    # |S_gh| at a phase; with one frequency it is the same at every phase
-    block = np.abs(blocks[0]) if len(found) == 1 else None
     runs = []
-    for e in phases:
-        if len(found) > 1:
-            block = np.abs(sum(e[at[f]] * s for f, s in zip(found, blocks)))
-        total = block.sum()
+    for e, tot, shares in zip(phases, total, short):
         lim = float((e @ limit).real)
         reports = []
-        for T, mask, (coef_T, coef_2T) in zip(t_list, short, windows):
+        for T, part, (coef_T, coef_2T) in zip(t_list, shares, coef):
             m_T, m_2T = float((e @ coef_T).real), float((e @ coef_2T).real)
-            share = float(block[mask].sum() / total) if total else 0.0
+            share = float(part / tot) if tot else 0.0
             messages = ()
             if share > 1e-2:
                 messages = (f"weight share {share:.3g} on cluster pairs with "
                             "gap * T < 10: finite-T mean unreliable",)
             reports.append(ErgodicReport(
                 finite_mean=m_T, T=float(T), extrapolated=2.0 * m_2T - m_T,
-                closed_form=lim, min_cluster_gap=gap, n_clusters=n_g,
-                messages=messages))
+                closed_form=lim, min_cluster_gap=gap, n_clusters=len(means),
+                messages=messages, share=share))
         runs.append((lim, float((e @ omega_bb).real),
                      float((e @ omega_a).real), reports))
     return runs, ThetaSeries(np.array(freqs), *(

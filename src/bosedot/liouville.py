@@ -55,8 +55,8 @@ from .fock import (DimensionCapError, FockBasis, SolverConvergenceError,
                    SparseOperator, StateVector)
 from .krylov import expm_action
 
-# largest symmetry block that eigensystem() factorises (DimensionCapError
-# above it)
+# largest symmetry block that eigensystem() factorises, or largest half of
+# a chiral block (DimensionCapError above it)
 DENSE_CUTOFF = 2000
 # eigenvalues within CLUSTER_TOL * max(||L||, 1) of each other are one
 # cluster, and those within it of zero the kernel
@@ -218,8 +218,9 @@ class BlockedEigensystem:
 
         Returns (rows, cols, vecs, c): the basis states rows of those blocks,
         their spectral columns cols, their eigenvectors as one
-        block-diagonal rows x cols matrix vecs of the gauged frame, and the
-        coordinates c = vecs^H gv[rows] on them.
+        block-diagonal rows x cols matrix vecs of the gauged frame (a lone
+        block's own array, not a copy), and the coordinates
+        c = vecs^H gv[rows] on them.
         """
         offsets = self.offsets
         keep = [b for b, (idx, _, _) in enumerate(self.blocks)
@@ -228,8 +229,8 @@ class BlockedEigensystem:
         rows = np.concatenate([none] + [self.blocks[b][0] for b in keep])
         cols = np.concatenate([none] + [np.arange(offsets[b], offsets[b + 1])
                                         for b in keep])
-        vecs = block_diag(np.zeros((0, 0)),
-                          *[self.blocks[b][2] for b in keep])
+        mats = [np.zeros((0, 0))] + [self.blocks[b][2] for b in keep]
+        vecs = mats[1] if len(mats) == 2 else block_diag(*mats)
         return rows, cols, vecs, vecs.conj().T @ gv[rows]
 
 
@@ -307,8 +308,9 @@ class OperatorBundle(FirstParts):
         """Cached BlockedEigensystem of L: chiral_eigh of every real block
         that the swap maps to itself and a dense eigh of every other
         symmetry block.  A block of more than DENSE_CUTOFF states is refused
-        with DimensionCapError.  Only rte (dynamics.equilibrium_vector and
-        the ergodic pass) reads it."""
+        with DimensionCapError, a chiral one only when its SVD's larger side
+        is.  Only rte (dynamics.equilibrium_vector and the ergodic pass)
+        reads it."""
         if self._eigensystem is None:
             self._eigensystem = BlockedEigensystem.of(self, _factorise_block)
         return self._eigensystem
@@ -348,9 +350,13 @@ class OperatorBundle(FirstParts):
 
 
 def _factorise_block(charge, idx, block, swap):
-    if len(idx) > DENSE_CUTOFF:
-        raise DimensionCapError(f"symmetry block of {len(idx)} states above "
-                                f"the dense cutoff {DENSE_CUTOFF}")
+    # a chiral block's SVD is of its even half, the fixed states and one
+    # state of each swapped pair, by its odd half
+    size = len(idx) if swap is None else np.sum(swap >= np.arange(len(idx)))
+    if size > DENSE_CUTOFF:
+        half = "" if swap is None else f": chiral half of {size} states"
+        raise DimensionCapError(f"symmetry block of {len(idx)} states{half} "
+                                f"above the dense cutoff {DENSE_CUTOFF}")
     if swap is None:
         return eigh(block.toarray())
     return chiral_eigh(block, swap)

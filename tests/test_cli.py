@@ -736,12 +736,51 @@ def test_dense_and_block_paths_report_the_same_kernel_rows(
 
 
 def test_block_above_the_dense_cutoff_exits_4(tmp_path, capsys, monkeypatch):
-    # dim 20, largest charge sector 6
-    monkeypatch.setattr(liouville, "DENSE_CUTOFF", 5)
+    # dim 20, charge sectors of 2, 5, 6, 5 and 2 states: sector 0 is chiral,
+    # and its SVD's larger side holds its 2 fixed states and 2 of its pairs'
+    # states, so the eigh of a 5-state sector is the one refused
+    monkeypatch.setattr(liouville, "DENSE_CUTOFF", 4)
     code, _, out = run_cli(tmp_path, "rte", base_config(), capsys)
     assert code == cli.EXIT_CAP
     assert "dimension cap" in out.err
-    assert "symmetry block of 6 states" in out.err
+    assert "symmetry block of 5 states above the dense cutoff 4" in out.err
+
+
+def test_chiral_half_above_the_dense_cutoff_exits_4(tmp_path, capsys,
+                                                    monkeypatch):
+    # the gauged L(0) of dim 20 is one chiral block with 2 fixed states:
+    # its SVD's larger side holds 11
+    monkeypatch.setattr(liouville, "DENSE_CUTOFF", 10)
+    cfg = base_config()
+    cfg["physics"]["xi"] = [{"excess": 0.2, "theta": 0.7}]
+    code, _, out = run_cli(tmp_path, "rte", cfg, capsys)
+    assert code == cli.EXIT_CAP
+    assert ("symmetry block of 20 states: chiral half of 11 states above "
+            "the dense cutoff 10") in out.err
+
+
+def test_condensate_rte_between_chiral_half_and_block_matches_default(
+        tmp_path, capsys, monkeypatch):
+    # a cutoff of 15 lies between the chiral half (11) and the block (20):
+    # the same factorisation runs, and rte.json is the same byte for byte
+    cfg = base_config()
+    cfg["physics"]["mu"] = {"kind": "uniform_theta", "excess": 0.2,
+                            "n_theta": 3}
+    cfg["solver"]["T"] = [60.0, 600.0]
+    texts = []
+    for cutoff in (liouville.DENSE_CUTOFF, 15):
+        monkeypatch.setattr(liouville, "DENSE_CUTOFF", cutoff)
+        sub = tmp_path / str(cutoff)
+        sub.mkdir()
+        code, outdir, out = run_cli(sub, "rte", cfg, capsys)
+        assert code == cli.EXIT_OK, out.err
+        texts.append((outdir / "rte.json").read_bytes())
+    run = json.loads(texts[1])["runs"][0]
+    assert run["manifest"]["dim"] == 20
+    assert run["factorisation"] == {"path": "gauge", "blocks": 1,
+                                    "largest_block": 20, "real": True,
+                                    "chiral": 1}
+    assert texts[0] == texts[1]
 
 
 def test_spectrum_smoke_and_csv(tmp_path, capsys):

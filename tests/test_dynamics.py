@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,6 +219,37 @@ def small_xi_bundle(gauss_ff, theta, rho_bar=0.3):
     xi = CondensatePoint.from_excess(rho_bar - rc, rc, theta=theta)
     return build_bundle(dspec, grid, bd.TruncationSpec(2, 1), lam=0.1, xi=xi,
                         rho_crit=rc)
+
+
+def test_ergodic_pass_memory_is_the_held_parts(gauss_ff):
+    # the rte_condensate geometry: dim 660, one chiral block that B omega
+    # reaches whole.  The pass holds M_p = U^H A_p U (n_c^2 entries) per
+    # charge part; forming one takes A_p U and the product besides, and
+    # every other array is one slice of about WINDOW_SLICE entries
+    dspec = bd.DotSpec(d=2)
+    grid = bd.discretize(gauss_ff, 1.0, bd.GridSpec(
+        n_modes=4, omega_min=0.35, omega_max=2.3, spacing="log"),
+        bd.RELATIVISTIC, bohr_frequencies=dspec.bohr_frequencies())
+    rc = bd.critical_density(1.0)
+    b = build_bundle(dspec, grid, bd.TruncationSpec(4, 3), lam=0.1,
+                     xi=CondensatePoint(r=rc + 0.2, theta=0.0), rho_crit=rc)
+    a = dynamics.dot_observable(b, np.diag([0.0, 1.0]))
+    eig = b.eigensystem()
+    w = dynamics.equilibrium_vector(b)[0].amplitudes
+    tracemalloc.start()
+    try:
+        dynamics._ergodic_pass(eig, b.q_diag, a, a, w,
+                               np.arange(4) * np.pi / 2, [100.0, 1000.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_c, n_parts = b.dim, len(dynamics._charge_parts(a, b.q_diag))
+    assert eig.telemetry()["largest_block"] == n_c == 660
+    # U and A are real, so M_p takes 8 bytes an entry.  One part gives
+    # 3 n_c^2 * 8 bytes + 2 MB = 12.5 MB, against a traced peak of 7.2 MB,
+    # and of 24.7 MB for a pass that forms each W_f whole
+    assert eig.telemetry()["real"]
+    assert peak <= (n_parts + 2) * n_c ** 2 * 8 + 2e6
 
 
 def test_superpose_xi_aggregates(gauss_ff):

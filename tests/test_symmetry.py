@@ -724,3 +724,59 @@ def test_theta_sweep_identity_deviation_is_exactly_zero(observable):
         assert run["deviation"] == 0.0
         assert run["omega_a"] == 1.0
         assert run["ergodic_limit"] == run["omega_bb"]
+
+
+@pytest.mark.parametrize("window_slice", [None, 3 * 112],
+                         ids=["default-slice", "cluster-above-slice"])
+def test_streamed_pass_matches_the_dense_double_sum(monkeypatch,
+                                                    window_slice):
+    # a condensate and a non-Hermitian X with the charge parts -1, 0 and 1:
+    # the pass sums several frequencies per phase.  The reference factorises
+    # L(theta) whole at each phase, sums W_jk phi(T (e_j - e_k)) over every
+    # pair and S_gh over every pair of clusters.  A slice of 3 * 112 entries
+    # holds 3 of the 112 columns, fewer than the zero cluster
+    spec = (2, "log", 3, 2, 0.1)
+    thetas, T = [0.7, 0.0, 2.9], [5.0, 400.0]
+    x = np.array(NON_HERMITIAN[2])
+    b = make_bundle(*spec, thetas[0], 1.0)
+    if window_slice is not None:
+        monkeypatch.setattr(dynamics, "WINDOW_SLICE", window_slice)
+        labels, _ = b.eigensystem().clusters
+        assert b.dim == 112 and np.bincount(labels).max() > 3
+    a = dynamics.dot_observable(b, x)
+    w = dynamics.equilibrium_vector(b)[0].amplitudes
+    runs, _ = dynamics._ergodic_pass(b.eigensystem(), b.q_diag, a, a, w,
+                                     thetas, T)
+    shares = []
+    for theta, (limit, omega_bb, omega_a, reports) in zip(thetas, runs):
+        ref_b = make_bundle(*spec, theta, 1.0)
+        evals, evecs = sla.eigh(ref_b.L.matrix.toarray())
+        # clusters split at gaps of CLUSTER_TOL * max(max|e|, 1)
+        tol = liouville.CLUSTER_TOL * max(np.abs(evals).max(), 1.0)
+        groups = np.split(np.arange(ref_b.dim),
+                          np.flatnonzero(np.diff(evals) >= tol) + 1)
+        a_ref = dynamics.dot_observable(ref_b, x)
+        ref = full_rte(ref_b, evals, evecs, groups, a_ref, a_ref, T)
+        scale = max(abs(ref["ergodic_limit"]), abs(ref["omega_bb"]))
+        for got, key in ((limit, "ergodic_limit"), (omega_bb, "omega_bb"),
+                         (omega_a, "omega_a")):
+            assert got == pytest.approx(ref[key], rel=1e-12,
+                                        abs=1e-12 * scale), key
+        # S_gh = <P_g v, A P_h v> over the cluster projections of v = A w,
+        # w the KMS vector's largest cluster projection, as in full_rte
+        ref_w = kms_vector(ref_b)[0].amplitudes
+        proj = [evecs[:, g] @ (evecs[:, g].conj().T @ ref_w) for g in groups]
+        v = a_ref @ max(proj, key=np.linalg.norm)
+        proj = [evecs[:, g] @ (evecs[:, g].conj().T @ v) for g in groups]
+        s = np.abs([[np.vdot(p, a_ref @ q) for q in proj] for p in proj])
+        means = np.array([evals[g].mean() for g in groups])
+        gaps = np.abs(np.subtract.outer(means, means))
+        np.fill_diagonal(gaps, np.inf)
+        for rep, t, want in zip(reports, T, ref["finite_T"]):
+            for key in ("finite_mean", "extrapolated"):
+                assert getattr(rep, key) == pytest.approx(
+                    want[key], rel=1e-12, abs=1e-12 * scale), key
+            share = s[t * gaps < 10].sum() / s.sum()
+            assert rep.share == pytest.approx(share, rel=1e-12, abs=1e-15)
+            shares.append(rep.share)
+    assert max(shares) > 1e-2

@@ -7,8 +7,9 @@ runs `python -m bosedot.cli` with the package imported from SRC (a checkout's
 `src/` directory), `--seed 901` and one BLAS thread, once per config below,
 and writes each run's config and outputs to OUT/<name>/.  The configs are the
 benchmark workloads of perfbench/workloads.py at both sizes, one or two small
-configs per subcommand, one rte above liouville.DENSE_CUTOFF, and two spectra
-(one above the cutoff) and an rte on a tabulated complex coupling, whose table
+configs per subcommand, two rte runs above liouville.DENSE_CUTOFF (charge
+sectors, and one chiral block with a condensate), and two spectra (one above
+the cutoff) and an rte on a tabulated complex coupling, whose table
 the tool writes beside config.json as form_factor.csv.  Outputs are
 deterministic, so `diff -r` of two snapshots taken from two source trees is a
 byte-identity check of everything the CLI writes.  Exits 1 when a run fails;
@@ -163,6 +164,13 @@ def cases():
         ("rte_above_dense_cutoff", "rte", _variant(
             grid={"n_modes": 16},
             physics={"observable": {"matrix": [[0, 0], [0, 1]]}},
+            solver={"T": [100.0, 1000.0]})),
+        # dim 2244 with a condensate: the gauged L(0) is one chiral block,
+        # above the cutoff, whose SVD's larger side (1139) is below it
+        ("rte_condensate_above_cutoff", "rte", _variant(
+            grid={"n_modes": 16},
+            physics={"mu": {"kind": "uniform_theta", "excess": 0.2,
+                            "n_theta": 4}},
             solver={"T": [100.0, 1000.0]})),
         ("levelshift_d3", "levelshift", _variant(
             dot={"d": 3}, trunc={"n_max": 1},
